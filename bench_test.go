@@ -722,8 +722,7 @@ func BenchmarkBaselineVsPACOR(b *testing.B) {
 
 // chipXLSearch builds the ChipXL-scale point-to-point scenario: a 1000x1000
 // grid (a million cells) with 2% scattered obstacles, corner to corner — the
-// profile where the open list dominates the search cost and the bucket queue
-// and bidirectional variants pay off.
+// profile where the open list dominates the search cost.
 func chipXLSearch() (grid.Grid, *grid.ObsMap, geom.Pt, geom.Pt) {
 	const n = 1000
 	g := grid.New(n, n)
@@ -739,47 +738,29 @@ func chipXLSearch() (grid.Grid, *grid.ObsMap, geom.Pt, geom.Pt) {
 	return g, obs, src, dst
 }
 
-// BenchmarkAStarChipXL isolates the open-list cost at ChipXL scale: the same
-// million-cell search under the binary heap, under the Dial bucket queue, and
-// under the bidirectional search (which expands roughly two half-radius disks
-// instead of one full disk, at the price of a different path shape).
+// BenchmarkAStarChipXL times one million-cell unit-cost search on a reused
+// workspace (it runs on the Dial bucket queue).
 func BenchmarkAStarChipXL(b *testing.B) {
 	g, obs, src, dst := chipXLSearch()
 	req := route.Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs}
-	for _, mode := range []route.QueueMode{route.QueueHeap, route.QueueBucket} {
-		b.Run(mode.String(), func(b *testing.B) {
-			ws := route.NewWorkspace(g)
-			ws.SetQueueMode(mode)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := ws.AStar(g, req); !ok {
-					b.Fatal("no path")
-				}
-			}
-		})
-	}
-	b.Run("bidir", func(b *testing.B) {
-		ws := route.NewWorkspace(g)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok := ws.BiAStar(g, req); !ok {
-				b.Fatal("no path")
-			}
+	ws := route.NewWorkspace(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := ws.AStar(g, req); !ok {
+			b.Fatal("no path")
 		}
-	})
+	}
 }
 
 // BenchmarkFlowChipXL runs the full flow on ChipXL family members. The loop
 // member keeps the full chip's valve density (2400 valves per 10^6 cells) at
-// 300x300. The heap/bucket sub-benches keep their PR 6 names so snapshot
-// chains stay comparable, but at 300x300 (> the HierAuto threshold) they now
-// route the escape stage hierarchically; the flat sub-bench forces the
-// hierarchy off and pins the PR 6 code path on the same hardware — the
-// hier-vs-flat ratio at j=1 is the tentpole speedup claim, and the quality
-// metrics report the hierarchy's explicit quality delta. The full 1000x1000
-// chip, interactively unusable before the hierarchy, now runs un-skipped.
+// 300x300. At 300x300 (> the HierAuto threshold) the hier sub-bench routes
+// the escape stage hierarchically; the flat sub-bench forces the hierarchy
+// off on the same hardware — the hier-vs-flat ratio at j=1 is the two-stage
+// speedup, and the quality metrics report the hierarchy's explicit quality
+// delta. The full 1000x1000 chip, interactively unusable before the
+// hierarchy, now runs un-skipped.
 func BenchmarkFlowChipXL(b *testing.B) {
 	member := bench.XLSpec(300, 216, 0.02)
 	d, err := bench.GenerateSpec(member)
@@ -801,16 +782,11 @@ func BenchmarkFlowChipXL(b *testing.B) {
 		b.ReportMetric(100*last.CompletionRate(), "compl%")
 		b.ReportMetric(float64(last.TotalLen), "len")
 	}
-	for _, mode := range []route.QueueMode{route.QueueHeap, route.QueueBucket} {
-		b.Run(member.Name+"/"+mode.String(), func(b *testing.B) {
-			params := pacor.DefaultParams()
-			params.Queue = mode
-			flow(b, params)
-		})
-	}
+	b.Run(member.Name+"/hier", func(b *testing.B) {
+		flow(b, pacor.DefaultParams())
+	})
 	b.Run(member.Name+"/flat", func(b *testing.B) {
 		params := pacor.DefaultParams()
-		params.Queue = route.QueueBucket
 		params.Hier.Mode = route.HierOff
 		flow(b, params)
 	})
@@ -821,7 +797,6 @@ func BenchmarkFlowChipXL(b *testing.B) {
 			b.Fatal(err)
 		}
 		params := pacor.DefaultParams()
-		params.Queue = route.QueueBucket
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

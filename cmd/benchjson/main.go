@@ -3,12 +3,11 @@
 // JSON snapshot — the BENCH_PR<n>.json files future PRs regress against.
 //
 // The measured set mirrors the hot paths this trajectory tracks: steady-state
-// A* on a reusable workspace vs a fresh workspace per search (under both the
-// binary heap and the Dial bucket open list, plus the bidirectional variant),
-// the full PACOR flow per design (sequentially and per worker count of the
-// deterministic parallel scheduler), the ChipXL million-cell family, and the
-// sequential vs parallel Table 2 sweep. Every row carries the queue mode and
-// grid family it ran under so cross-snapshot diffs compare like with like.
+// A* on a reusable workspace vs a fresh workspace per search, the full PACOR
+// flow per design (sequentially and per worker count of the deterministic
+// parallel scheduler), the ChipXL million-cell family, and the sequential vs
+// parallel Table 2 sweep. Every row carries the grid family and routing stage
+// it ran under so cross-snapshot diffs compare like with like.
 //
 // Every measurement records the GOMAXPROCS it actually ran under (plus the
 // host's CPU count at the snapshot level): a parallel speedup claim is
@@ -55,15 +54,12 @@ type Measurement struct {
 	// GoMaxProcs is the GOMAXPROCS this measurement actually ran under —
 	// recorded per benchmark, not assumed from the snapshot header.
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
-	// Queue names the open-list mode the measurement ran under (auto, heap,
-	// bucket, or bidir); Family names the grid family (S for the paper's
-	// Table 1 designs, ChipXL for the million-cell stress family). Both are
-	// per-row so a baseline diff never compares across modes or scales.
-	// Stage names the routing architecture the row exercises: "flat" for the
+	// Family names the grid family (S for the paper's Table 1 designs,
+	// ChipXL for the million-cell stress family), per row so a baseline diff
+	// never compares across scales. Stage names the routing architecture the row exercises: "flat" for the
 	// single-stage path, "global" for the tile-coarsening/corridor stage in
 	// isolation, "detailed" for the full two-stage hierarchical path (global
 	// corridor assignment plus corridor-masked detailed searches).
-	Queue     string  `json:"queue,omitempty"`
 	Family    string  `json:"family,omitempty"`
 	Stage     string  `json:"stage,omitempty"`
 	Note      string  `json:"note,omitempty"`
@@ -131,11 +127,11 @@ func main() {
 		fmt.Printf("%-28s %12d ns/op %10d B/op %8d allocs/op (gomaxprocs %d)\n",
 			name, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp(), runtime.GOMAXPROCS(0))
 	}
-	// tag stamps the queue mode, grid family, and routing stage onto an
-	// already-recorded row.
-	tag := func(name, queue, family, stage string) {
+	// tag stamps the grid family and routing stage onto an already-recorded
+	// row.
+	tag := func(name, family, stage string) {
 		m := snap.Benchmarks[name]
-		m.Queue, m.Family, m.Stage = queue, family, stage
+		m.Family, m.Stage = family, stage
 		snap.Benchmarks[name] = m
 	}
 	// bestOf reruns a benchmark k times and keeps the fastest run. The flow
@@ -164,19 +160,7 @@ func main() {
 			}
 		}
 	}), "long-lived workspace, generation-stamped arrays")
-	tag("AStarS5Reuse", "auto", "S", "flat")
-
-	record("AStarS5ReuseHeap", bestOf(5, func(b *testing.B) {
-		ws := route.NewWorkspace(g)
-		ws.SetQueueMode(route.QueueHeap)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := ws.AStar(g, req); !ok {
-				b.Fatal("no path")
-			}
-		}
-	}), "same scenario with the binary heap forced (bucket-vs-heap delta at S5 scale)")
-	tag("AStarS5ReuseHeap", "heap", "S", "flat")
+	tag("AStarS5Reuse", "S", "flat")
 
 	record("AStarS5Fresh", bestOf(5, func(b *testing.B) {
 		b.ReportAllocs()
@@ -186,7 +170,7 @@ func main() {
 			}
 		}
 	}), "new workspace per search (per-call allocation comparison point)")
-	tag("AStarS5Fresh", "auto", "S", "flat")
+	tag("AStarS5Fresh", "S", "flat")
 
 	for _, name := range strings.Split(*designs, ",") {
 		d, err := bench.Generate(name)
@@ -200,19 +184,8 @@ func main() {
 					b.Fatal(err)
 				}
 			}
-		}), "full PACOR flow, default params (incremental negotiation cache on)")
-		tag("Flow"+name, "auto", "S", "flat")
-		record("Flow"+name+"CacheOff", bestOf(3, func(b *testing.B) {
-			params := pacor.DefaultParams()
-			params.Negotiate.NoCache = true
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := pacor.Route(d, params); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}), "full PACOR flow with the incremental negotiation cache disabled (byte-identical output)")
-		tag("Flow"+name+"CacheOff", "auto", "S", "flat")
+		}), "full PACOR flow, default params")
+		tag("Flow"+name, "S", "flat")
 	}
 
 	// The deterministic in-flow parallelism: the full S5 flow per worker
@@ -233,7 +206,7 @@ func main() {
 			})
 			name := fmt.Sprintf("FlowS5Workers%d", workers)
 			record(name, r, fmt.Sprintf("full S5 flow, scheduler workers=%d (byte-identical output)", workers))
-			tag(name, "auto", "S", "flat")
+			tag(name, "S", "flat")
 			if workers == 1 {
 				j1 = r.NsPerOp()
 			} else {
@@ -264,7 +237,7 @@ func main() {
 				}
 			}
 		}), "S5 edit-loop step without the design cache")
-		tag("EditLoopColdMiss", "auto", "S", "flat")
+		tag("EditLoopColdMiss", "S", "flat")
 
 		record("EditLoopExactHit", bestOf(3, func(b *testing.B) {
 			r := designcache.New(designcache.Options{})
@@ -283,7 +256,7 @@ func main() {
 				b.Fatalf("expected %d exact hits, got %+v", b.N, s)
 			}
 		}), "unchanged S5 replayed from the cache store (raw-key exact hit)")
-		tag("EditLoopExactHit", "auto", "S", "flat")
+		tag("EditLoopExactHit", "S", "flat")
 
 		ordinary, lmNudges := editVariants(d5)
 		nearRow := func(variants []*valve.Design) func(b *testing.B) {
@@ -317,10 +290,10 @@ func main() {
 		}
 		record("EditLoopNearHit", bestOf(3, nearRow(ordinary)),
 			"ordinary-valve nudges of S5 warm-seeded by the cached parent (negotiation replay + LM candidate/selection replay, byte-identical output)")
-		tag("EditLoopNearHit", "auto", "S", "flat")
+		tag("EditLoopNearHit", "S", "flat")
 		record("EditLoopNearHitLM", bestOf(3, nearRow(lmNudges)),
 			"LM-valve nudges of S5: the moved cluster re-runs candidates and the ILP, only negotiation replays (byte-identical output)")
-		tag("EditLoopNearHitLM", "auto", "S", "flat")
+		tag("EditLoopNearHitLM", "S", "flat")
 
 		chainTo := func(name string) {
 			m := snap.Benchmarks[name]
@@ -353,43 +326,23 @@ func main() {
 	fmt.Printf("%-28s %12d ns (%d workers, %.2fx)\n", "Table2SweepParallel",
 		par.Nanoseconds(), runtime.GOMAXPROCS(0), float64(seq.Nanoseconds())/float64(par.Nanoseconds()))
 
-	// ChipXL: the million-cell family. The A* rows isolate the open-list
-	// swap on a 1000x1000 corner-to-corner search (the scenario where the
-	// bucket queue's O(1) pops dominate); the flow rows use the density-
-	// preserving 300x300 member, because the full chip takes minutes per op
-	// (BenchmarkFlowChipXL/Full exists for that, behind -short).
+	// ChipXL: the million-cell family. The A* row isolates the open list on
+	// a 1000x1000 corner-to-corner search (unit costs, so it runs on the
+	// bucket queue, whose O(1) pops dominate here); the flow rows use the
+	// density-preserving 300x300 member, because the full chip takes minutes
+	// per op (BenchmarkFlowChipXL/Full exists for that, behind -short).
 	gx, obsx, srcx, dstx := chipXLSearch()
 	reqx := route.Request{Sources: []geom.Pt{srcx}, Targets: []geom.Pt{dstx}, Obs: obsx}
-	for _, mode := range []route.QueueMode{route.QueueHeap, route.QueueBucket} {
-		name := "AStarChipXL" + title(mode.String())
-		record(name, bestOf(5, func(b *testing.B) {
-			ws := route.NewWorkspace(gx)
-			ws.SetQueueMode(mode)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, ok := ws.AStar(gx, reqx); !ok {
-					b.Fatal("no path")
-				}
-			}
-		}), "1000x1000 grid, 2% obstacles, corner to corner, open list forced to "+mode.String())
-		tag(name, mode.String(), "ChipXL", "flat")
-	}
-	record("AStarChipXLBidir", bestOf(5, func(b *testing.B) {
+	record("AStarChipXLBucket", bestOf(5, func(b *testing.B) {
 		ws := route.NewWorkspace(gx)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, ok := ws.BiAStar(gx, reqx); !ok {
+			if _, ok := ws.AStar(gx, reqx); !ok {
 				b.Fatal("no path")
 			}
 		}
-	}), "same search, bidirectional (cost-identical, shape may differ; loses to guided unidirectional bucket A* on open grids)")
-	tag("AStarChipXLBidir", "bidir", "ChipXL", "flat")
-	for _, name := range []string{"AStarChipXLBucket", "AStarChipXLBidir"} {
-		m := snap.Benchmarks[name]
-		m.SpeedupVs = "AStarChipXLHeap"
-		m.Speedup = float64(snap.Benchmarks["AStarChipXLHeap"].NsPerOp) / float64(m.NsPerOp)
-		snap.Benchmarks[name] = m
-	}
+	}), "1000x1000 grid, 2% obstacles, corner to corner (bucket open list)")
+	tag("AStarChipXLBucket", "ChipXL", "flat")
 
 	// The global stage in isolation: tile coarsening plus the corridor-graph
 	// adjacency sweep on the full-chip obstacle map — the fixed per-run cost
@@ -406,14 +359,13 @@ func main() {
 			}
 		}
 	}), "1000x1000 tile coarsening rebuild + adjacency sweep (the global stage's fixed cost)")
-	tag("HierGlobalChipXL", "", "ChipXL", "global")
+	tag("HierGlobalChipXL", "ChipXL", "global")
 
 	member := bench.XLSpec(300, 216, 0.02)
 	if dx, err := bench.GenerateSpec(member); err == nil {
-		flow := func(mode route.QueueMode, hier route.HierMode) func(b *testing.B) {
+		flow := func(hier route.HierMode) func(b *testing.B) {
 			return func(b *testing.B) {
 				params := pacor.DefaultParams()
-				params.Queue = mode
 				params.Hier.Mode = hier
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -423,27 +375,20 @@ func main() {
 				}
 			}
 		}
-		// The heap/bucket rows keep their PR 6 names so the baseline chain
-		// stays comparable; at 300x300 (> the HierAuto threshold) they now
-		// route the escape stage hierarchically. The flat row pins the PR 6
-		// code path on this hardware.
-		for _, mode := range []route.QueueMode{route.QueueHeap, route.QueueBucket} {
-			name := "FlowChipXL300" + title(mode.String())
-			record(name, bestOf(3, flow(mode, route.HierAuto)),
-				"full flow on the density-preserving 300x300 ChipXL member ("+member.Name+"); HierAuto engages the two-stage escape here")
-			tag(name, mode.String(), "ChipXL", "detailed")
-		}
-		record("FlowChipXL300Flat", bestOf(3, flow(route.QueueBucket, route.HierOff)),
-			"same flow with the hierarchy forced off — the PR 6 flat escape path; the bucket row over this one is the tentpole speedup at j=1")
-		tag("FlowChipXL300Flat", "bucket", "ChipXL", "flat")
-		chain := func(name, vs string) {
-			m := snap.Benchmarks[name]
-			m.SpeedupVs = vs
-			m.Speedup = float64(snap.Benchmarks[vs].NsPerOp) / float64(m.NsPerOp)
-			snap.Benchmarks[name] = m
-		}
-		chain("FlowChipXL300Bucket", "FlowChipXL300Flat")
-		chain("FlowChipXL300Heap", "FlowChipXL300Flat")
+		// The hierarchical row keeps its PR 6 name so the baseline chain stays
+		// comparable; at 300x300 (> the HierAuto threshold) it routes the
+		// escape stage hierarchically. The flat row pins the single-stage path
+		// on this hardware.
+		record("FlowChipXL300Bucket", bestOf(3, flow(route.HierAuto)),
+			"full flow on the density-preserving 300x300 ChipXL member ("+member.Name+"); HierAuto engages the two-stage escape here")
+		tag("FlowChipXL300Bucket", "ChipXL", "detailed")
+		record("FlowChipXL300Flat", bestOf(3, flow(route.HierOff)),
+			"same flow with the hierarchy forced off — the single-stage escape path")
+		tag("FlowChipXL300Flat", "ChipXL", "flat")
+		m := snap.Benchmarks["FlowChipXL300Bucket"]
+		m.SpeedupVs = "FlowChipXL300Flat"
+		m.Speedup = float64(snap.Benchmarks["FlowChipXL300Flat"].NsPerOp) / float64(m.NsPerOp)
+		snap.Benchmarks["FlowChipXL300Bucket"] = m
 	} else {
 		fatal(err)
 	}
@@ -455,7 +400,6 @@ func main() {
 	if full, err := bench.Generate("ChipXL"); err == nil {
 		record("FlowChipXLFull", bestOf(1, func(b *testing.B) {
 			params := pacor.DefaultParams()
-			params.Queue = route.QueueBucket
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := pacor.Route(full, params); err != nil {
@@ -463,7 +407,7 @@ func main() {
 				}
 			}
 		}), "full 1000x1000 ChipXL flow, hierarchy on by HierAuto (un-skipped by the two-stage escape)")
-		tag("FlowChipXLFull", "bucket", "ChipXL", "detailed")
+		tag("FlowChipXLFull", "ChipXL", "detailed")
 	} else {
 		fatal(err)
 	}
@@ -611,14 +555,6 @@ func editVariants(d *valve.Design) (ordinary, lm []*valve.Design) {
 		fatal(fmt.Errorf("edit variants: %d ordinary, %d lm — need both", len(ordinary), len(lm)))
 	}
 	return ordinary, lm
-}
-
-// title upper-cases the first letter of a queue-mode name for row naming.
-func title(s string) string {
-	if s == "" {
-		return s
-	}
-	return strings.ToUpper(s[:1]) + s[1:]
 }
 
 // chipXLSearch mirrors the BenchmarkAStarChipXL scenario in bench_test.go: a

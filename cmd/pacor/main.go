@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	pacor [-mode pacor|wosel|detourfirst] [-j N] [-queue auto|heap|bucket] [-hier auto|on|off] [-stats] [-nocache] [-checkcache] [-render] [-clusters] design.json
+//	pacor [-mode pacor|wosel|detourfirst] [-j N] [-hier auto|on|off] [-stats] [-render] [-clusters] design.json
 //	pacor -bench S3 [-mode ...] [-render] [-svg out.svg] [-skew] [-json out.json]
 //	pacor -bench S5 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	pacor -bench S3 -cachedir .pacor-cache [-cache-entries N] [-cache-bytes B] [-stable] [-stats]
@@ -59,10 +59,7 @@ func run(args []string, stdout io.Writer) error {
 	jsonFlag := fs.String("json", "", "write the routing result as JSON to this file")
 	skewFlag := fs.Bool("skew", false, "simulate pressure propagation and report per-cluster actuation skew")
 	jFlag := fs.Int("j", 1, "worker pool for the parallel routing stages (any value routes identically)")
-	statsFlag := fs.Bool("stats", false, "print negotiation work and incremental-cache counters")
-	noCache := fs.Bool("nocache", false, "disable the incremental negotiation cache (routes identically, wall-clock only)")
-	checkCache := fs.Bool("checkcache", false, "re-search every negotiation cache hit and fail loudly on divergence")
-	queueFlag := fs.String("queue", "auto", "open-list implementation: auto, heap, bucket (routes identically, wall-clock only)")
+	statsFlag := fs.Bool("stats", false, "print negotiation work and cross-run reuse counters")
 	hierFlag := fs.String("hier", "auto", "hierarchical two-stage routing: auto (on above the Table 1 scale), on, off")
 	cacheDir := fs.String("cachedir", "", "cross-run design cache directory: exact hits replay the stored result, near hits warm-seed negotiation (routes identically)")
 	cacheEntries := fs.Int("cache-entries", 0, "design-cache resident entry bound (0 = default, negative = unbounded)")
@@ -129,13 +126,6 @@ func run(args []string, stdout io.Writer) error {
 	params := pacor.DefaultParams()
 	params.Mode = mode
 	params.Workers = *jFlag
-	params.Negotiate.NoCache = *noCache
-	params.Negotiate.CheckCache = *checkCache
-	queue, err := route.ParseQueueMode(*queueFlag)
-	if err != nil {
-		return err
-	}
-	params.Queue = queue
 	hier, err := route.ParseHierMode(*hierFlag)
 	if err != nil {
 		return err
@@ -172,8 +162,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *statsFlag {
 		ns := res.Negotiate
-		fmt.Fprintf(stdout, "  negotiation: %d rounds, %d searches, cache %d hits / %d misses (%d invalidated)\n",
-			ns.Rounds, ns.Searches, ns.CacheHits, ns.CacheMisses, ns.Invalidated)
+		fmt.Fprintf(stdout, "  negotiation: %d rounds, %d searches\n", ns.Rounds, ns.Searches)
 		if ns.SeededEdges > 0 || ns.SeededHits > 0 {
 			fmt.Fprintf(stdout, "  negotiation cross-run: %d seeded edges, %d replays\n", ns.SeededEdges, ns.SeededHits)
 		}

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	table2 [-designs Chip1,S3,...] [-verify] [-csv out.csv] [-j N] [-queue auto|heap|bucket] [-hier auto|on|off] [-stable] [-stats] [-nocache] [-checkcache]
+//	table2 [-designs Chip1,S3,...] [-verify] [-csv out.csv] [-j N] [-hier auto|on|off] [-stable] [-stats]
 //	table2 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
@@ -55,10 +55,7 @@ func run(args []string, stdout io.Writer) error {
 	csvFlag := fs.String("csv", "", "also write the raw rows as CSV to this file")
 	workers := fs.Int("j", runtime.GOMAXPROCS(0), "parallel routing jobs (1 = sequential)")
 	stable := fs.Bool("stable", false, "zero out runtimes for byte-stable output (determinism checks)")
-	statsFlag := fs.Bool("stats", false, "append per-job negotiation and cache counters to the report")
-	noCache := fs.Bool("nocache", false, "disable the incremental negotiation cache (routes identically, wall-clock only)")
-	checkCache := fs.Bool("checkcache", false, "re-search every negotiation cache hit and fail loudly on divergence")
-	queueFlag := fs.String("queue", "auto", "open-list implementation: auto, heap, bucket (routes identically, wall-clock only)")
+	statsFlag := fs.Bool("stats", false, "append per-job negotiation counters to the report")
 	hierFlag := fs.String("hier", "auto", "hierarchical two-stage routing: auto (on above the Table 1 scale), on, off")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -67,10 +64,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *workers < 1 {
 		*workers = 1
-	}
-	queue, err := route.ParseQueueMode(*queueFlag)
-	if err != nil {
-		return err
 	}
 	hier, err := route.ParseHierMode(*hierFlag)
 	if err != nil {
@@ -126,7 +119,7 @@ func run(args []string, stdout io.Writer) error {
 		go func() {
 			defer wg.Done()
 			for j := range next {
-				rows[j.idx], errs[j.idx] = runJob(j, *verify, *noCache, *checkCache, queue, hier)
+				rows[j.idx], errs[j.idx] = runJob(j, *verify, hier)
 			}
 		}()
 	}
@@ -151,11 +144,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprint(stdout, report.Table2(rows))
 	if *statsFlag {
-		fmt.Fprintln(stdout, "negotiation stats (rounds / searches / cache hits / misses / invalidated):")
+		fmt.Fprintln(stdout, "negotiation stats (rounds / searches):")
 		for _, r := range rows {
 			ns := r.Result.Negotiate
-			fmt.Fprintf(stdout, "  %-6s %-12s %d / %d / %d / %d / %d\n",
-				r.Design, r.Mode, ns.Rounds, ns.Searches, ns.CacheHits, ns.CacheMisses, ns.Invalidated)
+			fmt.Fprintf(stdout, "  %-6s %-12s %d / %d\n", r.Design, r.Mode, ns.Rounds, ns.Searches)
 			if hs := r.Result.EscapeHier; hs.Tiles > 0 {
 				fmt.Fprintf(stdout, "  %-6s %-12s escape hier: corridors %d (+%d none), rungs %d / %d / %d\n",
 					r.Design, r.Mode, hs.Corridors, hs.NoCorridor, hs.CorridorHits, hs.Widened, hs.FlatFallbacks)
@@ -173,16 +165,13 @@ func run(args []string, stdout io.Writer) error {
 
 // runJob routes one design with one mode. The design is generated inside the
 // worker so no mutable state is shared between jobs.
-func runJob(j job, verify, noCache, checkCache bool, queue route.QueueMode, hier route.HierMode) (report.Row, error) {
+func runJob(j job, verify bool, hier route.HierMode) (report.Row, error) {
 	d, err := bench.Generate(j.design)
 	if err != nil {
 		return report.Row{}, err
 	}
 	params := pacor.DefaultParams()
 	params.Mode = j.mode
-	params.Negotiate.NoCache = noCache
-	params.Negotiate.CheckCache = checkCache
-	params.Queue = queue
 	params.Hier.Mode = hier
 	res, err := pacor.Route(d, params)
 	if err != nil {

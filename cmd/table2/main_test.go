@@ -90,25 +90,23 @@ func TestRepeatedSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestStableGolden pins the full -stable sweep to the committed golden
-// with -checkcache on: every cache hit is re-searched and compared, so a
-// pass certifies both that the output is frozen across PRs and that the
-// incremental negotiation cache never alters a routing result. CI runs
-// the same diff at several worker counts.
+// TestStableGolden pins the full -stable sweep to the committed golden, so
+// a pass certifies that the output is frozen across PRs. CI runs the same
+// diff at several worker counts and hierarchy settings.
 func TestStableGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full sweep with -checkcache; skipped in -short")
+		t.Skip("full sweep; skipped in -short")
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "stable.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run([]string{"-stable", "-checkcache", "-j", "2"}, &out); err != nil {
+	if err := run([]string{"-stable", "-j", "2"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != string(want) {
-		t.Errorf("-stable -checkcache output diverged from testdata/stable.golden:\n--- golden ---\n%s\n--- got ---\n%s",
+		t.Errorf("-stable output diverged from testdata/stable.golden:\n--- golden ---\n%s\n--- got ---\n%s",
 			want, out.String())
 	}
 }

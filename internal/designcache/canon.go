@@ -35,10 +35,9 @@ type Key [sha256.Size]byte
 func (k Key) String() string { return fmt.Sprintf("%x", k[:]) }
 
 // ParamsSig fingerprints every pacor parameter that can change routed
-// output. Wall-clock-only knobs — Workers, Queue, the cache and check modes,
-// Trace, and the seed/capture wiring itself — are deliberately excluded, so
-// one cache entry serves every execution strategy (the byte-identity sweeps
-// pin exactly this property).
+// output. Wall-clock-only knobs — Workers, Trace, and the seed/capture
+// wiring itself — are deliberately excluded, so one cache entry serves every
+// execution strategy (the byte-identity sweeps pin exactly this property).
 func ParamsSig(p pacor.Params) string {
 	return fmt.Sprintf("m=%d;mc=%d;l=%g;sv=%d;er=%d;ec=%t;bh=%g;a=%g;g=%d;hm=%d;ht=%d;ha=%d",
 		p.Mode, p.MaxCandidates, p.Lambda, p.Solver, p.EscapeRetries, p.ExactClustering,

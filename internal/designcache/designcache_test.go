@@ -168,8 +168,8 @@ func TestExactHit(t *testing.T) {
 }
 
 // TestNearHitByteIdentity: a nudged design routed through the cache is
-// byte-identical to its cold route for every worker count and queue mode,
-// with the negotiation counters proving searches were actually skipped.
+// byte-identical to its cold route for every worker count, with the
+// negotiation counters proving searches were actually skipped.
 func TestNearHitByteIdentity(t *testing.T) {
 	d := testDesign(t, "S1")
 	nudged, err := bench.NudgeAny(d)
@@ -178,40 +178,37 @@ func TestNearHitByteIdentity(t *testing.T) {
 	}
 
 	for _, workers := range []int{0, 1, 2, 4} {
-		for _, queue := range []route.QueueMode{route.QueueAuto, route.QueueHeap} {
-			params := pacor.DefaultParams()
-			params.Workers = workers
-			params.Queue = queue
+		params := pacor.DefaultParams()
+		params.Workers = workers
 
-			r := New(Options{})
-			if _, err := r.Route(d, params); err != nil {
-				t.Fatal(err)
-			}
-			warm, err := r.Route(nudged, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold, err := pacor.Route(nudged, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRouted(t, "near hit", warm, cold)
+		r := New(Options{})
+		if _, err := r.Route(d, params); err != nil {
+			t.Fatal(err)
+		}
+		warm, err := r.Route(nudged, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := pacor.Route(nudged, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRouted(t, "near hit", warm, cold)
 
-			s := r.Snapshot()
-			if s.NearHits != 1 {
-				t.Fatalf("workers=%d queue=%v: nudge was not a near hit: %+v", workers, queue, s)
-			}
-			if s.SeededEdges == 0 || s.SeededHits == 0 {
-				t.Fatalf("workers=%d queue=%v: seeding skipped no searches: %+v", workers, queue, s)
-			}
-			if warm.Negotiate.Searches+warm.Negotiate.SeededHits != cold.Negotiate.Searches {
-				t.Fatalf("workers=%d queue=%v: counters invariant broken: warm %+v cold %+v",
-					workers, queue, warm.Negotiate, cold.Negotiate)
-			}
-			if warm.Negotiate.Searches >= cold.Negotiate.Searches {
-				t.Fatalf("workers=%d queue=%v: seeding saved nothing: warm %d >= cold %d searches",
-					workers, queue, warm.Negotiate.Searches, cold.Negotiate.Searches)
-			}
+		s := r.Snapshot()
+		if s.NearHits != 1 {
+			t.Fatalf("workers=%d: nudge was not a near hit: %+v", workers, s)
+		}
+		if s.SeededEdges == 0 || s.SeededHits == 0 {
+			t.Fatalf("workers=%d: seeding skipped no searches: %+v", workers, s)
+		}
+		if warm.Negotiate.Searches+warm.Negotiate.SeededHits != cold.Negotiate.Searches {
+			t.Fatalf("workers=%d: counters invariant broken: warm %+v cold %+v",
+				workers, warm.Negotiate, cold.Negotiate)
+		}
+		if warm.Negotiate.Searches >= cold.Negotiate.Searches {
+			t.Fatalf("workers=%d: seeding saved nothing: warm %d >= cold %d searches",
+				workers, warm.Negotiate.Searches, cold.Negotiate.Searches)
 		}
 	}
 }
@@ -331,28 +328,6 @@ func TestLMSeedReplay(t *testing.T) {
 	sameRouted(t, "lm-valve nudge", warmLM, coldLM)
 	if lr := warmLM.LMReuse; lr.CandReplayed >= lr.CandClusters && lr.CandClusters > 0 {
 		t.Fatalf("nudged cluster replayed stale candidates: %+v", lr)
-	}
-}
-
-// TestCheckCacheOnSeededRun: -checkcache stays clean through a seeded run —
-// every cross-run replay revalidates against a fresh search.
-func TestCheckCacheOnSeededRun(t *testing.T) {
-	d := testDesign(t, "S1")
-	nudged, err := bench.NudgeAny(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := pacor.DefaultParams()
-	params.Negotiate.CheckCache = true
-	r := New(Options{})
-	if _, err := r.Route(d, params); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Route(nudged, params); err != nil {
-		t.Fatal(err)
-	}
-	if s := r.Snapshot(); s.NearHits != 1 || s.SeededHits == 0 {
-		t.Fatalf("checkcache run skipped seeding: %+v", s)
 	}
 }
 

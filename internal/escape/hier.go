@@ -99,7 +99,7 @@ const (
 // member), steering corridors toward cheap take-off regions, but the
 // detailed search then lands on whichever take-off cell it reaches first —
 // the flat network's exact penalty-vs-length trade-off is not replayed.
-func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.HierParams, workers int, queue route.QueueMode) (*Result, route.HierStats) {
+func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.HierParams, workers int) (*Result, route.HierStats) {
 	var st route.HierStats
 	g := obs.Grid()
 
@@ -384,7 +384,7 @@ func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.Hier
 		pr := &prep[i]
 		st.WindowCells += int64(pr.win.Area())
 		req := route.Request{
-			Sources: pr.srcs, Targets: u.tgts, Queue: queue,
+			Sources: pr.srcs, Targets: u.tgts,
 			Hist: ring, HistScale: 1, HistMax: 1 + int64(maxHist),
 		}
 		mask, wide := pr.mask, pr.wide
@@ -444,7 +444,7 @@ func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.Hier
 			st.WindowCells += int64(rt.CorridorRect(u.corridor, 3).Area())
 			req := route.Request{
 				Sources: inSrcs(u.k), Targets: u.tgts, Obs: att, Mask: mask,
-				Queue: queue, Hist: ring, HistScale: 1, HistMax: 1 + int64(maxHist),
+				Hist: ring, HistScale: 1, HistMax: 1 + int64(maxHist),
 			}
 			p, ok := rws.AStar(g, req)
 			if ok {
@@ -498,7 +498,7 @@ func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.Hier
 			}
 			st.FlatFallbacks++
 			p, ok := ws.AStar(g, route.Request{
-				Sources: inSrcs(k), Targets: tgts, Obs: att, Queue: queue,
+				Sources: inSrcs(k), Targets: tgts, Obs: att,
 			})
 			if !ok {
 				continue
@@ -542,7 +542,7 @@ func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.Hier
 		pr := &prep[i]
 		req := route.Request{
 			Sources: pr.srcs, Targets: []geom.Pt{pin}, Obs: att,
-			Mask: pr.wide, Queue: queue,
+			Mask: pr.wide,
 		}
 		p, ok := rws.AStar(g, req)
 		if !ok {

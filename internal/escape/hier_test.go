@@ -99,7 +99,7 @@ func TestRouteHierValidity(t *testing.T) {
 			pins = append(pins, geom.Pt{X: x, Y: 0})
 		}
 		for _, workers := range []int{0, 4} {
-			res, st := RouteHier(obs, terms, pins, hp, workers, route.QueueAuto)
+			res, st := RouteHier(obs, terms, pins, hp, workers)
 			hierCheckValid(t, trial, g, obs, res, nTerms, pins)
 			if st.FlatFallbacks > 0 || st.NoCorridor > 0 {
 				sawFallback = true
@@ -139,9 +139,9 @@ func TestRouteHierDeterministicAcrossWorkers(t *testing.T) {
 		for x := 1; x < w-1; x += 2 {
 			pins = append(pins, geom.Pt{X: x, Y: 0})
 		}
-		base, baseStats := RouteHier(obs, terms, pins, hp, 0, route.QueueAuto)
+		base, baseStats := RouteHier(obs, terms, pins, hp, 0)
 		for _, workers := range []int{1, 2, 8} {
-			res, st := RouteHier(obs, terms, pins, hp, workers, route.QueueAuto)
+			res, st := RouteHier(obs, terms, pins, hp, workers)
 			if len(res.Paths) != len(base.Paths) || res.TotalLen != base.TotalLen {
 				t.Fatalf("trial %d workers=%d: result shape differs from sequential", trial, workers)
 			}

@@ -82,7 +82,7 @@ type ObsMap struct {
 	// journal, while journaling is on, records every cell whose value
 	// actually changed (index plus the overwritten value), so callers can
 	// rewind the map to an earlier state in O(changes) instead of re-copying
-	// all O(W·H) cells. The incremental negotiation router uses this to
+	// all O(W·H) cells. The negotiation router uses this to
 	// rebuild its per-round scratch map, and the sequential scheduler to
 	// discard task mutations between snapshot-equivalent runs.
 	journal    []int32

@@ -103,12 +103,8 @@ func Route(d *valve.Design, params Params) (*Result, error) {
 	// worker from the grid-keyed pool inside route.RunScheduled. One
 	// workspace per goroutine is the rule.
 	ws := route.NewWorkspace(g)
-	ws.SetQueueMode(params.Queue)
 	if params.Negotiate.Workers == 0 {
 		params.Negotiate.Workers = params.Workers
-	}
-	if params.Negotiate.Queue == route.QueueAuto {
-		params.Negotiate.Queue = params.Queue
 	}
 	if params.Negotiate.Hier == (route.HierParams{}) {
 		params.Negotiate.Hier = params.Hier
@@ -165,7 +161,7 @@ func Route(d *valve.Design, params Params) (*Result, error) {
 
 	// Stage 3: MST routing for ordinary (and demoted) clusters.
 	t0 = time.Now()
-	fcs = routeOrdinary(d, obs, fcs, params.Workers, params.Queue)
+	fcs = routeOrdinary(d, obs, fcs, params.Workers)
 	stage("mstrouting", t0)
 
 	// Stage 4: escape routing with de-clustering retries.
@@ -642,7 +638,7 @@ func matchAll(ws *route.Workspace, obs *grid.ObsMap, fcs []*flowCluster, delta i
 // cascade they trigger — are byte-identical to the sequential FIFO loop for
 // every worker count. Split halves form the next batch, mirroring the
 // sequential queue where they are appended behind all current entries.
-func routeOrdinary(d *valve.Design, obs *grid.ObsMap, fcs []*flowCluster, workers int, qmode route.QueueMode) []*flowCluster {
+func routeOrdinary(d *valve.Design, obs *grid.ObsMap, fcs []*flowCluster, workers int) []*flowCluster {
 	queue := make([]*flowCluster, 0, len(fcs))
 	for _, fc := range fcs {
 		if fc.kind == kindOrd {
@@ -670,7 +666,7 @@ func routeOrdinary(d *valve.Design, obs *grid.ObsMap, fcs []*flowCluster, worker
 		queue = nil
 		tasks := make([]route.ScheduledTask, len(batch))
 		for i := range batch {
-			tasks[i] = mstClusterTask(g, batch[i].positions(d), qmode)
+			tasks[i] = mstClusterTask(g, batch[i].positions(d))
 		}
 		route.RunScheduled(obs, tasks, workers, func(i int, out route.TaskOutcome) {
 			fc := batch[i]
@@ -735,7 +731,7 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 		}
 		if params.Hier.On(obs.Grid().Cells()) {
 			var hs route.HierStats
-			res, hs = escape.RouteHier(obs, terms, pins, params.Hier, params.Workers, params.Queue)
+			res, hs = escape.RouteHier(obs, terms, pins, params.Hier, params.Workers)
 			escHier.Add(hs)
 		} else {
 			res = escape.Route(obs, terms, pins)
@@ -786,7 +782,7 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 			}
 			trapped = append(trapped, fc)
 		}
-		if len(trapped) > 0 && ripAndCommit(ws, d, obs, &fcs, &nextID, trapped, usedPins, committed, trace, params.Workers, params.Queue) {
+		if len(trapped) > 0 && ripAndCommit(ws, d, obs, &fcs, &nextID, trapped, usedPins, committed, trace, params.Workers) {
 			progress = true
 		}
 		if !progress {
@@ -848,7 +844,7 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 // ripped before intact LM blockers (the paper's "higher rip-up cost" for
 // LM clusters). Returns true when at least one escape was committed.
 func ripAndCommit(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcsp *[]*flowCluster, nextID *int,
-	trapped []*flowCluster, usedPins map[geom.Pt]bool, committed map[int]grid.Path, trace io.Writer, workers int, qmode route.QueueMode) bool {
+	trapped []*flowCluster, usedPins map[geom.Pt]bool, committed map[int]grid.Path, trace io.Writer, workers int) bool {
 	g := obs.Grid()
 	owner := map[geom.Pt]*flowCluster{}
 	for _, fc := range *fcsp {
@@ -934,7 +930,7 @@ func ripAndCommit(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcsp *
 		}
 	}
 	// Re-route every ripped cluster around the committed escapes.
-	rerouteRipped(d, obs, fcsp, nextID, ripped, workers, qmode)
+	rerouteRipped(d, obs, fcsp, nextID, ripped, workers)
 	return anyCommitted || len(ripped) > 0
 }
 
@@ -1039,13 +1035,10 @@ func findBlockers(obs *grid.ObsMap, takeoffs []geom.Pt, owner map[geom.Pt]*flowC
 // a scratch snapshot) as a scheduler task. RouteClusterWS reads obstacles
 // only through the workspace's searches, so the task qualifies for
 // speculative execution under route.RunScheduled.
-func mstClusterTask(g grid.Grid, pos []geom.Pt, qmode route.QueueMode) route.ScheduledTask {
+func mstClusterTask(g grid.Grid, pos []geom.Pt) route.ScheduledTask {
 	return route.ScheduledTask{
 		Window: route.SearchWindow(g, pos, nil),
 		Run: func(ws *route.Workspace, scratch *grid.ObsMap) route.TaskOutcome {
-			// Worker workspaces come from the pool with the default (auto)
-			// queue mode; adopt the flow's.
-			ws.SetQueueMode(qmode)
 			res, ok := mstroute.RouteClusterWS(ws, scratch, pos, nil)
 			if !ok {
 				return route.TaskOutcome{}
@@ -1061,7 +1054,7 @@ func mstClusterTask(g grid.Grid, pos []geom.Pt, qmode route.QueueMode) route.Sch
 // outcome is byte-identical to rerouting them one by one. When even MST
 // routing fails, a cluster splits into bare singletons so that every valve
 // can still escape on its own.
-func rerouteRipped(d *valve.Design, obs *grid.ObsMap, fcsp *[]*flowCluster, nextID *int, ripped []*flowCluster, workers int, qmode route.QueueMode) {
+func rerouteRipped(d *valve.Design, obs *grid.ObsMap, fcsp *[]*flowCluster, nextID *int, ripped []*flowCluster, workers int) {
 	var active []*flowCluster
 	for _, fc := range ripped {
 		fc.net = nil
@@ -1076,7 +1069,7 @@ func rerouteRipped(d *valve.Design, obs *grid.ObsMap, fcsp *[]*flowCluster, next
 	g := obs.Grid()
 	tasks := make([]route.ScheduledTask, len(active))
 	for i := range active {
-		tasks[i] = mstClusterTask(g, active[i].positions(d), qmode)
+		tasks[i] = mstClusterTask(g, active[i].positions(d))
 	}
 	route.RunScheduled(obs, tasks, workers, func(i int, out route.TaskOutcome) {
 		fc := active[i]

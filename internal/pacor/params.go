@@ -57,11 +57,6 @@ type Params struct {
 	// produces byte-identical results (see route.RunScheduled). It also
 	// seeds Negotiate.Workers unless that is set explicitly.
 	Workers int
-	// Queue selects the open-list implementation behind every grid search of
-	// the flow (route.QueueMode). Like Workers and the cache knobs it is a
-	// pure wall-clock knob — routed output is byte-identical across modes —
-	// and it seeds Negotiate.Queue unless that is set explicitly.
-	Queue route.QueueMode
 	// Hier configures the hierarchical two-stage router (route.HierParams)
 	// for both the negotiation searches (exact — output unchanged) and the
 	// escape stage (approximate — pin assignment and total length may differ

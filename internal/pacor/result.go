@@ -67,11 +67,11 @@ type Result struct {
 	// StageTimes records wall time per flow stage (clustering, lmrouting,
 	// mstrouting, escape, detour) for profiling and the runtime columns.
 	StageTimes map[string]time.Duration
-	// Negotiate aggregates Algorithm 1's work and incremental-cache counters
+	// Negotiate aggregates Algorithm 1's work and cross-run seeding counters
 	// across every negotiation call of the run (LM routing, rescue, refine).
-	// The counters are deterministic for every worker count; Rounds is also
-	// cache-independent, while a cache hit replaces exactly one search
-	// (Searches with the cache off equals Searches + CacheHits with it on).
+	// The counters are deterministic for every worker count, and a seeded
+	// replay replaces exactly one search (a cold run's Searches equals a
+	// seeded run's Searches + SeededHits).
 	Negotiate route.NegotiateStats
 	// LMReuse reports what the cross-run LM-stage seed replayed (zero when
 	// the run was not seeded; see Params.LMSeed).

@@ -36,12 +36,6 @@ type Request struct {
 	// Bounds) actually rejected anything — a search that never clipped has a
 	// transcript identical to the unmasked one.
 	Mask *TileMask
-	// Queue selects the open-list implementation. The zero value (QueueAuto)
-	// inherits the workspace default (SetQueueMode); auto there too means
-	// "bucket when the key domain is certified integral, heap otherwise".
-	// Either way the routed output is byte-identical across modes — the knob
-	// trades only wall-clock.
-	Queue QueueMode
 	// HistScale and HistMax certify the Hist cost domain for the bucket
 	// queue: HistScale is a power-of-two fixed-point scale under which every
 	// step cost 1+Hist[j] is an exact integer, and HistMax bounds the scaled

@@ -20,8 +20,8 @@ import (
 // clipped attempt escalates (corridor → wide corridor → no mask), and the
 // final rung is the plain flat search. Committed paths therefore always equal
 // the flat router's byte for byte, the golden outputs stay pinned, and the
-// incremental cache's recorded cones stay sound (a ladder cone is a superset
-// of the flat cone, so invalidation only ever over-triggers).
+// cones a seed capture records stay sound (a ladder cone is a superset of the
+// flat cone, so cross-run invalidation only ever over-triggers).
 //
 // What the corridor buys: on large grids the dominant cost of a failed or
 // long search is the frontier disk. A corridor mask turns each search into a

@@ -10,7 +10,8 @@ import (
 
 // TestBucketCertifiedHistIdentity drives AStar with caller-certified integral
 // history costs (HistScale/HistMax, as the hierarchical escape stage supplies
-// them) through both queue modes and requires byte-identical outcomes.
+// them) through the heap and the bucket queue and requires byte-identical
+// outcomes.
 func TestBucketCertifiedHistIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -41,14 +42,11 @@ func TestBucketCertifiedHistIdentity(t *testing.T) {
 			Hist: hist, HistScale: 1, HistMax: 1 + maxH,
 		}
 		wh := NewWorkspace(g)
-		rh := req
-		rh.Queue = QueueHeap
-		ph, okh := wh.AStar(g, rh)
+		wh.heapOnly = true
+		ph, okh := wh.AStar(g, req)
 		wb := NewWorkspace(g)
-		rb := req
-		rb.Queue = QueueBucket
-		pb, okb := wb.AStar(g, rb)
-		if wb.lastQueue != QueueBucket {
+		pb, okb := wb.AStar(g, req)
+		if !wb.lastBucket {
 			continue // ring infeasible; heap fallback is identity by construction
 		}
 		if okh != okb || !pathsEqual(ph, pb) {

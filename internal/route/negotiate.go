@@ -1,6 +1,8 @@
 package route
 
 import (
+	"fmt"
+
 	"repro/internal/geom"
 	"repro/internal/grid"
 )
@@ -25,47 +27,77 @@ type NegotiateParams struct {
 	// validates every speculative search against the exact sequential
 	// obstacle state before committing it.
 	Workers int
-	// NoCache disables the incremental search-cone cache (cache.go). The
-	// cache is a pure wall-clock optimization: on or off, every round's
-	// routed paths are byte-identical.
-	NoCache bool
-	// CheckCache is the exact-validation mode: every cache hit re-runs its
-	// search anyway and panics if the replayed result diverges. Strictly
-	// slower than NoCache; for CI gates and debugging.
-	CheckCache bool
-	// Queue selects the open-list implementation of every inner search; see
-	// QueueMode. Representability is asserted per round: a round whose
-	// history domain carries a HistQuant certificate may run on the bucket
-	// queue, any other round runs on the heap regardless of the setting
-	// (e.g. the paper's Alpha = 0.1 after two bumps). Like Workers and the
-	// cache knobs, the choice never changes routed output.
-	Queue QueueMode
 	// Hier configures the hierarchical two-stage router (hier.go): a tile-
 	// level min-cost-flow global stage assigns each edge a corridor, and the
 	// detailed searches run masked to it, escalating to the flat search
 	// whenever the mask clips. For negotiation the hierarchy is exact — like
-	// Workers, the cache, and Queue, it never changes routed output, only
-	// wall-clock. The zero value is auto: on only above the cell threshold.
+	// Workers, it never changes routed output, only wall-clock. The zero
+	// value is auto: on only above the cell threshold.
 	Hier HierParams
 	// Seed, when non-nil, warm-starts the run from a previous run's captured
 	// transcript (cross-run incremental routing, seed.go): aligned edges
 	// whose recorded cones avoid every cross-run divergence cell replay the
-	// parent's per-round outcomes instead of searching. Like the within-run
-	// cache it never changes routed output — replay is gated on the same
-	// cone-disjointness proof — and a seed whose grid, parameters, or shape
-	// don't match is ignored. Inert under NoCache.
+	// parent's per-round outcomes instead of searching. Replay is gated on a
+	// cone-disjointness proof, so it never changes routed output, and a seed
+	// whose grid, parameters, or shape don't match is ignored.
 	Seed *NegotiationSeed
 	// Capture, when non-nil, records the run's full per-round transcript
 	// (outcomes and visit cones, delta-encoded) into the pointed-to seed for
-	// later use as Seed. Capture forces round 0 to run tracked (it needs the
-	// cones), which changes wall-clock but never output or the Searches
-	// counter. Inert under NoCache.
+	// later use as Seed. Capture runs every search tracked (it needs the
+	// cones), which changes wall-clock but never output or the counters.
 	Capture *NegotiationSeed
+
+	// checkReplay re-runs the search behind every seeded replay and panics
+	// if the replayed outcome differs. The seed tests set it; a divergence
+	// means the cone-disjointness argument of seed.go is broken.
+	checkReplay bool
 }
 
 // DefaultNegotiateParams mirrors the paper's settings.
 func DefaultNegotiateParams() NegotiateParams {
 	return NegotiateParams{BaseHist: 1.0, Alpha: 0.1, Gamma: 10}
+}
+
+// NegotiateStats reports one (or, when accumulated, several) negotiation
+// runs' work, and on failure the edges left unrouted.
+type NegotiateStats struct {
+	// Rounds counts Algorithm 1 iterations executed.
+	Rounds int
+	// Searches counts A* runs in the sequential transcript (scheduler-internal
+	// speculative re-runs are not counted; they exist at any worker count's
+	// discretion and never change the output). Every (round, edge) pair is
+	// either searched or replayed from a seed, so an unseeded run has
+	// Searches = Rounds × edges.
+	Searches int
+	// CacheHits and CacheMisses are always 0: nothing replays within a run.
+	// They remain only so that existing readers of the counters keep
+	// compiling.
+	CacheHits   int
+	CacheMisses int
+	// SeededEdges counts child edges aligned to a cross-run seed's transcript
+	// (seed.go) — the edges *eligible* for cross-run replay this run.
+	SeededEdges int
+	// SeededHits counts cross-run replays actually taken: (round, edge)
+	// outcomes copied from the parent transcript instead of searched. Each
+	// one is a search a cold run would have executed, so
+	// Searches_cold = Searches_seeded + SeededHits.
+	SeededHits int
+	// Hier counts the hierarchical router's work (zero when the hierarchy is
+	// off or below its auto threshold).
+	Hier HierStats
+	// FailedIDs lists, in edge order, the IDs left unrouted in the final
+	// round when negotiation gave up (ok=false); empty on success.
+	FailedIDs []int
+}
+
+// Add accumulates o into s (FailedIDs concatenate in call order).
+func (s *NegotiateStats) Add(o NegotiateStats) {
+	s.Rounds += o.Rounds
+	s.Searches += o.Searches
+	s.SeededEdges += o.SeededEdges
+	s.SeededHits += o.SeededHits
+	s.Hier.Add(o.Hier)
+	s.FailedIDs = append(s.FailedIDs, o.FailedIDs...) //pacor:allow hotalloc stats aggregation runs once per flow stage, not per search
 }
 
 // Negotiate routes all edges on the shared obstacle map using the
@@ -94,27 +126,14 @@ func (w *Workspace) Negotiate(obs *grid.ObsMap, edges []Edge, params NegotiatePa
 }
 
 // NegotiateTracked is Negotiate with run statistics: when stats is non-nil,
-// round, search, and cache counters accumulate into it, and on failure the
+// round, search, and seeding counters accumulate into it, and on failure the
 // final round's unrouted edge IDs land in stats.FailedIDs (edge order).
-//
-// Rounds past the first run through the incremental cache (unless
-// params.NoCache): each edge's search records its visit cone, and an edge
-// whose cone contains no cell dirtied since — no history bump, no obstacle
-// delta from an earlier edge's changed outcome — replays its previous
-// result without searching. Round 0 runs untracked so the common
-// converges-in-one-round case pays no tracking overhead. See cache.go for
-// the invalidation argument.
 func (w *Workspace) NegotiateTracked(obs *grid.ObsMap, edges []Edge, params NegotiateParams, stats *NegotiateStats) (map[int]grid.Path, bool) {
 	g := obs.Grid()
 	//pacor:allow hotalloc once per negotiation run, amortized over gamma iterations of inner searches
 	hist := make([]float64, g.Cells()) // Step 1: initialize history cost
 	//pacor:allow hotalloc result map returned to the caller, sized up front
 	paths := make(map[int]grid.Path, len(edges))
-	useCache := !params.NoCache && len(edges) > 0 &&
-		(params.Gamma > 1 || params.Seed != nil || params.Capture != nil)
-	if useCache {
-		w.negReset(g, len(edges))
-	}
 
 	// Step 2's per-round ObsMap: one workspace-resident map, rebuilt per
 	// round by journal rewind (O(round's committed paths)) instead of a full
@@ -140,17 +159,10 @@ func (w *Workspace) NegotiateTracked(obs *grid.ObsMap, edges []Edge, params Nego
 	// Cross-run seeding and capture (seed.go) initialize against the
 	// round-start state just journaled above: the seed's start bitmap must
 	// diff against the same blocked set (base map plus terminals) a capture
-	// of this run would record. Both are inert under NoCache so the cache-off
-	// byte-identity sweeps exercise the plain path.
-	w.negSeedOn, w.negCapOn, w.negParentLive = false, false, false
-	if useCache {
-		if params.Seed != nil {
-			w.negSeedOn = w.negSeedStart(g, work, edges, params, stats)
-		}
-		if params.Capture != nil {
-			w.negCapOn = w.negCaptureStart(g, work, edges, params)
-		}
-	}
+	// of this run would record.
+	w.negParentLive = false
+	w.negSeedOn = w.negSeedStart(g, work, edges, params, stats)
+	w.negCapOn = w.negCaptureStart(g, work, edges, params)
 
 	// Hierarchical global stage: coarsen the round-start work map (terminals
 	// included as obstacles) once per run; corridors are reassigned per round
@@ -162,13 +174,12 @@ func (w *Workspace) NegotiateTracked(obs *grid.ObsMap, edges []Edge, params Nego
 		w.hierPrepare(work, len(edges), params.Hier, stats)
 	}
 
-	// Queue-mode resolution happens once against the owning workspace so the
-	// scheduler's worker workspaces see a fully resolved mode; the per-round
-	// quantization certificate (HistQuant) is refreshed before each round —
-	// round r's history values are the Eq.-5 iterates h_0..h_r, and once an
-	// iterate stops being dyadic the run stays on the heap.
-	w.negQueue = w.effQueue(params.Queue)
-	quantOK := true
+	// The open list follows from the round's history alone: round r's values
+	// are the Eq.-5 iterates h_0..h_r, and while HistQuant certifies them the
+	// round's searches run on the bucket queue; once an iterate stops being
+	// dyadic the run stays on the heap. The certificate rides on every
+	// request, so the scheduler's worker workspaces make the same choice.
+	quantOK := !w.heapOnly
 
 	routed := false
 	for r := 0; r < params.Gamma; r++ { // Steps 5-16
@@ -179,7 +190,7 @@ func (w *Workspace) NegotiateTracked(obs *grid.ObsMap, edges []Edge, params Nego
 			w.hierAssign(edges, hist, r, stats)
 		}
 		w.negScale, w.negMaxStep = 0, 0
-		if quantOK && w.negQueue != QueueHeap {
+		if quantOK {
 			w.negScale, w.negMaxStep, quantOK = HistQuant(params.BaseHist, params.Alpha, r)
 		}
 		for k := range paths {
@@ -198,33 +209,24 @@ func (w *Workspace) NegotiateTracked(obs *grid.ObsMap, edges []Edge, params Nego
 		if w.negCapOn {
 			w.negCaptureRound()
 		}
-		caching := useCache && r > 0
 		var done bool
 		if params.Workers > 1 && len(edges) > 1 {
-			done = w.negRoundParallel(g, work, edges, hist, paths, params, caching, stats)
+			done = w.negRoundParallel(g, work, edges, hist, paths, params, stats)
 		} else {
-			done = w.negRoundSeq(g, work, edges, hist, paths, params, caching, stats)
+			done = w.negRoundSeq(g, work, edges, hist, paths, params, stats)
 		}
 		if done {
 			routed = true
 			break
 		}
 		// Steps 17-19: bump history along routed paths, then rip them up.
-		// Bumped cells go dirty under a fresh clock tick — any cached cone
-		// containing one saw a changed history value. (Map iteration order
-		// varies, but the bump composes the same affine update per visit
-		// regardless of visit order, so hist — and the dirty marks — are
+		// (Map iteration order varies, but the bump composes the same affine
+		// update per visit regardless of visit order, so hist is
 		// order-independent.)
-		if useCache {
-			w.negClock++
-		}
 		for _, p := range paths {
 			for _, c := range p {
 				i := g.Index(c)
 				hist[i] = params.BaseHist + params.Alpha*hist[i]
-				if useCache {
-					w.negDirty[i] = w.negClock
-				}
 			}
 		}
 	}
@@ -238,112 +240,65 @@ func (w *Workspace) NegotiateTracked(obs *grid.ObsMap, edges []Edge, params Nego
 	return paths, routed
 }
 
+// negWorkFor returns the workspace-resident negotiation work map for g.
+//
+//pacor:allow hotalloc allocated once per grid change, reused across negotiation runs
+func (w *Workspace) negWorkFor(g grid.Grid) *grid.ObsMap {
+	if w.negWork == nil || w.negWork.Grid() != g {
+		w.negWork = grid.NewObsMap(g)
+	}
+	return w.negWork
+}
+
 // negReq builds the round's search request for one edge: the same sources,
-// targets, work map, and history every call site (fresh search, cache
-// validation, scheduler task) must use, with the resolved queue mode and the
-// round's quantization certificate attached.
+// targets, work map, and history every call site (fresh search, replay
+// check, scheduler task) must use, with the round's quantization certificate
+// attached.
 func (w *Workspace) negReq(e *Edge, work *grid.ObsMap, hist []float64) Request {
 	return Request{
 		Sources: e.Sources, Targets: e.Targets, Obs: work, Hist: hist,
-		Queue: w.negQueue, HistScale: w.negScale, HistMax: w.negMaxStep,
+		HistScale: w.negScale, HistMax: w.negMaxStep,
 	}
 }
 
 // negRoundSeq routes one round's edges sequentially (Steps 7-13), replaying
-// valid within-run cache entries when caching is on and valid cross-run seed
-// entries whenever the parent transcript covers the round. It reports
-// whether every edge routed.
+// valid cross-run seed entries whenever the parent transcript covers the
+// round. It reports whether every edge routed.
 func (w *Workspace) negRoundSeq(g grid.Grid, work *grid.ObsMap, edges []Edge, hist []float64,
-	paths map[int]grid.Path, params NegotiateParams, caching bool, stats *NegotiateStats) bool {
+	paths map[int]grid.Path, params NegotiateParams, stats *NegotiateStats) bool {
 	done := true
 	seedLive := w.negSeedOn && w.negParentLive
 	capOn := w.negCapOn
 	for ei := range edges {
 		e := &edges[ei]
-		req := w.negReq(e, work, hist)
 		var p grid.Path
 		var ok bool
-		var lvl hierLevel
-		switch {
-		case caching && w.negEntryValid(&w.negEntries[ei]):
-			// Within-run hit. Checked before the seed so a seeded run replays
-			// exactly the hits a cold run would, keeping the hit/miss pattern
-			// — and so the counters — identical.
-			ent := &w.negEntries[ei]
-			if params.CheckCache {
-				w.negCheck(g, req, e.ID, ent)
-			}
-			if stats != nil {
-				stats.CacheHits++
-			}
-			p, ok = ent.path, ent.ok
-			if seedLive {
-				w.negCrossCompare(g, ei, p, ok)
-			}
+		if seedLive && w.negParentValid(ei) {
+			p, ok = w.negReplay(g, work, hist, edges, ei, params, stats)
+		} else {
+			// Only a capture consumes the cone, so only a capture pays for
+			// tracking. The whole ladder runs tracked: its recorded cone is
+			// the union of every rung's visits — a superset of the flat
+			// search's cone, so seed replay stays sound (it can only
+			// over-invalidate). Cross-run comparison needs only the committed
+			// path.
+			req := w.negReq(e, work, hist)
 			if capOn {
-				w.negCaptureRecord(ei, p, ok, ent.visits)
+				w.StartVisitTracking()
 			}
-		case seedLive && w.negParentValid(ei):
-			// Cross-run replay: copy the parent's outcome for this round. The
-			// bookkeeping mirrors the fresh search it replaced — negRecord
-			// with the parent's cone, which cone-disjointness proves equal to
-			// the cone the fresh search would have produced — so the
-			// within-run cache state stays identical to a cold run's.
-			pe := &w.negParent[w.negAlign[ei]]
-			if params.CheckCache {
-				w.negCheck(g, req, e.ID, &negEntry{recorded: true, ok: pe.ok, path: pe.path}) //pacor:allow hotalloc CheckCache verification mode only, off on production runs
-			}
-			if stats != nil {
-				stats.SeededHits++
-			}
-			p, ok = pe.path, pe.ok
-			if caching {
-				w.negRecord(g, &w.negEntries[ei], p, ok, pe.visits)
-			}
-			if capOn {
-				w.negCaptureRecord(ei, p, ok, pe.visits)
-			}
-		case !caching && !capOn:
-			// Plain untracked search (cold round 0). Cross-run comparison
-			// needs only the committed path, so a live seed costs no tracking.
+			var lvl hierLevel
 			p, ok, lvl = w.negSearch(g, req, ei)
-			if stats != nil {
-				stats.Searches++
-				stats.Hier.count(lvl)
-			}
-			if seedLive {
-				w.negCrossCompare(g, ei, p, ok)
-			}
-		default:
-			if stats != nil {
-				stats.Searches++
-				if caching {
-					// Round 0 under capture runs tracked but is not a cache
-					// miss — cold stats must match the capture-free run.
-					stats.CacheMisses++
-					if w.negEntries[ei].recorded {
-						stats.Invalidated++
-					}
-				}
-			}
-			// The whole ladder runs tracked: its recorded cone is the union of
-			// every rung's visits — a superset of the flat search's cone, so
-			// cache invalidation stays sound (it can only over-trigger).
-			w.StartVisitTracking()
-			p, ok, lvl = w.negSearch(g, req, ei)
-			w.StopVisitTracking()
-			if stats != nil {
-				stats.Hier.count(lvl)
-			}
-			w.negVisits = w.CopyVisits(w.negVisits[:0])
-			if caching {
-				w.negRecord(g, &w.negEntries[ei], p, ok, w.negVisits)
-			}
-			if seedLive {
-				w.negCrossCompare(g, ei, p, ok)
-			}
 			if capOn {
+				w.StopVisitTracking()
+				w.negVisits = w.CopyVisits(w.negVisits[:0])
 				w.negCaptureRecord(ei, p, ok, w.negVisits)
+			}
+			if stats != nil {
+				stats.Searches++
+				stats.Hier.count(lvl)
+			}
+			if seedLive {
+				w.negCrossCompare(g, ei, p, ok)
 			}
 		}
 		if ok {
@@ -357,120 +312,85 @@ func (w *Workspace) negRoundSeq(g grid.Grid, work *grid.ObsMap, edges []Edge, hi
 	return done
 }
 
+// negReplay takes edge ei's outcome for this round from the parent
+// transcript instead of searching, recording it as a fresh search would be
+// recorded. Under checkReplay it first re-runs the search against the exact
+// sequential state and panics on any divergence.
+func (w *Workspace) negReplay(g grid.Grid, work *grid.ObsMap, hist []float64, edges []Edge, ei int,
+	params NegotiateParams, stats *NegotiateStats) (grid.Path, bool) {
+	pe := &w.negParent[w.negAlign[ei]]
+	if params.checkReplay {
+		e := &edges[ei]
+		p, ok := w.AStar(g, w.negReq(e, work, hist))
+		if ok != pe.ok || !pathsEqual(p, pe.path) {
+			panic(fmt.Sprintf(
+				"route: seeded replay divergence on edge %d: replayed ok=%v len=%d, fresh ok=%v len=%d",
+				e.ID, pe.ok, pe.path.Len(), ok, p.Len()))
+		}
+	}
+	if stats != nil {
+		stats.SeededHits++
+	}
+	if w.negCapOn {
+		w.negCaptureRecord(ei, pe.path, pe.ok, pe.visits)
+	}
+	return pe.path, pe.ok
+}
+
 // negRoundParallel routes one round's edges, in slice order, through the
 // spatial-dependency scheduler: routed paths commit onto work in edge order,
-// exactly as the sequential Steps 7-13 loop does. With caching or seeding
-// on, within-run and cross-run replays happen inline and skip task dispatch
-// entirely; only maximal blocks of consecutive replay-ineligible edges go
-// through the scheduler. An edge's eligibility is (re)examined only after
-// everything before it has committed, because a block's changed outcomes can
-// dirty a later edge's cone — within-run via the dirty clock, cross-run via
-// the divergence bitmap; both are monotone, so an edge ineligible at
-// block-forming time is still ineligible at its sequential turn, which is
-// what makes batching sound. It reports whether every edge routed.
+// exactly as the sequential Steps 7-13 loop does. With seeding live,
+// cross-run replays happen inline and skip task dispatch entirely; only
+// maximal blocks of consecutive replay-ineligible edges go through the
+// scheduler (without a live seed the whole round is one block). An edge's
+// eligibility is (re)examined only after everything before it has
+// committed, because a block's changed outcomes can grow the divergence
+// bitmap over a later edge's cone; the bitmap is monotone, so an edge
+// ineligible at block-forming time is still ineligible at its sequential
+// turn, which is what makes batching sound. It reports whether every edge
+// routed.
 //
 //pacor:hot
 //pacor:allow hotalloc per-round task construction, amortized over the round's searches
 func (w *Workspace) negRoundParallel(g grid.Grid, work *grid.ObsMap, edges []Edge, hist []float64,
-	paths map[int]grid.Path, params NegotiateParams, caching bool, stats *NegotiateStats) bool {
+	paths map[int]grid.Path, params NegotiateParams, stats *NegotiateStats) bool {
 	done := true
 	seedLive := w.negSeedOn && w.negParentLive
 	capOn := w.negCapOn
-	if !caching && !capOn && !seedLive {
-		tasks := make([]ScheduledTask, len(edges))
-		for i := range edges {
-			tasks[i] = w.negTask(g, w.negReq(&edges[i], work, hist), i)
-		}
-		RunScheduled(work, tasks, params.Workers, func(i int, out TaskOutcome) {
-			if stats != nil {
-				stats.Searches++
-				if lvl, isHier := out.Payload.(hierLevel); isHier {
-					stats.Hier.count(lvl)
-				}
-			}
-			if out.OK {
-				paths[edges[i].ID] = out.Paths[0]
-			} else {
-				done = false
-				w.negFailed = append(w.negFailed, edges[i].ID)
-			}
-		})
-		return done
-	}
-	commitInline := func(ei int, p grid.Path, ok bool) {
+	commit := func(ei int, p grid.Path, ok bool) {
 		if ok {
 			paths[edges[ei].ID] = p
-			work.SetPath(p, true)
 		} else {
 			done = false
 			w.negFailed = append(w.negFailed, edges[ei].ID)
 		}
 	}
-	needVisits := caching || capOn
 	ei := 0
 	for ei < len(edges) {
-		if caching && w.negEntryValid(&w.negEntries[ei]) {
-			e := &edges[ei]
-			ent := &w.negEntries[ei]
-			if params.CheckCache {
-				w.negCheck(g, w.negReq(e, work, hist), e.ID, ent)
-			}
-			if stats != nil {
-				stats.CacheHits++
-			}
-			if seedLive {
-				w.negCrossCompare(g, ei, ent.path, ent.ok)
-			}
-			if capOn {
-				w.negCaptureRecord(ei, ent.path, ent.ok, ent.visits)
-			}
-			commitInline(ei, ent.path, ent.ok)
-			ei++
-			continue
-		}
 		if seedLive && w.negParentValid(ei) {
-			e := &edges[ei]
-			pe := &w.negParent[w.negAlign[ei]]
-			if params.CheckCache {
-				w.negCheck(g, w.negReq(e, work, hist), e.ID, &negEntry{recorded: true, ok: pe.ok, path: pe.path})
+			p, ok := w.negReplay(g, work, hist, edges, ei, params, stats)
+			if ok {
+				work.SetPath(p, true)
 			}
-			if stats != nil {
-				stats.SeededHits++
-			}
-			if caching {
-				w.negRecord(g, &w.negEntries[ei], pe.path, pe.ok, pe.visits)
-			}
-			if capOn {
-				w.negCaptureRecord(ei, pe.path, pe.ok, pe.visits)
-			}
-			commitInline(ei, pe.path, pe.ok)
+			commit(ei, p, ok)
 			ei++
 			continue
 		}
 		// Maximal block of consecutive replay-ineligible edges; the first
 		// eligible edge ends the block and is re-checked once the block's
-		// outcomes — and their dirty marks — have landed.
+		// outcomes — and their divergence marks — have landed.
 		m := ei + 1
-		for m < len(edges) &&
-			!(caching && w.negEntryValid(&w.negEntries[m])) &&
-			!(seedLive && w.negParentValid(m)) {
+		for m < len(edges) && !(seedLive && w.negParentValid(m)) {
 			m++
 		}
 		base := ei
-		block := edges[ei:m]
-		tasks := make([]ScheduledTask, len(block))
-		for i := range block {
-			tasks[i] = w.negTask(g, w.negReq(&block[i], work, hist), base+i)
+		tasks := make([]ScheduledTask, m-base)
+		for i := range tasks {
+			tasks[i] = w.negTask(g, w.negReq(&edges[base+i], work, hist), base+i)
 		}
 		commitTask := func(i int, out TaskOutcome, visits []uint64) {
 			if stats != nil {
 				stats.Searches++
-				if caching {
-					stats.CacheMisses++
-					if w.negEntries[base+i].recorded {
-						stats.Invalidated++
-					}
-				}
 				if lvl, isHier := out.Payload.(hierLevel); isHier {
 					stats.Hier.count(lvl)
 				}
@@ -479,23 +399,15 @@ func (w *Workspace) negRoundParallel(g grid.Grid, work *grid.ObsMap, edges []Edg
 			if out.OK {
 				p = out.Paths[0]
 			}
-			if caching {
-				w.negRecord(g, &w.negEntries[base+i], p, out.OK, visits)
-			}
 			if seedLive {
 				w.negCrossCompare(g, base+i, p, out.OK)
 			}
 			if capOn {
 				w.negCaptureRecord(base+i, p, out.OK, visits)
 			}
-			if out.OK {
-				paths[block[i].ID] = p
-			} else {
-				done = false
-				w.negFailed = append(w.negFailed, block[i].ID)
-			}
+			commit(base+i, p, out.OK)
 		}
-		if needVisits {
+		if capOn {
 			RunScheduledVisits(work, tasks, params.Workers, commitTask)
 		} else {
 			RunScheduled(work, tasks, params.Workers, func(i int, out TaskOutcome) {
@@ -505,6 +417,19 @@ func (w *Workspace) negRoundParallel(g grid.Grid, work *grid.ObsMap, edges []Edg
 		ei = m
 	}
 	return done
+}
+
+// pathsEqual reports cell-exact path equality.
+func pathsEqual(a, b grid.Path) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // negTask wraps one edge's search as a scheduler task. req carries the

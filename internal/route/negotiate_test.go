@@ -1,6 +1,8 @@
 package route
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -132,5 +134,152 @@ func assertDisjointValid(t *testing.T, paths map[int]grid.Path) {
 			}
 			used[c] = id
 		}
+	}
+}
+
+// randomNegotiateInstance builds a random multi-edge negotiation instance
+// with enough congestion that multi-round runs occur.
+func randomNegotiateInstance(rng *rand.Rand) (grid.Grid, *grid.ObsMap, []Edge) {
+	w, h := 12+rng.Intn(14), 12+rng.Intn(14)
+	g := grid.New(w, h)
+	obs := grid.NewObsMap(g)
+	for i := 0; i < g.Cells()/5; i++ {
+		obs.Set(geom.Pt{X: rng.Intn(w), Y: rng.Intn(h)}, true)
+	}
+	used := map[geom.Pt]bool{}
+	pick := func() geom.Pt {
+		for {
+			p := geom.Pt{X: rng.Intn(w), Y: rng.Intn(h)}
+			if !used[p] {
+				used[p] = true
+				obs.Set(p, false)
+				return p
+			}
+		}
+	}
+	n := 3 + rng.Intn(5)
+	edges := make([]Edge, n)
+	for i := range edges {
+		edges[i] = Edge{ID: i, Sources: []geom.Pt{pick()}, Targets: []geom.Pt{pick()}}
+	}
+	return g, obs, edges
+}
+
+// TestNegotiateSweepByteIdentical: on random congested instances, every
+// combination of worker count and capture returns the paths and counters of
+// a forced-heap sequential reference. Workers, capture, and the open list
+// are wall-clock choices only, and with nothing to replay every round
+// searches every edge.
+func TestNegotiateSweepByteIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	sawMultiRound := false
+	for trial := 0; trial < 40; trial++ {
+		g, obs, edges := randomNegotiateInstance(rng)
+
+		var want NegotiateStats
+		ref := NewWorkspace(g)
+		ref.heapOnly = true
+		wantPaths, wantOK := ref.NegotiateTracked(obs, edges, DefaultNegotiateParams(), &want)
+		if want.Searches != want.Rounds*len(edges) {
+			t.Fatalf("trial %d: %d searches over %d rounds of %d edges", trial, want.Searches, want.Rounds, len(edges))
+		}
+		if want.Rounds > 1 {
+			sawMultiRound = true
+		}
+
+		for _, workers := range []int{0, 1, 2, 4} {
+			for _, capture := range []bool{false, true} {
+				params := DefaultNegotiateParams()
+				params.Workers = workers
+				if capture {
+					params.Capture = &NegotiationSeed{}
+				}
+				var stats NegotiateStats
+				ws := AcquireWorkspace(g)
+				paths, ok := ws.NegotiateTracked(obs, edges, params, &stats)
+				ReleaseWorkspace(ws)
+				label := fmt.Sprintf("trial %d workers=%d capture=%v", trial, workers, capture)
+				if ok != wantOK {
+					t.Fatalf("%s: ok=%v, want %v", label, ok, wantOK)
+				}
+				pathsIdentical(t, label, paths, wantPaths)
+				if !statsEqual(stats, want) {
+					t.Fatalf("%s: stats %+v differ from reference %+v", label, stats, want)
+				}
+			}
+		}
+	}
+	if !sawMultiRound {
+		t.Error("no trial needed a second round; the instances no longer exercise rip-up and reroute")
+	}
+}
+
+func statsEqual(a, b NegotiateStats) bool {
+	if a.Rounds != b.Rounds || a.Searches != b.Searches ||
+		a.SeededEdges != b.SeededEdges || a.SeededHits != b.SeededHits ||
+		len(a.FailedIDs) != len(b.FailedIDs) {
+		return false
+	}
+	for i := range a.FailedIDs {
+		if a.FailedIDs[i] != b.FailedIDs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNegotiateFailedIDs: when negotiation gives up, the final round's
+// unrouted edges are reported in edge order; on success FailedIDs is empty.
+func TestNegotiateFailedIDs(t *testing.T) {
+	// Three edges through a single one-cell corridor: at most one can route,
+	// so two must appear in FailedIDs (which two is the router's business —
+	// but the set must be deterministic and in edge order).
+	g := grid.New(9, 5)
+	obs := grid.NewObsMap(g)
+	for y := 0; y < 5; y++ {
+		if y != 2 {
+			obs.Set(geom.Pt{X: 4, Y: y}, true)
+		}
+	}
+	edges := []Edge{
+		{ID: 10, Sources: []geom.Pt{{X: 0, Y: 0}}, Targets: []geom.Pt{{X: 8, Y: 0}}},
+		{ID: 11, Sources: []geom.Pt{{X: 0, Y: 2}}, Targets: []geom.Pt{{X: 8, Y: 2}}},
+		{ID: 12, Sources: []geom.Pt{{X: 0, Y: 4}}, Targets: []geom.Pt{{X: 8, Y: 4}}},
+	}
+	for _, workers := range []int{0, 2} {
+		var stats NegotiateStats
+		params := DefaultNegotiateParams()
+		params.Workers = workers
+		ws := AcquireWorkspace(g)
+		_, ok := ws.NegotiateTracked(obs, edges, params, &stats)
+		ReleaseWorkspace(ws)
+		if ok {
+			t.Fatalf("workers=%d: three edges cannot share a one-cell corridor", workers)
+		}
+		if len(stats.FailedIDs) == 0 {
+			t.Fatalf("workers=%d: failed negotiation reported no failed edges", workers)
+		}
+		for i := 1; i < len(stats.FailedIDs); i++ {
+			if stats.FailedIDs[i-1] >= stats.FailedIDs[i] {
+				t.Fatalf("workers=%d: FailedIDs not in edge order: %v", workers, stats.FailedIDs)
+			}
+		}
+		for _, id := range stats.FailedIDs {
+			if id < 10 || id > 12 {
+				t.Fatalf("workers=%d: unknown failed ID %d", workers, id)
+			}
+		}
+	}
+
+	// Success path: FailedIDs stays empty.
+	var stats NegotiateStats
+	okEdges := []Edge{{ID: 0, Sources: []geom.Pt{{X: 0, Y: 2}}, Targets: []geom.Pt{{X: 8, Y: 2}}}}
+	ws := AcquireWorkspace(g)
+	if _, ok := ws.NegotiateTracked(obs, okEdges, DefaultNegotiateParams(), &stats); !ok {
+		t.Fatal("single corridor edge must route")
+	}
+	ReleaseWorkspace(ws)
+	if len(stats.FailedIDs) != 0 {
+		t.Fatalf("successful negotiation reported failed edges %v", stats.FailedIDs)
 	}
 }

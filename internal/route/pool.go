@@ -34,7 +34,6 @@ func poolFor(n int) *sync.Pool {
 func AcquireWorkspace(g grid.Grid) *Workspace {
 	w := poolFor(g.Cells()).Get().(*Workspace)
 	w.pooled = false
-	w.queue = QueueAuto // a previous holder's SetQueueMode must not leak
 	return w
 }
 

@@ -1,26 +1,23 @@
 package route
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// This file implements the Dial-style bucket queue behind the bucket QueueMode
-// and the fixed-point quantization certificate that gates it.
+// This file implements the Dial-style bucket queue the grid searches use in
+// place of the binary heap, and the fixed-point quantization certificate that
+// gates it.
 //
 // Both grid searches order their frontiers by an f key plus a deterministic
 // tie-break (openLess / boundedLess: smaller f first, earlier push first).
-// When
-// every key the search can produce is an exact integer — unit step costs, or
-// Eq.-5 history costs certified by HistQuant — the binary heap can be replaced
-// by a ring of B = 2^k buckets indexed key mod B: push is O(1), pop advances a
-// monotone cursor and takes the head of the first nonempty bucket. Within one
-// bucket, items chain in push order and pop FIFO — the heaps' tie-break — so
-// the pop sequence of the two
-// implementations is identical item for item. Identical pop sequences mean
+// When every key the search can produce is an exact integer — unit step
+// costs, or Eq.-5 history costs certified by HistQuant — the binary heap can
+// be replaced by a ring of B = 2^k buckets indexed key mod B: push is O(1),
+// pop advances a monotone cursor and takes the head of the first nonempty
+// bucket. Within one bucket, items chain in push order and pop FIFO — the
+// heaps' tie-break — so the pop sequence of the two implementations is
+// identical item for item. Identical pop sequences mean
 // identical expansions, stamps, and parent writes, so routed output is
-// byte-identical between queue modes (the PR 5 identity property test sweeps
-// this).
+// byte-identical between the two open lists (TestQueueModesByteIdentical
+// sweeps this).
 //
 // The ring window: a bucket queue is valid while all live keys fit in
 // [cur, cur+B). For A* with a consistent heuristic, a key pushed after popping
@@ -32,54 +29,6 @@ import (
 // ring is sized for the whole key universe [minLen, max(2*minLen, maxLen+H)]
 // instead of a sliding window. When the required ring exceeds maxBucketSpan,
 // the search falls back to the heap — same output, different constant factor.
-
-// QueueMode selects the open-list implementation behind the grid searches.
-type QueueMode uint8
-
-const (
-	// QueueAuto defers the choice: a request inherits its workspace's default
-	// (SetQueueMode), and an auto workspace uses the bucket queue whenever the
-	// request's key domain is certified integral, the heap otherwise.
-	//
-	// QueueAuto selects only between the heap and the bucket queue — never
-	// BiAStar. The bidirectional search is cost-only: its path can differ in
-	// shape (never length) from AStar's, so auto-selecting it would silently
-	// change routed output. There is deliberately no QueueMode for it;
-	// callers that only need a path cost opt in explicitly via BiAStar
-	// (TestQueueAutoNeverSelectsBidir pins this).
-	QueueAuto QueueMode = iota
-	// QueueHeap forces the binary heap.
-	QueueHeap
-	// QueueBucket requests the Dial bucket queue; requests whose cost domain
-	// is not exactly representable (or whose ring would exceed maxBucketSpan)
-	// still fall back to the heap, preserving correctness over speed.
-	QueueBucket
-)
-
-// String returns the flag spelling of m.
-func (m QueueMode) String() string {
-	switch m {
-	case QueueHeap:
-		return "heap"
-	case QueueBucket:
-		return "bucket"
-	default:
-		return "auto"
-	}
-}
-
-// ParseQueueMode parses a -queue flag value.
-func ParseQueueMode(s string) (QueueMode, error) {
-	switch s {
-	case "auto", "":
-		return QueueAuto, nil
-	case "heap":
-		return QueueHeap, nil
-	case "bucket":
-		return QueueBucket, nil
-	}
-	return QueueAuto, fmt.Errorf("route: unknown queue mode %q (want auto|heap|bucket)", s)
-}
 
 const (
 	// maxBucketSpan caps the ring size; searches whose key span would exceed

@@ -140,34 +140,12 @@ func TestHistQuant(t *testing.T) {
 	}
 }
 
-// TestParseQueueMode pins the flag grammar.
-func TestParseQueueMode(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want QueueMode
-		err  bool
-	}{
-		{"auto", QueueAuto, false}, {"", QueueAuto, false},
-		{"heap", QueueHeap, false}, {"bucket", QueueBucket, false},
-		{"Bucket", QueueAuto, true}, {"fifo", QueueAuto, true},
-	} {
-		m, err := ParseQueueMode(c.in)
-		if (err != nil) != c.err || m != c.want {
-			t.Errorf("ParseQueueMode(%q) = %v, %v", c.in, m, err)
-		}
-	}
-	if QueueAuto.String() != "auto" || QueueHeap.String() != "heap" || QueueBucket.String() != "bucket" {
-		t.Error("QueueMode.String round-trip broken")
-	}
-}
-
-// TestAStarHeapFallbacks: a bucket-mode workspace must quietly run on the
-// heap when the request's cost domain carries no integrality certificate
-// (caller-supplied Hist), and on the bucket when it does.
+// TestAStarHeapFallbacks: a search quietly runs on the heap when the
+// request's cost domain carries no integrality certificate (caller-supplied
+// Hist), and on the bucket when it does.
 func TestAStarHeapFallbacks(t *testing.T) {
 	g := grid.New(16, 16)
 	w := NewWorkspace(g)
-	w.SetQueueMode(QueueBucket)
 	hist := make([]float64, g.Cells())
 	hist[g.Index(geom.Pt{X: 8, Y: 8})] = 0.3 // non-dyadic, uncertified
 	req := Request{Sources: []geom.Pt{{X: 0, Y: 0}}, Targets: []geom.Pt{{X: 15, Y: 15}}, Hist: hist}
@@ -175,29 +153,17 @@ func TestAStarHeapFallbacks(t *testing.T) {
 	if _, ok := w.AStar(g, req); !ok {
 		t.Fatal("search failed")
 	}
-	if w.lastQueue != QueueHeap {
-		t.Errorf("uncertified Hist ran on %v, want heap", w.lastQueue)
+	if w.lastBucket {
+		t.Error("uncertified Hist ran on the bucket queue, want heap")
 	}
 
-	// The same request with a certificate runs on the bucket. Scale 1 is
-	// honest here only because this test's history values would break it —
-	// so use a certified domain instead: nil Hist.
+	// A certified domain (here nil Hist: unit costs) runs on the bucket.
 	req.Hist = nil
-	req.HistScale, req.HistMax = 0, 0
 	if _, ok := w.AStar(g, req); !ok {
 		t.Fatal("search failed")
 	}
-	if w.lastQueue != QueueBucket {
-		t.Errorf("unit-cost search ran on %v, want bucket", w.lastQueue)
-	}
-
-	// Forcing the heap wins over the workspace default.
-	req.Queue = QueueHeap
-	if _, ok := w.AStar(g, req); !ok {
-		t.Fatal("search failed")
-	}
-	if w.lastQueue != QueueHeap {
-		t.Errorf("Queue=heap request ran on %v", w.lastQueue)
+	if !w.lastBucket {
+		t.Error("unit-cost search ran on the heap, want bucket")
 	}
 }
 
@@ -208,8 +174,7 @@ func TestQueueModesByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	g := grid.New(24, 24)
 	wHeap, wBucket := NewWorkspace(g), NewWorkspace(g)
-	wHeap.SetQueueMode(QueueHeap)
-	wBucket.SetQueueMode(QueueBucket)
+	wHeap.heapOnly = true
 	usedBucket := 0
 	for trial := 0; trial < 60; trial++ {
 		obs := grid.NewObsMap(g)
@@ -225,9 +190,9 @@ func TestQueueModesByteIdentical(t *testing.T) {
 		ph, okh := wHeap.AStar(g, req)
 		pb, okb := wBucket.AStar(g, req)
 		if okh != okb || !pathsEqual(ph, pb) {
-			t.Fatalf("trial %d: A* diverged between queue modes\nheap   %v %v\nbucket %v %v", trial, ph, okh, pb, okb)
+			t.Fatalf("trial %d: A* diverged between heap and bucket\nheap   %v %v\nbucket %v %v", trial, ph, okh, pb, okb)
 		}
-		if wBucket.lastQueue == QueueBucket {
+		if wBucket.lastBucket {
 			usedBucket++
 		}
 
@@ -236,125 +201,10 @@ func TestQueueModesByteIdentical(t *testing.T) {
 		bh, okbh := wHeap.BoundedAStar(g, req, minLen, maxLen)
 		bb, okbb := wBucket.BoundedAStar(g, req, minLen, maxLen)
 		if okbh != okbb || !pathsEqual(bh, bb) {
-			t.Fatalf("trial %d: bounded search diverged between queue modes", trial)
+			t.Fatalf("trial %d: bounded search diverged between heap and bucket", trial)
 		}
 	}
 	if usedBucket == 0 {
 		t.Error("no trial actually ran on the bucket queue")
-	}
-}
-
-// TestNegotiateQueueByteIdentical is the PR 6 identity sweep: queue mode ×
-// cache mode × worker count on random congested instances must return
-// byte-identical paths and identical NegotiateStats counters. The queue
-// mode, like the cache and the scheduler, is a pure wall-clock knob.
-func TestNegotiateQueueByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 40; trial++ {
-		g, obs, edges := randomNegotiateInstance(rng)
-
-		ref := DefaultNegotiateParams()
-		ref.NoCache = true
-		ref.Queue = QueueHeap
-		wantPaths, wantOK := Negotiate(obs, edges, ref)
-		var wantStats *NegotiateStats
-
-		for _, queue := range []QueueMode{QueueHeap, QueueBucket, QueueAuto} {
-			for _, workers := range []int{0, 1, 2, 4, 8} {
-				for _, mode := range []struct {
-					name             string
-					noCache, checked bool
-				}{
-					{"cache", false, false},
-					{"nocache", true, false},
-					{"checkcache", false, true},
-				} {
-					params := DefaultNegotiateParams()
-					params.Queue = queue
-					params.Workers = workers
-					params.NoCache = mode.noCache
-					params.CheckCache = mode.checked
-					var stats NegotiateStats
-					ws := AcquireWorkspace(g)
-					paths, ok := ws.NegotiateTracked(obs, edges, params, &stats)
-					ReleaseWorkspace(ws)
-					if ok != wantOK {
-						t.Fatalf("trial %d queue=%v workers=%d %s: ok=%v, want %v",
-							trial, queue, workers, mode.name, ok, wantOK)
-					}
-					for id, p := range wantPaths {
-						if !pathsEqual(p, paths[id]) {
-							t.Fatalf("trial %d queue=%v workers=%d %s: edge %d path differs\n got %v\nwant %v",
-								trial, queue, workers, mode.name, id, paths[id], p)
-						}
-					}
-					if len(paths) != len(wantPaths) {
-						t.Fatalf("trial %d queue=%v workers=%d %s: %d paths, want %d",
-							trial, queue, workers, mode.name, len(paths), len(wantPaths))
-					}
-					// Search/round counters must agree across queue modes and
-					// worker counts; cache counters only within one cache mode.
-					if mode.name == "cache" {
-						if wantStats == nil {
-							s := stats
-							wantStats = &s
-						} else if !statsEqual(stats, *wantStats) {
-							t.Fatalf("trial %d queue=%v workers=%d: stats %+v differ from %+v",
-								trial, queue, workers, stats, *wantStats)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestQueueAutoNeverSelectsBidir pins the honest-note contract from the PR 6
-// bidirectional search: BiAStar is cost-only (its path can differ in SHAPE,
-// never length, from AStar's), so no QueueMode may ever resolve to it — a
-// caller routing paths under any mode, auto included, must get AStar's exact
-// output. The test sweeps every workspace default x request mode over random
-// instances and checks (a) the resolved open list is always the heap or the
-// bucket, and (b) the routed path is byte-identical to a forced-heap search,
-// which BiAStar's differently-shaped paths could not guarantee.
-func TestQueueAutoNeverSelectsBidir(t *testing.T) {
-	// There is deliberately no QueueMode spelling for the bidirectional
-	// search; the flag parser must reject it rather than map it.
-	if _, err := ParseQueueMode("bidir"); err == nil {
-		t.Fatal(`ParseQueueMode("bidir") parsed; bidir must not be selectable as a queue mode`)
-	}
-	rng := rand.New(rand.NewSource(8008))
-	g := grid.New(32, 32)
-	ref := NewWorkspace(g)
-	for trial := 0; trial < 40; trial++ {
-		obs := grid.NewObsMap(g)
-		for i := 0; i < 140; i++ {
-			obs.Set(geom.Pt{X: rng.Intn(32), Y: rng.Intn(32)}, true)
-		}
-		src := geom.Pt{X: rng.Intn(32), Y: rng.Intn(32)}
-		dst := geom.Pt{X: rng.Intn(32), Y: rng.Intn(32)}
-		obs.Set(src, false)
-		obs.Set(dst, false)
-		req := Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs}
-		hr := req
-		hr.Queue = QueueHeap
-		want, wantOK := ref.AStar(g, hr)
-		for _, def := range []QueueMode{QueueAuto, QueueHeap, QueueBucket} {
-			for _, reqMode := range []QueueMode{QueueAuto, QueueHeap, QueueBucket} {
-				w := NewWorkspace(g)
-				w.SetQueueMode(def)
-				r := req
-				r.Queue = reqMode
-				p, ok := w.AStar(g, r)
-				if w.lastQueue != QueueHeap && w.lastQueue != QueueBucket {
-					t.Fatalf("trial %d def=%v req=%v: resolved open list %v, want heap or bucket",
-						trial, def, reqMode, w.lastQueue)
-				}
-				if ok != wantOK || !pathsEqual(p, want) {
-					t.Fatalf("trial %d def=%v req=%v: path diverged from forced-heap AStar (bidir-shaped?)",
-						trial, def, reqMode)
-				}
-			}
-		}
 	}
 }

@@ -82,9 +82,9 @@ func RunScheduled(base *grid.ObsMap, tasks []ScheduledTask, workers int, commit 
 // RunScheduledVisits is RunScheduled with the committed run's visit set
 // handed to the commit callback: visits is the bitmap of every cell the
 // task's searches stamped — a superset of every cell whose obstacle state
-// they read, because tracked searches stamp before reading. The negotiation
-// cache records it as the edge's search cone. The slice is only valid for
-// the duration of the callback; callers keep a copy.
+// they read, because tracked searches stamp before reading. A negotiation
+// capture (seed.go) records it as the edge's search cone. The slice is only
+// valid for the duration of the callback; callers keep a copy.
 func RunScheduledVisits(base *grid.ObsMap, tasks []ScheduledTask, workers int, commit func(i int, out TaskOutcome, visits []uint64)) {
 	runScheduled(base, tasks, workers, true, commit)
 }

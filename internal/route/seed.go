@@ -13,34 +13,35 @@ import (
 // visit cone, round by round — and a later run on a near-identical design
 // replays entries from it instead of searching.
 //
-// Correctness argument (the cross-run extension of cache.go's dirty-cone
-// invariant, see docs/ALGORITHMS.md): the parent's entry for (round r, edge
-// j) replays exactly in the child at (round r, child edge i aligned to j)
-// when no cell of its recorded cone differs between the two runs' states at
-// that point. Divergence is tracked in a monotone cross-run dirty bitmap
-// seeded with the start-state diff (obstacles, valves, terminals — the
-// design edit) and grown with the cells of every path where the child's
-// committed outcome differs from the parent's. By induction over the
-// sequential transcript, a cell outside the bitmap holds the same obstacle
-// and history value in both runs at corresponding points: history bumps are
+// The dirty-cone invariant (see docs/ALGORITHMS.md): a tracked search stamps
+// every cell into its visit cone *before* reading that cell's obstacle or
+// history state (workspace.go's stamp-before-read discipline), so the cone is
+// a superset of every cell whose external state the search observed. That
+// includes frontier cells it merely touched and rejected: their blockedness
+// was read. If no cone cell's state differs, re-running the search reads
+// exactly the same values at every step — same frontier, same tie-breaks,
+// same transcript — and must return the identical result.
+//
+// Cross-run replay rests on that invariant: the parent's entry for (round r,
+// edge j) replays exactly in the child at (round r, child edge i aligned to
+// j) when no cell of its recorded cone differs between the two runs' states
+// at that point. Divergence is tracked in a monotone cross-run dirty bitmap
+// seeded with the start-state diff (obstacles, valves, terminals — the design
+// edit) and grown with the cells of every path where the child's committed
+// outcome differs from the parent's. By induction over the sequential
+// transcript, a cell outside the bitmap holds the same obstacle and history
+// value in both runs at corresponding points: history bumps are
 // deterministic per-cell functions of the rounds' routed paths, and every
 // differing path is marked in full (old and new) the moment it diverges,
 // while unaligned edges' paths — present in only one run — are marked
-// unconditionally. A recorded cone is a superset of every cell its search
-// read (the stamp-before-read discipline of workspace.go), so a cone
-// disjoint from the bitmap proves the child's fresh search would read
-// identical values at every step and return the identical result.
+// unconditionally. A cone disjoint from the bitmap therefore proves the
+// child's fresh search would read identical values at every step and return
+// the identical result.
 //
-// The within-run cache (cache.go) keeps operating unchanged underneath:
-// every cross-run replay performs exactly the bookkeeping the fresh search
-// it replaced would have performed (negRecord with the same outcome and the
-// same cone), so the within-run entry tables, dirty clocks, and hit/miss
-// pattern of a seeded run are identical to a cold run's. That makes the
-// counters invariant Searches_cold = Searches_seeded + SeededHits hold by
-// construction whenever the fresh-search cones are deterministic (always
-// true for flat negotiation; with the hierarchy engaged, differing corridor
-// assignments between parent and child can change cones — never outcomes —
-// and the invariant degrades to an inequality).
+// Every (round, edge) pair of a seeded run is either replayed or searched,
+// and outputs (hence rounds) are identical to a cold run's, so the counters
+// invariant Searches_cold = Searches_seeded + SeededHits holds by
+// construction.
 
 // SeedEdge identifies one edge slot of the captured run by its routing
 // request (the committed source and target cells). Alignment between runs
@@ -103,9 +104,9 @@ func (s *NegotiationSeed) SizeBytes() int64 {
 }
 
 // negParamsSig fingerprints the outcome-shaping negotiation parameters.
-// Workers, Queue, the cache knobs, and the hierarchy are deliberately
-// absent: all are output-invariant (the hierarchy's negotiation stage is
-// exact), so seeds stay valid across them.
+// Workers and the hierarchy are deliberately absent: both are
+// output-invariant (the hierarchy's negotiation stage is exact), so seeds
+// stay valid across them.
 func negParamsSig(p NegotiateParams) string {
 	return fmt.Sprintf("bh=%g;a=%g;g=%d", p.BaseHist, p.Alpha, p.Gamma)
 }
@@ -351,12 +352,11 @@ func (w *Workspace) negCrossMarkPath(g grid.Grid, p grid.Path) {
 	}
 }
 
-// negCrossCompare records the divergence state of a fresh (or within-run
-// replayed) outcome against the parent's entry for this round: identical
-// outcomes contribute identical obstacle state and need no marks; differing
-// or unpaired outcomes mark both runs' paths. Once the parent transcript is
-// exhausted no replay can happen, so marks stop mattering and the compare
-// short-circuits.
+// negCrossCompare records the divergence state of a freshly searched outcome
+// against the parent's entry for this round: identical outcomes contribute
+// identical obstacle state and need no marks; differing or unpaired outcomes
+// mark both runs' paths. Once the parent transcript is exhausted no replay
+// can happen, so marks stop mattering and the compare short-circuits.
 func (w *Workspace) negCrossCompare(g grid.Grid, ei int, p grid.Path, ok bool) {
 	if !w.negParentLive {
 		return
@@ -417,9 +417,9 @@ func (w *Workspace) negCaptureRound() {
 
 // negCaptureRecord captures edge ei's outcome for the current round,
 // delta-encoded: identical to the last captured value (the common case for
-// edges that replayed) costs nothing. Captured paths and cones are deep
-// copies — entry cones are workspace buffers reused across rounds, and a
-// captured alias would be silently corrupted by a later search.
+// edges whose inputs did not change) costs nothing. Captured paths and cones
+// are deep copies — cones arrive in workspace buffers reused across searches,
+// and a captured alias would be silently corrupted by a later search.
 //
 //pacor:allow hotalloc captured entries are deep copies by contract (the capture outlives every workspace buffer)
 func (w *Workspace) negCaptureRecord(ei int, p grid.Path, ok bool, cone []uint64) {

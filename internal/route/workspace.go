@@ -39,21 +39,14 @@ type Workspace struct {
 	arena []bnode       // bounded-search state arena
 	bq    bucketQueue   // Dial ring shared by both searches (bucket mode)
 
-	// Bidirectional-search state (bidir.go): backward-direction labels under
-	// the same generation stamp, plus the two frontier rings. Allocated only
-	// when BiAStar is used.
-	rstamp   []int32
-	rkey     []int32
-	rparent  []int32
-	rclosed  []bool
-	bqf, bqb bucketQueue
-
-	// queue is the default open-list implementation for requests that leave
-	// Queue as QueueAuto; see SetQueueMode. lastQueue records the
-	// implementation the most recent search actually ran on (after
-	// certification and ring-feasibility fallbacks) for tests and tools.
-	queue     QueueMode
-	lastQueue QueueMode
+	// heapOnly makes every search run on the binary heap, the reference the
+	// package's queue tests compare the bucket queue against; lastBucket
+	// records whether the most recent search actually ran on the bucket queue
+	// (after certification and ring-feasibility fallbacks). Neither is
+	// reachable from outside the package: the open list follows from the
+	// request alone.
+	heapOnly   bool
+	lastBucket bool
 
 	// clipped counts, per search, frontier cells rejected by the request's
 	// Bounds or Mask. The hierarchical escalation ladder keys on it: a
@@ -72,17 +65,13 @@ type Workspace struct {
 	track bool
 	vbits []uint64
 
-	// Incremental negotiation cache state (cache.go / negotiate.go). It lives
-	// on the pooled workspace so repeated Negotiate calls reuse the dirty
-	// map, entry table, work map, and journal instead of allocating per call.
+	// Negotiation state (negotiate.go). It lives on the pooled workspace so
+	// repeated Negotiate calls reuse the work map and journal instead of
+	// allocating per call.
 	negWork    *grid.ObsMap // journaled per-round work map
 	negJournal []int32      // obstacle-delta journal buffer for negWork
-	negDirty   []int32      // per-cell dirty clock stamps
-	negClock   int32        // monotone dirty clock of the current run
-	negEntries []negEntry   // per-edge-slot cached results
 	negVisits  []uint64     // scratch for capturing a search's visit cone
 	negFailed  []int        // edge IDs unrouted in the current round
-	negQueue   QueueMode    // resolved queue mode of the current run
 	negScale   int64        // current round's HistQuant certificate (0 = none)
 	negMaxStep int64
 
@@ -152,14 +141,6 @@ func (w *Workspace) grow(n int) {
 	w.parent = make([]int32, n)
 	w.closed = make([]bool, n)
 	w.maxSeen = make([]int32, n)
-	if w.rstamp != nil {
-		// Reallocate (not keep) on shrink too: generations restart at 0 here,
-		// and a stale stamp equal to a fresh generation would corrupt reads.
-		w.rstamp = make([]int32, n)
-		w.rkey = make([]int32, n)
-		w.rparent = make([]int32, n)
-		w.rclosed = make([]bool, n)
-	}
 	if w.vbits != nil || w.track {
 		w.vbits = make([]uint64, (n+63)/64)
 	}
@@ -215,7 +196,6 @@ func (w *Workspace) begin(g grid.Grid) {
 		// collide with stale stamps; clear them and restart.
 		clear(w.stamp)
 		clear(w.tstamp)
-		clear(w.rstamp)
 		w.gen = 0
 	}
 	w.gen++
@@ -231,21 +211,6 @@ func (w *Workspace) begin(g grid.Grid) {
 // constrained the search: its transcript — and result — equal the
 // unconstrained search's.
 func (w *Workspace) Clipped() int { return w.clipped }
-
-// SetQueueMode sets the workspace's default open-list implementation, used
-// by searches whose Request leaves Queue as QueueAuto. Queue modes are a
-// wall-clock knob only: routed output is byte-identical across them, so the
-// setting is safe to flip between searches. AcquireWorkspace resets it to
-// QueueAuto.
-func (w *Workspace) SetQueueMode(m QueueMode) { w.queue = m }
-
-// effQueue resolves a request's queue mode against the workspace default.
-func (w *Workspace) effQueue(m QueueMode) QueueMode {
-	if m == QueueAuto {
-		return w.queue
-	}
-	return m
-}
 
 // nextSeq returns the next push sequence number of the current search.
 func (w *Workspace) nextSeq() uint32 {
@@ -320,9 +285,10 @@ func targetH(tb geom.Rect, p geom.Pt) int {
 
 // AStar is the workspace-backed form of the package-level AStar: identical
 // search semantics, no per-call allocation beyond the returned path. The
-// open list runs on either the binary heap or the Dial bucket queue
-// (queue.go) — both implement the same (f, push order) total order, so the
-// choice never changes the routed path, only the wall clock.
+// open list is the Dial bucket queue (queue.go) whenever the request's key
+// domain is certified integral and the ring fits, the binary heap otherwise.
+// Both implement the same (f, push order) total order, so the choice never
+// changes the routed path, only the wall clock.
 func (w *Workspace) AStar(g grid.Grid, req Request) (grid.Path, bool) {
 	if len(req.Sources) == 0 || len(req.Targets) == 0 {
 		w.clipped = 0 // keep Clipped tied to this call even on the no-search path
@@ -333,7 +299,7 @@ func (w *Workspace) AStar(g grid.Grid, req Request) (grid.Path, bool) {
 	if nt == 0 {
 		return nil, false
 	}
-	if w.effQueue(req.Queue) != QueueHeap {
+	if !w.heapOnly {
 		if scale, maxStep, ok := req.quant(); ok {
 			// The bucket attempt inspects only source heuristics before
 			// committing; when the ring is infeasible it returns done=false
@@ -349,7 +315,7 @@ func (w *Workspace) AStar(g grid.Grid, req Request) (grid.Path, bool) {
 
 // astarHeap is the float64 binary-heap search loop.
 func (w *Workspace) astarHeap(g grid.Grid, req Request, tb geom.Rect) (grid.Path, bool) {
-	w.lastQueue = QueueHeap
+	w.lastBucket = false
 	for _, s := range req.Sources {
 		if !g.In(s) {
 			continue
@@ -377,7 +343,7 @@ func (w *Workspace) astarHeap(g grid.Grid, req Request, tb geom.Rect) (grid.Path
 			j := g.Index(q)
 			// Tracked searches must stamp a cell before reading its obstacle
 			// state: the visit cone has to be a superset of every cell read,
-			// or speculative/cache validation cannot reason about the search.
+			// or speculative/replay validation cannot reason about the search.
 			// Untracked searches skip blocked and out-of-window cells before
 			// touching them — same skip decision (the state read is identical
 			// in both orders), but no stamp writes on cells that contribute
@@ -450,7 +416,7 @@ func (w *Workspace) astarBucket(g grid.Grid, req Request, tb geom.Rect, scale, m
 	if !w.bq.prep(span) {
 		return nil, false, false
 	}
-	w.lastQueue = QueueBucket
+	w.lastBucket = true
 	scaleF := float64(scale)
 	for _, s := range req.Sources {
 		if !g.In(s) {
@@ -547,7 +513,7 @@ func (w *Workspace) BoundedAStar(g grid.Grid, req Request, minLen, maxLen int) (
 	}
 	// The bounded search ignores Hist (unit steps), so its keys are always
 	// integral — no quantization certificate needed, only ring feasibility.
-	if w.effQueue(req.Queue) != QueueHeap {
+	if !w.heapOnly {
 		if path, found, done := w.boundedBucket(g, req, tb, minLen, maxLen); done {
 			return path, found
 		}
@@ -568,7 +534,7 @@ func boundedPrio(minLen, gv, hv int) int {
 
 // boundedHeap is the binary-heap bounded search loop.
 func (w *Workspace) boundedHeap(g grid.Grid, req Request, tb geom.Rect, minLen, maxLen int) (grid.Path, bool) {
-	w.lastQueue = QueueHeap
+	w.lastBucket = false
 	prio := func(gv, hv int) int { return boundedPrio(minLen, gv, hv) }
 
 	for _, s := range req.Sources {
@@ -672,7 +638,7 @@ func (w *Workspace) boundedBucket(g grid.Grid, req Request, tb geom.Rect, minLen
 	if !w.bq.prep(hi - int64(minLen)) {
 		return nil, false, false
 	}
-	w.lastQueue = QueueBucket
+	w.lastBucket = true
 
 	for _, s := range req.Sources {
 		if !g.In(s) {
@@ -754,7 +720,7 @@ func (w *Workspace) boundedBucket(g grid.Grid, req Request, tb geom.Rect, minLen
 // pruning needs breadth-first settling among equal keys or parity-feasible
 // windows become unreachable — and it is exactly the order the Dial bucket
 // queue's chains produce, so every routed path is byte-identical across
-// queue modes.
+// the two open lists.
 
 type openItem struct {
 	idx int32
