@@ -165,40 +165,95 @@ func randomNegotiateInstance(rng *rand.Rand) (grid.Grid, *grid.ObsMap, []Edge) {
 	return g, obs, edges
 }
 
-// TestNegotiateSweepByteIdentical: on random congested instances, every
-// combination of worker count and capture returns the paths and counters of
-// a forced-heap sequential reference. Workers, capture, and the open list
-// are wall-clock choices only, and with nothing to replay every round
-// searches every edge.
-func TestNegotiateSweepByteIdentical(t *testing.T) {
+// negotiateRun routes edges with the given worker count, capture switch and
+// open-list restriction, returning the paths, the outcome and the counters.
+func negotiateRun(g grid.Grid, obs *grid.ObsMap, edges []Edge, workers int, capture, heapOnly bool) (map[int]grid.Path, bool, NegotiateStats) {
+	params := DefaultNegotiateParams()
+	params.Workers = workers
+	if capture {
+		params.Capture = &NegotiationSeed{}
+	}
+	var stats NegotiateStats
+	ws := AcquireWorkspace(g)
+	ws.heapOnly = heapOnly
+	paths, ok := ws.NegotiateTracked(obs, edges, params, &stats)
+	ws.heapOnly = false
+	ReleaseWorkspace(ws)
+	return paths, ok, stats
+}
+
+// TestNegotiateCacheByteIdentical: nothing replays within a run, so the only
+// visit-cone machinery left is the tracking that capture and scheduler
+// validation switch on. For random instances every combination of worker
+// count and capture returns the identical (paths, ok) as a plain sequential
+// run — tracking and capture are pure observers.
+func TestNegotiateCacheByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 40; trial++ {
+		g, obs, edges := randomNegotiateInstance(rng)
+		wantPaths, wantOK := Negotiate(obs, edges, DefaultNegotiateParams())
+
+		for _, workers := range []int{0, 1, 2, 4} {
+			for _, capture := range []bool{false, true} {
+				paths, ok, _ := negotiateRun(g, obs, edges, workers, capture, false)
+				label := fmt.Sprintf("trial %d workers=%d capture=%v", trial, workers, capture)
+				if ok != wantOK {
+					t.Fatalf("%s: ok=%v, want %v", label, ok, wantOK)
+				}
+				pathsIdentical(t, label, paths, wantPaths)
+			}
+		}
+	}
+}
+
+// TestNegotiateStatsInvariants: the counters are identical for every worker
+// count and capture setting, every round searches every edge (Searches ==
+// Rounds x edges), and the within-run replay counters stay zero.
+func TestNegotiateStatsInvariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
 	sawMultiRound := false
 	for trial := 0; trial < 40; trial++ {
 		g, obs, edges := randomNegotiateInstance(rng)
 
-		var want NegotiateStats
-		ref := NewWorkspace(g)
-		ref.heapOnly = true
-		wantPaths, wantOK := ref.NegotiateTracked(obs, edges, DefaultNegotiateParams(), &want)
+		_, _, want := negotiateRun(g, obs, edges, 0, false, false)
 		if want.Searches != want.Rounds*len(edges) {
 			t.Fatalf("trial %d: %d searches over %d rounds of %d edges", trial, want.Searches, want.Rounds, len(edges))
+		}
+		if want.CacheHits != 0 || want.CacheMisses != 0 {
+			t.Fatalf("trial %d: replay counters nonzero with nothing to replay: %+v", trial, want)
 		}
 		if want.Rounds > 1 {
 			sawMultiRound = true
 		}
-
 		for _, workers := range []int{0, 1, 2, 4} {
 			for _, capture := range []bool{false, true} {
-				params := DefaultNegotiateParams()
-				params.Workers = workers
-				if capture {
-					params.Capture = &NegotiationSeed{}
+				_, _, s := negotiateRun(g, obs, edges, workers, capture, false)
+				if !statsEqual(s, want) || s.CacheHits != 0 || s.CacheMisses != 0 {
+					t.Fatalf("trial %d workers=%d capture=%v: stats %+v differ from sequential %+v",
+						trial, workers, capture, s, want)
 				}
-				var stats NegotiateStats
-				ws := AcquireWorkspace(g)
-				paths, ok := ws.NegotiateTracked(obs, edges, params, &stats)
-				ReleaseWorkspace(ws)
-				label := fmt.Sprintf("trial %d workers=%d capture=%v", trial, workers, capture)
+			}
+		}
+	}
+	if !sawMultiRound {
+		t.Error("no trial needed a second round; the instances no longer exercise rip-up and reroute")
+	}
+}
+
+// TestNegotiateQueueByteIdentical: open list x worker count on random
+// congested instances returns byte-identical paths and identical counters
+// to a forced-heap sequential reference. The open list, like the scheduler,
+// is a pure wall-clock choice.
+func TestNegotiateQueueByteIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 40; trial++ {
+		g, obs, edges := randomNegotiateInstance(rng)
+		wantPaths, wantOK, want := negotiateRun(g, obs, edges, 0, false, true)
+
+		for _, heapOnly := range []bool{true, false} {
+			for _, workers := range []int{0, 1, 2, 4, 8} {
+				paths, ok, stats := negotiateRun(g, obs, edges, workers, false, heapOnly)
+				label := fmt.Sprintf("trial %d heapOnly=%v workers=%d", trial, heapOnly, workers)
 				if ok != wantOK {
 					t.Fatalf("%s: ok=%v, want %v", label, ok, wantOK)
 				}
@@ -208,9 +263,6 @@ func TestNegotiateSweepByteIdentical(t *testing.T) {
 				}
 			}
 		}
-	}
-	if !sawMultiRound {
-		t.Error("no trial needed a second round; the instances no longer exercise rip-up and reroute")
 	}
 }
 
