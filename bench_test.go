@@ -494,75 +494,6 @@ func hline(x0, x1, y int) grid.Path {
 	return p
 }
 
-// --- Deterministic parallel routing ---------------------------------------
-
-// negotiateScenario builds a wide many-edge negotiation workload: nEdges
-// horizontal nets crossing a scattered obstacle field, targets shifted so
-// neighboring nets contend for rows. Wide enough that the scheduler finds
-// disjoint search windows to overlap.
-func negotiateScenario(nEdges int) (*grid.ObsMap, []route.Edge) {
-	h := 4*nEdges + 4
-	g := grid.New(96, h)
-	obs := grid.NewObsMap(g)
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < g.Cells()/40; i++ {
-		obs.Set(geom.Pt{X: 3 + rng.Intn(90), Y: rng.Intn(h)}, true)
-	}
-	edges := make([]route.Edge, nEdges)
-	for i := range edges {
-		y := 4*i + 2
-		src := geom.Pt{X: 1, Y: y}
-		dst := geom.Pt{X: 94, Y: (y + 6) % h}
-		obs.Set(src, false)
-		obs.Set(dst, false)
-		edges[i] = route.Edge{ID: i, Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}}
-	}
-	return obs, edges
-}
-
-// BenchmarkNegotiateParallel measures the negotiation router at several
-// worker counts on the same workload. The output is byte-identical across
-// counts (route.RunScheduled validates every speculative search against the
-// sequential obstacle state), so the only thing the worker count may change
-// is wall time. With GOMAXPROCS=1 the j>1 variants measure pure scheduler
-// overhead; the recorded per-benchmark gomaxprocs in BENCH_PR3.json keeps
-// the numbers honest.
-func BenchmarkNegotiateParallel(b *testing.B) {
-	obs, edges := negotiateScenario(24)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("j=%d", workers), func(b *testing.B) {
-			params := route.DefaultNegotiateParams()
-			params.Workers = workers
-			for i := 0; i < b.N; i++ {
-				if _, ok := route.Negotiate(obs, edges, params); !ok {
-					b.Fatal("negotiation failed")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFlowS5Parallel runs the full flow on the largest paper benchmark
-// at several worker counts (negotiation rounds, ordinary-cluster batches,
-// and escape rerouting all draw from the same pool).
-func BenchmarkFlowS5Parallel(b *testing.B) {
-	d, err := bench.Generate("S5")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("j=%d", workers), func(b *testing.B) {
-			params := pacor.DefaultParams()
-			params.Workers = workers
-			for i := 0; i < b.N; i++ {
-				if _, err := pacor.Route(d, params); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFlowEditLoop models an interactive editing session on the largest
 // paper benchmark: a designer routes S5, then repeatedly moves one valve and
 // re-routes. Cold is the per-step cost without the cross-run cache; ExactHit

@@ -4,9 +4,8 @@
 //
 // The measured set mirrors the hot paths this trajectory tracks: steady-state
 // A* on a reusable workspace vs a fresh workspace per search, the full PACOR
-// flow per design (sequentially and per worker count of the deterministic
-// parallel scheduler), the ChipXL million-cell family, and the sequential vs
-// parallel Table 2 sweep. Every row carries the grid family and routing stage
+// flow per design, the ChipXL million-cell family, and the sequential vs
+// parallel (one design per worker) Table 2 sweep. Every row carries the grid family and routing stage
 // it ran under so cross-snapshot diffs compare like with like.
 //
 // Every measurement records the GOMAXPROCS it actually ran under (plus the
@@ -186,38 +185,6 @@ func main() {
 			}
 		}), "full PACOR flow, default params")
 		tag("Flow"+name, "S", "flat")
-	}
-
-	// The deterministic in-flow parallelism: the full S5 flow per worker
-	// count of route.RunScheduled. Output is byte-identical across counts,
-	// so these isolate the scheduler's cost/benefit.
-	if d5, err := bench.Generate("S5"); err == nil {
-		var j1 int64
-		for _, workers := range []int{1, 2, 4, 8} {
-			params := pacor.DefaultParams()
-			params.Workers = workers
-			r := bestOf(3, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := pacor.Route(d5, params); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			name := fmt.Sprintf("FlowS5Workers%d", workers)
-			record(name, r, fmt.Sprintf("full S5 flow, scheduler workers=%d (byte-identical output)", workers))
-			tag(name, "S", "flat")
-			if workers == 1 {
-				j1 = r.NsPerOp()
-			} else {
-				m := snap.Benchmarks[name]
-				m.SpeedupVs = "FlowS5Workers1"
-				m.Speedup = float64(j1) / float64(r.NsPerOp())
-				snap.Benchmarks[name] = m
-			}
-		}
-	} else {
-		fatal(err)
 	}
 
 	// The cross-run design cache on the interactive edit loop (route S5, move
@@ -414,8 +381,8 @@ func main() {
 
 	var notes []string
 	if runtime.NumCPU() == 1 {
-		notes = append(notes, "single-CPU host: parallel worker counts cannot exceed 1x wall-clock; "+
-			"the j>1 rows measure scheduler overhead, not attainable speedup")
+		notes = append(notes, "single-CPU host: the parallel Table 2 sweep cannot exceed 1x wall-clock; "+
+			"Table2SweepParallel measures pool overhead, not attainable speedup")
 	}
 	notes = append(notes, "ChipXL flow rows with stage=detailed route the escape stage through the "+
 		"two-stage hierarchy (HierAuto engages above 80000 cells); their output is approximate — "+

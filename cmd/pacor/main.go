@@ -3,13 +3,10 @@
 //
 // Usage:
 //
-//	pacor [-mode pacor|wosel|detourfirst] [-j N] [-hier auto|on|off] [-stats] [-render] [-clusters] design.json
+//	pacor [-mode pacor|wosel|detourfirst] [-hier auto|on|off] [-stats] [-render] [-clusters] design.json
 //	pacor -bench S3 [-mode ...] [-render] [-svg out.svg] [-skew] [-json out.json]
 //	pacor -bench S5 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	pacor -bench S3 -cachedir .pacor-cache [-cache-entries N] [-cache-bytes B] [-stable] [-stats]
-//
-// -j sizes the worker pool of the parallel routing stages; every worker
-// count produces byte-identical routing (see route.RunScheduled).
 //
 // -cachedir enables the cross-run design cache (internal/designcache): a
 // repeated design replays its stored result, a similar design warm-seeds
@@ -58,7 +55,6 @@ func run(args []string, stdout io.Writer) error {
 	svgFlag := fs.String("svg", "", "write an SVG rendering to this file")
 	jsonFlag := fs.String("json", "", "write the routing result as JSON to this file")
 	skewFlag := fs.Bool("skew", false, "simulate pressure propagation and report per-cluster actuation skew")
-	jFlag := fs.Int("j", 1, "worker pool for the parallel routing stages (any value routes identically)")
 	statsFlag := fs.Bool("stats", false, "print negotiation work and cross-run reuse counters")
 	hierFlag := fs.String("hier", "auto", "hierarchical two-stage routing: auto (on above the Table 1 scale), on, off")
 	cacheDir := fs.String("cachedir", "", "cross-run design cache directory: exact hits replay the stored result, near hits warm-seed negotiation (routes identically)")
@@ -125,7 +121,6 @@ func run(args []string, stdout io.Writer) error {
 
 	params := pacor.DefaultParams()
 	params.Mode = mode
-	params.Workers = *jFlag
 	hier, err := route.ParseHierMode(*hierFlag)
 	if err != nil {
 		return err

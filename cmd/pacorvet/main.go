@@ -2,9 +2,10 @@
 // runs the internal/lint analyzer suite — determinism (maporder,
 // nondeterm), allocation discipline (hotalloc), numeric tolerance
 // (floateq), error hygiene (liberrs), stdout hygiene (nostdout), pooled
-// workspace ownership (wsaliasing), the speculative-read stamping
-// protocol (snapshotread), and the concurrency layer (sharedcapture,
-// commitorder, conchygiene, mcfpair) — over the packages matched by its
+// workspace ownership (wsaliasing), the capture-cone stamping protocol
+// (snapshotread), obstacle-journal pairing (journalpair), and the
+// concurrency layer (sharedcapture, conchygiene, mcfpair) — over the
+// packages matched by its
 // arguments and exits nonzero on any finding.
 //
 // Usage:

@@ -168,8 +168,8 @@ func TestExactHit(t *testing.T) {
 }
 
 // TestNearHitByteIdentity: a nudged design routed through the cache is
-// byte-identical to its cold route for every worker count, with the
-// negotiation counters proving searches were actually skipped.
+// byte-identical to its cold route, with the negotiation counters proving
+// searches were actually skipped.
 func TestNearHitByteIdentity(t *testing.T) {
 	d := testDesign(t, "S1")
 	nudged, err := bench.NudgeAny(d)
@@ -177,39 +177,34 @@ func TestNearHitByteIdentity(t *testing.T) {
 		t.Fatalf("nudge: %v", err)
 	}
 
-	for _, workers := range []int{0, 1, 2, 4} {
-		params := pacor.DefaultParams()
-		params.Workers = workers
+	params := pacor.DefaultParams()
+	r := New(Options{})
+	if _, err := r.Route(d, params); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := r.Route(nudged, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := pacor.Route(nudged, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRouted(t, "near hit", warm, cold)
 
-		r := New(Options{})
-		if _, err := r.Route(d, params); err != nil {
-			t.Fatal(err)
-		}
-		warm, err := r.Route(nudged, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := pacor.Route(nudged, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRouted(t, "near hit", warm, cold)
-
-		s := r.Snapshot()
-		if s.NearHits != 1 {
-			t.Fatalf("workers=%d: nudge was not a near hit: %+v", workers, s)
-		}
-		if s.SeededEdges == 0 || s.SeededHits == 0 {
-			t.Fatalf("workers=%d: seeding skipped no searches: %+v", workers, s)
-		}
-		if warm.Negotiate.Searches+warm.Negotiate.SeededHits != cold.Negotiate.Searches {
-			t.Fatalf("workers=%d: counters invariant broken: warm %+v cold %+v",
-				workers, warm.Negotiate, cold.Negotiate)
-		}
-		if warm.Negotiate.Searches >= cold.Negotiate.Searches {
-			t.Fatalf("workers=%d: seeding saved nothing: warm %d >= cold %d searches",
-				workers, warm.Negotiate.Searches, cold.Negotiate.Searches)
-		}
+	s := r.Snapshot()
+	if s.NearHits != 1 {
+		t.Fatalf("nudge was not a near hit: %+v", s)
+	}
+	if s.SeededEdges == 0 || s.SeededHits == 0 {
+		t.Fatalf("seeding skipped no searches: %+v", s)
+	}
+	if warm.Negotiate.Searches+warm.Negotiate.SeededHits != cold.Negotiate.Searches {
+		t.Fatalf("counters invariant broken: warm %+v cold %+v", warm.Negotiate, cold.Negotiate)
+	}
+	if warm.Negotiate.Searches >= cold.Negotiate.Searches {
+		t.Fatalf("seeding saved nothing: warm %d >= cold %d searches",
+			warm.Negotiate.Searches, cold.Negotiate.Searches)
 	}
 }
 

@@ -106,8 +106,8 @@ func match(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int, bestEffor
 	// The all-or-nothing restore (Algorithm 2 steps 22-24) rewinds a change
 	// journal on obs instead of keeping an O(cells) clone: detours touch a
 	// handful of cells per round, so undoing them is proportional to the work
-	// actually done. A caller may already be journaling obs (e.g. a scheduler
-	// scratch map); nested scopes share that journal via a mark.
+	// actually done. A caller may already be journaling obs; nested scopes
+	// share that journal via a mark.
 	owned := !obs.Journaling()
 	if owned {
 		obs.StartJournal(nil)

@@ -23,9 +23,8 @@ import (
 //     cluster a tile corridor and budgets each tile's candidate pins.
 //  2. Detailed: each cluster's escape channel is an A* from its take-off set
 //     to its destination tile's candidate pins, masked to its corridor
-//     (widened one rung on failure), run through the deterministic
-//     speculative scheduler so disjoint corridors route concurrently while
-//     results commit in cluster order.
+//     (widened one rung on failure), routed in cluster order with every
+//     found path committed before the next search.
 //
 // The global stage deliberately assigns tiles, not pins: committed escape
 // channels partition the free space (every channel is a wall from the
@@ -58,9 +57,8 @@ import (
 //
 // Determinism: the tile network is built in deterministic order, unit-path
 // decomposition follows deterministic residual walks, candidate pins keep
-// input order, repair rounds run sequentially in terminal order, and the
-// scheduler commits in task order — so the result is byte-identical for
-// every worker count.
+// input order, and the detailed searches, repair rounds and refinement all
+// run in one fixed order.
 
 // hierRepairRounds bounds the detailed stage's repair loop: a cluster that
 // fails inside its corridor is usually walled in by paths committed before
@@ -99,7 +97,7 @@ const (
 // member), steering corridors toward cheap take-off regions, but the
 // detailed search then lands on whichever take-off cell it reaches first —
 // the flat network's exact penalty-vs-length trade-off is not replayed.
-func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.HierParams, workers int) (*Result, route.HierStats) {
+func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.HierParams) (*Result, route.HierStats) {
 	var st route.HierStats
 	g := obs.Grid()
 
@@ -349,79 +347,79 @@ func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.Hier
 		}
 	}
 
-	// Per-unit request state for the scheduled pass.
+	// Per-unit sources and corridor masks, kept for the refinement pass.
 	type unitPrep struct {
 		srcs       []geom.Pt
 		mask, wide *route.TileMask
-		win        geom.Rect
 	}
 	prep := make([]unitPrep, len(units))
 	for i := range units {
 		u := units[i]
-		srcs := inSrcs(u.k)
 		prep[i] = unitPrep{
-			srcs: srcs,
+			srcs: inSrcs(u.k),
 			mask: t.BuildMask(u.corridor, 1),
 			wide: t.BuildMask(u.corridor, 3),
-			win: t.CorridorRect(u.corridor, 3).
-				Union(route.SearchWindow(g, srcs, u.tgts)),
 		}
 	}
 
-	// Scheduled pass: one task per unit, committed in cluster order. The
-	// in-task ladder is corridor → widened only; units that fail both go to
-	// the repair loop below instead of searching the whole grid.
+	// One workspace serves every detailed search below.
+	ws := route.AcquireWorkspace(g)
+	defer route.ReleaseWorkspace(ws)
 	res := &Result{
 		Paths: make(map[int]grid.Path),
 		Pins:  make(map[int]geom.Pt),
 	}
 	usedPin := make(map[geom.Pt]bool, len(units))
 	att := work.Clone()
-	var failedK []int // terminal indices, in commit order
-	tasks := make([]route.ScheduledTask, len(units))
-	for i := range units {
-		u := units[i]
-		pr := &prep[i]
-		st.WindowCells += int64(pr.win.Area())
-		req := route.Request{
-			Sources: pr.srcs, Targets: u.tgts,
+
+	// ladder searches req (sources, targets, seal penalties) on att inside
+	// the corridor mask, then inside the widened mask on a miss, counting
+	// which rung answered.
+	ladder := func(req route.Request, mask, wide *route.TileMask) (grid.Path, bool) {
+		req.Obs = att
+		req.Mask = mask
+		if p, ok := ws.AStar(g, req); ok {
+			st.CorridorHits++
+			return p, true
+		}
+		req.Mask = wide
+		st.Widened++
+		return ws.AStar(g, req)
+	}
+	penalized := func(srcs, tgts []geom.Pt) route.Request {
+		return route.Request{
+			Sources: srcs, Targets: tgts,
 			Hist: ring, HistScale: 1, HistMax: 1 + int64(maxHist),
 		}
-		mask, wide := pr.mask, pr.wide
-		tasks[i] = route.ScheduledTask{
-			Window: pr.win,
-			Run: func(ws *route.Workspace, sobs *grid.ObsMap) route.TaskOutcome {
-				return detailLadder(ws, sobs, g, req, mask, wide)
-			},
-		}
 	}
-	route.RunScheduled(att, tasks, workers, func(i int, out route.TaskOutcome) {
-		u := units[i]
-		if lvl, _ := out.Payload.(int); lvl == 0 && out.OK {
-			st.CorridorHits++
-		} else {
-			st.Widened++
-		}
-		if !out.OK {
+
+	// Detail pass, in cluster order: each unit climbs the corridor →
+	// widened ladder and its path joins att before the next unit searches.
+	// Units that fail both rungs go to the repair loop below instead of
+	// searching the whole grid.
+	var failedK []int // terminal indices, in routing order
+	for i, u := range units {
+		pr := &prep[i]
+		p, ok := ladder(penalized(pr.srcs, u.tgts), pr.mask, pr.wide)
+		if !ok {
 			failedK = append(failedK, u.k)
-			return
+			continue
 		}
-		p := out.Paths[0]
+		att.SetPath(p, true)
 		pin := p[len(p)-1]
 		if usedPin[pin] {
 			// Defensive: a taken pin's access cell is occupied by its
-			// taker's path, so a committed (i.e. validated-against-att)
-			// search cannot end on it; kept as a cheap guard against a
-			// future multi-access-pin geometry.
+			// taker's path, so a search on att cannot end on it; kept as a
+			// cheap guard against a future multi-access-pin geometry.
 			failedK = append(failedK, u.k)
-			return
+			continue
 		}
 		id := terms[u.k].ClusterID
 		res.Paths[id] = p
 		res.Pins[id] = pin
 		res.TotalLen += p.Len()
 		usedPin[pin] = true
-	})
+	}
 
 	// Repair loop: re-run the global stage on the committed state for the
 	// failures (including the clusters the first solve left corridor-less —
@@ -437,29 +435,15 @@ func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.Hier
 		}
 		st.Repaired++
 		placed := make(map[int]bool, len(runits))
-		rws := route.AcquireWorkspace(g)
 		for _, u := range runits {
-			mask := rt.BuildMask(u.corridor, 1)
-			wide := rt.BuildMask(u.corridor, 3)
-			st.WindowCells += int64(rt.CorridorRect(u.corridor, 3).Area())
-			req := route.Request{
-				Sources: inSrcs(u.k), Targets: u.tgts, Obs: att, Mask: mask,
-				Hist: ring, HistScale: 1, HistMax: 1 + int64(maxHist),
-			}
-			p, ok := rws.AStar(g, req)
-			if ok {
-				st.CorridorHits++
-			} else {
-				req.Mask = wide
-				p, ok = rws.AStar(g, req)
-				st.Widened++
-			}
+			p, ok := ladder(penalized(inSrcs(u.k), u.tgts),
+				rt.BuildMask(u.corridor, 1), rt.BuildMask(u.corridor, 3))
 			if !ok {
 				continue
 			}
 			pin := p[len(p)-1]
 			if usedPin[pin] {
-				continue // defensive, as in the scheduled commit
+				continue // defensive, as in the detail pass
 			}
 			id := terms[u.k].ClusterID
 			res.Paths[id] = p
@@ -469,7 +453,6 @@ func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.Hier
 			att.SetPath(p, true)
 			placed[u.k] = true
 		}
-		route.ReleaseWorkspace(rws)
 		if len(placed) == 0 {
 			break
 		}
@@ -487,31 +470,27 @@ func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.Hier
 	// blocked take-off pins — the zero-length escapes the global capacity
 	// model excluded). Sequential by construction: each routed path
 	// immediately blocks its cells for the next.
-	if len(failedK) > 0 {
-		ws := route.AcquireWorkspace(g)
-		for _, k := range failedK {
-			var tgts []geom.Pt
-			for _, p := range pins {
-				if g.In(p) && !usedPin[p] && (!obs.Blocked(p) || takeoff[p]) {
-					tgts = append(tgts, p)
-				}
+	for _, k := range failedK {
+		var tgts []geom.Pt
+		for _, p := range pins {
+			if g.In(p) && !usedPin[p] && (!obs.Blocked(p) || takeoff[p]) {
+				tgts = append(tgts, p)
 			}
-			st.FlatFallbacks++
-			p, ok := ws.AStar(g, route.Request{
-				Sources: inSrcs(k), Targets: tgts, Obs: att,
-			})
-			if !ok {
-				continue
-			}
-			id := terms[k].ClusterID
-			pin := p[len(p)-1]
-			res.Paths[id] = p
-			res.Pins[id] = pin
-			res.TotalLen += p.Len()
-			usedPin[pin] = true
-			att.SetPath(p, true)
 		}
-		route.ReleaseWorkspace(ws)
+		st.FlatFallbacks++
+		p, ok := ws.AStar(g, route.Request{
+			Sources: inSrcs(k), Targets: tgts, Obs: att,
+		})
+		if !ok {
+			continue
+		}
+		id := terms[k].ClusterID
+		pin := p[len(p)-1]
+		res.Paths[id] = p
+		res.Pins[id] = pin
+		res.TotalLen += p.Len()
+		usedPin[pin] = true
+		att.SetPath(p, true)
 	}
 
 	// Refinement: the seal penalties buy routability during the greedy commit
@@ -524,7 +503,6 @@ func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.Hier
 	// is untouched; clusters routed by a repair round or the flat pass refine
 	// too (within their original corridor's widened mask, then unmasked),
 	// their old path guaranteeing the re-search can only improve.
-	rws := route.AcquireWorkspace(g)
 	for i := range units {
 		u := units[i]
 		id := terms[u.k].ClusterID
@@ -544,10 +522,10 @@ func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.Hier
 			Sources: pr.srcs, Targets: []geom.Pt{pin}, Obs: att,
 			Mask: pr.wide,
 		}
-		p, ok := rws.AStar(g, req)
+		p, ok := ws.AStar(g, req)
 		if !ok {
 			req.Mask = nil
-			p, ok = rws.AStar(g, req)
+			p, ok = ws.AStar(g, req)
 		}
 		if ok && p.Len() < old.Len() {
 			st.Refined++
@@ -558,7 +536,6 @@ func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.Hier
 			att.SetPath(old, true)
 		}
 	}
-	route.ReleaseWorkspace(rws)
 
 	for _, tm := range terms {
 		if _, ok := res.Paths[tm.ClusterID]; !ok {
@@ -567,28 +544,4 @@ func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.Hier
 	}
 	sort.Ints(res.Unrouted)
 	return res, st
-}
-
-// detailLadder is the per-unit body of the scheduled detail pass: the
-// corridor mask first, the widened mask on a miss, Payload recording which
-// rung succeeded (0 corridor, 1 widened) so the commit callback can keep
-// the hit statistics.
-//
-//pacor:hot
-func detailLadder(ws *route.Workspace, sobs *grid.ObsMap, g grid.Grid, req route.Request, mask, wide *route.TileMask) route.TaskOutcome {
-	r := req
-	r.Obs = sobs
-	r.Mask = mask
-	lvl := 0
-	p, ok := ws.AStar(g, r)
-	if !ok {
-		r.Mask = wide
-		p, ok = ws.AStar(g, r)
-		lvl = 1
-	}
-	if !ok {
-		return route.TaskOutcome{Payload: lvl}
-	}
-	//pacor:allow hotalloc one-element path slice per completed unit, on the commit path rather than the search loop
-	return route.TaskOutcome{OK: true, Paths: []grid.Path{p}, Payload: lvl}
 }

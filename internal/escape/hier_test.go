@@ -2,6 +2,7 @@ package escape
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -98,16 +99,14 @@ func TestRouteHierValidity(t *testing.T) {
 		for x := 1; x < w-1; x += 3 {
 			pins = append(pins, geom.Pt{X: x, Y: 0})
 		}
-		for _, workers := range []int{0, 4} {
-			res, st := RouteHier(obs, terms, pins, hp, workers)
-			hierCheckValid(t, trial, g, obs, res, nTerms, pins)
-			if st.FlatFallbacks > 0 || st.NoCorridor > 0 {
-				sawFallback = true
-			}
-			flat := Route(obs, terms, pins)
-			hierRouted += len(res.Paths)
-			flatRouted += len(flat.Paths)
+		res, st := RouteHier(obs, terms, pins, hp)
+		hierCheckValid(t, trial, g, obs, res, nTerms, pins)
+		if st.FlatFallbacks > 0 || st.NoCorridor > 0 {
+			sawFallback = true
 		}
+		flat := Route(obs, terms, pins)
+		hierRouted += len(res.Paths)
+		flatRouted += len(flat.Paths)
 	}
 	if !sawFallback {
 		t.Error("no trial exercised a fallback; the sweep proves nothing about the ladder")
@@ -118,7 +117,8 @@ func TestRouteHierValidity(t *testing.T) {
 }
 
 // TestRouteHierDeterministicAcrossWorkers pins byte-identical hierarchical
-// output for every worker count (the scheduler's commit-order contract).
+// output across consecutive runs: the second run draws the workspace the
+// first one returned to the pool, so no search state may leak between runs.
 func TestRouteHierDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	hp := route.HierParams{Mode: route.HierOn, TileSize: 8}
@@ -139,26 +139,13 @@ func TestRouteHierDeterministicAcrossWorkers(t *testing.T) {
 		for x := 1; x < w-1; x += 2 {
 			pins = append(pins, geom.Pt{X: x, Y: 0})
 		}
-		base, baseStats := RouteHier(obs, terms, pins, hp, 0)
-		for _, workers := range []int{1, 2, 8} {
-			res, st := RouteHier(obs, terms, pins, hp, workers)
-			if len(res.Paths) != len(base.Paths) || res.TotalLen != base.TotalLen {
-				t.Fatalf("trial %d workers=%d: result shape differs from sequential", trial, workers)
-			}
-			for id, p := range base.Paths {
-				q := res.Paths[id]
-				if len(p) != len(q) {
-					t.Fatalf("trial %d workers=%d cluster %d: path lengths differ", trial, workers, id)
-				}
-				for i := range p {
-					if p[i] != q[i] {
-						t.Fatalf("trial %d workers=%d cluster %d: paths differ at %d", trial, workers, id, i)
-					}
-				}
-			}
-			if st != baseStats {
-				t.Fatalf("trial %d workers=%d: stats %+v differ from sequential %+v", trial, workers, st, baseStats)
-			}
+		base, baseStats := RouteHier(obs, terms, pins, hp)
+		res, st := RouteHier(obs, terms, pins, hp)
+		if !reflect.DeepEqual(res, base) {
+			t.Fatalf("trial %d: second run's result differs from the first", trial)
+		}
+		if st != baseStats {
+			t.Fatalf("trial %d: second run's stats %+v differ from the first's %+v", trial, st, baseStats)
 		}
 	}
 }

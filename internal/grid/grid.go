@@ -83,8 +83,9 @@ type ObsMap struct {
 	// actually changed (index plus the overwritten value), so callers can
 	// rewind the map to an earlier state in O(changes) instead of re-copying
 	// all O(W·H) cells. The negotiation router uses this to
-	// rebuild its per-round scratch map, and the sequential scheduler to
-	// discard task mutations between snapshot-equivalent runs.
+	// rebuild its per-round scratch map, the flow's MST stage to undo a
+	// failed cluster's partial paths, and the detour stage to restore a
+	// failed matching attempt.
 	journal    []int32
 	journaling bool
 }

@@ -5,9 +5,9 @@ package lint
 // dataflow-aware concurrency/determinism checks built on internal/lint/cfg
 // (journalpair and the rewired wsaliasing/snapshotread additionally
 // consume the interprocedural summaries from internal/lint/summaries.go).
-// The final four form the concurrency layer: spawn-graph race checks
-// (sharedcapture, commitorder), WaitGroup/channel hygiene (conchygiene),
-// and the mcf arena pairing contract (mcfpair).
+// The final three are the spawn-graph race check (sharedcapture),
+// WaitGroup/channel hygiene (conchygiene), and the mcf arena pairing
+// contract (mcfpair).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerMapOrder,
@@ -20,7 +20,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerJournalPair,
 		AnalyzerNonDeterm,
 		AnalyzerSharedCapture,
-		AnalyzerCommitOrder,
 		AnalyzerConcHygiene,
 		AnalyzerMcfPair,
 	}

@@ -33,11 +33,6 @@ const (
 // Spawned reports whether the role includes any asynchronous context.
 func (r Role) Spawned() bool { return r&(RoleWorker|RoleFanout) != 0 }
 
-// SpawnOnly reports whether the function runs exclusively on spawned
-// goroutines — the precondition for worker-role-only contracts like the
-// scheduler's commit discipline.
-func (r Role) SpawnOnly() bool { return r.Spawned() && r&RoleMain == 0 }
-
 // String renders the role bits for diagnostics.
 func (r Role) String() string {
 	if r == 0 {

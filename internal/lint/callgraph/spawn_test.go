@@ -37,8 +37,8 @@ func (s *sched) helperFromWorker() {}
 			t.Errorf("role[%s] = %v, want %v", key, got, want)
 		}
 	}
-	if !roles["example.com/p.(sched).worker"].SpawnOnly() {
-		t.Error("worker should be spawn-only")
+	if r := roles["example.com/p.(sched).worker"]; !r.Spawned() || r&RoleMain != 0 {
+		t.Error("worker should run only on spawned goroutines")
 	}
 	if roles["example.com/p.(sched).advance"].Spawned() != true {
 		t.Error("advance should inherit the worker role through the call edge")
@@ -90,9 +90,6 @@ func both() {}
 	got := roles["example.com/p.both"]
 	if got&RoleWorker == 0 || got&RoleMain == 0 {
 		t.Errorf("both should be worker|main, got %v", got)
-	}
-	if got.SpawnOnly() {
-		t.Error("a function also reachable synchronously is not spawn-only")
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // This file holds the shared machinery of the concurrency analyzers
-// (sharedcapture, commitorder, conchygiene): the summary-side computation
+// (sharedcapture, conchygiene): the summary-side computation
 // of concurrency effect bits, and a must-lockset dataflow over function
 // bodies. Mutex and WaitGroup types are matched by name (Mutex, RWMutex,
 // WaitGroup) so fixtures can declare stand-ins, exactly like the

@@ -24,17 +24,10 @@ import (
 //	//pacor:pkgpath <import/path>
 //	    Fixture-only: overrides the package path seen by analyzers when a
 //	    directory of loose files is linted (testdata has no go.mod entry).
-//
-//	//pacor:locked
-//	    In a function's doc comment or trailing the func line: asserts that
-//	    every caller holds the scheduler lock, so the commitorder analyzer
-//	    accepts the function's own shared-state writes and instead requires
-//	    a must-held lock at each call site.
 const (
 	allowPrefix   = "//pacor:allow"
 	hotPrefix     = "//pacor:hot"
 	pkgpathPrefix = "//pacor:pkgpath"
-	lockedPrefix  = "//pacor:locked"
 )
 
 // allowDirective is one parsed //pacor:allow comment (kept only for
@@ -172,12 +165,6 @@ func parseDirectives(fset *token.FileSet, file *ast.File) fileDirectives {
 // either in the doc comment or as a trailing comment on the func line.
 func hotFuncs(fset *token.FileSet, file *ast.File) map[*ast.FuncDecl]bool {
 	return markedFuncs(fset, file, hotPrefix)
-}
-
-// lockedFuncs returns the function declarations in file marked
-// //pacor:locked (callers hold the scheduler lock).
-func lockedFuncs(fset *token.FileSet, file *ast.File) map[*ast.FuncDecl]bool {
-	return markedFuncs(fset, file, lockedPrefix)
 }
 
 // markedFuncs returns the function declarations carrying the given bare

@@ -153,7 +153,6 @@ func lintPackage(pkg *checkedPackage, analyzers []*Analyzer, store *cfg.Store) [
 	// Directive tables per file.
 	allow := map[string]fileDirectives{} // filename -> directives
 	hot := map[*ast.FuncDecl]bool{}
-	locked := map[*ast.FuncDecl]bool{}
 	var findings []Finding
 	for _, f := range pkg.files {
 		d := parseDirectives(pkg.fset, f)
@@ -169,9 +168,6 @@ func lintPackage(pkg *checkedPackage, analyzers []*Analyzer, store *cfg.Store) [
 		for fn := range hotFuncs(pkg.fset, f) {
 			hot[fn] = true
 		}
-		for fn := range lockedFuncs(pkg.fset, f) {
-			locked[fn] = true
-		}
 	}
 
 	for _, a := range analyzers {
@@ -184,7 +180,6 @@ func lintPackage(pkg *checkedPackage, analyzers []*Analyzer, store *cfg.Store) [
 			Pkg:      pkg.pkg,
 			Info:     pkg.info,
 			hot:      hot,
-			locked:   locked,
 			src:      pkg.src,
 			ip:       res,
 			report: func(f Finding) {

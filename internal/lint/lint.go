@@ -55,9 +55,6 @@ type Pass struct {
 	Info *types.Info
 	// Hot reports whether a function declaration was marked //pacor:hot.
 	hot map[*ast.FuncDecl]bool
-	// locked marks declarations carrying //pacor:locked ("callers hold the
-	// scheduler lock").
-	locked map[*ast.FuncDecl]bool
 	// src holds the raw bytes of each file, keyed by the filename recorded
 	// in Fset. Analyzers consult it to build byte-accurate text edits.
 	src map[string][]byte
@@ -189,9 +186,6 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 
 // HotFunc reports whether fn carries a //pacor:hot directive.
 func (p *Pass) HotFunc(fn *ast.FuncDecl) bool { return p.hot[fn] }
-
-// LockedFunc reports whether fn carries a //pacor:locked directive.
-func (p *Pass) LockedFunc(fn *ast.FuncDecl) bool { return p.locked[fn] }
 
 // A Finding is one rule violation.
 type Finding struct {

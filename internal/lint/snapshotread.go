@@ -6,20 +6,21 @@ import (
 	"repro/internal/lint/cfg"
 )
 
-// AnalyzerSnapshotRead guards the scheduler's validation protocol: the
-// speculative parallel router (route.RunScheduled) can only prove a run's
-// transcript identical to the sequential one if every obstacle-state read
-// is preceded by a visit stamp on the workspace — Workspace.touch /
-// touchBounded / visit / StartVisitTracking — so that a path committed
-// after the snapshot provably was or wasn't observed. An ObsMap.Blocked
-// read reachable before any stamp is invisible to validation and silently
-// breaks the byte-identical guarantee.
+// AnalyzerSnapshotRead guards the capture-cone protocol of cross-run
+// seeding (route/seed.go): a captured search cone is the workspace's visit
+// set, and a seeded run replays a recorded outcome only when no changed
+// cell lies in that cone. The replay is sound only if every obstacle-state
+// read is preceded by a visit stamp on the workspace — Workspace.touch /
+// touchBounded / visit / StartVisitTracking — so that the cone covers
+// every cell the search observed. An ObsMap.Blocked read reachable before
+// any stamp is missing from the cone and silently breaks the byte-identical
+// replay guarantee.
 //
 // Scope: functions in the hot routing packages (internal/route,
 // internal/grid) and //pacor:hot functions elsewhere, and only those with
 // a Workspace in scope (receiver, parameter, or acquired locally) —
-// helpers that legitimately read obstacle state outside the speculation
-// protocol are not the target. The check is a must-analysis over the
+// helpers that legitimately read obstacle state outside any search are
+// not the target. The check is a must-analysis over the
 // control-flow graph: the fact "some stamp has happened" must hold on
 // every path into a Blocked read.
 var AnalyzerSnapshotRead = &Analyzer{
@@ -131,7 +132,7 @@ func snapScanNode(p *Pass, n ast.Node, stamped *bool, decl *ast.FuncDecl) {
 				return true
 			}
 			if sel.Sel.Name == "Blocked" && recv == "ObsMap" && !*stamped && decl != nil {
-				p.Reportf(call.Pos(), "ObsMap.Blocked read is reachable before any workspace visit stamp; stamp the cell first (Workspace.touch/StartVisitTracking) or the scheduler cannot validate speculative runs")
+				p.Reportf(call.Pos(), "ObsMap.Blocked read is reachable before any workspace visit stamp; stamp the cell first (Workspace.touch/StartVisitTracking) or a captured search cone misses the read")
 				return true
 			}
 		}

@@ -220,39 +220,6 @@ type ipResolver struct {
 	// active guards capEffect against cycles through self-referential
 	// closure bindings.
 	active map[*ast.FuncLit]bool
-	// roles caches the spawn graph's role inference (computed on first
-	// use); declKey indexes the graph's declaration nodes by syntax.
-	roles   map[string]callgraph.Role
-	declKey map[*ast.FuncDecl]string
-}
-
-// initRoles computes the spawn-graph roles once per resolver.
-func (r *ipResolver) initRoles() {
-	if r == nil || r.graph == nil || r.roles != nil {
-		return
-	}
-	r.roles = r.graph.SpawnRoles()
-	r.declKey = map[*ast.FuncDecl]string{}
-	for _, n := range r.graph.Nodes {
-		if n.Decl != nil {
-			r.declKey[n.Decl] = n.Key
-		}
-	}
-}
-
-// funcRole returns fn's spawn-graph role (0 when unknown).
-func (r *ipResolver) funcRole(fn flowFunc) callgraph.Role {
-	if r == nil || r.graph == nil {
-		return 0
-	}
-	r.initRoles()
-	switch {
-	case fn.lit != nil:
-		return r.roles[r.graph.LitKey[fn.lit]]
-	case fn.decl != nil:
-		return r.roles[r.declKey[fn.decl]]
-	}
-	return 0
 }
 
 // calleeSummary returns the summary of call's resolved synchronous

@@ -42,8 +42,8 @@ func stampedRead(w *Workspace, g Grid, obs *ObsMap, p Pt) bool {
 	return obs.Blocked(p)
 }
 
-// unstampedRead reads obstacle state with no stamp anywhere: the
-// scheduler cannot validate a speculative run that did this.
+// unstampedRead reads obstacle state with no stamp anywhere: a captured
+// search cone would miss this read.
 func unstampedRead(w *Workspace, g Grid, obs *ObsMap, p Pt) bool {
 	w.track = g.Cells() > 0
 	return obs.Blocked(p) // want `ObsMap.Blocked read is reachable before any workspace visit stamp`
@@ -98,8 +98,8 @@ func visitRead(w *Workspace, g Grid, obs *ObsMap, p Pt) bool {
 	return obs.Blocked(p)
 }
 
-// noWorkspace has no workspace in scope: helpers outside the speculation
-// protocol read obstacle state freely.
+// noWorkspace has no workspace in scope: helpers outside any search read
+// obstacle state freely.
 func noWorkspace(obs *ObsMap, p Pt) bool {
 	return obs.Blocked(p)
 }

@@ -3,9 +3,7 @@ package pacor
 import (
 	"fmt"
 	"io"
-	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -20,28 +18,12 @@ import (
 	"repro/internal/valve"
 )
 
-// debugEscape routes escape-stage tracing to stderr when enabled via
-// SetDebugEscape (tests and debugging only); Params.Trace takes
-// precedence and needs no global state.
-var debugEscape = false
-
 // tracef writes escape-stage diagnostics to w; a nil writer silences it.
 func tracef(w io.Writer, format string, args ...any) {
 	if w == nil {
 		return
 	}
 	_, _ = fmt.Fprintf(w, format, args...) //pacor:allow liberrs trace output is best-effort diagnostics
-}
-
-// traceWriter resolves the effective trace destination for one flow run.
-func traceWriter(params Params) io.Writer {
-	if params.Trace != nil {
-		return params.Trace
-	}
-	if debugEscape {
-		return os.Stderr
-	}
-	return nil
 }
 
 // cluster kinds
@@ -98,14 +80,8 @@ func Route(d *valve.Design, params Params) (*Result, error) {
 	for _, v := range d.Valves {
 		obs.Set(v.Pos, true)
 	}
-	// The flow's sequential stages share one search workspace; the parallel
-	// stages (negotiation rounds, per-cluster batches) draw one workspace per
-	// worker from the grid-keyed pool inside route.RunScheduled. One
-	// workspace per goroutine is the rule.
+	// Every stage of the flow searches on this one workspace.
 	ws := route.NewWorkspace(g)
-	if params.Negotiate.Workers == 0 {
-		params.Negotiate.Workers = params.Workers
-	}
 	if params.Negotiate.Hier == (route.HierParams{}) {
 		params.Negotiate.Hier = params.Hier
 	}
@@ -161,7 +137,7 @@ func Route(d *valve.Design, params Params) (*Result, error) {
 
 	// Stage 3: MST routing for ordinary (and demoted) clusters.
 	t0 = time.Now()
-	fcs = routeOrdinary(d, obs, fcs, params.Workers)
+	fcs = routeOrdinary(ws, d, obs, fcs)
 	stage("mstrouting", t0)
 
 	// Stage 4: escape routing with de-clustering retries.
@@ -190,8 +166,7 @@ func Route(d *valve.Design, params Params) (*Result, error) {
 // edges cannot all be routed are demoted to ordinary MST routing.
 func routeLMClusters(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*flowCluster, params Params, negStats *route.NegotiateStats, lmStats *LMReuseStats) {
 	// Candidate construction per cluster is independent (read-only over the
-	// static obstacle map), so it fans out across goroutines; results are
-	// collected by index, keeping the flow deterministic.
+	// static obstacle map); results are collected by cluster index.
 	var pending []*flowCluster
 	for _, fc := range fcs {
 		if fc.kind == kindTree {
@@ -222,42 +197,30 @@ func routeLMClusters(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs
 	candsByIdx := make([][]*dme.Tree, len(pending))
 	hashes := make([]uint64, len(pending))
 	cones := make([][]int32, len(pending))
-	replayed := make([]bool, len(pending))
-	var wg sync.WaitGroup
 	for i, fc := range pending {
-		wg.Add(1)
-		go func(i int, fc *flowCluster) {
-			defer wg.Done()
-			sinks := fc.positions(d)
-			if seed != nil {
-				if ps := seed.lookup(sinks); ps != nil && coneClean(ps.Cone, diff) {
-					candsByIdx[i] = ps.Cands
-					hashes[i] = ps.Hash
-					cones[i] = ps.Cone
-					replayed[i] = true
-					return
-				}
+		sinks := fc.positions(d)
+		if seed != nil {
+			if ps := seed.lookup(sinks); ps != nil && coneClean(ps.Cone, diff) {
+				candsByIdx[i] = ps.Cands
+				hashes[i] = ps.Hash
+				cones[i] = ps.Cone
+				lmStats.CandReplayed++
+				continue
 			}
-			if seed == nil && capt == nil {
-				candsByIdx[i] = dme.Candidates(obs, sinks, params.MaxCandidates)
-				return
-			}
-			var probe func(geom.Pt)
-			if capt != nil {
-				g := obs.Grid()
-				probe = func(p geom.Pt) { cones[i] = append(cones[i], conePt(g, p)) }
-			}
-			candsByIdx[i] = dme.CandidatesTraced(obs, sinks, params.MaxCandidates, probe)
-			hashes[i] = dme.Fingerprint(candsByIdx[i])
-		}(i, fc)
-	}
-	wg.Wait()
-	lmStats.CandClusters = len(pending)
-	for _, r := range replayed {
-		if r {
-			lmStats.CandReplayed++
 		}
+		if seed == nil && capt == nil {
+			candsByIdx[i] = dme.Candidates(obs, sinks, params.MaxCandidates)
+			continue
+		}
+		var probe func(geom.Pt)
+		if capt != nil {
+			g := obs.Grid()
+			probe = func(p geom.Pt) { cones[i] = append(cones[i], conePt(g, p)) }
+		}
+		candsByIdx[i] = dme.CandidatesTraced(obs, sinks, params.MaxCandidates, probe)
+		hashes[i] = dme.Fingerprint(candsByIdx[i])
 	}
+	lmStats.CandClusters = len(pending)
 	if capt != nil {
 		capt.Clusters = make([]LMClusterSeed, len(pending))
 		for i, fc := range pending {
@@ -632,13 +595,10 @@ func matchAll(ws *route.Workspace, obs *grid.ObsMap, fcs []*flowCluster, delta i
 // on failure (Figure 2's "Declustering" box). It may append new clusters
 // (split halves) and returns the updated slice.
 //
-// Each pass over the queue runs as one batch through the spatial-dependency
-// scheduler: clusters whose windows are disjoint route concurrently, results
-// commit onto obs in queue order, so the routed paths — and the split/retry
-// cascade they trigger — are byte-identical to the sequential FIFO loop for
-// every worker count. Split halves form the next batch, mirroring the
-// sequential queue where they are appended behind all current entries.
-func routeOrdinary(d *valve.Design, obs *grid.ObsMap, fcs []*flowCluster, workers int) []*flowCluster {
+// The clusters form a FIFO queue: a cluster that fails commits nothing
+// (routeMST) and its two split halves join the back of the queue, behind
+// every cluster still waiting.
+func routeOrdinary(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*flowCluster) []*flowCluster {
 	queue := make([]*flowCluster, 0, len(fcs))
 	for _, fc := range fcs {
 		if fc.kind == kindOrd {
@@ -655,39 +615,47 @@ func routeOrdinary(d *valve.Design, obs *grid.ObsMap, fcs []*flowCluster, worker
 			nextID = fc.id + 1
 		}
 	}
-	g := obs.Grid()
 	for len(queue) > 0 {
-		batch := queue[:0:0]
-		for _, fc := range queue {
-			if len(fc.valves) > 1 { // singletons have no internal channels
-				batch = append(batch, fc)
-			}
+		fc := queue[0]
+		queue = queue[1:]
+		if len(fc.valves) <= 1 { // singletons have no internal channels
+			continue
 		}
-		queue = nil
-		tasks := make([]route.ScheduledTask, len(batch))
-		for i := range batch {
-			tasks[i] = mstClusterTask(g, batch[i].positions(d))
+		if paths, ok := routeMST(ws, obs, fc.positions(d)); ok {
+			fc.paths = paths
+			continue
 		}
-		route.RunScheduled(obs, tasks, workers, func(i int, out route.TaskOutcome) {
-			fc := batch[i]
-			if out.OK {
-				fc.paths = out.Paths
-				return
-			}
-			// De-cluster: split spatially and retry the halves next batch.
-			halves := cluster.Split(d, cluster.Cluster{ID: fc.id, Valves: fc.valves})
-			if len(halves) < 2 {
-				return
-			}
-			fc.valves = halves[0].Valves
-			fc.demoted = true
-			other := &flowCluster{id: nextID, valves: halves[1].Valves, kind: kindOrd, demoted: true}
-			nextID++
-			fcs = append(fcs, other)
-			queue = append(queue, fc, other)
-		})
+		// De-cluster: split spatially and retry the halves later.
+		halves := cluster.Split(d, cluster.Cluster{ID: fc.id, Valves: fc.valves})
+		if len(halves) < 2 {
+			continue
+		}
+		fc.valves = halves[0].Valves
+		fc.demoted = true
+		other := &flowCluster{id: nextID, valves: halves[1].Valves, kind: kindOrd, demoted: true}
+		nextID++
+		fcs = append(fcs, other)
+		queue = append(queue, fc, other)
 	}
 	return fcs
+}
+
+// routeMST routes one cluster's MST channels (mstroute.RouteClusterWS)
+// directly on obs. On success obs carries exactly the returned paths. A
+// cluster that cannot attach every valve commits nothing: its partial paths
+// are rewound through obs's change journal, leaving obs as it was. obs must
+// not be journaling already.
+func routeMST(ws *route.Workspace, obs *grid.ObsMap, pos []geom.Pt) ([]grid.Path, bool) {
+	obs.StartJournal(nil)
+	res, ok := mstroute.RouteClusterWS(ws, obs, pos, nil)
+	if !ok {
+		obs.RewindJournal(0)
+	}
+	obs.StopJournal()
+	if !ok {
+		return nil, false
+	}
+	return res.Paths, true
 }
 
 // escapeRoute connects every cluster to a control pin via min-cost flow,
@@ -698,7 +666,7 @@ func routeOrdinary(d *valve.Design, obs *grid.ObsMap, fcs []*flowCluster, worker
 // clusters' channels: the trapped valve's escape is committed first and the
 // blockers' internal channels re-route around it.
 func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*flowCluster, params Params, escHier *route.HierStats) []*flowCluster {
-	trace := traceWriter(params)
+	trace := params.Trace
 	byID := func() map[int]*flowCluster {
 		m := make(map[int]*flowCluster, len(fcs))
 		for _, fc := range fcs {
@@ -722,7 +690,7 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 
 	var res *escape.Result
 	for round := 0; round < retries; round++ {
-		terms := buildTerminals(d, fcs, committed, params.Workers)
+		terms := buildTerminals(d, fcs, committed)
 		var pins []geom.Pt
 		for _, p := range d.Pins {
 			if !usedPins[p] {
@@ -731,7 +699,7 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 		}
 		if params.Hier.On(obs.Grid().Cells()) {
 			var hs route.HierStats
-			res, hs = escape.RouteHier(obs, terms, pins, params.Hier, params.Workers)
+			res, hs = escape.RouteHier(obs, terms, pins, params.Hier)
 			escHier.Add(hs)
 		} else {
 			res = escape.Route(obs, terms, pins)
@@ -782,7 +750,7 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 			}
 			trapped = append(trapped, fc)
 		}
-		if len(trapped) > 0 && ripAndCommit(ws, d, obs, &fcs, &nextID, trapped, usedPins, committed, trace, params.Workers) {
+		if len(trapped) > 0 && ripAndCommit(ws, d, obs, &fcs, &nextID, trapped, usedPins, committed, trace) {
 			progress = true
 		}
 		if !progress {
@@ -844,7 +812,7 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 // ripped before intact LM blockers (the paper's "higher rip-up cost" for
 // LM clusters). Returns true when at least one escape was committed.
 func ripAndCommit(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcsp *[]*flowCluster, nextID *int,
-	trapped []*flowCluster, usedPins map[geom.Pt]bool, committed map[int]grid.Path, trace io.Writer, workers int) bool {
+	trapped []*flowCluster, usedPins map[geom.Pt]bool, committed map[int]grid.Path, trace io.Writer) bool {
 	g := obs.Grid()
 	owner := map[geom.Pt]*flowCluster{}
 	for _, fc := range *fcsp {
@@ -930,55 +898,25 @@ func ripAndCommit(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcsp *
 		}
 	}
 	// Re-route every ripped cluster around the committed escapes.
-	rerouteRipped(d, obs, fcsp, nextID, ripped, workers)
+	rerouteRipped(ws, d, obs, fcsp, nextID, ripped)
 	return anyCommitted || len(ripped) > 0
 }
 
 // buildTerminals assembles the escape terminals for every not-yet-committed
-// cluster. The per-cluster take-off cost (a BFS over the net's channel tree
-// per valve, netCellSpread) reads no shared mutable state, so with workers
-// > 1 the per-cluster computations fan out over a fixed worker pool; the
-// indexed writes keep the output order identical to the sequential loop.
-func buildTerminals(d *valve.Design, fcs []*flowCluster, committed map[int]grid.Path, workers int) []escape.Terminal {
-	var pending []*flowCluster
+// cluster, in cluster order.
+func buildTerminals(d *valve.Design, fcs []*flowCluster, committed map[int]grid.Path) []escape.Terminal {
+	var terms []escape.Terminal
 	for _, fc := range fcs {
-		if _, done := committed[fc.id]; !done {
-			pending = append(pending, fc)
+		if _, done := committed[fc.id]; done {
+			continue
 		}
-	}
-	if len(pending) == 0 {
-		return nil
-	}
-	terms := make([]escape.Terminal, len(pending))
-	build := func(i int) {
-		fc := pending[i]
 		cells := fc.takeoffs(d)
-		terms[i] = escape.Terminal{
+		terms = append(terms, escape.Terminal{
 			ClusterID: fc.id,
 			Cells:     cells,
 			Costs:     fc.takeoffCosts(d, cells),
-		}
+		})
 	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers <= 1 {
-		for i := range pending {
-			build(i)
-		}
-		return terms
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(pending); i += workers {
-				build(i)
-			}
-		}(w)
-	}
-	wg.Wait()
 	return terms
 }
 
@@ -1031,51 +969,23 @@ func findBlockers(obs *grid.ObsMap, takeoffs []geom.Pt, owner map[geom.Pt]*flowC
 	return order
 }
 
-// mstClusterTask wraps one cluster's MST routing (mstroute.RouteClusterWS on
-// a scratch snapshot) as a scheduler task. RouteClusterWS reads obstacles
-// only through the workspace's searches, so the task qualifies for
-// speculative execution under route.RunScheduled.
-func mstClusterTask(g grid.Grid, pos []geom.Pt) route.ScheduledTask {
-	return route.ScheduledTask{
-		Window: route.SearchWindow(g, pos, nil),
-		Run: func(ws *route.Workspace, scratch *grid.ObsMap) route.TaskOutcome {
-			res, ok := mstroute.RouteClusterWS(ws, scratch, pos, nil)
-			if !ok {
-				return route.TaskOutcome{}
-			}
-			return route.TaskOutcome{OK: true, Paths: res.Paths}
-		},
-	}
-}
-
 // rerouteRipped re-routes the ripped clusters' internal channels with MST
-// (their LM structure, if any, is forfeited — the paper's rip-up cost). The
-// clusters route as one scheduler batch committing in rip order, so the
-// outcome is byte-identical to rerouting them one by one. When even MST
-// routing fails, a cluster splits into bare singletons so that every valve
-// can still escape on its own.
-func rerouteRipped(d *valve.Design, obs *grid.ObsMap, fcsp *[]*flowCluster, nextID *int, ripped []*flowCluster, workers int) {
-	var active []*flowCluster
+// (their LM structure, if any, is forfeited — the paper's rip-up cost), one
+// by one in rip order. When even MST routing fails, a cluster splits into
+// bare singletons so that every valve can still escape on its own.
+func rerouteRipped(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcsp *[]*flowCluster, nextID *int, ripped []*flowCluster) {
 	for _, fc := range ripped {
 		fc.net = nil
 		fc.tree = nil
 		fc.kind = kindOrd
 		fc.demoted = true
 		fc.paths = nil
-		if len(fc.valves) > 1 {
-			active = append(active, fc)
+		if len(fc.valves) <= 1 {
+			continue
 		}
-	}
-	g := obs.Grid()
-	tasks := make([]route.ScheduledTask, len(active))
-	for i := range active {
-		tasks[i] = mstClusterTask(g, active[i].positions(d))
-	}
-	route.RunScheduled(obs, tasks, workers, func(i int, out route.TaskOutcome) {
-		fc := active[i]
-		if out.OK {
-			fc.paths = out.Paths
-			return
+		if paths, ok := routeMST(ws, obs, fc.positions(d)); ok {
+			fc.paths = paths
+			continue
 		}
 		rest := fc.valves[1:]
 		fc.valves = fc.valves[:1]
@@ -1085,7 +995,7 @@ func rerouteRipped(d *valve.Design, obs *grid.ObsMap, fcsp *[]*flowCluster, next
 			})
 			*nextID++
 		}
-	})
+	}
 }
 
 // takeoffs returns the cluster's permitted escape take-off cells.
@@ -1277,6 +1187,3 @@ func Verify(d *valve.Design, r *Result) error {
 	}
 	return nil
 }
-
-// SetDebugEscape toggles escape-stage tracing (used by debugging tools).
-func SetDebugEscape(v bool) { debugEscape = v }

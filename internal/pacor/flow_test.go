@@ -1,9 +1,12 @@
 package pacor
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
+	"repro/internal/route"
 	"repro/internal/valve"
 )
 
@@ -187,5 +190,48 @@ func TestVerifyCatchesOverlap(t *testing.T) {
 	victim.Escape = donor.Escape.Clone()
 	if err := Verify(d, res); err == nil {
 		t.Error("Verify accepted overlapping channels")
+	}
+}
+
+// TestRouteMSTRollback: a cluster with a walled-off valve fails after
+// committing a partial path, and routeMST rewinds it so obs is left
+// byte-identical; a routable cluster leaves obs carrying exactly the paths
+// it returns. Either way the journal is closed again.
+func TestRouteMSTRollback(t *testing.T) {
+	g := grid.New(12, 12)
+	obs := grid.NewObsMap(g)
+	for _, c := range []geom.Pt{{X: 9, Y: 9}, {X: 10, Y: 9}, {X: 11, Y: 9}, {X: 9, Y: 10}, {X: 9, Y: 11}} {
+		obs.Set(c, true) // seals (10,10)..(11,11) into a pocket
+	}
+	valves := []geom.Pt{{X: 1, Y: 1}, {X: 5, Y: 1}, {X: 10, Y: 10}}
+	for _, v := range valves {
+		obs.Set(v, true)
+	}
+	ws := route.NewWorkspace(g)
+
+	before := obs.Bits(nil)
+	if paths, ok := routeMST(ws, obs, valves); ok || paths != nil {
+		t.Fatalf("walled-off cluster: ok=%v paths=%v, want a failure", ok, paths)
+	}
+	if !reflect.DeepEqual(obs.Bits(nil), before) {
+		t.Fatal("failed cluster left partial paths on obs")
+	}
+	if obs.Journaling() {
+		t.Fatal("routeMST left the journal open after a failure")
+	}
+
+	expect := obs.Clone()
+	paths, ok := routeMST(ws, obs, valves[:2])
+	if !ok || len(paths) != 1 {
+		t.Fatalf("routable cluster: ok=%v, %d paths", ok, len(paths))
+	}
+	for _, p := range paths {
+		expect.SetPath(p, true)
+	}
+	if !reflect.DeepEqual(obs.Bits(nil), expect.Bits(nil)) {
+		t.Fatal("routed cluster's obs differs from the start state plus its returned paths")
+	}
+	if obs.Journaling() {
+		t.Fatal("routeMST left the journal open after a success")
 	}
 }

@@ -99,8 +99,8 @@ type LMReuseStats struct {
 }
 
 // lmParamsSig captures every parameter the candidate/selection sub-stage
-// depends on. Workers/Hier and the negotiation knobs are excluded:
-// they do not reach this stage.
+// depends on. Hier and the negotiation knobs are excluded: they do not
+// reach this stage.
 func lmParamsSig(p Params) string {
 	return fmt.Sprintf("m=%d;mc=%d;l=%g;sv=%d;ec=%t", p.Mode, p.MaxCandidates, p.Lambda, p.Solver, p.ExactClustering)
 }

@@ -51,12 +51,6 @@ type Params struct {
 	Lambda float64
 	// Negotiate holds Algorithm 1's bg/alpha/gamma.
 	Negotiate route.NegotiateParams
-	// Workers sets the worker-pool size for the flow's parallel routing
-	// stages (negotiation rounds, ordinary-cluster MST routing, escape
-	// rip-up rerouting). 0 or 1 runs everything sequentially; every value
-	// produces byte-identical results (see route.RunScheduled). It also
-	// seeds Negotiate.Workers unless that is set explicitly.
-	Workers int
 	// Hier configures the hierarchical two-stage router (route.HierParams)
 	// for both the negotiation searches (exact — output unchanged) and the
 	// escape stage (approximate — pin assignment and total length may differ

@@ -2,6 +2,8 @@ package pacor
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -100,8 +102,6 @@ func TestResultHelpers(t *testing.T) {
 	if empty.CompletionRate() != 1 {
 		t.Error("zero-valve completion should be 1")
 	}
-	SetDebugEscape(true)
-	SetDebugEscape(false)
 }
 
 // TestTraceOption checks that escape-stage tracing goes to the injected
@@ -118,12 +118,29 @@ func TestTraceOption(t *testing.T) {
 		t.Errorf("trace writer got no escape-round lines; got %q", buf.String())
 	}
 
-	// Quiet by default: no trace writer, no output.
-	buf.Reset()
-	if _, err := Route(d, DefaultParams()); err != nil {
+	// Quiet by default: with no trace writer the flow writes nothing to
+	// the process's stdout or stderr.
+	r, w, err := os.Pipe()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != 0 {
-		t.Errorf("default params wrote %q to a stale buffer", buf.String())
+	drained := make(chan []byte)
+	go func() { // drain concurrently so a chatty flow cannot fill the pipe
+		b, _ := io.ReadAll(r)
+		drained <- b
+	}()
+	stdout, stderr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = w, w
+	_, routeErr := Route(d, DefaultParams())
+	os.Stdout, os.Stderr = stdout, stderr
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	leaked := <-drained
+	if routeErr != nil {
+		t.Fatal(routeErr)
+	}
+	if len(leaked) != 0 {
+		t.Errorf("default params wrote %q to stdout/stderr", leaked)
 	}
 }

@@ -69,9 +69,9 @@ type Result struct {
 	StageTimes map[string]time.Duration
 	// Negotiate aggregates Algorithm 1's work and cross-run seeding counters
 	// across every negotiation call of the run (LM routing, rescue, refine).
-	// The counters are deterministic for every worker count, and a seeded
-	// replay replaces exactly one search (a cold run's Searches equals a
-	// seeded run's Searches + SeededHits).
+	// The counters are deterministic, and a seeded replay replaces exactly
+	// one search (a cold run's Searches equals a seeded run's Searches +
+	// SeededHits).
 	Negotiate route.NegotiateStats
 	// LMReuse reports what the cross-run LM-stage seed replayed (zero when
 	// the run was not seeded; see Params.LMSeed).

@@ -147,9 +147,6 @@ type HierStats struct {
 	// Refined counts escape paths shortened by the penalty-free rip-up pass
 	// that follows the greedy commit (also escape-only).
 	Refined int
-	// WindowCells sums the corridor window areas the detailed stage searched
-	// in place of whole-grid disks.
-	WindowCells int64
 }
 
 // Add accumulates o into s.
@@ -162,7 +159,6 @@ func (s *HierStats) Add(o HierStats) {
 	s.FlatFallbacks += o.FlatFallbacks
 	s.Repaired += o.Repaired
 	s.Refined += o.Refined
-	s.WindowCells += o.WindowCells
 }
 
 // hierLevel identifies the ladder rung that produced a search result.
@@ -209,7 +205,6 @@ type hierState struct {
 	has   []bool
 	masks []TileMask
 	wide  []TileMask
-	win   []geom.Rect
 	bits  []uint64
 
 	pen      []float64 // per-tile history mass (scratch, round re-pricing)
@@ -231,7 +226,7 @@ type hierState struct {
 func (w *Workspace) hierPrepare(work *grid.ObsMap, nEdges int, hp HierParams, stats *NegotiateStats) {
 	h := &w.hier
 	h.run = true
-	h.tiling.Rebuild(work, hp.tileSize()) //pacor:allow snapshotread runs on the round-start work map before any speculative worker exists, never on a scheduler snapshot
+	h.tiling.Rebuild(work, hp.tileSize()) //pacor:allow snapshotread coarsens the round-start work map once per run, outside every search; corridors never change a search's result, so no capture cone depends on this read
 	nt := h.tiling.Tiles()
 	size := h.tiling.Size()
 	h.graph = mcf.NewGraph(nt)
@@ -256,12 +251,10 @@ func (w *Workspace) hierPrepare(work *grid.ObsMap, nEdges int, hp HierParams, st
 		h.has = make([]bool, nEdges)
 		h.masks = make([]TileMask, nEdges)
 		h.wide = make([]TileMask, nEdges)
-		h.win = make([]geom.Rect, nEdges)
 	}
 	h.has = h.has[:nEdges]
 	h.masks = h.masks[:nEdges]
 	h.wide = h.wide[:nEdges]
-	h.win = h.win[:nEdges]
 	if cap(h.pen) < nt {
 		h.pen = make([]float64, nt)
 	}
@@ -363,11 +356,9 @@ func (w *Workspace) hierAssign(edges []Edge, hist []float64, round int, stats *N
 		wb := h.bits[(2*ei+1)*words : (2*ei+2)*words]
 		t.fillMask(&h.masks[ei], mb, h.corridor, hierCorridorHalo)
 		t.fillMask(&h.wide[ei], wb, h.corridor, hierWideHalo)
-		h.win[ei] = t.CorridorRect(h.corridor, hierCorridorHalo)
 		h.has[ei] = true
 		if stats != nil {
 			stats.Hier.Corridors++
-			stats.Hier.WindowCells += int64(h.win[ei].Area())
 		}
 	}
 }
@@ -377,8 +368,8 @@ func (w *Workspace) hierAssign(edges []Edge, hist []float64, round int, stats *N
 // accepted only when the search never clipped (mask rejected nothing), which
 // makes its transcript — and result — identical to the flat search's; any
 // clipped rung escalates, successful or not, so the returned path ALWAYS
-// equals the flat router's. Safe on scheduler worker workspaces: the masks
-// are read-only and the ladder touches only the receiver's search state.
+// equals the flat router's. The masks are read-only; the ladder touches
+// only the receiver's search state.
 func (w *Workspace) hierSearch(g grid.Grid, req Request, mask, wide *TileMask) (grid.Path, bool, hierLevel) {
 	req.Mask = mask
 	p, ok := w.AStar(g, req)

@@ -21,18 +21,12 @@ type NegotiateParams struct {
 	BaseHist float64
 	Alpha    float64
 	Gamma    int
-	// Workers sets the pool size for routing each round's edges through the
-	// spatial-dependency scheduler (RunScheduled). 0 or 1 routes the round
-	// sequentially; any value produces byte-identical results — the scheduler
-	// validates every speculative search against the exact sequential
-	// obstacle state before committing it.
-	Workers int
 	// Hier configures the hierarchical two-stage router (hier.go): a tile-
 	// level min-cost-flow global stage assigns each edge a corridor, and the
 	// detailed searches run masked to it, escalating to the flat search
-	// whenever the mask clips. For negotiation the hierarchy is exact — like
-	// Workers, it never changes routed output, only wall-clock. The zero
-	// value is auto: on only above the cell threshold.
+	// whenever the mask clips. For negotiation the hierarchy is exact: it
+	// never changes routed output, only wall-clock. The zero value is auto:
+	// on only above the cell threshold.
 	Hier HierParams
 	// Seed, when non-nil, warm-starts the run from a previous run's captured
 	// transcript (cross-run incremental routing, seed.go): aligned edges
@@ -63,9 +57,8 @@ func DefaultNegotiateParams() NegotiateParams {
 type NegotiateStats struct {
 	// Rounds counts Algorithm 1 iterations executed.
 	Rounds int
-	// Searches counts A* runs in the sequential transcript (scheduler-internal
-	// speculative re-runs are not counted; they exist at any worker count's
-	// discretion and never change the output). Every (round, edge) pair is
+	// Searches counts the (round, edge) searches run; a hierarchical ladder
+	// counts once however many rungs it climbs. Every (round, edge) pair is
 	// either searched or replayed from a seed, so an unseeded run has
 	// Searches = Rounds × edges.
 	Searches int
@@ -82,8 +75,8 @@ type NegotiateStats struct {
 	// one is a search a cold run would have executed, so
 	// Searches_cold = Searches_seeded + SeededHits.
 	SeededHits int
-	// Hier counts the hierarchical router's work (zero when the hierarchy is
-	// off or below its auto threshold).
+	// Hier counts the hierarchical router's corridor assignments and ladder
+	// rungs (zero when the hierarchy is off or below its auto threshold).
 	Hier HierStats
 	// FailedIDs lists, in edge order, the IDs left unrouted in the final
 	// round when negotiation gave up (ok=false); empty on success.
@@ -178,7 +171,7 @@ func (w *Workspace) NegotiateTracked(obs *grid.ObsMap, edges []Edge, params Nego
 	// are the Eq.-5 iterates h_0..h_r, and while HistQuant certifies them the
 	// round's searches run on the bucket queue; once an iterate stops being
 	// dyadic the run stays on the heap. The certificate rides on every
-	// request, so the scheduler's worker workspaces make the same choice.
+	// request (negReq), so a replay check searches on the same open list.
 	quantOK := !w.heapOnly
 
 	routed := false
@@ -209,13 +202,7 @@ func (w *Workspace) NegotiateTracked(obs *grid.ObsMap, edges []Edge, params Nego
 		if w.negCapOn {
 			w.negCaptureRound()
 		}
-		var done bool
-		if params.Workers > 1 && len(edges) > 1 {
-			done = w.negRoundParallel(g, work, edges, hist, paths, params, stats)
-		} else {
-			done = w.negRoundSeq(g, work, edges, hist, paths, params, stats)
-		}
-		if done {
+		if w.negRound(g, work, edges, hist, paths, params, stats) {
 			routed = true
 			break
 		}
@@ -251,9 +238,8 @@ func (w *Workspace) negWorkFor(g grid.Grid) *grid.ObsMap {
 }
 
 // negReq builds the round's search request for one edge: the same sources,
-// targets, work map, and history every call site (fresh search, replay
-// check, scheduler task) must use, with the round's quantization certificate
-// attached.
+// targets, work map, and history both call sites (fresh search, replay
+// check) must use, with the round's quantization certificate attached.
 func (w *Workspace) negReq(e *Edge, work *grid.ObsMap, hist []float64) Request {
 	return Request{
 		Sources: e.Sources, Targets: e.Targets, Obs: work, Hist: hist,
@@ -261,10 +247,10 @@ func (w *Workspace) negReq(e *Edge, work *grid.ObsMap, hist []float64) Request {
 	}
 }
 
-// negRoundSeq routes one round's edges sequentially (Steps 7-13), replaying
-// valid cross-run seed entries whenever the parent transcript covers the
-// round. It reports whether every edge routed.
-func (w *Workspace) negRoundSeq(g grid.Grid, work *grid.ObsMap, edges []Edge, hist []float64,
+// negRound routes one round's edges in order (Steps 7-13), replaying valid
+// cross-run seed entries whenever the parent transcript covers the round.
+// It reports whether every edge routed.
+func (w *Workspace) negRound(g grid.Grid, work *grid.ObsMap, edges []Edge, hist []float64,
 	paths map[int]grid.Path, params NegotiateParams, stats *NegotiateStats) bool {
 	done := true
 	seedLive := w.negSeedOn && w.negParentLive
@@ -314,8 +300,8 @@ func (w *Workspace) negRoundSeq(g grid.Grid, work *grid.ObsMap, edges []Edge, hi
 
 // negReplay takes edge ei's outcome for this round from the parent
 // transcript instead of searching, recording it as a fresh search would be
-// recorded. Under checkReplay it first re-runs the search against the exact
-// sequential state and panics on any divergence.
+// recorded. Under checkReplay it first re-runs the search against the
+// current work map and panics on any divergence.
 func (w *Workspace) negReplay(g grid.Grid, work *grid.ObsMap, hist []float64, edges []Edge, ei int,
 	params NegotiateParams, stats *NegotiateStats) (grid.Path, bool) {
 	pe := &w.negParent[w.negAlign[ei]]
@@ -337,88 +323,6 @@ func (w *Workspace) negReplay(g grid.Grid, work *grid.ObsMap, hist []float64, ed
 	return pe.path, pe.ok
 }
 
-// negRoundParallel routes one round's edges, in slice order, through the
-// spatial-dependency scheduler: routed paths commit onto work in edge order,
-// exactly as the sequential Steps 7-13 loop does. With seeding live,
-// cross-run replays happen inline and skip task dispatch entirely; only
-// maximal blocks of consecutive replay-ineligible edges go through the
-// scheduler (without a live seed the whole round is one block). An edge's
-// eligibility is (re)examined only after everything before it has
-// committed, because a block's changed outcomes can grow the divergence
-// bitmap over a later edge's cone; the bitmap is monotone, so an edge
-// ineligible at block-forming time is still ineligible at its sequential
-// turn, which is what makes batching sound. It reports whether every edge
-// routed.
-//
-//pacor:hot
-//pacor:allow hotalloc per-round task construction, amortized over the round's searches
-func (w *Workspace) negRoundParallel(g grid.Grid, work *grid.ObsMap, edges []Edge, hist []float64,
-	paths map[int]grid.Path, params NegotiateParams, stats *NegotiateStats) bool {
-	done := true
-	seedLive := w.negSeedOn && w.negParentLive
-	capOn := w.negCapOn
-	commit := func(ei int, p grid.Path, ok bool) {
-		if ok {
-			paths[edges[ei].ID] = p
-		} else {
-			done = false
-			w.negFailed = append(w.negFailed, edges[ei].ID)
-		}
-	}
-	ei := 0
-	for ei < len(edges) {
-		if seedLive && w.negParentValid(ei) {
-			p, ok := w.negReplay(g, work, hist, edges, ei, params, stats)
-			if ok {
-				work.SetPath(p, true)
-			}
-			commit(ei, p, ok)
-			ei++
-			continue
-		}
-		// Maximal block of consecutive replay-ineligible edges; the first
-		// eligible edge ends the block and is re-checked once the block's
-		// outcomes — and their divergence marks — have landed.
-		m := ei + 1
-		for m < len(edges) && !(seedLive && w.negParentValid(m)) {
-			m++
-		}
-		base := ei
-		tasks := make([]ScheduledTask, m-base)
-		for i := range tasks {
-			tasks[i] = w.negTask(g, w.negReq(&edges[base+i], work, hist), base+i)
-		}
-		commitTask := func(i int, out TaskOutcome, visits []uint64) {
-			if stats != nil {
-				stats.Searches++
-				if lvl, isHier := out.Payload.(hierLevel); isHier {
-					stats.Hier.count(lvl)
-				}
-			}
-			var p grid.Path
-			if out.OK {
-				p = out.Paths[0]
-			}
-			if seedLive {
-				w.negCrossCompare(g, base+i, p, out.OK)
-			}
-			if capOn {
-				w.negCaptureRecord(base+i, p, out.OK, visits)
-			}
-			commit(base+i, p, out.OK)
-		}
-		if capOn {
-			RunScheduledVisits(work, tasks, params.Workers, commitTask)
-		} else {
-			RunScheduled(work, tasks, params.Workers, func(i int, out TaskOutcome) {
-				commitTask(i, out, nil)
-			})
-		}
-		ei = m
-	}
-	return done
-}
-
 // pathsEqual reports cell-exact path equality.
 func pathsEqual(a, b grid.Path) bool {
 	if len(a) != len(b) {
@@ -430,42 +334,4 @@ func pathsEqual(a, b grid.Path) bool {
 		}
 	}
 	return true
-}
-
-// negTask wraps one edge's search as a scheduler task. req carries the
-// edge's fully resolved request (negReq); the scheduler substitutes each
-// run's private obstacle snapshot for req.Obs. When the hierarchy gave edge
-// ei a corridor, the task runs the escalation ladder (exact — see hier.go)
-// on the worker workspace and reports the accepted rung through Payload; the
-// window covers the corridor so the scheduler's overlap heuristic sees where
-// the masked search actually goes. The scheduler validates results by visit
-// set, so a ladder that escalates past its window is still committed exactly.
-//
-//pacor:allow hotalloc one task record and one single-path result slice per edge, amortized over the edge's search
-func (w *Workspace) negTask(g grid.Grid, req Request, ei int) ScheduledTask {
-	var mask, wide *TileMask
-	win := SearchWindow(g, req.Sources, req.Targets)
-	if w.hier.run && w.hier.has[ei] {
-		mask, wide = &w.hier.masks[ei], &w.hier.wide[ei]
-		win = win.Union(w.hier.win[ei])
-	}
-	return ScheduledTask{
-		Window: win,
-		Run: func(ws *Workspace, obs *grid.ObsMap) TaskOutcome {
-			r := req
-			r.Obs = obs
-			var p grid.Path
-			var ok bool
-			lvl := hierLevelNone
-			if mask != nil {
-				p, ok, lvl = ws.hierSearch(g, r, mask, wide)
-			} else {
-				p, ok = ws.AStar(g, r)
-			}
-			if !ok {
-				return TaskOutcome{Payload: lvl}
-			}
-			return TaskOutcome{OK: true, Paths: []grid.Path{p}, Payload: lvl}
-		},
-	}
 }

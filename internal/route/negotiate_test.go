@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -165,11 +166,10 @@ func randomNegotiateInstance(rng *rand.Rand) (grid.Grid, *grid.ObsMap, []Edge) {
 	return g, obs, edges
 }
 
-// negotiateRun routes edges with the given worker count, capture switch and
-// open-list restriction, returning the paths, the outcome and the counters.
-func negotiateRun(g grid.Grid, obs *grid.ObsMap, edges []Edge, workers int, capture, heapOnly bool) (map[int]grid.Path, bool, NegotiateStats) {
+// negotiateRun routes edges with the given capture switch and open-list
+// restriction, returning the paths, the outcome and the counters.
+func negotiateRun(g grid.Grid, obs *grid.ObsMap, edges []Edge, capture, heapOnly bool) (map[int]grid.Path, bool, NegotiateStats) {
 	params := DefaultNegotiateParams()
-	params.Workers = workers
 	if capture {
 		params.Capture = &NegotiationSeed{}
 	}
@@ -183,39 +183,36 @@ func negotiateRun(g grid.Grid, obs *grid.ObsMap, edges []Edge, workers int, capt
 }
 
 // TestNegotiateCacheByteIdentical: nothing replays within a run, so the only
-// visit-cone machinery left is the tracking that capture and scheduler
-// validation switch on. For random instances every combination of worker
-// count and capture returns the identical (paths, ok) as a plain sequential
-// run — tracking and capture are pure observers.
+// visit-cone machinery left is the tracking that capture switches on. For
+// random instances a capturing run returns the identical (paths, ok) as a
+// plain run — tracking and capture are pure observers.
 func TestNegotiateCacheByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 40; trial++ {
 		g, obs, edges := randomNegotiateInstance(rng)
 		wantPaths, wantOK := Negotiate(obs, edges, DefaultNegotiateParams())
 
-		for _, workers := range []int{0, 1, 2, 4} {
-			for _, capture := range []bool{false, true} {
-				paths, ok, _ := negotiateRun(g, obs, edges, workers, capture, false)
-				label := fmt.Sprintf("trial %d workers=%d capture=%v", trial, workers, capture)
-				if ok != wantOK {
-					t.Fatalf("%s: ok=%v, want %v", label, ok, wantOK)
-				}
-				pathsIdentical(t, label, paths, wantPaths)
+		for _, capture := range []bool{false, true} {
+			paths, ok, _ := negotiateRun(g, obs, edges, capture, false)
+			label := fmt.Sprintf("trial %d capture=%v", trial, capture)
+			if ok != wantOK {
+				t.Fatalf("%s: ok=%v, want %v", label, ok, wantOK)
 			}
+			pathsIdentical(t, label, paths, wantPaths)
 		}
 	}
 }
 
-// TestNegotiateStatsInvariants: the counters are identical for every worker
-// count and capture setting, every round searches every edge (Searches ==
-// Rounds x edges), and the within-run replay counters stay zero.
+// TestNegotiateStatsInvariants: the counters are identical with and without
+// capture, every round searches every edge (Searches == Rounds x edges), and
+// the within-run replay counters stay zero.
 func TestNegotiateStatsInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	sawMultiRound := false
 	for trial := 0; trial < 40; trial++ {
 		g, obs, edges := randomNegotiateInstance(rng)
 
-		_, _, want := negotiateRun(g, obs, edges, 0, false, false)
+		_, _, want := negotiateRun(g, obs, edges, false, false)
 		if want.Searches != want.Rounds*len(edges) {
 			t.Fatalf("trial %d: %d searches over %d rounds of %d edges", trial, want.Searches, want.Rounds, len(edges))
 		}
@@ -225,14 +222,9 @@ func TestNegotiateStatsInvariants(t *testing.T) {
 		if want.Rounds > 1 {
 			sawMultiRound = true
 		}
-		for _, workers := range []int{0, 1, 2, 4} {
-			for _, capture := range []bool{false, true} {
-				_, _, s := negotiateRun(g, obs, edges, workers, capture, false)
-				if !statsEqual(s, want) || s.CacheHits != 0 || s.CacheMisses != 0 {
-					t.Fatalf("trial %d workers=%d capture=%v: stats %+v differ from sequential %+v",
-						trial, workers, capture, s, want)
-				}
-			}
+		_, _, s := negotiateRun(g, obs, edges, true, false)
+		if !statsEqual(s, want) || s.CacheHits != 0 || s.CacheMisses != 0 {
+			t.Fatalf("trial %d: capturing run's stats %+v differ from plain %+v", trial, s, want)
 		}
 	}
 	if !sawMultiRound {
@@ -240,28 +232,24 @@ func TestNegotiateStatsInvariants(t *testing.T) {
 	}
 }
 
-// TestNegotiateQueueByteIdentical: open list x worker count on random
-// congested instances returns byte-identical paths and identical counters
-// to a forced-heap sequential reference. The open list, like the scheduler,
-// is a pure wall-clock choice.
+// TestNegotiateQueueByteIdentical: the open list the round certificate
+// selects returns, on random congested instances, byte-identical paths and
+// identical counters to a forced-heap reference. The open list is a pure
+// wall-clock choice.
 func TestNegotiateQueueByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
 		g, obs, edges := randomNegotiateInstance(rng)
-		wantPaths, wantOK, want := negotiateRun(g, obs, edges, 0, false, true)
+		wantPaths, wantOK, want := negotiateRun(g, obs, edges, false, true)
 
-		for _, heapOnly := range []bool{true, false} {
-			for _, workers := range []int{0, 1, 2, 4, 8} {
-				paths, ok, stats := negotiateRun(g, obs, edges, workers, false, heapOnly)
-				label := fmt.Sprintf("trial %d heapOnly=%v workers=%d", trial, heapOnly, workers)
-				if ok != wantOK {
-					t.Fatalf("%s: ok=%v, want %v", label, ok, wantOK)
-				}
-				pathsIdentical(t, label, paths, wantPaths)
-				if !statsEqual(stats, want) {
-					t.Fatalf("%s: stats %+v differ from reference %+v", label, stats, want)
-				}
-			}
+		paths, ok, stats := negotiateRun(g, obs, edges, false, false)
+		label := fmt.Sprintf("trial %d", trial)
+		if ok != wantOK {
+			t.Fatalf("%s: ok=%v, want %v", label, ok, wantOK)
+		}
+		pathsIdentical(t, label, paths, wantPaths)
+		if !statsEqual(stats, want) {
+			t.Fatalf("%s: stats %+v differ from reference %+v", label, stats, want)
 		}
 	}
 }
@@ -298,40 +286,198 @@ func TestNegotiateFailedIDs(t *testing.T) {
 		{ID: 11, Sources: []geom.Pt{{X: 0, Y: 2}}, Targets: []geom.Pt{{X: 8, Y: 2}}},
 		{ID: 12, Sources: []geom.Pt{{X: 0, Y: 4}}, Targets: []geom.Pt{{X: 8, Y: 4}}},
 	}
-	for _, workers := range []int{0, 2} {
-		var stats NegotiateStats
-		params := DefaultNegotiateParams()
-		params.Workers = workers
-		ws := AcquireWorkspace(g)
-		_, ok := ws.NegotiateTracked(obs, edges, params, &stats)
-		ReleaseWorkspace(ws)
-		if ok {
-			t.Fatalf("workers=%d: three edges cannot share a one-cell corridor", workers)
+	var failed NegotiateStats
+	ws := AcquireWorkspace(g)
+	_, ok := ws.NegotiateTracked(obs, edges, DefaultNegotiateParams(), &failed)
+	ReleaseWorkspace(ws)
+	if ok {
+		t.Fatal("three edges cannot share a one-cell corridor")
+	}
+	if len(failed.FailedIDs) == 0 {
+		t.Fatal("failed negotiation reported no failed edges")
+	}
+	for i := 1; i < len(failed.FailedIDs); i++ {
+		if failed.FailedIDs[i-1] >= failed.FailedIDs[i] {
+			t.Fatalf("FailedIDs not in edge order: %v", failed.FailedIDs)
 		}
-		if len(stats.FailedIDs) == 0 {
-			t.Fatalf("workers=%d: failed negotiation reported no failed edges", workers)
-		}
-		for i := 1; i < len(stats.FailedIDs); i++ {
-			if stats.FailedIDs[i-1] >= stats.FailedIDs[i] {
-				t.Fatalf("workers=%d: FailedIDs not in edge order: %v", workers, stats.FailedIDs)
-			}
-		}
-		for _, id := range stats.FailedIDs {
-			if id < 10 || id > 12 {
-				t.Fatalf("workers=%d: unknown failed ID %d", workers, id)
-			}
+	}
+	for _, id := range failed.FailedIDs {
+		if id < 10 || id > 12 {
+			t.Fatalf("unknown failed ID %d", id)
 		}
 	}
 
 	// Success path: FailedIDs stays empty.
 	var stats NegotiateStats
 	okEdges := []Edge{{ID: 0, Sources: []geom.Pt{{X: 0, Y: 2}}, Targets: []geom.Pt{{X: 8, Y: 2}}}}
-	ws := AcquireWorkspace(g)
+	ws = AcquireWorkspace(g)
 	if _, ok := ws.NegotiateTracked(obs, okEdges, DefaultNegotiateParams(), &stats); !ok {
 		t.Fatal("single corridor edge must route")
 	}
 	ReleaseWorkspace(ws)
 	if len(stats.FailedIDs) != 0 {
 		t.Fatalf("successful negotiation reported failed edges %v", stats.FailedIDs)
+	}
+}
+
+// laneScenario builds a deterministic negotiation workload: nEdges
+// horizontal nets on a grid with a sparse obstacle lattice.
+func laneScenario(nEdges int) (grid.Grid, *grid.ObsMap, []Edge) {
+	g := grid.New(64, 4*nEdges+4)
+	obs := grid.NewObsMap(g)
+	for i := 0; i < g.Cells(); i += 37 {
+		p := g.Pt(i)
+		if p.X > 2 && p.X < 61 {
+			obs.Set(p, true)
+		}
+	}
+	edges := make([]Edge, nEdges)
+	for i := range edges {
+		y := 4*i + 2
+		edges[i] = Edge{
+			ID:      i,
+			Sources: []geom.Pt{{X: 1, Y: y}},
+			Targets: []geom.Pt{{X: 62, Y: (y + 7) % (4*nEdges + 4)}},
+		}
+	}
+	return g, obs, edges
+}
+
+// TestRunScheduledMatchesSequential: a negotiation that routes in its first
+// round returns exactly the paths of the plain Algorithm 1 loop written out
+// by hand — block every terminal, then search the edges in order with zero
+// history, each found path becoming an obstacle before the next search.
+func TestRunScheduledMatchesSequential(t *testing.T) {
+	g, obs, edges := laneScenario(8)
+	var stats NegotiateStats
+	got, ok := NewWorkspace(g).NegotiateTracked(obs, edges, DefaultNegotiateParams(), &stats)
+	if !ok || stats.Rounds != 1 {
+		t.Fatalf("ok=%v after %d rounds; the scenario must route in round 1", ok, stats.Rounds)
+	}
+
+	ref := obs.Clone()
+	for _, e := range edges {
+		for _, c := range append(append([]geom.Pt(nil), e.Sources...), e.Targets...) {
+			ref.Set(c, true)
+		}
+	}
+	zero := make([]float64, g.Cells())
+	ws := NewWorkspace(g)
+	want := map[int]grid.Path{}
+	for _, e := range edges {
+		p, ok := ws.AStar(g, Request{Sources: e.Sources, Targets: e.Targets, Obs: ref, Hist: zero})
+		if !ok {
+			t.Fatalf("edge %d: hand loop found no path", e.ID)
+		}
+		want[e.ID] = p
+		ref.SetPath(p, true)
+	}
+	pathsIdentical(t, "negotiate vs hand loop", got, want)
+}
+
+// TestRunScheduledMispredictedWindows: a workspace carries no routing state
+// from one negotiation into the next. After negotiating a differently sized
+// grid it returns the same paths and counters as a fresh workspace.
+func TestRunScheduledMispredictedWindows(t *testing.T) {
+	_, otherObs, otherEdges := laneScenario(3)
+	g, obs, edges := laneScenario(10)
+	params := DefaultNegotiateParams()
+
+	var wantStats NegotiateStats
+	want, wantOK := NewWorkspace(g).NegotiateTracked(obs, edges, params, &wantStats)
+
+	ws := NewWorkspace(otherObs.Grid())
+	if _, ok := ws.Negotiate(otherObs, otherEdges, params); !ok {
+		t.Fatal("warm-up negotiation failed")
+	}
+	var gotStats NegotiateStats
+	got, gotOK := ws.NegotiateTracked(obs, edges, params, &gotStats)
+	if gotOK != wantOK {
+		t.Fatalf("reused workspace ok=%v, fresh ok=%v", gotOK, wantOK)
+	}
+	pathsIdentical(t, "reused workspace", got, want)
+	if !reflect.DeepEqual(gotStats, wantStats) {
+		t.Fatalf("reused workspace stats %+v, fresh %+v", gotStats, wantStats)
+	}
+}
+
+// TestRunScheduledFailuresCommitNothing: a walled-off edge beside a
+// reachable one fails the negotiation, is reported in FailedIDs, and leaves
+// the caller's obstacle map byte-identical. The same workspace then routes
+// the reachable edge alone exactly as a fresh workspace does.
+func TestRunScheduledFailuresCommitNothing(t *testing.T) {
+	g := grid.New(8, 8)
+	obs := grid.NewObsMap(g)
+	for y := 0; y < 8; y++ {
+		obs.Set(geom.Pt{X: 4, Y: y}, true) // wall: right half unreachable
+	}
+	walled := Edge{ID: 0, Sources: []geom.Pt{{X: 0, Y: 0}}, Targets: []geom.Pt{{X: 7, Y: 0}}}
+	reachable := Edge{ID: 1, Sources: []geom.Pt{{X: 0, Y: 2}}, Targets: []geom.Pt{{X: 3, Y: 2}}}
+	before := obs.Bits(nil)
+
+	ws := NewWorkspace(g)
+	var stats NegotiateStats
+	if _, ok := ws.NegotiateTracked(obs, []Edge{walled, reachable}, DefaultNegotiateParams(), &stats); ok {
+		t.Fatal("walled-off edge reported routed")
+	}
+	if !reflect.DeepEqual(stats.FailedIDs, []int{walled.ID}) {
+		t.Fatalf("FailedIDs = %v, want [%d]", stats.FailedIDs, walled.ID)
+	}
+	if !reflect.DeepEqual(obs.Bits(nil), before) {
+		t.Fatal("failed negotiation changed the caller's obstacle map")
+	}
+
+	want, wantOK := NewWorkspace(g).Negotiate(obs, []Edge{reachable}, DefaultNegotiateParams())
+	got, gotOK := ws.Negotiate(obs, []Edge{reachable}, DefaultNegotiateParams())
+	if !gotOK || !wantOK {
+		t.Fatalf("reachable edge alone: reused ok=%v, fresh ok=%v", gotOK, wantOK)
+	}
+	pathsIdentical(t, "reachable edge after failure", got, want)
+}
+
+// TestNegotiateWorkersByteIdentical: the pooled package-level Negotiate
+// returns the paths of (*Workspace).Negotiate on a fresh workspace, and a
+// pooled workspace reproduces the fresh one's paths, counters and capture,
+// with and without Capture.
+func TestNegotiateWorkersByteIdentical(t *testing.T) {
+	g, obs, edges := laneScenario(10)
+	for _, capture := range []bool{false, true} {
+		label := fmt.Sprintf("capture=%v", capture)
+		params := func() NegotiateParams {
+			p := DefaultNegotiateParams()
+			if capture {
+				p.Capture = &NegotiationSeed{}
+			}
+			return p
+		}
+		fresh := params()
+		var wantStats NegotiateStats
+		want, wantOK := NewWorkspace(g).NegotiateTracked(obs, edges, fresh, &wantStats)
+
+		wrapped := params()
+		got, gotOK := Negotiate(obs, edges, wrapped)
+		if gotOK != wantOK {
+			t.Fatalf("%s: pooled wrapper ok=%v, fresh ok=%v", label, gotOK, wantOK)
+		}
+		pathsIdentical(t, label+" wrapper", got, want)
+		if !reflect.DeepEqual(wrapped.Capture, fresh.Capture) {
+			t.Fatalf("%s: pooled wrapper capture differs from fresh", label)
+		}
+
+		pooled := params()
+		var gotStats NegotiateStats
+		ws := AcquireWorkspace(g)
+		got, gotOK = ws.NegotiateTracked(obs, edges, pooled, &gotStats)
+		ReleaseWorkspace(ws)
+		if gotOK != wantOK {
+			t.Fatalf("%s: pooled workspace ok=%v, fresh ok=%v", label, gotOK, wantOK)
+		}
+		pathsIdentical(t, label+" pooled workspace", got, want)
+		if !reflect.DeepEqual(gotStats, wantStats) {
+			t.Fatalf("%s: pooled stats %+v, fresh %+v", label, gotStats, wantStats)
+		}
+		if !reflect.DeepEqual(pooled.Capture, fresh.Capture) {
+			t.Fatalf("%s: pooled capture differs from fresh", label)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // wsPools holds one sync.Pool of Workspaces per grid cell count, so an
 // acquired workspace comes back with its per-cell arrays already sized for
 // the grid — no grow() on first use. The package-level AStar / BoundedAStar
-// / Negotiate wrappers and the parallel scheduler's workers draw from here;
+// / Negotiate wrappers and the hierarchical escape router draw from here;
 // hot flow code holds an explicitly owned workspace instead.
 var wsPools sync.Map // cells (int) -> *sync.Pool of *Workspace
 

@@ -84,3 +84,25 @@ func TestWorkspaceCrossGridReuse(t *testing.T) {
 		ReleaseWorkspace(wl)
 	}
 }
+
+// TestWorkspacePoolRoundTrip: a workspace released for one grid serves a
+// grid of the same cell count but different shape correctly.
+func TestWorkspacePoolRoundTrip(t *testing.T) {
+	g1 := grid.New(16, 16)
+	g2 := grid.New(32, 8)
+	w1 := AcquireWorkspace(g1)
+	ReleaseWorkspace(w1)
+	w2 := AcquireWorkspace(g2)
+	// Same cell count (256): the pool may hand back the same workspace; it
+	// must be safely reusable either way.
+	p, ok := w2.AStar(g2, Request{
+		Sources: []geom.Pt{{X: 0, Y: 0}},
+		Targets: []geom.Pt{{X: 31, Y: 7}},
+		Obs:     grid.NewObsMap(g2),
+	})
+	if !ok || p.Len() != 38 {
+		t.Fatalf("pooled workspace search: ok=%v len=%d, want the Manhattan distance 38", ok, p.Len())
+	}
+	ReleaseWorkspace(w2)
+	ReleaseWorkspace(nil) // must be a no-op
+}

@@ -104,9 +104,8 @@ func (s *NegotiationSeed) SizeBytes() int64 {
 }
 
 // negParamsSig fingerprints the outcome-shaping negotiation parameters.
-// Workers and the hierarchy are deliberately absent: both are
-// output-invariant (the hierarchy's negotiation stage is exact), so seeds
-// stay valid across them.
+// The hierarchy is deliberately absent: it is output-invariant (the
+// negotiation stage's ladder is exact), so seeds stay valid across it.
 func negParamsSig(p NegotiateParams) string {
 	return fmt.Sprintf("bh=%g;a=%g;g=%d", p.BaseHist, p.Alpha, p.Gamma)
 }

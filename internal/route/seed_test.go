@@ -10,11 +10,10 @@ import (
 
 // negRun routes the instance once with the given seed/capture wiring and
 // returns the outputs and stats.
-func negRun(g grid.Grid, obs *grid.ObsMap, edges []Edge, workers int,
+func negRun(g grid.Grid, obs *grid.ObsMap, edges []Edge,
 	seed, capture *NegotiationSeed, check bool) (map[int]grid.Path, bool, NegotiateStats) {
 	var s NegotiateStats
 	params := DefaultNegotiateParams()
-	params.Workers = workers
 	params.Seed = seed
 	params.Capture = capture
 	params.checkReplay = check
@@ -42,9 +41,9 @@ func TestSeedCaptureIsInert(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 25; trial++ {
 		g, obs, edges := randomNegotiateInstance(rng)
-		wantPaths, wantOK, wantStats := negRun(g, obs, edges, 0, nil, nil, false)
+		wantPaths, wantOK, wantStats := negRun(g, obs, edges, nil, nil, false)
 		var cap NegotiationSeed
-		paths, ok, stats := negRun(g, obs, edges, 0, nil, &cap, false)
+		paths, ok, stats := negRun(g, obs, edges, nil, &cap, false)
 		if ok != wantOK {
 			t.Fatalf("trial %d: capture changed ok: %v vs %v", trial, ok, wantOK)
 		}
@@ -63,34 +62,31 @@ func TestSeedCaptureIsInert(t *testing.T) {
 
 // TestSeedExactReplayIdentity: replaying a captured run on the identical
 // instance produces byte-identical output with zero searches — every
-// (round, edge) outcome comes from the parent transcript — for every worker
-// count, with every replay re-searched and compared.
+// (round, edge) outcome comes from the parent transcript — with every replay
+// re-searched and compared.
 func TestSeedExactReplayIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 25; trial++ {
 		g, obs, edges := randomNegotiateInstance(rng)
 		var cap NegotiationSeed
-		wantPaths, wantOK, cold := negRun(g, obs, edges, 0, nil, &cap, false)
+		wantPaths, wantOK, cold := negRun(g, obs, edges, nil, &cap, false)
 
-		for _, workers := range []int{0, 1, 2, 4} {
-			paths, ok, warm := negRun(g, obs, edges, workers, &cap, nil, true)
-			if ok != wantOK {
-				t.Fatalf("trial %d workers=%d: seeded ok=%v, want %v", trial, workers, ok, wantOK)
-			}
-			pathsIdentical(t, "seeded run", paths, wantPaths)
-			if warm.Searches != 0 {
-				t.Fatalf("trial %d workers=%d: exact replay still ran %d searches", trial, workers, warm.Searches)
-			}
-			if warm.SeededEdges != len(edges) {
-				t.Fatalf("trial %d workers=%d: SeededEdges=%d, want %d", trial, workers, warm.SeededEdges, len(edges))
-			}
-			if cold.Searches != warm.Searches+warm.SeededHits {
-				t.Fatalf("trial %d workers=%d: counters invariant broken: cold %+v warm %+v",
-					trial, workers, cold, warm)
-			}
-			if warm.Rounds != cold.Rounds {
-				t.Fatalf("trial %d workers=%d: rounds differ: %d vs %d", trial, workers, warm.Rounds, cold.Rounds)
-			}
+		paths, ok, warm := negRun(g, obs, edges, &cap, nil, true)
+		if ok != wantOK {
+			t.Fatalf("trial %d: seeded ok=%v, want %v", trial, ok, wantOK)
+		}
+		pathsIdentical(t, "seeded run", paths, wantPaths)
+		if warm.Searches != 0 {
+			t.Fatalf("trial %d: exact replay still ran %d searches", trial, warm.Searches)
+		}
+		if warm.SeededEdges != len(edges) {
+			t.Fatalf("trial %d: SeededEdges=%d, want %d", trial, warm.SeededEdges, len(edges))
+		}
+		if cold.Searches != warm.Searches+warm.SeededHits {
+			t.Fatalf("trial %d: counters invariant broken: cold %+v warm %+v", trial, cold, warm)
+		}
+		if warm.Rounds != cold.Rounds {
+			t.Fatalf("trial %d: rounds differ: %d vs %d", trial, warm.Rounds, cold.Rounds)
 		}
 	}
 }
@@ -106,7 +102,7 @@ func TestSeedNearReplayIdentity(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		g, obs, edges := randomNegotiateInstance(rng)
 		var cap NegotiationSeed
-		negRun(g, obs, edges, 0, nil, &cap, false)
+		negRun(g, obs, edges, nil, &cap, false)
 
 		// Perturb: toggle one non-terminal cell's obstacle state.
 		pert := obs.Clone()
@@ -126,24 +122,20 @@ func TestSeedNearReplayIdentity(t *testing.T) {
 			}
 		}
 
-		wantPaths, wantOK, cold := negRun(g, pert, edges, 0, nil, nil, false)
-		for _, workers := range []int{0, 2} {
-			paths, ok, warm := negRun(g, pert, edges, workers, &cap, nil, true)
-			if ok != wantOK {
-				t.Fatalf("trial %d workers=%d: seeded ok=%v, want %v", trial, workers, ok, wantOK)
-			}
-			pathsIdentical(t, "near-seeded run", paths, wantPaths)
-			if cold.Searches != warm.Searches+warm.SeededHits {
-				t.Fatalf("trial %d workers=%d: counters invariant broken:\ncold %+v\nwarm %+v",
-					trial, workers, cold, warm)
-			}
-			if cold.Rounds != warm.Rounds {
-				t.Fatalf("trial %d workers=%d: rounds diverged:\ncold %+v\nwarm %+v",
-					trial, workers, cold, warm)
-			}
-			if warm.SeededHits > 0 && warm.Searches < cold.Searches {
-				sawSaving = true
-			}
+		wantPaths, wantOK, cold := negRun(g, pert, edges, nil, nil, false)
+		paths, ok, warm := negRun(g, pert, edges, &cap, nil, true)
+		if ok != wantOK {
+			t.Fatalf("trial %d: seeded ok=%v, want %v", trial, ok, wantOK)
+		}
+		pathsIdentical(t, "near-seeded run", paths, wantPaths)
+		if cold.Searches != warm.Searches+warm.SeededHits {
+			t.Fatalf("trial %d: counters invariant broken:\ncold %+v\nwarm %+v", trial, cold, warm)
+		}
+		if cold.Rounds != warm.Rounds {
+			t.Fatalf("trial %d: rounds diverged:\ncold %+v\nwarm %+v", trial, cold, warm)
+		}
+		if warm.SeededHits > 0 && warm.Searches < cold.Searches {
+			sawSaving = true
 		}
 	}
 	if !sawSaving {
@@ -161,7 +153,7 @@ func TestSeedEdgeSetChange(t *testing.T) {
 			continue
 		}
 		var cap NegotiationSeed
-		negRun(g, obs, edges, 0, nil, &cap, false)
+		negRun(g, obs, edges, nil, &cap, false)
 
 		// Drop a middle edge and re-ID the survivors (as a re-clustered flow
 		// request would).
@@ -175,8 +167,8 @@ func TestSeedEdgeSetChange(t *testing.T) {
 			child = append(child, e)
 		}
 
-		wantPaths, wantOK, cold := negRun(g, obs, child, 0, nil, nil, false)
-		paths, ok, warm := negRun(g, obs, child, 0, &cap, nil, true)
+		wantPaths, wantOK, cold := negRun(g, obs, child, nil, nil, false)
+		paths, ok, warm := negRun(g, obs, child, &cap, nil, true)
 		if ok != wantOK {
 			t.Fatalf("trial %d: seeded ok=%v, want %v", trial, ok, wantOK)
 		}
@@ -196,11 +188,11 @@ func TestSeedRejectsMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	g, obs, edges := randomNegotiateInstance(rng)
 	var cap NegotiationSeed
-	wantPaths, wantOK, cold := negRun(g, obs, edges, 0, nil, &cap, false)
+	wantPaths, wantOK, cold := negRun(g, obs, edges, nil, &cap, false)
 
 	reject := func(label string, seed *NegotiationSeed) {
 		t.Helper()
-		paths, ok, warm := negRun(g, obs, edges, 0, seed, nil, false)
+		paths, ok, warm := negRun(g, obs, edges, seed, nil, false)
 		if ok != wantOK {
 			t.Fatalf("%s: ok=%v, want %v", label, ok, wantOK)
 		}

@@ -136,20 +136,6 @@ func (t *Tiling) ForEachAdjacency(fn func(u, v, capacity int)) {
 	}
 }
 
-// CorridorRect returns the cell bounding box of the corridor tiles expanded
-// by halo tiles on every side, clipped to the grid. An empty corridor gives
-// an empty rect.
-func (t *Tiling) CorridorRect(tiles []int32, halo int) geom.Rect {
-	bb := geom.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0}
-	for _, ti := range tiles {
-		bb = bb.Union(t.TileRect(int(ti)))
-	}
-	if bb.Empty() {
-		return bb
-	}
-	return bb.Expand(halo << t.shift).Intersect(t.g.Bounds())
-}
-
 // TileMask restricts a search to a set of tiles (Request.Mask): Contains is
 // a shift, a multiply, and one bit test per probed cell.
 type TileMask struct {

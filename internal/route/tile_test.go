@@ -89,8 +89,7 @@ func TestTilingCountsBruteForce(t *testing.T) {
 	}
 }
 
-// TestTileMaskHalo checks BuildMask against a brute-force Chebyshev dilation
-// and CorridorRect against the mask's cell bounding box plus halo.
+// TestTileMaskHalo checks BuildMask against a brute-force Chebyshev dilation.
 func TestTileMaskHalo(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	for trial := 0; trial < 20; trial++ {
@@ -129,12 +128,53 @@ func TestTileMaskHalo(t *testing.T) {
 					}
 				}
 			}
-			r := tl.CorridorRect(corridor, halo)
-			for _, c := range corridor {
-				if !r.Contains(geom.Pt{X: (int(c) % tl.tw) << tl.shift, Y: (int(c) / tl.tw) << tl.shift}) {
-					t.Fatalf("trial %d halo %d: corridor tile %d outside CorridorRect %v", trial, halo, c, r)
-				}
+		}
+	}
+}
+
+// TestSearchWindow: a search confined by Request.Mask returns only paths
+// whose cells lie inside the mask's tiles. The corridor is an L of tiles
+// (top row, then right column) between two opposite corners, so a shortest
+// unmasked path would cut through the excluded interior.
+func TestSearchWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(90))
+	routed := 0
+	for trial := 0; trial < 10; trial++ {
+		g := grid.New(64, 64)
+		obs := grid.NewObsMap(g)
+		for i := 0; i < g.Cells()/10; i++ {
+			obs.Set(geom.Pt{X: rng.Intn(g.W), Y: rng.Intn(g.H)}, true)
+		}
+		src, dst := geom.Pt{X: 2, Y: 2}, geom.Pt{X: 61, Y: 61}
+		obs.Set(src, false)
+		obs.Set(dst, false)
+		tl := NewTiling(obs, 8)
+		var corridor []int32
+		for x := 0; x < 8; x++ {
+			corridor = append(corridor, int32(tl.TileOf(geom.Pt{X: 8 * x, Y: 0})))
+		}
+		for y := 1; y < 8; y++ {
+			corridor = append(corridor, int32(tl.TileOf(geom.Pt{X: 63, Y: 8 * y})))
+		}
+		mask := tl.BuildMask(corridor, 0)
+
+		ws := NewWorkspace(g)
+		req := Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs, Mask: mask}
+		p, ok := ws.AStar(g, req)
+		if !ok {
+			continue // the scattered obstacles sealed the corridor
+		}
+		if ws.Clipped() == 0 {
+			t.Fatalf("trial %d: the mask never constrained the search", trial)
+		}
+		for _, c := range p {
+			if !mask.Contains(c) {
+				t.Fatalf("trial %d: path cell %v lies outside the mask", trial, c)
 			}
 		}
+		routed++
+	}
+	if routed == 0 {
+		t.Fatal("no trial routed through its corridor; the test checked nothing")
 	}
 }

@@ -57,11 +57,11 @@ type Workspace struct {
 
 	nbuf []geom.Pt // neighbor scratch
 
-	// Visit tracking (the speculative scheduler's validation input): while
-	// track is set, every cell brought into a search generation also sets its
-	// bit in vbits. Because both searches stamp a cell before querying its
-	// obstacle status, the bitmap is a superset of every cell whose external
-	// state (ObsMap / Hist) the searches observed.
+	// Visit tracking (a negotiation capture's cone, seed.go): while track is
+	// set, every cell brought into a search generation also sets its bit in
+	// vbits. Because both searches stamp a cell before querying its obstacle
+	// status, the bitmap is a superset of every cell whose external state
+	// (ObsMap / Hist) the searches observed.
 	track bool
 	vbits []uint64
 
@@ -90,13 +90,6 @@ type Workspace struct {
 	negParent     []seedSlot       // parent edges' current-round state
 	negShadow     []seedSlot       // capture delta-encoding shadow table
 
-	// Sequential-scheduler scratch (runSequential): the snapshot map and its
-	// journal, reused across rounds so per-task state restoration costs
-	// O(task changes) instead of O(cells).
-	sobs       *grid.ObsMap
-	seqJournal []int32
-	seqVisits  []uint64
-
 	// Hierarchical negotiation state (hier.go): the tile coarsening, the
 	// tile corridor graph (rebuilt once per negotiation run, re-priced and
 	// re-solved per round), and the per-edge corridor masks of the current
@@ -108,17 +101,6 @@ type Workspace struct {
 	// Put calls of the same pointer would let two goroutines Get the same
 	// workspace and race on every search array.
 	pooled bool
-}
-
-// scratchFor returns the workspace-resident scratch obstacle map for g,
-// (re)allocated only when the grid changes.
-//
-//pacor:allow hotalloc allocated once per grid change, reused across scheduler rounds
-func (w *Workspace) scratchFor(g grid.Grid) *grid.ObsMap {
-	if w.sobs == nil || w.sobs.Grid() != g {
-		w.sobs = grid.NewObsMap(g)
-	}
-	return w.sobs
 }
 
 // NewWorkspace returns a workspace sized for g. Searches on other grid
@@ -148,9 +130,9 @@ func (w *Workspace) grow(n int) {
 
 // StartVisitTracking clears the visited-cell bitmap and begins recording
 // every cell the following searches touch. Tracking spans searches: the
-// bitmap accumulates until the next StartVisitTracking. The scheduler uses
-// the recorded set to prove that a speculative search could not have seen a
-// concurrently committed path.
+// bitmap accumulates until the next StartVisitTracking. A negotiation
+// capture records the set as the edge's cone, so a later seeded run can
+// prove the search could not have seen a changed cell.
 //
 //pacor:allow hotalloc bitmap (re)sized once per tracking session, reused across all searches in it
 func (w *Workspace) StartVisitTracking() {
@@ -343,7 +325,7 @@ func (w *Workspace) astarHeap(g grid.Grid, req Request, tb geom.Rect) (grid.Path
 			j := g.Index(q)
 			// Tracked searches must stamp a cell before reading its obstacle
 			// state: the visit cone has to be a superset of every cell read,
-			// or speculative/replay validation cannot reason about the search.
+			// or seeded replay cannot reason about the search.
 			// Untracked searches skip blocked and out-of-window cells before
 			// touching them — same skip decision (the state read is identical
 			// in both orders), but no stamp writes on cells that contribute

@@ -180,3 +180,63 @@ func TestWorkspaceResize(t *testing.T) {
 		}
 	}
 }
+
+// TestRunScheduledVisitsMatchesSequentialTracked pins the stamp-before-read
+// property that cross-run seeding relies on: a tracked search's visit set
+// covers every cell whose obstacle state it read. Flipping every cell
+// outside the visit set and off the found path therefore cannot change the
+// result of searching again — for A* with history and for the bounded
+// search alike.
+func TestRunScheduledVisitsMatchesSequentialTracked(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	flippedAny, found := false, 0
+	for trial := 0; trial < 30; trial++ {
+		g, obs := scatterObs(20+rng.Intn(20), 20+rng.Intn(20), 150, int64(100+trial))
+		src := geom.Pt{X: 0, Y: 0}
+		dst := geom.Pt{X: g.W - 1, Y: g.H - 1}
+		hist := make([]float64, g.Cells())
+		for i := range hist {
+			hist[i] = float64(rng.Intn(3))
+		}
+		req := Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs, Hist: hist}
+		d := geom.Dist(src, dst)
+		searches := []func(ws *Workspace, r Request) (grid.Path, bool){
+			func(ws *Workspace, r Request) (grid.Path, bool) { return ws.AStar(g, r) },
+			func(ws *Workspace, r Request) (grid.Path, bool) { return ws.BoundedAStar(g, r, d+4, d+8) },
+		}
+		for si, search := range searches {
+			ws := NewWorkspace(g)
+			ws.StartVisitTracking()
+			want, wantOK := search(ws, req)
+			ws.StopVisitTracking()
+			if wantOK {
+				found++
+			}
+			visits := ws.CopyVisits(nil)
+
+			onPath := map[geom.Pt]bool{}
+			for _, c := range want {
+				onPath[c] = true
+			}
+			flipped := obs.Clone()
+			for i := 0; i < g.Cells(); i++ {
+				c := g.Pt(i)
+				if visits[i>>6]&(1<<(uint(i)&63)) != 0 || onPath[c] || c == src || c == dst {
+					continue
+				}
+				flipped.Set(c, !flipped.Blocked(c))
+				flippedAny = true
+			}
+			r := req
+			r.Obs = flipped
+			got, gotOK := search(NewWorkspace(g), r)
+			if gotOK != wantOK || !pathsEqual(got, want) {
+				t.Fatalf("trial %d search %d: flipping unvisited cells changed the result (ok %v -> %v, len %d -> %d)",
+					trial, si, wantOK, gotOK, want.Len(), got.Len())
+			}
+		}
+	}
+	if !flippedAny || found == 0 {
+		t.Fatalf("flipped any cell: %v, searches that found a path: %d; the test checked nothing", flippedAny, found)
+	}
+}
