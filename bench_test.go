@@ -503,11 +503,11 @@ func hline(x0, x1, y int) grid.Path {
 // metrics prove the skipped work). NearHit moves ordinary (non-LM) valves —
 // the edit class whose candidate construction and MWCP selection replay
 // wholesale from the parent; NearHitLM moves length-matching valves, which
-// invalidate their own cluster's candidates and force the ILP to re-run, so
-// its speedup is bounded by the negotiation-layer replays alone. Each
-// iteration visits a distinct variant so the cache cannot degenerate into
-// exact replays; exacthits/op reports any wrap-around when b.N outruns the
-// variant pool.
+// invalidate their own cluster's candidates and force the selection to
+// re-run, so its speedup is bounded by the negotiation-layer replays alone.
+// Each iteration visits a distinct variant so the cache cannot degenerate
+// into exact replays; exacthits/op reports any wrap-around when b.N outruns
+// the variant pool.
 func BenchmarkFlowEditLoop(b *testing.B) {
 	d, err := bench.Generate("S5")
 	if err != nil {

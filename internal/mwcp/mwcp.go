@@ -6,18 +6,31 @@
 // covered, which turns the problem into "pick exactly one node per group,
 // maximizing node weights plus induced edge weights".
 //
-// Mirroring the paper, three solvers are provided: an exact graph-based
-// branch-and-bound (SolveExact), an ILP-based method on top of internal/ilp
-// (SolveILP — the variant the paper adopted), and an unconstrained-
-// quadratic-programming-style local search (SolveLocal). A generic
-// maximum-weight-clique routine (MaxWeightClique) is exposed for the
-// clustering formulation and for cross-validation in tests.
+// Mirroring the paper, three solvers are provided: an exact branch and
+// bound (SolveExact, the flow's default), an ILP-based method on top of
+// internal/ilp (SolveILP — the variant the paper adopted, kept as its
+// ablation and as SolveExact's reference in tests), and an unconstrained-
+// quadratic-programming-style local search (SolveLocal), whose pick
+// warm-starts both exact solvers. A generic maximum-weight-clique routine
+// (MaxWeightClique) is exposed for the clustering formulation and for
+// cross-validation in tests.
+//
+// SolveExact bounds each open group by its best candidate's node weight,
+// exact pair weights to the picks so far, and half the best pair weight
+// into every other open group. The bound holds for pair weights of either
+// sign; PACOR's overlap weights are all zero or negative (Eqs. 3-4), so a
+// bound that ignores negative weights would prove nothing. The two exact
+// solvers share one tie rule: a pick replaces the incumbent only when it
+// is better by more than 1e-6, ilp's integrality tolerance. So both return
+// an optimal warm start unchanged, which is why they pick alike on PACOR's
+// selections. Both return an error past ilp.MaxNodes search nodes.
 package mwcp
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/ilp"
@@ -79,91 +92,159 @@ func (s *Selection) Value(pick []int) float64 {
 	return v
 }
 
-// SolveExact finds the optimal pick by branch and bound over groups.
-// Groups are ordered smallest-first to tighten early pruning. The bound
-// adds, for every unassigned group, its best node weight plus the best
-// possible pairwise interaction with already-picked and future candidates
-// (0 when all pair weights are non-positive, as in PACOR's cost model).
+// tieTol is the margin by which a pick must beat the incumbent to replace
+// it, and by which a bound must beat the incumbent to be explored. It is
+// internal/ilp's integrality tolerance, so SolveExact keeps an optimal warm
+// start exactly when SolveILP does.
+const tieTol = 1e-6
+
+// maxNodes caps SolveExact's search tree at the ILP's node limit.
+const maxNodes = ilp.MaxNodes
+
+// SolveExact finds an optimal pick by depth-first branch and bound over
+// groups, starting from SolveLocal's pick as the incumbent.
+//
+// The bound of an open group g is the maximum over its candidates c of
+// NodeW[c], plus the exact PairW from c to every candidate picked so far,
+// plus, for each other open group h, half the best PairW[c][d] over d in h.
+// A node's bound is the value accumulated so far plus the sum of its open
+// groups' bounds. A pair of future picks (c in g, d in h) adds PairW[c][d],
+// which is at most half of g's best weight into h plus half of h's best
+// weight into g, so the bound holds for weights of either sign.
+//
+// It branches on the smallest open group, the lowest index on ties, and
+// visits that group's candidates in descending order of their term in the
+// group's bound. A node is pruned when its bound is at most the incumbent
+// plus 1e-6, and a pick replaces the incumbent only when it is better by
+// more than that. So an optimal warm start is returned as it is, as
+// SolveILP returns it. Past ilp.MaxNodes nodes SolveExact returns an
+// error, as SolveILP does.
 func SolveExact(s *Selection) ([]int, float64, error) {
-	if err := s.Validate(); err != nil {
+	warm, warmVal, err := SolveLocal(s)
+	if err != nil {
 		return nil, 0, err
 	}
-	order := make([]int, len(s.Groups))
+	b := newSearch(s, warm, warmVal)
+	if err := b.branch(0, 0); err != nil {
+		return nil, 0, err
+	}
+	return b.best, s.Value(b.best), nil
+}
+
+// search is SolveExact's state. At depth d the groups order[:d] are
+// picked, and for every candidate x of an open group picked[d][x] is the
+// exact PairW from x to those picks and future[d][x] is the sum of
+// half[x][h] over the open groups h other than x's own.
+type search struct {
+	s      *Selection
+	order  []int
+	half   [][]float64 // half[x][h]: half the best PairW from x into group h
+	picked [][]float64
+	future [][]float64
+	// term[x] is x's term in its group's bound at the node that last
+	// bounded x's group; the node branching on that group reads it.
+	term    []float64
+	kids    [][]int // per depth: the branching group's visit order
+	pick    []int   // by group
+	best    []int
+	bestVal float64
+	nodes   int
+}
+
+func newSearch(s *Selection, warm []int, warmVal float64) *search {
+	n, ng := len(s.NodeW), len(s.Groups)
+	order := make([]int, ng)
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return len(s.Groups[order[a]]) < len(s.Groups[order[b]])
-	})
-
-	// optimistic[g] = best node weight in group g plus best non-negative
-	// pairwise weight it could collect from every other group.
-	optimistic := make([]float64, len(s.Groups))
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(len(s.Groups[x]), len(s.Groups[y])) })
+	b := &search{
+		s: s, order: order,
+		half:    make([][]float64, n),
+		picked:  make([][]float64, ng+1),
+		future:  make([][]float64, ng+1),
+		term:    make([]float64, n),
+		kids:    make([][]int, ng),
+		pick:    make([]int, ng),
+		best:    append([]int(nil), warm...),
+		bestVal: warmVal,
+	}
+	for d := range b.picked {
+		b.picked[d] = make([]float64, n)
+		b.future[d] = make([]float64, n)
+	}
 	for gi, g := range s.Groups {
-		best := math.Inf(-1)
-		for _, c := range g {
-			v := s.NodeW[c]
-			for gj, h := range s.Groups {
-				if gj == gi {
+		for _, x := range g {
+			b.half[x] = make([]float64, ng)
+			for hi, h := range s.Groups {
+				if hi == gi {
 					continue
 				}
-				bestPair := 0.0
+				best := math.Inf(-1)
 				for _, d := range h {
-					if w := s.PairW[c][d]; w > bestPair {
-						bestPair = w
-					}
+					best = math.Max(best, s.PairW[x][d])
 				}
-				v += bestPair
-			}
-			if v > best {
-				best = v
+				b.half[x][hi] = best / 2
+				b.future[0][x] += best / 2
 			}
 		}
-		optimistic[gi] = best
 	}
+	return b
+}
 
-	bestVal := math.Inf(-1)
-	var bestPick []int
-	pick := make([]int, 0, len(s.Groups))
-
-	var rec func(depth int, acc float64)
-	rec = func(depth int, acc float64) {
-		if depth == len(order) {
-			if acc > bestVal {
-				bestVal = acc
-				bestPick = append([]int(nil), pick...)
+// branch explores the node at depth d, whose picks are worth acc.
+func (b *search) branch(d int, acc float64) error {
+	b.nodes++
+	if b.nodes > maxNodes {
+		return fmt.Errorf("mwcp: branch and bound exceeded %d nodes", maxNodes)
+	}
+	s := b.s
+	if d == len(b.order) {
+		if acc > b.bestVal+tieTol {
+			b.bestVal = acc
+			copy(b.best, b.pick)
+		}
+		return nil
+	}
+	picked, future := b.picked[d], b.future[d]
+	groupBound := func(g int) float64 {
+		gb := math.Inf(-1)
+		for _, x := range s.Groups[g] {
+			b.term[x] = s.NodeW[x] + picked[x] + future[x]
+			gb = math.Max(gb, b.term[x])
+		}
+		return gb
+	}
+	g := b.order[d]
+	rest := acc
+	for _, h := range b.order[d+1:] {
+		rest += groupBound(h)
+	}
+	if rest+groupBound(g) <= b.bestVal+tieTol {
+		return nil
+	}
+	kids := append(b.kids[d][:0], s.Groups[g]...)
+	b.kids[d] = kids
+	slices.SortStableFunc(kids, func(x, y int) int { return cmp.Compare(b.term[y], b.term[x]) })
+	for _, c := range kids {
+		// The child's bound is at most rest+term[c] (docs/ALGORITHMS.md),
+		// and the later children's terms are no higher.
+		if rest+b.term[c] <= b.bestVal+tieTol {
+			break
+		}
+		nextPicked, nextFuture := b.picked[d+1], b.future[d+1]
+		for _, h := range b.order[d+1:] {
+			for _, x := range s.Groups[h] {
+				nextPicked[x] = picked[x] + s.PairW[x][c]
+				nextFuture[x] = future[x] - b.half[x][g]
 			}
-			return
 		}
-		// Upper bound for remaining groups.
-		ub := acc
-		for _, gi := range order[depth:] {
-			ub += optimistic[gi]
-		}
-		if ub <= bestVal+1e-12 {
-			return
-		}
-		gi := order[depth]
-		for _, c := range s.Groups[gi] {
-			delta := s.NodeW[c]
-			for _, p := range pick {
-				delta += s.PairW[c][p]
-			}
-			pick = append(pick, c)
-			rec(depth+1, acc+delta)
-			pick = pick[:len(pick)-1]
+		b.pick[g] = c
+		if err := b.branch(d+1, acc+s.NodeW[c]+picked[c]); err != nil {
+			return err
 		}
 	}
-	rec(0, 0)
-	if bestPick == nil {
-		return nil, 0, errors.New("mwcp: no feasible pick (empty groups?)")
-	}
-	// Re-order bestPick back to group order.
-	byGroup := make([]int, len(s.Groups))
-	for i, gi := range order {
-		byGroup[gi] = bestPick[i]
-	}
-	return byGroup, bestVal, nil
+	return nil
 }
 
 // SolveILP solves the selection with the linearized 0-1 program the paper

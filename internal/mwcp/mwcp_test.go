@@ -3,6 +3,7 @@ package mwcp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -90,60 +91,154 @@ func TestPositivePairWeights(t *testing.T) {
 	}
 }
 
+// TestSolversAgreeRandom checks the solvers against brute-force
+// enumeration on small random instances of three shapes. PACOR-shaped ones
+// have NodeW in [-lambda, 0] and sparse PairW <= 0 (Eqs. 2-4); on them
+// SolveExact must return SolveILP's pick, not just its value, including
+// where local search is not optimal. Dense negative ones, where most
+// candidates conflict with a whole group, and mixed-sign ones check that
+// SolveExact's half-weight bound never cuts off the optimum.
 func TestSolversAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 30; trial++ {
-		nGroups := 2 + rng.Intn(4)
-		var groups [][]int
-		id := 0
-		for g := 0; g < nGroups; g++ {
-			sz := 1 + rng.Intn(3)
-			var grp []int
-			for k := 0; k < sz; k++ {
-				grp = append(grp, id)
-				id++
-			}
-			groups = append(groups, grp)
-		}
-		n := id
-		nodeW := make([]float64, n)
-		pw := make([][]float64, n)
-		for i := range pw {
-			pw[i] = make([]float64, n)
-			nodeW[i] = -rng.Float64() * 3
-		}
-		gOf := make([]int, n)
-		for gi, g := range groups {
-			for _, c := range g {
-				gOf[c] = gi
-			}
-		}
-		for a := 0; a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				if gOf[a] != gOf[b] && rng.Float64() < 0.5 {
-					w := -rng.Float64() * 2
-					pw[a][b], pw[b][a] = w, w
-				}
-			}
-		}
-		s := &Selection{Groups: groups, NodeW: nodeW, PairW: pw}
-		_, ve, err := SolveExact(s)
+	localMissed := 0
+	for trial := 0; trial < 120; trial++ {
+		shape := trial % 3
+		density, mixed := []float64{0.3, 0.8, 1}[shape], shape == 2
+		s := randomSelection(rng, 3+rng.Intn(5), 4, density, mixed)
+		want := bruteForce(s)
+		pe, ve, err := SolveExact(s)
 		if err != nil {
 			t.Fatal(err)
-		}
-		_, vi, err := SolveILP(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !approx(ve, vi) {
-			t.Errorf("trial %d: exact %v != ilp %v", trial, ve, vi)
 		}
 		_, vl, err := SolveLocal(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vl > ve+1e-9 {
-			t.Errorf("trial %d: local %v beats exact %v", trial, vl, ve)
+		if !approx(ve, want) {
+			t.Errorf("trial %d (density %v, mixed %v): exact %v, brute force %v", trial, density, mixed, ve, want)
+		}
+		if vl > want+1e-9 {
+			t.Errorf("trial %d: local %v beats brute force %v", trial, vl, want)
+		}
+		if shape != 0 {
+			// The ILP takes seconds on dense instances;
+			// TestPositivePairWeights covers its positive-weight rows.
+			continue
+		}
+		if vl < want-1e-6 {
+			localMissed++
+		}
+		pi, vi, err := SolveILP(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !approx(vi, want) || !slices.Equal(pe, pi) {
+			t.Errorf("trial %d: exact pick %v at %v, ilp pick %v at %v", trial, pe, ve, pi, vi)
+		}
+	}
+	if localMissed == 0 {
+		t.Error("local search was optimal on every PACOR-shaped instance; the pick comparison never left the warm start")
+	}
+}
+
+// randomSelection returns nGroups groups of 1..maxPer candidates with
+// weights on about density of the cross-group pairs. A mixed instance has
+// NodeW in [-1, 1] and PairW in [-2, 2]; otherwise NodeW is in [-0.1, 0]
+// and PairW in [-2, 0].
+func randomSelection(rng *rand.Rand, nGroups, maxPer int, density float64, mixed bool) *Selection {
+	var groups [][]int
+	var gOf []int
+	for g := 0; g < nGroups; g++ {
+		var grp []int
+		for k := rng.Intn(maxPer); k >= 0; k-- {
+			grp = append(grp, len(gOf))
+			gOf = append(gOf, g)
+		}
+		groups = append(groups, grp)
+	}
+	n := len(gOf)
+	nodeW := make([]float64, n)
+	pw := make([][]float64, n)
+	for i := range pw {
+		pw[i] = make([]float64, n)
+		if mixed {
+			nodeW[i] = 2*rng.Float64() - 1
+		} else {
+			nodeW[i] = -0.1 * rng.Float64()
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if gOf[a] == gOf[b] || rng.Float64() >= density {
+				continue
+			}
+			w := -2 * rng.Float64()
+			if mixed {
+				w = 4*rng.Float64() - 2
+			}
+			pw[a][b], pw[b][a] = w, w
+		}
+	}
+	return &Selection{Groups: groups, NodeW: nodeW, PairW: pw}
+}
+
+// bruteForce returns the best objective over every pick.
+func bruteForce(s *Selection) float64 {
+	best := math.Inf(-1)
+	pick := make([]int, len(s.Groups))
+	var rec func(gi int)
+	rec = func(gi int) {
+		if gi == len(s.Groups) {
+			best = math.Max(best, s.Value(pick))
+			return
+		}
+		for _, c := range s.Groups[gi] {
+			pick[gi] = c
+			rec(gi + 1)
+		}
+	}
+	rec(0)
+	return best
+}
+
+// TestSolversKeepTiedWarmStart gives an instance two optimal picks, (0,2)
+// and (1,3), where local search finds (1,3) and a search with no incumbent in
+// either solver's visit order meets (0,2) first. Both exact solvers must
+// keep the warm start: a pick replaces it only when strictly better.
+func TestSolversKeepTiedWarmStart(t *testing.T) {
+	pw := make([][]float64, 5)
+	for i := range pw {
+		pw[i] = make([]float64, 5)
+	}
+	set := func(a, b int, w float64) { pw[a][b], pw[b][a] = w, w }
+	set(0, 3, -2)
+	set(0, 4, -2)
+	set(1, 2, -3)
+	set(1, 3, -1)
+	set(1, 4, -3)
+	s := &Selection{
+		Groups: [][]int{{0, 1}, {2, 3, 4}},
+		NodeW:  []float64{-1, -0.5, -0.5, 0, 0},
+		PairW:  pw,
+	}
+	// (0,2) = -1-0.5+0 = -1.5 and (1,3) = -0.5+0-1 = -1.5; every other pick
+	// is at most -3.
+	if !approx(bruteForce(s), -1.5) {
+		t.Fatalf("optimum %v, want -1.5", bruteForce(s))
+	}
+	want := []int{1, 3}
+	if pick, _, err := SolveLocal(s); err != nil || !slices.Equal(pick, want) {
+		t.Fatalf("local pick %v (%v), want %v", pick, err, want)
+	}
+	for name, solver := range map[string]func(*Selection) ([]int, float64, error){
+		"exact": SolveExact, "ilp": SolveILP,
+	} {
+		pick, val, err := solver(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(pick, want) || !approx(val, -1.5) {
+			t.Errorf("%s: pick %v val %v, want the warm start %v at -1.5", name, pick, val, want)
 		}
 	}
 }

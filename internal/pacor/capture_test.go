@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/route"
+	"repro/internal/seltree"
+	"repro/internal/valve"
 )
 
 // TestWorkerCountByteIdentical routes the synthetic Table 1 benchmarks in
@@ -43,21 +45,72 @@ func TestWorkerCountByteIdentical(t *testing.T) {
 					if capture && len(negCap.Rounds) == 0 && res.Negotiate.Rounds > 0 {
 						t.Fatalf("%v: capture recorded no negotiation rounds", mode)
 					}
-					res.Runtime = 0
-					res.StageTimes = nil
-					var buf bytes.Buffer
-					if err := res.WriteJSON(&buf); err != nil {
-						t.Fatalf("%v capture=%v: marshal: %v", mode, capture, err)
-					}
+					got := stableJSON(t, res)
 					if want == nil {
-						want = buf.Bytes()
+						want = got
 						continue
 					}
-					if !bytes.Equal(want, buf.Bytes()) {
+					if !bytes.Equal(want, got) {
 						t.Errorf("%v: capturing run's result differs from the plain run", mode)
 					}
 				}
 			}
 		})
 	}
+}
+
+// TestSolverILPByteIdentical routes the synthetic Table 1 benchmarks S1-S5,
+// and S5 seed 1019, whose selection is the slowest for the ILP, with the
+// default branch-and-bound selection and with the paper's ILP, and
+// requires byte-identical results: the two exact solvers share a tie rule
+// and so pick the same candidate trees.
+func TestSolverILPByteIdentical(t *testing.T) {
+	var designs []*valve.Design
+	for _, name := range []string{"S1", "S2", "S3", "S4", "S5"} {
+		d, err := bench.Generate(name)
+		if err != nil {
+			t.Fatalf("generate %s: %v", name, err)
+		}
+		designs = append(designs, d)
+	}
+	for _, s := range bench.Specs {
+		if s.Name == "S5" {
+			s.Seed = 1019
+			d, err := bench.GenerateSpec(s)
+			if err != nil {
+				t.Fatalf("generate S5 seed 1019: %v", err)
+			}
+			designs = append(designs, d)
+		}
+	}
+	for i, d := range designs {
+		var want []byte
+		for _, solver := range []seltree.Solver{seltree.SolverExact, seltree.SolverILP} {
+			params := DefaultParams()
+			params.Solver = solver
+			res, err := Route(d, params)
+			if err != nil {
+				t.Fatalf("design %d (%s) solver %d: %v", i, d.Name, solver, err)
+			}
+			got := stableJSON(t, res)
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(want, got) {
+				t.Errorf("design %d (%s): the ILP's result differs from the branch and bound's", i, d.Name)
+			}
+		}
+	}
+}
+
+// stableJSON serializes res with its wall-time fields zeroed, the one thing
+// two runs of one input may differ in.
+func stableJSON(t *testing.T, res *Result) []byte {
+	t.Helper()
+	res.Runtime = 0
+	res.StageTimes = nil
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf); err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	return buf.Bytes()
 }

@@ -1,8 +1,9 @@
 package pacor
 
 // Cross-run reuse of the candidate-generation and selection sub-stage of
-// routeLMClusters — the flow's single most expensive computation (the MWCP
-// ILP alone is over half of a cold S5 route).
+// routeLMClusters. It was written when the MWCP ILP was over half of a cold
+// S5 route; with the branch-and-bound default, selection takes well under a
+// millisecond there.
 //
 // Soundness rests on two determinism arguments:
 //
@@ -94,7 +95,7 @@ type LMReuseStats struct {
 	CandClusters int
 	CandReplayed int
 	// SelectionReplayed is true when the MWCP selection was served from the
-	// seed (the ILP did not run).
+	// seed (the solver did not run).
 	SelectionReplayed bool
 }
 

@@ -59,7 +59,10 @@ type Params struct {
 	// threshold, so every design at or below 256x256 routes exactly as
 	// before. It seeds Negotiate.Hier unless that is set explicitly.
 	Hier route.HierParams
-	// Solver picks the MWCP solver (the paper adopted ILP).
+	// Solver picks the MWCP selection solver. The default is the exact
+	// branch and bound (mwcp.SolveExact). The paper adopted an ILP;
+	// seltree.SolverILP runs it as the paper-fidelity ablation, and it
+	// returns the same picks, only slower.
 	Solver seltree.Solver
 	// EscapeRetries bounds the de-clustering/rip-up escape rounds.
 	EscapeRetries int
@@ -94,14 +97,15 @@ type Params struct {
 	LMCapture *LMSeed
 }
 
-// DefaultParams returns the paper's settings.
+// DefaultParams returns the paper's settings, with the exact branch and
+// bound in place of its ILP for candidate selection.
 func DefaultParams() Params {
 	return Params{
 		Mode:          ModePACOR,
 		MaxCandidates: 6,
 		Lambda:        0.1,
 		Negotiate:     route.DefaultNegotiateParams(),
-		Solver:        seltree.SolverILP,
+		Solver:        seltree.SolverExact,
 		EscapeRetries: 6,
 	}
 }

@@ -14,7 +14,8 @@ import (
 )
 
 // Solver selects which MWCP algorithm performs the selection. The paper
-// implemented all three and adopted the ILP.
+// implemented all three and adopted the ILP; here the exact branch and
+// bound is the default, and the ILP returns the same picks (see mwcp).
 type Solver int
 
 // Available solvers.
@@ -30,20 +31,24 @@ type Config struct {
 	// uses 0.1, prioritizing routability over mismatch.
 	Lambda float64
 	Solver Solver
-	// LocalFallbackSize: above this many total candidates the exact/ILP
-	// solvers give way to local search (the ILP grows quadratically in
-	// candidate pairs).
+	// LocalFallbackSize: above this many total candidates the exact and
+	// ILP solvers give way to local search. The ILP's model grows
+	// quadratically in candidate pairs and needs the limit; the branch and
+	// bound is guarded by its node cap instead, but keeps the limit so that
+	// selections above 96 candidates still pick what local search picks.
 	LocalFallbackSize int
 }
 
-// DefaultConfig mirrors the paper's parameters.
+// DefaultConfig mirrors the paper's parameters, with the branch and bound
+// in place of the paper's ILP.
 func DefaultConfig() Config {
-	return Config{Lambda: 0.1, Solver: SolverILP, LocalFallbackSize: 96}
+	return Config{Lambda: 0.1, Solver: SolverExact, LocalFallbackSize: 96}
 }
 
 // Select picks one candidate per cluster. cands[i] lists cluster i's
 // candidate trees; every cluster must have at least one. It returns the
-// selected index into each cands[i].
+// selected index into each cands[i]. When the configured exact solver
+// fails, for example past its node cap, it returns local search's pick.
 func Select(cands [][]*dme.Tree, cfg Config) ([]int, error) {
 	for i, c := range cands {
 		if len(c) == 0 {
@@ -53,28 +58,7 @@ func Select(cands [][]*dme.Tree, cfg Config) ([]int, error) {
 	if len(cands) == 0 {
 		return nil, nil
 	}
-	sel := buildSelection(cands, cfg.Lambda)
-
-	solver := cfg.Solver
-	if len(sel.NodeW) > cfg.LocalFallbackSize && solver != SolverLocal {
-		solver = SolverLocal
-	}
-	var pick []int
-	var err error
-	switch solver {
-	case SolverILP:
-		pick, _, err = mwcp.SolveILP(sel)
-		if err != nil {
-			// Oversized or numerically hard ILPs degrade to local search, as
-			// a production flow must not fail the whole route on a selection
-			// sub-problem.
-			pick, _, err = mwcp.SolveLocal(sel)
-		}
-	case SolverExact:
-		pick, _, err = mwcp.SolveExact(sel)
-	default:
-		pick, _, err = mwcp.SolveLocal(sel)
-	}
+	pick, err := solve(buildSelection(cands, cfg.Lambda), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -86,6 +70,31 @@ func Select(cands [][]*dme.Tree, cfg Config) ([]int, error) {
 		base += len(c)
 	}
 	return out, nil
+}
+
+// solve runs cfg's solver on sel and returns one flat candidate id per
+// group.
+func solve(sel *mwcp.Selection, cfg Config) ([]int, error) {
+	solver := cfg.Solver
+	if len(sel.NodeW) > cfg.LocalFallbackSize {
+		solver = SolverLocal
+	}
+	var pick []int
+	var err error
+	switch solver {
+	case SolverILP:
+		pick, _, err = mwcp.SolveILP(sel)
+	case SolverExact:
+		pick, _, err = mwcp.SolveExact(sel)
+	default:
+		pick, _, err = mwcp.SolveLocal(sel)
+	}
+	if err != nil && solver != SolverLocal {
+		// A production flow must not fail the whole route on a selection
+		// sub-problem.
+		pick, _, err = mwcp.SolveLocal(sel)
+	}
+	return pick, err
 }
 
 // buildSelection assembles the MWCP instance: node weights Cm (Eq. 2) and

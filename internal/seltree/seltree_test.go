@@ -1,11 +1,14 @@
 package seltree
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dme"
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/mwcp"
 )
 
 func candsFor(t *testing.T, obs *grid.ObsMap, clusters [][]geom.Pt, maxCand int) [][]*dme.Tree {
@@ -56,7 +59,7 @@ func TestSelectAvoidsOverlap(t *testing.T) {
 	}
 	sel := buildSelection(cands, 0.1)
 	// Compare the chosen assignment's objective to all single-candidate
-	// alternatives; it must be the maximum (ILP is exact).
+	// alternatives; it must be the maximum (the default solver is exact).
 	flatPick := []int{pick[0], len(cands[0]) + pick[1]}
 	chosen := sel.Value(flatPick)
 	for a := 0; a < len(cands[0]); a++ {
@@ -106,6 +109,56 @@ func TestSelectLocalFallbackOnSize(t *testing.T) {
 		if p < 0 || p >= len(cands[i]) {
 			t.Errorf("pick[%d] = %d out of range", i, p)
 		}
+	}
+}
+
+// TestSelectFallsBackPastNodeCap routes a selection too dense for the
+// branch and bound to certify within its node cap: 16 clusters of 6
+// candidates (96, not above LocalFallbackSize) with overlap weights on 60%
+// of the cross-cluster pairs. SolveExact gives up with an error, and the
+// selection must take local search's pick rather than fail or fall to
+// every cluster's first candidate.
+func TestSelectFallsBackPastNodeCap(t *testing.T) {
+	const groups, per = 16, 6
+	rng := rand.New(rand.NewSource(1))
+	n := groups * per
+	sel := &mwcp.Selection{NodeW: make([]float64, n), PairW: make([][]float64, n)}
+	for g := 0; g < groups; g++ {
+		var grp []int
+		for k := 0; k < per; k++ {
+			grp = append(grp, g*per+k)
+		}
+		sel.Groups = append(sel.Groups, grp)
+	}
+	for i := range sel.PairW {
+		sel.PairW[i] = make([]float64, n)
+		sel.NodeW[i] = -0.1 * rng.Float64()
+	}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if a/per != b/per && rng.Float64() < 0.6 {
+				w := -rng.Float64()
+				sel.PairW[a][b], sel.PairW[b][a] = w, w
+			}
+		}
+	}
+	cfg := DefaultConfig()
+	if n > cfg.LocalFallbackSize {
+		t.Fatalf("%d candidates skip the exact solver", n)
+	}
+	if _, _, err := mwcp.SolveExact(sel); err == nil {
+		t.Fatal("SolveExact certified the dense instance; it no longer exercises the node cap")
+	}
+	want, _, err := mwcp.SolveLocal(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := solve(sel, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("pick %v, want local search's %v", got, want)
 	}
 }
 
