@@ -94,3 +94,27 @@ func TestRunErrors(t *testing.T) {
 		t.Error("missing file must error")
 	}
 }
+
+// TestRunOversizedDesign: a design file whose W·H overflows int is an error
+// (exit status 1), not a panic in the obstacle map.
+func TestRunOversizedDesign(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.json")
+	src := `{"name":"huge","width":4294967296,"height":4294967296,"delta":1,
+	  "valves":[{"pos":[3,3],"seq":"01"},{"pos":[6,6],"seq":"10"}],
+	  "pins":[[0,5],[9,0]]}`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("run panicked: %v", p)
+			}
+		}()
+		err = run([]string{path}, &bytes.Buffer{})
+	}()
+	if err == nil || !strings.Contains(err.Error(), "cell budget") {
+		t.Errorf("run = %v, want a cell-budget error", err)
+	}
+}

@@ -200,11 +200,16 @@ func (r *Router) Route(d *valve.Design, params pacor.Params) (*pacor.Result, err
 	return res, err
 }
 
-// routeSlow performs the miss path: disk probe, parent selection, seeded or
-// cold route, capture, insert, persist. It runs outside the lock (the lock
-// is taken only around store operations), so concurrent non-identical
-// requests route in parallel.
+// routeSlow performs the miss path: validation, disk probe, parent
+// selection, seeded or cold route, capture, insert, persist. It runs outside
+// the lock (the lock is taken only around store operations), so concurrent
+// non-identical requests route in parallel. Validation comes first because
+// cellBits indexes by valve position; the exact-hit path needs none, since a
+// raw-key hit is byte-identical to a design that validated on its miss.
 func (r *Router) routeSlow(d *valve.Design, params pacor.Params, sig string, rawKey Key) (*pacor.Result, error) {
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
 	canonKey := CanonKey(d, sig)
 	bits := cellBits(d)
 

@@ -528,3 +528,43 @@ func TestJaccardThreshold(t *testing.T) {
 		t.Fatalf("dissimilar design still seeded: %+v", s)
 	}
 }
+
+// TestRouteInvalidDesign: a design pacor.Route rejects gets the same error
+// through the cache, never a panic from indexing the occupancy bitmap with
+// an off-grid valve, and leaves nothing in memory or on disk.
+func TestRouteInvalidDesign(t *testing.T) {
+	d := &valve.Design{
+		Name: "offgrid", W: 10, H: 10, Delta: 1,
+		Valves: []valve.Valve{
+			{ID: 0, Pos: geom.Pt{X: 2, Y: 2}, Seq: valve.Seq{valve.Open}},
+			{ID: 1, Pos: geom.Pt{X: 50, Y: 50}, Seq: valve.Seq{valve.Open}},
+		},
+		Pins: []geom.Pt{{X: 0, Y: 5}, {X: 9, Y: 5}},
+	}
+	_, want := pacor.Route(d, pacor.DefaultParams())
+	if want == nil {
+		t.Fatal("pacor.Route accepted an off-grid valve")
+	}
+	dir := t.TempDir()
+	r := New(Options{Dir: dir})
+	for i := 0; i < 2; i++ {
+		var err error
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("Route panicked: %v", p)
+				}
+			}()
+			_, err = r.Route(d, pacor.DefaultParams())
+		}()
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("route %d: err = %v, want %v", i, err, want)
+		}
+	}
+	if n, _ := r.Len(); n != 0 {
+		t.Errorf("invalid design stored %d entries", n)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("invalid design persisted %d files", len(files))
+	}
+}

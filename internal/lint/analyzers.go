@@ -2,12 +2,10 @@ package lint
 
 // Analyzers returns the default registry, in stable order. The first five
 // are the syntax-level checks from the original gate; the rest are the
-// dataflow-aware concurrency/determinism checks built on internal/lint/cfg
-// (journalpair and the rewired wsaliasing/snapshotread additionally
-// consume the interprocedural summaries from internal/lint/summaries.go).
-// The final three are the spawn-graph race check (sharedcapture),
-// WaitGroup/channel hygiene (conchygiene), and the mcf arena pairing
-// contract (mcfpair).
+// dataflow-aware ownership/protocol/determinism checks built on
+// internal/lint/cfg (wsaliasing, snapshotread and journalpair additionally
+// consume the interprocedural summaries from internal/lint/summaries.go),
+// ending with the mcf arena pairing contract (mcfpair).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerMapOrder,
@@ -19,8 +17,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerSnapshotRead,
 		AnalyzerJournalPair,
 		AnalyzerNonDeterm,
-		AnalyzerSharedCapture,
-		AnalyzerConcHygiene,
 		AnalyzerMcfPair,
 	}
 }

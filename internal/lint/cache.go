@@ -19,7 +19,7 @@ import (
 // summaries, so every dependent still hits.
 
 // cacheVersion invalidates all entries when the analysis format changes.
-const cacheVersion = "pacorvet-fact-cache-v2"
+const cacheVersion = "pacorvet-fact-cache-v3"
 
 // cacheEntry is the persisted analysis result of one package.
 type cacheEntry struct {

@@ -97,10 +97,6 @@ type Graph struct {
 	CallOnly map[types.Object]bool
 	// LitKey maps each function literal to its node key.
 	LitKey map[*ast.FuncLit]string
-	// ValueRef marks declared functions referenced as values (outside call
-	// position): they can be invoked from contexts the graph cannot see,
-	// so role inference treats them as part of the entry surface.
-	ValueRef map[string]bool
 }
 
 // FuncKey returns the stable cross-package key of a declared function or
@@ -169,41 +165,6 @@ func Build(pkgPath string, files []*ast.File, info *types.Info) *Graph {
 	// Pass 3: edges.
 	for _, n := range g.Nodes {
 		b.collectEdges(n)
-	}
-
-	// Pass 4: value references. An identifier resolving to a declared
-	// function of this package that is not the operand of a call marks the
-	// function as address-taken.
-	g.ValueRef = map[string]bool{}
-	if info != nil {
-		for _, f := range files {
-			callFun := map[*ast.Ident]bool{}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					switch fun := ast.Unparen(call.Fun).(type) {
-					case *ast.Ident:
-						callFun[fun] = true
-					case *ast.SelectorExpr:
-						callFun[fun.Sel] = true
-					}
-				}
-				return true
-			})
-			ast.Inspect(f, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok || callFun[id] {
-					return true
-				}
-				fn, ok := info.Uses[id].(*types.Func)
-				if !ok {
-					return true
-				}
-				if key := FuncKey(fn); g.ByKey[key] != nil {
-					g.ValueRef[key] = true
-				}
-				return true
-			})
-		}
 	}
 	return g
 }

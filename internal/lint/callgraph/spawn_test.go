@@ -1,7 +1,41 @@
 package callgraph
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
+// These tests pin the `go` edges of the call graph: the summary engine
+// reads KindGo to withhold a spawned callee's effects from its caller and
+// to treat the spawned call's arguments and captures as escaping.
+
+var kindName = map[EdgeKind]string{KindCall: "call", KindGo: "go", KindDefer: "defer", KindUnknown: "unknown"}
+
+// edgeList renders a node's edges as "kind callee" items in source order,
+// with the example.com/p. prefix dropped.
+func edgeList(t *testing.T, g *Graph, key string) string {
+	t.Helper()
+	n := g.ByKey["example.com/p."+key]
+	if n == nil {
+		t.Fatalf("missing node %s; have %v", key, nodeKeys(g))
+	}
+	var out []string
+	for _, e := range n.Edges {
+		out = append(out, strings.TrimSpace(kindName[e.Kind]+" "+strings.TrimPrefix(e.Callee, "example.com/p.")))
+	}
+	return strings.Join(out, ", ")
+}
+
+func wantEdges(t *testing.T, g *Graph, key, want string) {
+	t.Helper()
+	if got := edgeList(t, g, key); got != want {
+		t.Errorf("%s edges = [%s], want [%s]", key, got, want)
+	}
+}
+
+// TestSpawnRolesScheduler: a `go` statement inside a loop is one KindGo
+// edge to the resolved method, and the spawned method's own calls are
+// ordinary call edges of its node.
 func TestSpawnRolesScheduler(t *testing.T) {
 	g, _ := load(t, `package p
 
@@ -19,38 +53,39 @@ func (s *sched) worker() {
 
 func (s *sched) advance() { s.n++ }
 
-func shared() {} // called from both roles
+func shared() {}
 
 func Front(s *sched) { shared() }
-
-func (s *sched) helperFromWorker() {}
 `)
-	roles := g.SpawnRoles()
-
-	for key, want := range map[string]Role{
-		"example.com/p.Run":             RoleMain,
-		"example.com/p.(sched).worker":  RoleWorker,
-		"example.com/p.(sched).advance": RoleWorker,
-		"example.com/p.Front":           RoleMain,
-	} {
-		if got := roles[key]; got != want {
-			t.Errorf("role[%s] = %v, want %v", key, got, want)
-		}
-	}
-	if r := roles["example.com/p.(sched).worker"]; !r.Spawned() || r&RoleMain != 0 {
-		t.Error("worker should run only on spawned goroutines")
-	}
-	if roles["example.com/p.(sched).advance"].Spawned() != true {
-		t.Error("advance should inherit the worker role through the call edge")
+	wantEdges(t, g, "Run", "go (sched).worker")
+	wantEdges(t, g, "(sched).worker", "call (sched).advance")
+	wantEdges(t, g, "(sched).advance", "")
+	wantEdges(t, g, "Front", "call shared")
+	if got := goSites(g); got != 1 {
+		t.Errorf("go sites = %d, want 1 (a loop spawn is one site)", got)
 	}
 }
 
+func goSites(g *Graph) int {
+	n := 0
+	for _, e := range g.Sites {
+		if e.Kind == KindGo {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSpawnRolesFanoutAndValueRef: a spawned declared function gets a
+// KindGo edge; a function referenced only as a value gets no edge at all,
+// and calling it through the parameter is an unknown edge.
 func TestSpawnRolesFanoutAndValueRef(t *testing.T) {
 	g, _ := load(t, `package p
 
 func Run() {
 	go helper()
 	use(taken)
+	go use(taken)
 }
 
 func helper() {}
@@ -59,40 +94,41 @@ func taken() {}
 
 func use(f func()) { f() }
 `)
-	roles := g.SpawnRoles()
-	if got := roles["example.com/p.helper"]; got != RoleFanout {
-		t.Errorf("helper role = %v, want fanout", got)
-	}
-	if got := roles["example.com/p.taken"]; got&RoleMain == 0 {
-		t.Errorf("value-referenced function should be main-role, got %v", got)
-	}
-	if !g.ValueRef["example.com/p.taken"] {
-		t.Error("taken should be marked as a value reference")
-	}
-	if g.ValueRef["example.com/p.helper"] {
-		t.Error("helper is only spawned, not referenced as a value")
+	wantEdges(t, g, "Run", "go helper, call use, go use")
+	wantEdges(t, g, "use", "unknown")
+	for _, e := range g.Sites {
+		if e.Callee == "example.com/p.taken" {
+			t.Errorf("value reference produced a %s edge to taken", kindName[e.Kind])
+		}
 	}
 }
 
+// TestSpawnRolesMixed: one caller may both spawn and call the same
+// function; every site keeps its own kind, in source order.
 func TestSpawnRolesMixed(t *testing.T) {
 	g, _ := load(t, `package p
 
 func Run() {
 	go both()
+	both()
 	go both()
+	defer both()
 }
 
 func Direct() { both() }
 
 func both() {}
 `)
-	roles := g.SpawnRoles()
-	got := roles["example.com/p.both"]
-	if got&RoleWorker == 0 || got&RoleMain == 0 {
-		t.Errorf("both should be worker|main, got %v", got)
+	wantEdges(t, g, "Run", "go both, call both, go both, defer both")
+	wantEdges(t, g, "Direct", "call both")
+	if got := goSites(g); got != 2 {
+		t.Errorf("go sites = %d, want 2", got)
 	}
 }
 
+// TestSpawnRolesClosure: a closure spawned in a loop is its own node with
+// a KindGo edge from the host; its deferred and direct calls belong to the
+// closure's node, not the host's.
 func TestSpawnRolesClosure(t *testing.T) {
 	g, _ := load(t, `package p
 
@@ -110,20 +146,31 @@ func Run(wg *sync.WaitGroup) {
 
 func work() {}
 `)
-	roles := g.SpawnRoles()
-	if got := roles["example.com/p.Run$0"]; got != RoleWorker {
-		t.Errorf("loop-spawned closure role = %v, want worker", got)
-	}
-	if got := roles["example.com/p.work"]; got&RoleWorker == 0 {
-		t.Errorf("work called from the spawned closure should be worker-role, got %v", got)
+	wantEdges(t, g, "Run", "call sync.(WaitGroup).Add, go Run$0")
+	wantEdges(t, g, "Run$0", "defer sync.(WaitGroup).Done, call work")
+	if n := g.ByKey["example.com/p.Run$0"]; n == nil || n.Lit == nil || n.Parent != g.ByKey["example.com/p.Run"] {
+		t.Fatalf("spawned closure node wrong: %+v", n)
 	}
 }
 
+// TestRoleString: `go` through a variable bound once to a literal resolves
+// to the literal's node; `go` through an arbitrary function value stays
+// unknown, like a synchronous call through one.
 func TestRoleString(t *testing.T) {
-	if got := Role(0).String(); got != "unknown" {
-		t.Errorf("zero role = %q", got)
+	g, _ := load(t, `package p
+
+func Run(fs []func()) {
+	done := func() {}
+	go done()
+	for _, f := range fs {
+		go f()
 	}
-	if got := (RoleMain | RoleWorker).String(); got != "main|worker" {
-		t.Errorf("main|worker = %q", got)
+}
+`)
+	wantEdges(t, g, "Run", "go Run$0, unknown")
+	for _, e := range g.ByKey["example.com/p.Run"].Edges {
+		if g.Sites[e.Site] != e {
+			t.Errorf("Sites disagrees with Edges at %v", e.Site)
+		}
 	}
 }

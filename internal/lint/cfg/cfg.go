@@ -81,75 +81,6 @@ func (g *Graph) RPO() []*Block {
 	return post
 }
 
-// Idoms returns the immediate dominator of every block, indexed by
-// Block.Index, using the Cooper–Harvey–Kennedy iterative algorithm. The
-// entry block's immediate dominator is itself; unreachable blocks map to
-// nil.
-func (g *Graph) Idoms() []*Block {
-	rpo := g.RPO()
-	num := make([]int, len(g.Blocks)) // block index -> RPO position
-	for i := range num {
-		num[i] = -1
-	}
-	for i, b := range rpo {
-		num[b.Index] = i
-	}
-	idom := make([]*Block, len(g.Blocks))
-	idom[g.Entry.Index] = g.Entry
-
-	intersect := func(a, b *Block) *Block {
-		for a != b {
-			for num[a.Index] > num[b.Index] {
-				a = idom[a.Index]
-			}
-			for num[b.Index] > num[a.Index] {
-				b = idom[b.Index]
-			}
-		}
-		return a
-	}
-
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo {
-			if b == g.Entry {
-				continue
-			}
-			var d *Block
-			for _, p := range b.Preds {
-				if idom[p.Index] == nil {
-					continue // unreachable or not yet processed
-				}
-				if d == nil {
-					d = p
-				} else {
-					d = intersect(d, p)
-				}
-			}
-			if d != nil && idom[b.Index] != d {
-				idom[b.Index] = d
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-// Dominates reports whether a dominates b under the idom tree returned by
-// Idoms (every block dominates itself).
-func Dominates(idom []*Block, a, b *Block) bool {
-	for {
-		if b == a {
-			return true
-		}
-		d := idom[b.Index]
-		if d == nil || d == b {
-			return false
-		}
-		b = d
-	}
-}
-
 // --- builder ---------------------------------------------------------------
 
 type labelInfo struct {

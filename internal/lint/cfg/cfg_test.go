@@ -123,11 +123,11 @@ func TestForLoopBackEdge(t *testing.T) {
 	checkInvariants(t, g)
 	// Some reachable block must have a back edge (successor already seen on
 	// the path), i.e. the graph is cyclic.
-	idom := g.Idoms()
+	idom := idoms(g)
 	cyclic := false
 	for b := range reachable(g) {
 		for _, s := range b.Succs {
-			if Dominates(idom, s, b) {
+			if dominates(idom, s, b) {
 				cyclic = true
 			}
 		}
@@ -240,12 +240,12 @@ func TestRangeZeroIterations(t *testing.T) {
 	// zero-iteration range skips the body.
 	g := New(parseBody(t, "m := map[int]int{}\nfor k := range m {\n\t_ = k\n}"))
 	checkInvariants(t, g)
-	idom := g.Idoms()
+	idom := idoms(g)
 	// The body must not dominate the exit.
 	for b := range reachable(g) {
 		for _, n := range b.Nodes {
 			if _, ok := n.(*ast.AssignStmt); ok && b != g.Entry {
-				if Dominates(idom, b, g.Exit) {
+				if dominates(idom, b, g.Exit) {
 					t.Errorf("range body dominates exit; zero-iteration edge missing")
 				}
 			}
@@ -262,16 +262,16 @@ if x > 0 {
 	x = 2
 }
 _ = x`))
-	idom := g.Idoms()
+	idom := idoms(g)
 	// Entry dominates everything reachable.
 	for b := range reachable(g) {
-		if !Dominates(idom, g.Entry, b) {
+		if !dominates(idom, g.Entry, b) {
 			t.Errorf("entry does not dominate block %d", b.Index)
 		}
 	}
 	// Neither arm dominates the exit.
 	for _, arm := range g.Entry.Succs {
-		if Dominates(idom, arm, g.Exit) {
+		if dominates(idom, arm, g.Exit) {
 			t.Errorf("branch arm %d dominates exit", arm.Index)
 		}
 	}
@@ -380,5 +380,74 @@ _ = x`))
 	got := in[g.Exit.Index]
 	if !got["x:="] || !got["x::="] {
 		t.Errorf("exit fact missing branch assignments: %v", got)
+	}
+}
+
+// idoms returns the immediate dominator of every block, indexed by
+// Block.Index, using the Cooper–Harvey–Kennedy iterative algorithm. The
+// entry block's immediate dominator is itself; unreachable blocks map to
+// nil. The tests use dominance to pin the shape of built graphs.
+func idoms(g *Graph) []*Block {
+	rpo := g.RPO()
+	num := make([]int, len(g.Blocks)) // block index -> RPO position
+	for i := range num {
+		num[i] = -1
+	}
+	for i, b := range rpo {
+		num[b.Index] = i
+	}
+	idom := make([]*Block, len(g.Blocks))
+	idom[g.Entry.Index] = g.Entry
+
+	intersect := func(a, b *Block) *Block {
+		for a != b {
+			for num[a.Index] > num[b.Index] {
+				a = idom[a.Index]
+			}
+			for num[b.Index] > num[a.Index] {
+				b = idom[b.Index]
+			}
+		}
+		return a
+	}
+
+	for changed := true; changed; {
+		changed = false
+		for _, b := range rpo {
+			if b == g.Entry {
+				continue
+			}
+			var d *Block
+			for _, p := range b.Preds {
+				if idom[p.Index] == nil {
+					continue // unreachable or not yet processed
+				}
+				if d == nil {
+					d = p
+				} else {
+					d = intersect(d, p)
+				}
+			}
+			if d != nil && idom[b.Index] != d {
+				idom[b.Index] = d
+				changed = true
+			}
+		}
+	}
+	return idom
+}
+
+// dominates reports whether a dominates b under the idom tree returned by
+// idoms (every block dominates itself).
+func dominates(idom []*Block, a, b *Block) bool {
+	for {
+		if b == a {
+			return true
+		}
+		d := idom[b.Index]
+		if d == nil || d == b {
+			return false
+		}
+		b = d
 	}
 }

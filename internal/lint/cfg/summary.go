@@ -45,17 +45,6 @@ type ParamSummary struct {
 	// OpensJournal: some path calls StartJournal on the parameter and
 	// returns without stopping it.
 	OpensJournal bool `json:",omitempty"`
-	// LocksParam / UnlocksParam: some path acquires / releases the
-	// parameter as a mutex (Lock/RLock, Unlock/RUnlock — directly or
-	// through a callee's summary). The concurrency analyzers transfer
-	// locksets through calls with these bits.
-	LocksParam   bool `json:",omitempty"`
-	UnlocksParam bool `json:",omitempty"`
-	// WGDoneMay / WGDoneAlways: Done is called on the parameter WaitGroup
-	// on some / every terminating path (deferred calls count on every
-	// path).
-	WGDoneMay    bool `json:",omitempty"`
-	WGDoneAlways bool `json:",omitempty"`
 }
 
 // Summary is the effect summary of one function.
@@ -82,20 +71,6 @@ type Summary struct {
 	// path panics, exits, or loops forever). Callers prune the successor
 	// paths of such calls.
 	NoReturn bool `json:",omitempty"`
-	// Concurrency effects, all may-facts folded transitively over
-	// synchronous callees: Spawns starts a goroutine; LocksAny/UnlocksAny
-	// acquire or release some mutex; SendsChan/RecvsChan perform channel
-	// operations; WGAdd/WGDone/WGWait are sync.WaitGroup traffic. The
-	// concurrency analyzers use them for barrier detection (a callee that
-	// waits ends the spawner's racy window) and hygiene checks.
-	Spawns     bool `json:",omitempty"`
-	LocksAny   bool `json:",omitempty"`
-	UnlocksAny bool `json:",omitempty"`
-	SendsChan  bool `json:",omitempty"`
-	RecvsChan  bool `json:",omitempty"`
-	WGAdd      bool `json:",omitempty"`
-	WGDone     bool `json:",omitempty"`
-	WGWait     bool `json:",omitempty"`
 }
 
 // Param returns the i-th parameter summary, zero when out of range (more
@@ -117,12 +92,6 @@ func (s *Summary) Equal(o *Summary) bool {
 	if s.Recv != o.Recv || s.StampsAlways != o.StampsAlways ||
 		s.ReadsUnstamped != o.ReadsUnstamped || s.Checked != o.Checked ||
 		s.NoReturn != o.NoReturn || len(s.Params) != len(o.Params) {
-		return false
-	}
-	if s.Spawns != o.Spawns || s.LocksAny != o.LocksAny ||
-		s.UnlocksAny != o.UnlocksAny || s.SendsChan != o.SendsChan ||
-		s.RecvsChan != o.RecvsChan || s.WGAdd != o.WGAdd ||
-		s.WGDone != o.WGDone || s.WGWait != o.WGWait {
 		return false
 	}
 	for i := range s.Params {

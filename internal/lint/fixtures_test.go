@@ -2,13 +2,18 @@ package lint
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/lint/cfg"
 )
 
 // wantRe extracts the expectation patterns from a // want comment. Both
@@ -172,7 +177,7 @@ func TestAnalyzersRegistry(t *testing.T) {
 		}
 		names = append(names, a.Name)
 	}
-	want := "maporder hotalloc floateq liberrs nostdout wsaliasing snapshotread journalpair nondeterm sharedcapture conchygiene mcfpair"
+	want := "maporder hotalloc floateq liberrs nostdout wsaliasing snapshotread journalpair nondeterm mcfpair"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("registry = %q, want %q", got, want)
 	}
@@ -195,16 +200,50 @@ func TestFixtureSuiteFails(t *testing.T) {
 	}
 }
 
+// TestSharedCaptureFixture pins the summaries' rule for `go` statements,
+// which keeps wsaliasing sound on goroutine handoff: a spawned call's
+// arguments and a spawned closure's captures escape, so the spawner is not
+// charged with a leak, and the spawned callee's release is never credited
+// at the spawn site. The fixture's synchronous controls show that the
+// same calls made without `go` do discharge or keep the obligation.
 func TestSharedCaptureFixture(t *testing.T) {
-	runFixture(t, AnalyzerSharedCapture, "testdata/src/sharedcapture")
+	const dir = "testdata/src/gohandoff"
+	runFixture(t, AnalyzerWsAliasing, dir)
+
+	fset := token.NewFileSet()
+	ld := &loader{
+		fset:    fset,
+		dir:     ".",
+		source:  importer.ForCompiler(fset, "source", nil),
+		checked: map[string]*types.Package{},
+	}
+	cp, err := ld.loadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := summarizePackage(cp, cfg.NewStore())
+	param := func(fn string) cfg.ParamSummary {
+		sum := sums["fixture/gohandoff."+fn]
+		if sum == nil {
+			t.Fatalf("no summary for %s", fn)
+		}
+		return sum.Param(0)
+	}
+	if ps := param("consume"); !ps.ReleasesAlways || ps.Escapes {
+		t.Errorf("consume param = %+v, want a must-release that does not escape", ps)
+	}
+	for _, fn := range []string{"spawnCall", "spawnCapture"} {
+		if ps := param(fn); !ps.Escapes || ps.ReleasesAlways || ps.ReleasesMay {
+			t.Errorf("%s param = %+v, want an escape with no release credited", fn, ps)
+		}
+	}
 }
 
-// TestCommitOrderFixture pins the two facts that make a commit-order
-// analyzer unnecessary: the routing packages start no goroutines (every
-// search and commit runs on the caller's goroutine, in one fixed order),
-// and their sources carry no pacor directive beyond allow, hot and pkgpath
-// (so no lock-holding contract exists to check). Test files are exempt;
-// they may exercise workspaces from several goroutines.
+// TestCommitOrderFixture pins the fact that makes a commit-order analyzer
+// unnecessary on the routing packages: their sources carry no pacor
+// directive beyond allow, hot and pkgpath, so no lock-holding contract
+// exists to check. (That they start no goroutines is part of the
+// module-wide inventory in TestConcHygieneFixture.) Test files are exempt.
 func TestCommitOrderFixture(t *testing.T) {
 	known := []string{allowPrefix, hotPrefix, pkgpathPrefix}
 	for _, dir := range []string{"../route", "../grid", "../pacor", "../escape"} {
@@ -221,12 +260,6 @@ func TestCommitOrderFixture(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %s: %v", name, err)
 			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					t.Errorf("%s: go statement; routing runs on the caller's goroutine", fset.Position(g.Pos()))
-				}
-				return true
-			})
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					if !strings.HasPrefix(c.Text, "//pacor:") {
@@ -246,9 +279,67 @@ func TestCommitOrderFixture(t *testing.T) {
 		}
 	}
 }
-func TestConcHygieneFixture(t *testing.T) {
-	runFixture(t, AnalyzerConcHygiene, "testdata/src/conchygiene")
+
+// goroutineSites lists the only files in the module that may contain a
+// `go` statement: the two sweep worker pools and the lint driver's -j
+// pool. Each runs under the race detector in CI (TestParallelDeterminism,
+// TestSweepOnce, TestParallelByteIdentity). The flow itself runs on the
+// caller's goroutine, which is why pacorvet carries no concurrency
+// analyzers.
+var goroutineSites = map[string]bool{
+	"cmd/table2/main.go":      true,
+	"cmd/benchjson/main.go":   true,
+	"internal/lint/driver.go": true,
 }
+
+// TestConcHygieneFixture is the module-wide goroutine inventory: every
+// non-test .go file outside testdata is parsed, and a `go` statement in
+// any file not listed in goroutineSites fails with its position.
+func TestConcHygieneFixture(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		files++
+		rel, err := filepath.Rel(root, path)
+		if err != nil || goroutineSites[filepath.ToSlash(rel)] {
+			return err
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s:%d: go statement outside the inventoried worker pools", rel, fset.Position(g.Pos()).Line)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("no module sources found")
+	}
+}
+
 func TestMcfPairFixture(t *testing.T) {
 	runFixture(t, AnalyzerMcfPair, "testdata/src/mcfpair")
 }

@@ -2,6 +2,9 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
+	"go/types"
+	"strconv"
 
 	"repro/internal/lint/cfg"
 )
@@ -48,7 +51,7 @@ func checkMcfBody(p *Pass, body *ast.BlockStmt) {
 		if namedTypeName(p.TypeOf(e)) != "Graph" {
 			return 0
 		}
-		k := lockKeyOf(p.Info, e)
+		k := pathKeyOf(p.Info, e)
 		if k == "" {
 			return 0
 		}
@@ -93,11 +96,11 @@ func checkMcfBody(p *Pass, body *ast.BlockStmt) {
 				for i, lhs := range m.Lhs {
 					b := uint64(0)
 					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-						if k := lockKeyOf(p.Info, id); k != "" {
+						if k := pathKeyOf(p.Info, id); k != "" {
 							b = bits[k]
 						}
 					} else if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
-						if k := lockKeyOf(p.Info, sel); k != "" {
+						if k := pathKeyOf(p.Info, sel); k != "" {
 							b = bits[k]
 						}
 					}
@@ -158,7 +161,7 @@ func mcfCall(p *Pass, call *ast.CallExpr, fact *mcfFact, bits map[string]uint64,
 		if namedTypeName(p.TypeOf(e)) != "Graph" {
 			return 0
 		}
-		if k := lockKeyOf(p.Info, e); k != "" {
+		if k := pathKeyOf(p.Info, e); k != "" {
 			return bits[k]
 		}
 		return 0
@@ -209,7 +212,7 @@ func clearMentioned(p *Pass, call *ast.CallExpr, fact *mcfFact, bits map[string]
 		if namedTypeName(p.TypeOf(e)) != "Graph" {
 			return true
 		}
-		if k := lockKeyOf(p.Info, e); k != "" {
+		if k := pathKeyOf(p.Info, e); k != "" {
 			if b := bits[k]; b != 0 {
 				fact.solved &^= b
 				fact.free &^= b
@@ -233,4 +236,33 @@ func isFreshGraph(p *Pass, e ast.Expr) bool {
 		return namedTypeName(p.TypeOf(e)) == "Graph"
 	}
 	return false
+}
+
+// pathKeyOf canonicalizes a Graph access path to a stable key: the root
+// object's declaration position followed by the field path ("o123.graph").
+// Non-canonical operands (index expressions, call results) yield "" and
+// are not tracked.
+func pathKeyOf(info *types.Info, e ast.Expr) string {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if info == nil {
+			return ""
+		}
+		obj := info.ObjectOf(e)
+		if obj == nil {
+			return ""
+		}
+		return "o" + strconv.Itoa(int(obj.Pos()))
+	case *ast.SelectorExpr:
+		base := pathKeyOf(info, e.X)
+		if base == "" {
+			return ""
+		}
+		return base + "." + e.Sel.Name
+	case *ast.UnaryExpr:
+		if e.Op == token.AND {
+			return pathKeyOf(info, e.X)
+		}
+	}
+	return ""
 }

@@ -186,7 +186,6 @@ func (r *ipResolver) summarizeNode(n *callgraph.Node, checked bool) *cfg.Summary
 	sum.ReadsUnstamped = res.readsUnstamped && !isObsMapMethod(n)
 	sum.Checked = checked
 	sum.NoReturn = res.noReturn
-	r.concEffects(n, objs, sum)
 	return sum
 }
 

@@ -104,22 +104,6 @@ func passedOn(g Grid) int {
 	return consume(ws)
 }
 
-// twoSpawns shares one workspace between two goroutines: the search
-// arrays race.
-func twoSpawns(g Grid, ch chan int) {
-	ws := AcquireWorkspace(g) // want `workspace ws is referenced by 2 goroutine spawns`
-	go func() { ch <- ws.Search(1, 1) }()
-	go func() { ch <- ws.Search(2, 2) }()
-}
-
-// spawnInLoop starts many goroutines from one spawn site: counted double.
-func spawnInLoop(g Grid, ch chan int) {
-	ws := AcquireWorkspace(g) // want `workspace ws is referenced by 2 goroutine spawns`
-	for i := 0; i < 4; i++ {
-		go func() { ch <- ws.Search(i, i) }()
-	}
-}
-
 // oneSpawn transfers ownership to a single goroutine, which releases it.
 func oneSpawn(g Grid, ch chan int) {
 	ws := AcquireWorkspace(g)

@@ -9,23 +9,20 @@ import (
 	"repro/internal/lint/cfg"
 )
 
-// AnalyzerWsAliasing guards the pooled-workspace ownership contract behind
-// the PR 3 scheduler: a *Workspace obtained from AcquireWorkspace is owned
-// by exactly one goroutine, must reach ReleaseWorkspace on every control
-// path (or the pool shrinks until every search allocates again), must not
-// be used after release (the pool may already have handed it to another
-// goroutine), and must not be released twice. The check is a forward
-// dataflow analysis over the function's control-flow graph: each acquired
-// variable carries a may-state bitset {acquired, released, escaped}, and
-// joins take the union, so "released on one branch, leaked on the other"
-// is visible where a syntax walk is blind.
+// AnalyzerWsAliasing guards the pooled-workspace ownership contract: a
+// *Workspace obtained from AcquireWorkspace is owned by exactly one
+// goroutine, must reach ReleaseWorkspace on every control path (or the
+// pool shrinks until every search allocates again), must not be used after
+// release (the pool may already have handed it to another goroutine), and
+// must not be released twice. The check is a forward dataflow analysis
+// over the function's control-flow graph: each acquired variable carries a
+// may-state bitset {acquired, released, escaped}, and joins take the
+// union, so "released on one branch, leaked on the other" is visible where
+// a syntax walk is blind.
 //
 // A workspace that escapes — passed to a callee, returned, stored into a
 // structure, or captured by a closure — transfers its obligations to the
-// receiver, and the local analysis stops tracking it. Goroutine handoff is
-// the exception: a variable referenced by two or more `go` spawn sites
-// (one site inside a loop counts double) is shared mutable search state
-// and is flagged regardless.
+// receiver, and the local analysis stops tracking it.
 //
 // Calls are resolved interprocedurally when the driver provides summaries
 // (Pass.ip): passing the workspace to a helper whose summary says it
@@ -36,7 +33,7 @@ import (
 // wrote off as escapes.
 var AnalyzerWsAliasing = &Analyzer{
 	Name: "wsaliasing",
-	Doc:  "pooled workspaces must be released on every path, never used after release, and owned by one goroutine",
+	Doc:  "pooled workspaces must be released on every path, never used after release, and never released twice",
 	Run:  runWsAliasing,
 }
 
@@ -58,7 +55,6 @@ type wsSite struct {
 	qual   string   // callee qualifier as spelled ("route." or "")
 	hasRel bool     // some ReleaseWorkspace(v) appears in the function
 	defRel bool     // a defer ReleaseWorkspace(v) appears
-	spawns int      // weighted count of `go` sites referencing v
 }
 
 func runWsAliasing(p *Pass) {
@@ -125,25 +121,7 @@ func checkWsFunc(p *Pass, fn flowFunc) {
 
 	// Pass 2 (deep): flow-insensitive facts — existing releases (anywhere,
 	// closures included: a release inside a deferred closure still returns
-	// the workspace) and goroutine spawn sites referencing the variable.
-	var loops [][2]token.Pos
-	ast.Inspect(fn.body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ForStmt:
-			loops = append(loops, [2]token.Pos{n.Pos(), n.End()})
-		case *ast.RangeStmt:
-			loops = append(loops, [2]token.Pos{n.Pos(), n.End()})
-		}
-		return true
-	})
-	inLoop := func(pos token.Pos) bool {
-		for _, l := range loops {
-			if l[0] <= pos && pos < l[1] {
-				return true
-			}
-		}
-		return false
-	}
+	// the workspace).
 	ast.Inspect(fn.body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -162,16 +140,6 @@ func checkWsFunc(p *Pass, fn flowFunc) {
 					if s := a.tracked[obj]; s != nil {
 						s.defRel = true
 					}
-				}
-			}
-		case *ast.GoStmt:
-			w := 1
-			if inLoop(n.Pos()) {
-				w = 2 // one spawn site in a loop starts many goroutines
-			}
-			for obj := range a.referenced(n.Call) {
-				if s := a.tracked[obj]; s != nil {
-					s.spawns += w
 				}
 			}
 		}
@@ -214,9 +182,6 @@ func checkWsFunc(p *Pass, fn flowFunc) {
 				}
 			}
 			p.ReportFix(site.stmt.Pos(), fix, "workspace %s does not reach ReleaseWorkspace on every path; release it or defer the release here", site.name)
-		}
-		if site.spawns >= 2 {
-			p.Reportf(site.stmt.Pos(), "workspace %s is referenced by %d goroutine spawns; a pooled workspace must stay owned by a single goroutine", site.name, site.spawns)
 		}
 	}
 }

@@ -130,12 +130,21 @@ type Design struct {
 	Delta int
 }
 
-// Validate checks structural sanity of the design: dimensions, on-grid valve
-// and obstacle positions, boundary pins, equal-length sequences, no valve on
-// an obstacle, LM clusters referencing real and pairwise-compatible valves.
+// maxCells bounds W·H, so every accepted design's per-cell arrays fit in
+// memory and its cell indices cannot overflow. It is 4× the largest shipped
+// design (the full ChipXL, 1000×1000).
+const maxCells = 1 << 22
+
+// Validate checks structural sanity of the design: dimensions within the
+// cell budget, on-grid valve and obstacle positions, boundary pins,
+// equal-length sequences, no valve on an obstacle, LM clusters referencing
+// real and pairwise-compatible valves.
 func (d *Design) Validate() error {
 	if d.W <= 0 || d.H <= 0 {
 		return fmt.Errorf("valve: design %q has invalid size %dx%d", d.Name, d.W, d.H)
+	}
+	if d.W > maxCells/d.H { // W·H > maxCells, without overflowing
+		return fmt.Errorf("valve: design %q size %dx%d exceeds the %d-cell budget", d.Name, d.W, d.H, maxCells)
 	}
 	if d.Delta < 0 {
 		return fmt.Errorf("valve: design %q has negative delta %d", d.Name, d.Delta)
