@@ -499,12 +499,10 @@ func hline(x0, x1, y int) grid.Path {
 // re-routes. Cold is the per-step cost without the cross-run cache; ExactHit
 // replays an unchanged design from the cache store; NearHit routes each
 // edited variant warm-seeded by the most similar cached run (byte-identical
-// output; the searches/op, replays/op, candreplay/op, and selreplay/op
-// metrics prove the skipped work). NearHit moves ordinary (non-LM) valves —
-// the edit class whose candidate construction and MWCP selection replay
-// wholesale from the parent; NearHitLM moves length-matching valves, which
-// invalidate their own cluster's candidates and force the selection to
-// re-run, so its speedup is bounded by the negotiation-layer replays alone.
+// output; the searches/op and replays/op metrics prove the skipped work).
+// NearHit moves ordinary (non-LM) valves; NearHitLM moves length-matching
+// valves, which change their own cluster's DME tree and so the edges that
+// negotiation can replay. Both speed up through negotiation replays alone.
 // Each iteration visits a distinct variant so the cache cannot degenerate
 // into exact replays; exacthits/op reports any wrap-around when b.N outruns
 // the variant pool.
@@ -572,8 +570,6 @@ func BenchmarkFlowEditLoop(b *testing.B) {
 		}
 		b.ReportMetric(float64(searches), "searches/op")
 		b.ReportMetric(float64(s.SeededHits)/float64(s.NearHits), "replays/op")
-		b.ReportMetric(float64(s.CandReplayed)/float64(s.NearHits), "candreplay/op")
-		b.ReportMetric(float64(s.SelReplayed)/float64(s.NearHits), "selreplay/op")
 	}
 
 	ordinary, lm := editVariants(b, d)

@@ -191,9 +191,8 @@ func main() {
 	// one valve, re-route): ColdMiss is the uncached per-step cost, ExactHit
 	// replays an unchanged design from the store, NearHit routes ordinary-
 	// valve nudges warm-seeded by the cached parent (byte-identical output),
-	// and NearHitLM nudges a length-matching valve — the edit class that
-	// invalidates its own cluster's candidates and re-runs the MWCP
-	// selection, so its speedup is bounded by the negotiation replays alone.
+	// and NearHitLM nudges a length-matching valve. Both near-hit rows reuse
+	// only the parent's negotiation transcript.
 	if d5, err := bench.Generate("S5"); err == nil {
 		params := pacor.DefaultParams()
 		record("EditLoopColdMiss", bestOf(3, func(b *testing.B) {
@@ -222,7 +221,7 @@ func main() {
 			if s := r.Snapshot(); s.Hits != b.N {
 				b.Fatalf("expected %d exact hits, got %+v", b.N, s)
 			}
-		}), "unchanged S5 replayed from the cache store (raw-key exact hit)")
+		}), "unchanged S5 replayed from the cache store (exact hit)")
 		tag("EditLoopExactHit", "S", "flat")
 
 		ordinary, lmNudges := editVariants(d5)
@@ -256,10 +255,10 @@ func main() {
 			}
 		}
 		record("EditLoopNearHit", bestOf(3, nearRow(ordinary)),
-			"ordinary-valve nudges of S5 warm-seeded by the cached parent (negotiation replay + LM candidate/selection replay, byte-identical output)")
+			"ordinary-valve nudges of S5 warm-seeded by the cached parent (negotiation replay, byte-identical output)")
 		tag("EditLoopNearHit", "S", "flat")
 		record("EditLoopNearHitLM", bestOf(3, nearRow(lmNudges)),
-			"LM-valve nudges of S5: the moved cluster re-runs candidates and the selection, only negotiation replays (byte-identical output)")
+			"LM-valve nudges of S5 warm-seeded by the cached parent (negotiation replay, byte-identical output)")
 		tag("EditLoopNearHitLM", "S", "flat")
 
 		chainTo := func(name string) {

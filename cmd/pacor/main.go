@@ -6,13 +6,15 @@
 //	pacor [-mode pacor|wosel|detourfirst] [-hier auto|on|off] [-stats] [-render] [-clusters] design.json
 //	pacor -bench S3 [-mode ...] [-render] [-svg out.svg] [-skew] [-json out.json]
 //	pacor -bench S5 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	pacor -bench S3 -cachedir .pacor-cache [-cache-entries N] [-cache-bytes B] [-stable] [-stats]
+//	pacor -bench S3 -cachedir .pacor-cache [-stable] [-stats]
 //
 // -cachedir enables the cross-run design cache (internal/designcache): a
-// repeated design replays its stored result, a similar design warm-seeds
-// negotiation from the most similar cached run. Both route byte-identically
-// to a cold run; -stable omits wall-clock fields so two runs can be
-// compared with a plain diff.
+// repeated design replays its stored result once it passes the design-rule
+// check, a similar design warm-seeds negotiation from the most similar
+// cached run. Both route byte-identically to a cold run; -stable omits
+// wall-clock fields so two runs can be compared with a plain diff. One
+// process routes one design, so the cache's memory store holds at most one
+// entry and its size bounds are left at their defaults.
 //
 // The design is a JSON file (see internal/valve); -bench routes one of the
 // built-in Table 1 benchmarks instead. Exit status 1 indicates a routing or
@@ -58,8 +60,6 @@ func run(args []string, stdout io.Writer) error {
 	statsFlag := fs.Bool("stats", false, "print negotiation work and cross-run reuse counters")
 	hierFlag := fs.String("hier", "auto", "hierarchical two-stage routing: auto (on above the Table 1 scale), on, off")
 	cacheDir := fs.String("cachedir", "", "cross-run design cache directory: exact hits replay the stored result, near hits warm-seed negotiation (routes identically)")
-	cacheEntries := fs.Int("cache-entries", 0, "design-cache resident entry bound (0 = default, negative = unbounded)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "design-cache resident byte bound (0 = default, negative = unbounded)")
 	stableFlag := fs.Bool("stable", false, "omit wall-clock fields from the summary (for byte-comparing runs)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -129,11 +129,7 @@ func run(args []string, stdout io.Writer) error {
 	var res *pacor.Result
 	var cacheStats *designcache.Stats
 	if *cacheDir != "" {
-		cr := designcache.New(designcache.Options{
-			Dir:        *cacheDir,
-			MaxEntries: *cacheEntries,
-			MaxBytes:   *cacheBytes,
-		})
+		cr := designcache.New(designcache.Options{Dir: *cacheDir})
 		res, err = cr.Route(d, params)
 		if err == nil {
 			s := cr.Snapshot()
@@ -161,14 +157,10 @@ func run(args []string, stdout io.Writer) error {
 		if ns.SeededEdges > 0 || ns.SeededHits > 0 {
 			fmt.Fprintf(stdout, "  negotiation cross-run: %d seeded edges, %d replays\n", ns.SeededEdges, ns.SeededHits)
 		}
-		if lr := res.LMReuse; lr.CandReplayed > 0 || lr.SelectionReplayed {
-			fmt.Fprintf(stdout, "  lm stage cross-run: %d/%d candidate sets replayed, selection replayed=%t\n",
-				lr.CandReplayed, lr.CandClusters, lr.SelectionReplayed)
-		}
 		if cacheStats != nil {
 			s := cacheStats
-			fmt.Fprintf(stdout, "  design cache: %d exact (%d mem / %d disk), %d near, %d miss, %d dedup, %d evicted, %d disk errors\n",
-				s.Hits+s.DiskHits, s.Hits, s.DiskHits, s.NearHits, s.Misses, s.Dedup, s.Evictions, s.DiskErrors)
+			fmt.Fprintf(stdout, "  design cache: %d exact (%d mem / %d disk), %d near, %d miss, %d evicted, %d disk errors\n",
+				s.Hits+s.DiskHits, s.Hits, s.DiskHits, s.NearHits, s.Misses, s.Evictions, s.DiskErrors)
 		}
 		if len(ns.FailedIDs) > 0 {
 			fmt.Fprintf(stdout, "  negotiation failed edges: %v\n", ns.FailedIDs)

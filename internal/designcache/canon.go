@@ -1,18 +1,18 @@
 // Package designcache is the cross-run routing cache: a content-addressed
-// store of fully routed results keyed by a canonical hash of the valve
-// design, with near-hit warm seeding of the negotiation stage for designs
-// that differ only slightly from a cached parent (the interactive
+// store of fully routed results keyed by a hash of the valve design and the
+// flow parameters, with near-hit warm seeding of the negotiation stage for
+// designs that differ only slightly from a cached parent (the interactive
 // nudge-one-valve-and-reroute loop).
 //
-// Two key granularities coexist. The canonical key identifies designs up to
-// semantically irrelevant JSON presentation — valve order, obstacle order,
-// field order, whitespace — by fully sorting the canonical form. The raw key
-// additionally preserves valve, pin, and LM-cluster order, because the
-// routing flow is *not* permutation-equivariant: greedy clustering iterates
-// valves by ID, so two valve orderings of one chip may route differently.
-// Exact-hit replay therefore requires the raw forms to match; a
-// canonical-key sibling with a different raw form is still a perfect warm
-// parent (Jaccard 1.0) for a near-hit run.
+// One key, RawKey, names both the memory entry and the disk record. It
+// ignores what cannot reach the routed result — the design name, obstacle
+// order, JSON layout — and keeps valve, pin and LM-cluster order, because
+// the routing flow is not permutation-equivariant: greedy clustering
+// iterates valves by ID, so two valve orderings of one chip may route
+// differently. An exact hit therefore serves stored bytes only for the same
+// ordered form. A reordered presentation of a cached chip misses, but finds
+// the cached one as a Jaccard-1.0 warm parent. A near hit reuses exactly one
+// thing from its parent: the negotiation transcript (route/seed.go).
 package designcache
 
 import (
@@ -35,15 +35,14 @@ type Key [sha256.Size]byte
 func (k Key) String() string { return fmt.Sprintf("%x", k[:]) }
 
 // ParamsSig fingerprints every pacor parameter that can change routed
-// output. Output-invariant fields — Trace and the seed/capture wiring
-// itself — are deliberately excluded, so one cache entry serves cold,
-// seeded and capturing runs alike (the byte-identity tests pin exactly this
-// property).
+// output. The output-invariant seed/capture wiring is deliberately
+// excluded, so one cache entry serves cold, seeded and capturing runs alike
+// (the byte-identity tests pin exactly this property).
 func ParamsSig(p pacor.Params) string {
-	return fmt.Sprintf("m=%d;mc=%d;l=%g;sv=%d;er=%d;ec=%t;bh=%g;a=%g;g=%d;hm=%d;ht=%d;ha=%d",
+	return fmt.Sprintf("m=%d;mc=%d;l=%g;sv=%d;er=%d;ec=%t;bh=%g;a=%g;g=%d;hm=%d;ht=%d",
 		p.Mode, p.MaxCandidates, p.Lambda, p.Solver, p.EscapeRetries, p.ExactClustering,
 		p.Negotiate.BaseHist, p.Negotiate.Alpha, p.Negotiate.Gamma,
-		p.Hier.Mode, p.Hier.TileSize, p.Hier.AutoCells)
+		p.Hier.Mode, p.Hier.TileSize)
 }
 
 // canonVersion stamps the serialization layout; bump on any format change so
@@ -77,14 +76,13 @@ func sortedPts(pts []geom.Pt) []geom.Pt {
 	return s
 }
 
-// designHash serializes d deterministically and hashes it together with sig.
-// When canonical is set, valves are visited in position-sorted order, LM
-// clusters are remapped to position-sorted valve ranks and fully sorted, and
-// pins are sorted; otherwise the design's own order is preserved for valves,
-// pins, and clusters. Obstacles are always sorted: they populate a set (the
-// ObsMap) and their order can never reach the routed result. Name is always
+// RawKey returns the content key of d under sig: the identity under which
+// routed output is provably reproducible. It serializes d deterministically
+// and hashes it together with sig. Valves, pins and LM clusters keep the
+// design's own order. Obstacles are sorted: they populate a set (the
+// ObsMap) and their order can never reach the routed result. Name is
 // excluded — it labels the instance, it is not part of it.
-func designHash(d *valve.Design, sig string, canonical bool) Key {
+func RawKey(d *valve.Design, sig string) Key {
 	w := &hasher{buf: make([]byte, 0, 1024)}
 	w.word(canonVersion)
 	w.str(sig)
@@ -92,24 +90,9 @@ func designHash(d *valve.Design, sig string, canonical bool) Key {
 	w.word(d.H)
 	w.word(d.Delta)
 
-	order := make([]int, len(d.Valves))
-	for i := range order {
-		order[i] = i
-	}
-	if canonical {
-		sort.Slice(order, func(a, b int) bool {
-			pa, pb := d.Valves[order[a]].Pos, d.Valves[order[b]].Pos
-			if pa.Y != pb.Y {
-				return pa.Y < pb.Y
-			}
-			return pa.X < pb.X
-		})
-	}
 	w.word(len(d.Valves))
-	rank := make([]int, len(d.Valves))
-	for ci, vi := range order {
-		rank[vi] = ci
-		v := &d.Valves[vi]
+	for i := range d.Valves {
+		v := &d.Valves[i]
 		w.pt(v.Pos)
 		w.word(len(v.Seq))
 		w.buf = append(w.buf, v.Seq.String()...)
@@ -121,38 +104,13 @@ func designHash(d *valve.Design, sig string, canonical bool) Key {
 		w.pt(p)
 	}
 
-	pins := d.Pins
-	if canonical {
-		pins = sortedPts(d.Pins)
-	}
-	w.word(len(pins))
-	for _, p := range pins {
+	w.word(len(d.Pins))
+	for _, p := range d.Pins {
 		w.pt(p)
 	}
 
-	clusters := d.LMClusters
-	if canonical {
-		clusters = make([][]int, len(d.LMClusters))
-		for ci, c := range d.LMClusters {
-			cc := make([]int, len(c))
-			for i, id := range c {
-				cc[i] = rank[id]
-			}
-			sort.Ints(cc)
-			clusters[ci] = cc
-		}
-		sort.Slice(clusters, func(a, b int) bool {
-			x, y := clusters[a], clusters[b]
-			for i := 0; i < len(x) && i < len(y); i++ {
-				if x[i] != y[i] {
-					return x[i] < y[i]
-				}
-			}
-			return len(x) < len(y)
-		})
-	}
-	w.word(len(clusters))
-	for _, c := range clusters {
+	w.word(len(d.LMClusters))
+	for _, c := range d.LMClusters {
 		w.word(len(c))
 		for _, id := range c {
 			w.word(id)
@@ -161,15 +119,6 @@ func designHash(d *valve.Design, sig string, canonical bool) Key {
 
 	return sha256.Sum256(w.buf)
 }
-
-// CanonKey returns the canonical content key of d under sig: invariant to
-// valve order, obstacle order, pin order, LM-cluster order, and any JSON
-// presentation detail; sensitive to everything that defines the instance.
-func CanonKey(d *valve.Design, sig string) Key { return designHash(d, sig, true) }
-
-// RawKey returns the order-preserving content key of d under sig: the
-// identity under which routed output is provably reproducible.
-func RawKey(d *valve.Design, sig string) Key { return designHash(d, sig, false) }
 
 // cellBits returns the design's occupied-cell bitmap (valves ∪ obstacles) —
 // the geometry term of the Jaccard similarity that picks near-hit parents.

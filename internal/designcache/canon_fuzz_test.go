@@ -56,47 +56,46 @@ func randomDesign(seed uint64) *valve.Design {
 	return d
 }
 
-// shuffledPresentation returns d with valves (IDs re-densified, LM clusters
-// remapped), obstacles, pins, and cluster order all permuted — a different
-// JSON presentation of the same chip.
-func shuffledPresentation(d *valve.Design, seed uint64) *valve.Design {
+// shuffledObstacles returns d renamed and with its obstacle list shuffled:
+// a presentation of the same chip the key must not see.
+func shuffledObstacles(d *valve.Design, seed uint64) *valve.Design {
 	rng := rand.New(rand.NewSource(int64(seed)))
-	n := len(d.Valves)
-	perm := rng.Perm(n) // perm[newIndex] = oldIndex
-	newID := make([]int, n)
-	p := &valve.Design{Name: d.Name + "-shuffled", W: d.W, H: d.H, Delta: d.Delta}
-	for ni, oi := range perm {
-		newID[oi] = ni
-		v := d.Valves[oi]
-		p.Valves = append(p.Valves, valve.Valve{ID: ni, Pos: v.Pos, Seq: v.Seq})
-	}
+	p := *d
+	p.Name = d.Name + "-shuffled"
 	p.Obstacles = append([]geom.Pt(nil), d.Obstacles...)
 	rng.Shuffle(len(p.Obstacles), func(i, j int) {
 		p.Obstacles[i], p.Obstacles[j] = p.Obstacles[j], p.Obstacles[i]
 	})
-	p.Pins = append([]geom.Pt(nil), d.Pins...)
-	rng.Shuffle(len(p.Pins), func(i, j int) {
-		p.Pins[i], p.Pins[j] = p.Pins[j], p.Pins[i]
-	})
-	for _, c := range d.LMClusters {
+	return &p
+}
+
+// shuffledValves returns d with its valves permuted (IDs re-densified, LM
+// clusters remapped): the same chip, but an order the flow can see.
+func shuffledValves(d *valve.Design, seed uint64) *valve.Design {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	n := len(d.Valves)
+	perm := rng.Perm(n) // perm[newIndex] = oldIndex
+	newID := make([]int, n)
+	p := *d
+	p.Valves = make([]valve.Valve, n)
+	for ni, oi := range perm {
+		newID[oi] = ni
+		v := d.Valves[oi]
+		p.Valves[ni] = valve.Valve{ID: ni, Pos: v.Pos, Seq: v.Seq}
+	}
+	p.LMClusters = make([][]int, len(d.LMClusters))
+	for ci, c := range d.LMClusters {
 		cc := make([]int, len(c))
 		for i, id := range c {
 			cc[i] = newID[id]
 		}
-		rng.Shuffle(len(cc), func(i, j int) { cc[i], cc[j] = cc[j], cc[i] })
-		p.LMClusters = append(p.LMClusters, cc)
+		p.LMClusters[ci] = cc
 	}
-	rng.Shuffle(len(p.LMClusters), func(i, j int) {
-		p.LMClusters[i], p.LMClusters[j] = p.LMClusters[j], p.LMClusters[i]
-	})
-	return p
+	return &p
 }
 
-// FuzzCanonKey: the canonical key is invariant under every presentation
-// permutation (valve order with ID re-densification, obstacle order, pin
-// order, LM cluster order and internal order) and sensitive to a semantic
-// change (one valve moved to a free cell). The raw key is sensitive to valve
-// order whenever the permutation is not the identity.
+// FuzzCanonKey: RawKey ignores obstacle order and the design name, and
+// changes with valve order, a moved valve, and the parameter signature.
 func FuzzCanonKey(f *testing.F) {
 	f.Add(uint64(1), uint64(2))
 	f.Add(uint64(42), uint64(7))
@@ -105,12 +104,12 @@ func FuzzCanonKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed, permSeed uint64) {
 		d := randomDesign(seed)
 		sig := ParamsSig(pacor.DefaultParams())
-		canon, raw := CanonKey(d, sig), RawKey(d, sig)
+		raw := RawKey(d, sig)
 
-		p := shuffledPresentation(d, permSeed)
-		if got := CanonKey(p, sig); got != canon {
-			t.Fatalf("canonical key not permutation-invariant:\n orig %v\n perm %v", canon, got)
+		if got := RawKey(shuffledObstacles(d, permSeed), sig); got != raw {
+			t.Fatalf("key saw obstacle order or name:\n orig %v\n shuf %v", raw, got)
 		}
+		p := shuffledValves(d, permSeed)
 		permuted := false
 		for i := range p.Valves {
 			if p.Valves[i].Pos != d.Valves[i].Pos {
@@ -119,10 +118,10 @@ func FuzzCanonKey(f *testing.F) {
 			}
 		}
 		if permuted && RawKey(p, sig) == raw {
-			t.Fatal("raw key ignored a valve reordering")
+			t.Fatal("key ignored a valve reordering")
 		}
 
-		// Semantic change: move valve 0 to any free cell — both keys shift.
+		// Semantic change: move valve 0 to any free cell.
 		occupied := map[geom.Pt]bool{}
 		for i := range d.Valves {
 			occupied[d.Valves[i].Pos] = true
@@ -138,19 +137,13 @@ func FuzzCanonKey(f *testing.F) {
 				}
 			}
 		}
-		if moved.Valves[0].Pos == d.Valves[0].Pos {
-			return // grid fully occupied — nothing to move to
-		}
-		if CanonKey(&moved, sig) == canon {
-			t.Fatal("canonical key missed a moved valve")
-		}
-		if RawKey(&moved, sig) == raw {
-			t.Fatal("raw key missed a moved valve")
+		if moved.Valves[0].Pos != d.Valves[0].Pos && RawKey(&moved, sig) == raw {
+			t.Fatal("key missed a moved valve")
 		}
 
 		// A different parameter signature partitions the key space.
-		if CanonKey(d, sig+";x") == canon {
-			t.Fatal("canonical key ignored the parameter signature")
+		if RawKey(d, sig+";x") == raw {
+			t.Fatal("key ignored the parameter signature")
 		}
 	})
 }

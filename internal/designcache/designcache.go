@@ -16,12 +16,9 @@ type Options struct {
 	// MaxBytes bounds the resident size estimate across results and seeds
 	// (default 256 MiB; negative = unbounded).
 	MaxBytes int64
-	// Dir, when non-empty, persists entries to disk (one file per canonical
-	// key, gob-encoded) and consults the directory on memory misses.
+	// Dir, when non-empty, persists entries to disk (one file per key,
+	// gob-encoded) and consults the directory on memory misses.
 	Dir string
-	// Jaccard is the minimum valve∪obstacle-cell overlap for a cached design
-	// to act as a near-hit warm parent (default 0.5).
-	Jaccard float64
 	// RouteFn replaces pacor.Route (tests substitute instrumented routers).
 	RouteFn func(*valve.Design, pacor.Params) (*pacor.Result, error)
 }
@@ -29,7 +26,7 @@ type Options struct {
 // Stats are a Router's cumulative counters (guarded by the Router's lock;
 // read them via Snapshot).
 type Stats struct {
-	// Hits counts exact raw-key hits served from memory.
+	// Hits counts exact key hits served from memory.
 	Hits int
 	// DiskHits counts exact hits loaded from the persistence directory.
 	DiskHits int
@@ -37,64 +34,45 @@ type Stats struct {
 	NearHits int
 	// Misses counts cold routes (no parent above the threshold).
 	Misses int
-	// Dedup counts requests that waited on another in-flight identical
-	// request instead of routing.
-	Dedup int
 	// SeededEdges and SeededHits accumulate the negotiation-layer counters
 	// of every near-hit route (route.NegotiateStats).
 	SeededEdges int
 	SeededHits  int
-	// CandReplayed and SelReplayed accumulate the LM-stage counters of every
-	// near-hit route: candidate sets served from the parent's capture and
-	// whole MWCP selections skipped (pacor.LMReuseStats).
-	CandReplayed int
-	SelReplayed  int
 	// Evictions counts entries dropped to honor MaxEntries/MaxBytes.
 	Evictions int
-	// DiskErrors counts persistence failures (the cache degrades to memory
-	// -only rather than failing the route).
+	// DiskErrors counts persistence failures and rejected records (the
+	// cache degrades to memory-only rather than failing the route).
 	DiskErrors int
 }
 
-// entry is one resident design: its raw form identity, geometry bitmap,
-// routed result, and the captured negotiation transcript and LM-stage
-// capture that seed near-hit children. Entries are immutable once inserted;
-// the LRU list is threaded through prev/next (head = most recent).
+// entry is one resident design: its key, geometry bitmap, routed result,
+// and the captured negotiation transcript that seeds near-hit children.
+// Entries are immutable once inserted; the LRU list is threaded through
+// prev/next (head = most recent).
 type entry struct {
-	canon Key
-	raw   Key
-	sig   string
-	w, h  int
-	bits  []uint64
-	res   *pacor.Result
-	seed  *route.NegotiationSeed
-	lm    *pacor.LMSeed
-	size  int64
+	key  Key
+	sig  string
+	w, h int
+	bits []uint64
+	res  *pacor.Result
+	seed *route.NegotiationSeed
+	size int64
 
 	prev, next *entry
 }
 
-// flight is one in-progress route shared by every concurrent identical
-// request: the first caller routes, later callers block on done.
-type flight struct {
-	done chan struct{}
-	res  *pacor.Result
-	err  error
-}
-
-// Router is the cross-run cache: Route serves exact hits from the store,
-// warm-seeds near hits, and deduplicates concurrent identical requests.
-// Safe for concurrent use.
+// Router is the cross-run cache: Route serves exact hits from the store and
+// warm-seeds near hits. Safe for concurrent use; concurrent identical misses
+// each route.
 type Router struct {
 	opts Options
 
 	mu      sync.Mutex
-	entries map[Key]*entry // by raw key (the replay identity)
-	head    *entry         // LRU list, most recent first
+	entries map[Key]*entry
+	head    *entry // LRU list, most recent first
 	tail    *entry
 	count   int
 	bytes   int64
-	flights map[Key]*flight
 	stats   Stats
 }
 
@@ -106,6 +84,10 @@ const (
 	DefaultMaxBytes   = 256 << 20
 )
 
+// jaccardMin is the minimum valve∪obstacle-cell overlap for a cached design
+// to act as a near-hit warm parent.
+const jaccardMin = 0.5
+
 // New returns a Router with o's bounds. Dir, when set, is created lazily on
 // first persist.
 func New(o Options) *Router {
@@ -115,17 +97,10 @@ func New(o Options) *Router {
 	if o.MaxBytes == 0 {
 		o.MaxBytes = DefaultMaxBytes
 	}
-	if o.Jaccard == 0 {
-		o.Jaccard = 0.5
-	}
 	if o.RouteFn == nil {
 		o.RouteFn = pacor.Route
 	}
-	return &Router{
-		opts:    o,
-		entries: make(map[Key]*entry),
-		flights: make(map[Key]*flight),
-	}
+	return &Router{opts: o, entries: make(map[Key]*entry)}
 }
 
 // Snapshot returns the current counters.
@@ -142,105 +117,65 @@ func (r *Router) Len() (entries int, bytes int64) {
 	return r.count, r.bytes
 }
 
-// Route routes d under params through the cache. An exact hit (raw key)
-// returns the stored result; the caller must treat it as read-only — it is
-// shared with the cache and with concurrent callers. A near hit routes with
-// the best cached parent's transcript as params.NegSeed; a miss routes
-// cold. Every computed route is captured and inserted. Concurrent identical
-// requests coalesce into one route. params.NegSeed and params.NegCapture
-// are overwritten by the cache; everything else passes through, and because
-// seeding never changes routed output (route/seed.go), the result is byte-
-// identical to an uncached pacor.Route for every hit class.
+// Route routes d under params through the cache. An exact hit returns the
+// stored result; the caller must treat it as read-only — it is shared with
+// the cache and with concurrent callers. A near hit routes with the best
+// cached parent's transcript as params.NegSeed; a miss routes cold. Every
+// computed route is captured and inserted. params.NegSeed and
+// params.NegCapture are overwritten by the cache; everything else passes
+// through, and because seeding never changes routed output (route/seed.go),
+// the result is byte-identical to an uncached pacor.Route for every hit
+// class.
 func (r *Router) Route(d *valve.Design, params pacor.Params) (*pacor.Result, error) {
 	sig := ParamsSig(params)
-	rawKey := RawKey(d, sig)
+	key := RawKey(d, sig)
 
 	r.mu.Lock()
-	for {
-		if e, ok := r.entries[rawKey]; ok {
-			r.touch(e)
-			r.stats.Hits++
-			res := e.res
-			r.mu.Unlock()
-			return res, nil
-		}
-		fl, inFlight := r.flights[rawKey]
-		if !inFlight {
-			break
-		}
-		r.stats.Dedup++
+	if e, ok := r.entries[key]; ok {
+		r.touch(e)
+		r.stats.Hits++
 		r.mu.Unlock()
-		<-fl.done
-		if fl.err != nil {
-			return nil, fl.err
-		}
-		// The flight's entry normally landed in the store; loop rather than
-		// returning fl.res directly so an entry evicted in between is simply
-		// re-routed, never served stale.
-		r.mu.Lock()
-		if e, ok := r.entries[rawKey]; ok && e.res == fl.res {
-			r.touch(e)
-			r.stats.Hits++
-			res := e.res
-			r.mu.Unlock()
-			return res, nil
-		}
+		return e.res, nil
 	}
-	fl := &flight{done: make(chan struct{})}
-	r.flights[rawKey] = fl
 	r.mu.Unlock()
-
-	res, err := r.routeSlow(d, params, sig, rawKey)
-
-	r.mu.Lock()
-	fl.res, fl.err = res, err
-	delete(r.flights, rawKey)
-	r.mu.Unlock()
-	close(fl.done)
-	return res, err
+	return r.routeSlow(d, params, sig, key)
 }
 
 // routeSlow performs the miss path: validation, disk probe, parent
 // selection, seeded or cold route, capture, insert, persist. It runs outside
 // the lock (the lock is taken only around store operations), so concurrent
-// non-identical requests route in parallel. Validation comes first because
-// cellBits indexes by valve position; the exact-hit path needs none, since a
-// raw-key hit is byte-identical to a design that validated on its miss.
-func (r *Router) routeSlow(d *valve.Design, params pacor.Params, sig string, rawKey Key) (*pacor.Result, error) {
+// requests route in parallel. Validation comes first because cellBits and
+// Verify index by valve position; the memory-hit path needs none, since a
+// key hit is byte-identical to a design that validated on its miss.
+func (r *Router) routeSlow(d *valve.Design, params pacor.Params, sig string, key Key) (*pacor.Result, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	canonKey := CanonKey(d, sig)
-	bits := cellBits(d)
-
 	if r.opts.Dir != "" {
-		if e := r.loadDisk(canonKey, sig); e != nil {
-			// A disk record is keyed canonically; it is an exact hit only
-			// when its raw form also matches (see the package comment).
-			r.mu.Lock()
-			r.insertLocked(e)
-			if e.raw == rawKey {
+		// A disk record is bytes from outside this process: serve it only if
+		// its result passes the design-rule check on this design.
+		if e := r.loadDisk(key, sig); e != nil {
+			if pacor.Verify(d, e.res) == nil {
+				r.mu.Lock()
+				r.insertLocked(e)
 				r.stats.DiskHits++
-				res := e.res
 				r.mu.Unlock()
-				return res, nil
+				return e.res, nil
 			}
-			r.mu.Unlock()
+			r.diskError()
 		}
 	}
 
+	bits := cellBits(d)
 	parent := r.bestParent(bits, d.W, d.H, sig)
 	if parent == nil && r.opts.Dir != "" {
-		parent = r.diskParent(bits, d.W, d.H, sig)
+		parent = r.diskParent(bits, d.W, d.H, sig, key)
 	}
 	capture := &route.NegotiationSeed{}
-	lmCapture := &pacor.LMSeed{}
 	if parent != nil {
 		params.NegSeed = parent.seed
-		params.LMSeed = parent.lm
 	}
 	params.NegCapture = capture
-	params.LMCapture = lmCapture
 
 	res, err := r.opts.RouteFn(d, params)
 	if err != nil {
@@ -248,26 +183,20 @@ func (r *Router) routeSlow(d *valve.Design, params pacor.Params, sig string, raw
 	}
 
 	e := &entry{
-		canon: canonKey,
-		raw:   rawKey,
-		sig:   sig,
-		w:     d.W,
-		h:     d.H,
-		bits:  bits,
-		res:   res,
-		seed:  capture,
-		lm:    lmCapture,
-		size:  entrySize(bits, res, capture, lmCapture),
+		key:  key,
+		sig:  sig,
+		w:    d.W,
+		h:    d.H,
+		bits: bits,
+		res:  res,
+		seed: capture,
+		size: entrySize(bits, res, capture),
 	}
 	r.mu.Lock()
 	if parent != nil {
 		r.stats.NearHits++
 		r.stats.SeededEdges += res.Negotiate.SeededEdges
 		r.stats.SeededHits += res.Negotiate.SeededHits
-		r.stats.CandReplayed += res.LMReuse.CandReplayed
-		if res.LMReuse.SelectionReplayed {
-			r.stats.SelReplayed++
-		}
 	} else {
 		r.stats.Misses++
 	}
@@ -276,9 +205,7 @@ func (r *Router) routeSlow(d *valve.Design, params pacor.Params, sig string, raw
 
 	if r.opts.Dir != "" {
 		if err := r.storeDisk(e); err != nil {
-			r.mu.Lock()
-			r.stats.DiskErrors++
-			r.mu.Unlock()
+			r.diskError()
 		}
 	}
 	return res, nil
@@ -297,7 +224,7 @@ func (r *Router) bestParent(bits []uint64, w, h int, sig string) *entry {
 		if e.w != w || e.h != h || e.sig != sig || e.seed == nil || len(e.seed.Rounds) == 0 {
 			continue
 		}
-		if score := jaccard(bits, e.bits); score > bestScore && score >= r.opts.Jaccard {
+		if score := jaccard(bits, e.bits); score > bestScore && score >= jaccardMin {
 			best, bestScore = e, score
 		}
 	}
@@ -309,20 +236,20 @@ func (r *Router) bestParent(bits []uint64, w, h int, sig string) *entry {
 }
 
 // insertLocked adds e as most-recent and evicts from the cold end until the
-// bounds hold. Replacing an existing raw key (disk load vs. concurrent
-// route) keeps the newer entry.
+// bounds hold. Replacing an existing key (concurrent identical misses) keeps
+// the newer entry.
 func (r *Router) insertLocked(e *entry) {
-	if old, ok := r.entries[e.raw]; ok {
+	if old, ok := r.entries[e.key]; ok {
 		r.unlink(old)
 	}
-	r.entries[e.raw] = e
+	r.entries[e.key] = e
 	r.linkFront(e)
 	for r.tail != nil && r.count > 1 &&
 		((r.opts.MaxEntries > 0 && r.count > r.opts.MaxEntries) ||
 			(r.opts.MaxBytes > 0 && r.bytes > r.opts.MaxBytes)) {
 		victim := r.tail
 		r.unlink(victim)
-		delete(r.entries, victim.raw)
+		delete(r.entries, victim.key)
 		r.stats.Evictions++
 	}
 }
@@ -365,10 +292,10 @@ func (r *Router) touch(e *entry) {
 	r.linkFront(e)
 }
 
-// entrySize estimates an entry's resident bytes: the seeds dominate, the
+// entrySize estimates an entry's resident bytes: the seed dominates, the
 // result's paths come second.
-func entrySize(bits []uint64, res *pacor.Result, seed *route.NegotiationSeed, lm *pacor.LMSeed) int64 {
-	n := int64(256) + int64(len(bits))*8 + seed.SizeBytes() + lm.SizeBytes()
+func entrySize(bits []uint64, res *pacor.Result, seed *route.NegotiationSeed) int64 {
+	n := int64(256) + int64(len(bits))*8 + seed.SizeBytes()
 	for i := range res.Clusters {
 		c := &res.Clusters[i]
 		n += 160 + int64(len(c.Valves)+len(c.FullLens))*8 + int64(len(c.Escape))*16

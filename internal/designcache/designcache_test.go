@@ -1,10 +1,11 @@
 package designcache
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,59 +73,60 @@ func sameRouted(t *testing.T, label string, got, want *pacor.Result) {
 	}
 }
 
-// TestKeys: the canonical key is invariant to valve-order permutation while
-// the raw key is not; a semantic change (one valve moved) shifts both; the
-// params signature partitions the key space.
+// TestKeys: the key ignores obstacle order and the design name; it changes
+// with valve order, a moved valve, and the params signature.
 func TestKeys(t *testing.T) {
 	d := testDesign(t, "S1")
 	sig := ParamsSig(pacor.DefaultParams())
+	key := RawKey(d, sig)
+
+	reordered := *d
+	reordered.Name = "same-chip-different-label"
+	reordered.Obstacles = append([]geom.Pt(nil), d.Obstacles...)
+	for i, j := 0, len(reordered.Obstacles)-1; i < j; i, j = i+1, j-1 {
+		reordered.Obstacles[i], reordered.Obstacles[j] = reordered.Obstacles[j], reordered.Obstacles[i]
+	}
+	if RawKey(&reordered, sig) != key {
+		t.Fatal("obstacle order or the design name leaked into the key")
+	}
 
 	perm := permuteValves(d)
 	if err := perm.Validate(); err != nil {
 		t.Fatalf("permuted design invalid: %v", err)
 	}
-	if CanonKey(d, sig) != CanonKey(perm, sig) {
-		t.Fatal("valve permutation changed the canonical key")
-	}
-	if RawKey(d, sig) == RawKey(perm, sig) {
-		t.Fatal("valve permutation left the raw key unchanged; exact-hit replay would mis-serve a permuted design")
+	if RawKey(perm, sig) == key {
+		t.Fatal("valve permutation left the key unchanged; an exact hit would mis-serve a permuted design")
 	}
 
 	nudged, err := bench.NudgeAny(d)
 	if err != nil {
 		t.Fatalf("nudge: %v", err)
 	}
-	if CanonKey(d, sig) == CanonKey(nudged, sig) {
-		t.Fatal("moving a valve did not change the canonical key")
-	}
-	if RawKey(d, sig) == RawKey(nudged, sig) {
-		t.Fatal("moving a valve did not change the raw key")
+	if RawKey(nudged, sig) == key {
+		t.Fatal("moving a valve did not change the key")
 	}
 
 	p2 := pacor.DefaultParams()
 	p2.Lambda *= 2
-	if CanonKey(d, sig) == CanonKey(d, ParamsSig(p2)) {
+	if RawKey(d, ParamsSig(p2)) == key {
 		t.Fatal("parameter change did not change the key")
-	}
-
-	named := *d
-	named.Name = "same-chip-different-label"
-	if RawKey(d, sig) != RawKey(&named, sig) {
-		t.Fatal("the design name leaked into the content key")
 	}
 }
 
 // TestExactHit: the second identical request is served from memory — same
 // result pointer, no second route — and a permuted presentation of the same
-// chip is NOT served from the raw entry (routing is not permutation-
-// equivariant), but still parents it as a near hit.
+// chip is NOT served from the entry (routing is not permutation-
+// equivariant), but still parents it as a near hit. Each route persists one
+// record named by its key.
 func TestExactHit(t *testing.T) {
 	d := testDesign(t, "S1")
+	dir := t.TempDir()
 	var routes atomic.Int32
-	r := New(Options{RouteFn: func(d *valve.Design, p pacor.Params) (*pacor.Result, error) {
+	r := New(Options{Dir: dir, RouteFn: func(d *valve.Design, p pacor.Params) (*pacor.Result, error) {
 		routes.Add(1)
 		return pacor.Route(d, p)
 	}})
+	sig := ParamsSig(pacor.DefaultParams())
 
 	res1, err := r.Route(d, pacor.DefaultParams())
 	if err != nil {
@@ -151,7 +153,15 @@ func TestExactHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if routes.Load() != 2 {
-		t.Fatal("permuted design must route (raw keys differ)")
+		t.Fatal("permuted design must route (keys differ)")
+	}
+	for _, dd := range []*valve.Design{d, perm} {
+		if _, err := os.Stat(filepath.Join(dir, RawKey(dd, sig).String())); err != nil {
+			t.Fatalf("%s: no record named by its key: %v", dd.Name, err)
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 2 {
+		t.Fatalf("two routes left %d files", len(files))
 	}
 	s = r.Snapshot()
 	if s.NearHits != 1 {
@@ -209,8 +219,7 @@ func TestNearHitByteIdentity(t *testing.T) {
 }
 
 // ordinaryNudges returns every valid unit nudge of a valve outside all LM
-// clusters — the edit class whose candidate/selection sub-stage replays
-// wholesale from a cached parent.
+// clusters.
 func ordinaryNudges(t *testing.T, d *valve.Design) []*valve.Design {
 	t.Helper()
 	inLM := make(map[int]bool)
@@ -237,23 +246,27 @@ func ordinaryNudges(t *testing.T, d *valve.Design) []*valve.Design {
 	return out
 }
 
-// TestLMSeedReplay: an ordinary-valve nudge replays the LM candidate/
-// selection sub-stage from the parent (the sink sequences are untouched),
-// byte-identically to a cold route; a nudge of an LM-cluster valve refuses
-// the replay for its own cluster and still routes byte-identically. The
-// disk leg re-opens the cache directory in a fresh Router — the
-// cross-process path — and must replay the same way.
+// TestLMSeedReplay: a near hit reuses only the parent's negotiation
+// transcript. An ordinary-valve nudge and an LM-valve nudge of S3 each
+// route byte-identically to cold, seeded, with LMReuse zero — in memory and
+// through a fresh Router over the parent's directory (the cross-process
+// path).
 func TestLMSeedReplay(t *testing.T) {
 	d := testDesign(t, "S3")
 	params := pacor.DefaultParams()
 
-	var full *valve.Design // first variant achieving whole-stage replay
-	replayed := 0
-	for _, nd := range ordinaryNudges(t, d) {
-		r := New(Options{})
-		if _, err := r.Route(d, params); err != nil {
-			t.Fatal(err)
+	var lmNudged *valve.Design
+	for _, dir := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
+		if nd, err := bench.Nudge(d, d.LMClusters[0][0], dir[0], dir[1]); err == nil {
+			lmNudged = nd
+			break
 		}
+	}
+	if lmNudged == nil {
+		t.Fatal("no nudgeable LM valve")
+	}
+	check := func(label string, r *Router, nd *valve.Design) {
+		t.Helper()
 		warm, err := r.Route(nd, params)
 		if err != nil {
 			t.Fatal(err)
@@ -262,81 +275,45 @@ func TestLMSeedReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRouted(t, "ordinary nudge "+nd.Name, warm, cold)
-		lr := warm.LMReuse
-		if lr.CandReplayed == lr.CandClusters && lr.SelectionReplayed {
-			replayed++
-			if full == nil {
-				full = nd
-			}
+		sameRouted(t, label, warm, cold)
+		if warm.LMReuse != (pacor.LMReuseStats{}) {
+			t.Fatalf("%s: LMReuse = %+v, want zero", label, warm.LMReuse)
+		}
+		if s := r.Snapshot(); s.NearHits != 1 || s.SeededHits == 0 {
+			t.Fatalf("%s: near hit not seeded: %+v", label, s)
 		}
 	}
-	if full == nil {
-		t.Fatalf("no ordinary nudge replayed the full LM stage (%d variants)", replayed)
-	}
-
-	// Cross-process: the parent reaches the child only through the gob disk
-	// record.
-	dir := t.TempDir()
-	parent := New(Options{Dir: dir})
-	if _, err := parent.Route(d, params); err != nil {
-		t.Fatal(err)
-	}
-	child := New(Options{Dir: dir})
-	warm, err := child.Route(full, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := pacor.Route(full, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRouted(t, "disk-seeded nudge", warm, cold)
-	if lr := warm.LMReuse; lr.CandReplayed != lr.CandClusters || !lr.SelectionReplayed {
-		t.Fatalf("disk round-trip lost the LM seed: %+v", lr)
-	}
-	if s := child.Snapshot(); s.NearHits != 1 || s.CandReplayed == 0 || s.SelReplayed != 1 {
-		t.Fatalf("disk near-hit counters: %+v", s)
-	}
-
-	// An LM-valve nudge changes its own cluster's sink sequence: that cluster
-	// must not replay, and the output must still match a cold route.
-	lmNudged, err := bench.Nudge(d, d.LMClusters[0][0], 1, 0)
-	if err != nil {
-		lmNudged, err = bench.NudgeAny(d)
-		if err != nil {
+	for _, tc := range []struct {
+		label string
+		nd    *valve.Design
+	}{
+		{"ordinary nudge", ordinaryNudges(t, d)[0]},
+		{"lm-valve nudge", lmNudged},
+	} {
+		r := New(Options{})
+		if _, err := r.Route(d, params); err != nil {
 			t.Fatal(err)
 		}
-	}
-	r := New(Options{})
-	if _, err := r.Route(d, params); err != nil {
-		t.Fatal(err)
-	}
-	warmLM, err := r.Route(lmNudged, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldLM, err := pacor.Route(lmNudged, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRouted(t, "lm-valve nudge", warmLM, coldLM)
-	if lr := warmLM.LMReuse; lr.CandReplayed >= lr.CandClusters && lr.CandClusters > 0 {
-		t.Fatalf("nudged cluster replayed stale candidates: %+v", lr)
+		check(tc.label, r, tc.nd)
+
+		dir := t.TempDir()
+		if _, err := New(Options{Dir: dir}).Route(d, params); err != nil {
+			t.Fatal(err)
+		}
+		check(tc.label+" from disk", New(Options{Dir: dir}), tc.nd)
 	}
 }
 
-// TestSingleFlight: N concurrent identical requests perform exactly one
-// route and all callers receive the same result (run under -race in CI).
+// TestSingleFlight: N concurrent identical requests each get the cold
+// route's output, every request is counted once, and the store ends with
+// one entry (run under -race in CI).
 func TestSingleFlight(t *testing.T) {
 	d := testDesign(t, "S1")
-	var routes atomic.Int32
-	release := make(chan struct{})
-	r := New(Options{RouteFn: func(d *valve.Design, p pacor.Params) (*pacor.Result, error) {
-		routes.Add(1)
-		<-release // hold every waiter in the dedup path
-		return pacor.Route(d, p)
-	}})
+	cold, err := pacor.Route(d, pacor.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(Options{})
 
 	const n = 8
 	results := make([]*pacor.Result, n)
@@ -353,24 +330,19 @@ func TestSingleFlight(t *testing.T) {
 			results[i] = res
 		}(i)
 	}
-	// Release the in-flight route only once every other caller is parked on
-	// it — otherwise the fast route wins the race and they hit the store.
-	for r.Snapshot().Dedup < n-1 {
-		runtime.Gosched()
-	}
-	close(release)
 	wg.Wait()
 
-	if got := routes.Load(); got != 1 {
-		t.Fatalf("%d concurrent identical requests performed %d routes", n, got)
-	}
-	for i := 1; i < n; i++ {
-		if results[i] != results[0] {
-			t.Fatalf("caller %d received a different result pointer", i)
+	for i, res := range results {
+		if res == nil {
+			t.Fatalf("caller %d got no result", i)
 		}
+		sameRouted(t, "concurrent request", res, cold)
 	}
-	if s := r.Snapshot(); s.Dedup == 0 {
-		t.Fatalf("no caller recorded as deduplicated: %+v", s)
+	if s := r.Snapshot(); s.Hits+s.NearHits+s.Misses != n {
+		t.Fatalf("%d requests counted as %+v", n, s)
+	}
+	if got, _ := r.Len(); got != 1 {
+		t.Fatalf("%d identical requests left %d entries", n, got)
 	}
 }
 
@@ -483,7 +455,7 @@ func TestDiskPersistence(t *testing.T) {
 
 	// Corrupt the record: the next fresh Router re-routes and reports it.
 	sig := ParamsSig(pacor.DefaultParams())
-	file := filepath.Join(dir, CanonKey(d, sig).String())
+	file := filepath.Join(dir, RawKey(d, sig).String())
 	if err := os.WriteFile(file, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -500,8 +472,115 @@ func TestDiskPersistence(t *testing.T) {
 	}
 }
 
-// TestJaccardThreshold: a parent below the similarity threshold is not used
-// for seeding — the route is a plain miss.
+// TestDiskPermutedSibling: a fresh Router over S3's directory routes a
+// valve-reordered presentation of S3 as a near hit off S3's record (Jaccard
+// 1.0), equal to the reordered design's own cold route.
+func TestDiskPermutedSibling(t *testing.T) {
+	d := testDesign(t, "S3")
+	params := pacor.DefaultParams()
+	dir := t.TempDir()
+	if _, err := New(Options{Dir: dir}).Route(d, params); err != nil {
+		t.Fatal(err)
+	}
+	perm := permuteValves(d)
+	r := New(Options{Dir: dir})
+	warm, err := r.Route(perm, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := pacor.Route(perm, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRouted(t, "permuted sibling", warm, cold)
+	if s := r.Snapshot(); s.NearHits != 1 || s.DiskHits != 0 {
+		t.Fatalf("permuted sibling not a disk near hit: %+v", s)
+	}
+}
+
+// TestDiskRecordTampered: a well-formed record with bad contents degrades
+// to a counted miss. Each case re-encodes S1's record with one defect; the
+// route must not panic, must equal the cold route and pass Verify, and must
+// not count a disk hit.
+func TestDiskRecordTampered(t *testing.T) {
+	d := testDesign(t, "S1")
+	params := pacor.DefaultParams()
+	sig := ParamsSig(params)
+	cold, err := pacor.Route(d, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := RawKey(testDesign(t, "S2"), sig)
+
+	for _, tc := range []struct {
+		name   string
+		tamper func(t *testing.T, rec *diskRecord)
+	}{
+		{"valve index out of range", func(t *testing.T, rec *diskRecord) {
+			rec.Res.Clusters[0].Valves = append(rec.Res.Clusters[0].Valves, 9999)
+		}},
+		{"off-grid escape cell", func(t *testing.T, rec *diskRecord) {
+			for i := range rec.Res.Clusters {
+				if esc := rec.Res.Clusters[i].Escape; len(esc) > 0 {
+					esc[len(esc)-1] = geom.Pt{X: d.W, Y: d.H}
+					return
+				}
+			}
+			t.Fatal("no cluster has an escape path")
+		}},
+		{"inner key from another design", func(t *testing.T, rec *diskRecord) {
+			rec.Raw = other
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, err := New(Options{Dir: dir}).Route(d, params); err != nil {
+				t.Fatal(err)
+			}
+			file := filepath.Join(dir, RawKey(d, sig).String())
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rec diskRecord
+			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
+				t.Fatal(err)
+			}
+			tc.tamper(t, &rec)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(file, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			r := New(Options{Dir: dir})
+			var res *pacor.Result
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("Route panicked: %v", p)
+					}
+				}()
+				res, err = r.Route(d, params)
+			}()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRouted(t, tc.name, res, cold)
+			if err := pacor.Verify(d, res); err != nil {
+				t.Fatalf("served result fails Verify: %v", err)
+			}
+			if s := r.Snapshot(); s.DiskHits != 0 || s.DiskErrors == 0 || s.Misses != 1 {
+				t.Fatalf("tampered record not a counted miss: %+v", s)
+			}
+		})
+	}
+}
+
+// TestJaccardThreshold: a parent below the default similarity threshold is
+// not used for seeding — the route is a plain miss.
 func TestJaccardThreshold(t *testing.T) {
 	a, err := bench.GenerateSpec(bench.Spec{
 		Name: "a", W: 24, H: 24, Valves: 6, Pins: 12, Obs: 10,
@@ -517,7 +596,7 @@ func TestJaccardThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(Options{Jaccard: 0.9})
+	r := New(Options{})
 	if _, err := r.Route(a, pacor.DefaultParams()); err != nil {
 		t.Fatal(err)
 	}

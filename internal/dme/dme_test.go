@@ -304,7 +304,7 @@ func TestFreeNearRing(t *testing.T) {
 	c := geom.Pt{X: 5, Y: 5}
 	obs.Set(c, true)
 	used := map[geom.Pt]bool{}
-	p := freeNear(obs, used, c, nil)
+	p := freeNear(obs, used, c)
 	if geom.Dist(p, c) != 1 {
 		t.Errorf("freeNear = %v, want an adjacent cell", p)
 	}
@@ -313,7 +313,7 @@ func TestFreeNearRing(t *testing.T) {
 		obs.Set(c.Add(d), true)
 	}
 	used[geom.Pt{X: 5, Y: 7}] = true // and one used cell at radius 2
-	p = freeNear(obs, used, c, nil)
+	p = freeNear(obs, used, c)
 	if geom.Dist(p, c) != 2 || used[p] || obs.Blocked(p) {
 		t.Errorf("freeNear = %v, want a free radius-2 cell", p)
 	}

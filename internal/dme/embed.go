@@ -25,15 +25,6 @@ const (
 // workaround), and edge required lengths absorb the displacement with
 // parity-correct slack.
 func Embed(obs *grid.ObsMap, sinks []geom.Pt, topo *Topo, info []mergeInfo, rootPick geom.Pt, bias Bias) *Tree {
-	return embedTraced(obs, sinks, topo, info, rootPick, bias, nil)
-}
-
-// embedTraced is Embed with read-cone tracing: probe, when non-nil, receives
-// every in-grid cell whose occupancy the embedding consulted. The probe
-// sequence is deterministic in the obstacle content at the probed cells, so
-// two maps that agree on a recorded cone embed identically (the replay
-// soundness argument of pacor's LM-stage seed).
-func embedTraced(obs *grid.ObsMap, sinks []geom.Pt, topo *Topo, info []mergeInfo, rootPick geom.Pt, bias Bias, probe func(geom.Pt)) *Tree {
 	t := &Tree{
 		Sinks: sinks,
 		Topo:  topo,
@@ -79,7 +70,7 @@ func embedTraced(obs *grid.ObsMap, sinks []geom.Pt, topo *Topo, info []mergeInfo
 				// the nearest outside point and freeNear absorbs the +-1
 				// slack along with occupancy (Lemma 1).
 				q, _ = region.NearestGridPt(ref)
-				q = freeNear(obs, used, q, probe)
+				q = freeNear(obs, used, q)
 			}
 			req := side.e
 			d := geom.Dist(pos, q)
@@ -96,7 +87,7 @@ func embedTraced(obs *grid.ObsMap, sinks []geom.Pt, topo *Topo, info []mergeInfo
 	if topo.Root >= 0 {
 		root := rootPick
 		if nd := topo.Nodes[topo.Root]; nd.Sink < 0 {
-			root = freeNear(obs, used, rootPick, probe)
+			root = freeNear(obs, used, rootPick)
 		} else {
 			root = sinks[nd.Sink]
 		}
@@ -109,21 +100,9 @@ func embedTraced(obs *grid.ObsMap, sinks []geom.Pt, topo *Topo, info []mergeInfo
 // expanding Manhattan rings around q (the paper's encircling-loop search).
 // If the whole chip is exhausted it returns q unchanged — the routing stage
 // will then fail this candidate, which is the correct signal upstream.
-// probe, when non-nil, records every in-grid cell whose Blocked state is
-// consulted (off-grid probes depend only on the grid dimensions and the
-// used set is embedding-internal, so these probes are the entire external
-// read set of the construction).
-func freeNear(obs *grid.ObsMap, used map[geom.Pt]bool, q geom.Pt, probe func(geom.Pt)) geom.Pt {
+func freeNear(obs *grid.ObsMap, used map[geom.Pt]bool, q geom.Pt) geom.Pt {
 	g := obs.Grid()
-	free := func(p geom.Pt) bool {
-		if !g.In(p) {
-			return false
-		}
-		if probe != nil {
-			probe(p)
-		}
-		return !obs.Blocked(p) && !used[p]
-	}
+	free := func(p geom.Pt) bool { return g.In(p) && !obs.Blocked(p) && !used[p] }
 	if free(q) {
 		return q
 	}
@@ -152,25 +131,13 @@ func freeNear(obs *grid.ObsMap, used map[geom.Pt]bool, q geom.Pt, probe func(geo
 // core endpoints, the core midpoint, and further grid points of the region.
 // Every returned tree satisfies Tree.Validate.
 func Candidates(obs *grid.ObsMap, sinks []geom.Pt, maxCand int) []*Tree {
-	return CandidatesTraced(obs, sinks, maxCand, nil)
-}
-
-// CandidatesTraced is Candidates with read-cone tracing. probe, when
-// non-nil, receives every in-grid cell whose occupancy the construction
-// consulted (cells may repeat). Everything else Candidates computes —
-// topology, merging segments, root picks — is pure geometry of the sinks,
-// so two obstacle maps that agree on all probed cells yield identical
-// candidate lists for identical sink sequences. pacor's LM-stage seed
-// records the cone and replays the candidates when no recorded cell changed
-// between runs.
-func CandidatesTraced(obs *grid.ObsMap, sinks []geom.Pt, maxCand int, probe func(geom.Pt)) []*Tree {
 	if len(sinks) == 0 || maxCand <= 0 {
 		return nil
 	}
 	topo := BalancedBipartition(sinks)
 	info := mergeSegments(sinks, topo)
 	if len(sinks) == 1 {
-		return []*Tree{embedTraced(obs, sinks, topo, info, sinks[0], BiasNearest, probe)}
+		return []*Tree{Embed(obs, sinks, topo, info, sinks[0], BiasNearest)}
 	}
 	rootMS := info[topo.Root].ms
 
@@ -206,7 +173,7 @@ func CandidatesTraced(obs *grid.ObsMap, sinks []geom.Pt, maxCand int, probe func
 			if len(trees) >= maxCand {
 				return trees
 			}
-			tr := embedTraced(obs, sinks, topo, info, p, bias, probe)
+			tr := Embed(obs, sinks, topo, info, p, bias)
 			if tr.Validate() != nil {
 				continue
 			}
@@ -219,42 +186,6 @@ func CandidatesTraced(obs *grid.ObsMap, sinks []geom.Pt, maxCand int, probe func
 		}
 	}
 	return trees
-}
-
-// Fingerprint content-hashes a candidate list (FNV-1a over positions and
-// required lengths, order-sensitive). Two lists with equal fingerprints came
-// from identical sink sequences embedded on indistinguishable maps, so every
-// deterministic consumer — notably seltree.Select — produces the same output
-// for both; pacor's LM-stage seed keys its selection replay on it.
-func Fingerprint(cands []*Tree) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
-	}
-	pt := func(p geom.Pt) { mix(uint64(uint32(p.X))<<32 | uint64(uint32(p.Y))) }
-	mix(uint64(len(cands)))
-	for _, t := range cands {
-		mix(uint64(len(t.Sinks)))
-		for _, s := range t.Sinks {
-			pt(s)
-		}
-		mix(uint64(uint32(t.Topo.Root)))
-		for _, nd := range t.Topo.Nodes {
-			mix(uint64(uint32(nd.Left))<<32 | uint64(uint32(nd.Right)))
-			mix(uint64(uint32(nd.Sink)))
-		}
-		for _, p := range t.Pos {
-			pt(p)
-		}
-		for _, r := range t.Req {
-			mix(uint64(r))
-		}
-	}
-	return h
 }
 
 func treeKey(t *Tree) string {

@@ -11,7 +11,7 @@ import (
 )
 
 // TestWorkerCountByteIdentical routes the synthetic Table 1 benchmarks in
-// every mode with the cross-run captures (NegCapture, LMCapture) unset and
+// every mode with the cross-run negotiation capture (NegCapture) unset and
 // set, and requires the serialized results to be byte-for-byte identical:
 // recording a transcript for a later warm start must never change the run
 // it records. Runtime fields are zeroed before comparison — wall time is
@@ -33,10 +33,8 @@ func TestWorkerCountByteIdentical(t *testing.T) {
 					params := DefaultParams()
 					params.Mode = mode
 					var negCap route.NegotiationSeed
-					var lmCap LMSeed
 					if capture {
 						params.NegCapture = &negCap
-						params.LMCapture = &lmCap
 					}
 					res, err := Route(d, params)
 					if err != nil {

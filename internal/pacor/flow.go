@@ -2,7 +2,6 @@ package pacor
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -17,14 +16,6 @@ import (
 	"repro/internal/seltree"
 	"repro/internal/valve"
 )
-
-// tracef writes escape-stage diagnostics to w; a nil writer silences it.
-func tracef(w io.Writer, format string, args ...any) {
-	if w == nil {
-		return
-	}
-	_, _ = fmt.Fprintf(w, format, args...) //pacor:allow liberrs trace output is best-effort diagnostics
-}
 
 // cluster kinds
 const (
@@ -118,9 +109,8 @@ func Route(d *valve.Design, params Params) (*Result, error) {
 	// Stage 2: length-matching cluster routing. Every negotiation call of the
 	// run accumulates its work counters into one stats record.
 	var negStats route.NegotiateStats
-	var lmStats LMReuseStats
 	t0 = time.Now()
-	routeLMClusters(ws, d, obs, fcs, params, &negStats, &lmStats)
+	routeLMClusters(ws, d, obs, fcs, params, &negStats)
 
 	// Repair pass: re-realize badly routed trees (the paper reconstructs the
 	// DME tree when negotiation exceeds its iteration bound; congested
@@ -156,7 +146,6 @@ func Route(d *valve.Design, params Params) (*Result, error) {
 	res := assemble(d, fcs, params.Mode, time.Since(start))
 	res.StageTimes = stageTimes
 	res.Negotiate = negStats
-	res.LMReuse = lmStats
 	res.EscapeHier = escHier
 	return res, nil
 }
@@ -164,110 +153,32 @@ func Route(d *valve.Design, params Params) (*Result, error) {
 // routeLMClusters computes candidate trees, selects one per cluster (per
 // mode), and routes all LM clusters jointly with negotiation. Clusters whose
 // edges cannot all be routed are demoted to ordinary MST routing.
-func routeLMClusters(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*flowCluster, params Params, negStats *route.NegotiateStats, lmStats *LMReuseStats) {
-	// Candidate construction per cluster is independent (read-only over the
-	// static obstacle map); results are collected by cluster index.
-	var pending []*flowCluster
-	for _, fc := range fcs {
-		if fc.kind == kindTree {
-			pending = append(pending, fc)
-		}
-	}
-
-	// Cross-run seeding of this sub-stage (lmseed.go): a usable seed replays
-	// candidate construction per cluster (sink sequence match + clean read
-	// cone) and the MWCP selection as a whole (instance fingerprint match).
-	sig := lmParamsSig(params)
-	seed := params.LMSeed
-	if !seed.usable(d.W, d.H, sig) {
-		seed = nil
-	}
-	capt := params.LMCapture
-	var bits, diff []uint64
-	if seed != nil || capt != nil {
-		bits = obs.Bits(nil)
-	}
-	if seed != nil {
-		diff = diffBitmaps(bits, seed.Bits)
-	}
-	if capt != nil {
-		*capt = LMSeed{W: d.W, H: d.H, Sig: sig, Bits: bits}
-	}
-
-	candsByIdx := make([][]*dme.Tree, len(pending))
-	hashes := make([]uint64, len(pending))
-	cones := make([][]int32, len(pending))
-	for i, fc := range pending {
-		sinks := fc.positions(d)
-		if seed != nil {
-			if ps := seed.lookup(sinks); ps != nil && coneClean(ps.Cone, diff) {
-				candsByIdx[i] = ps.Cands
-				hashes[i] = ps.Hash
-				cones[i] = ps.Cone
-				lmStats.CandReplayed++
-				continue
-			}
-		}
-		if seed == nil && capt == nil {
-			candsByIdx[i] = dme.Candidates(obs, sinks, params.MaxCandidates)
-			continue
-		}
-		var probe func(geom.Pt)
-		if capt != nil {
-			g := obs.Grid()
-			probe = func(p geom.Pt) { cones[i] = append(cones[i], conePt(g, p)) }
-		}
-		candsByIdx[i] = dme.CandidatesTraced(obs, sinks, params.MaxCandidates, probe)
-		hashes[i] = dme.Fingerprint(candsByIdx[i])
-	}
-	lmStats.CandClusters = len(pending)
-	if capt != nil {
-		capt.Clusters = make([]LMClusterSeed, len(pending))
-		for i, fc := range pending {
-			capt.Clusters[i] = LMClusterSeed{
-				Sinks: fc.positions(d), Cone: cones[i],
-				Cands: candsByIdx[i], Hash: hashes[i],
-			}
-		}
-	}
+func routeLMClusters(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*flowCluster, params Params, negStats *route.NegotiateStats) {
 	var treeClusters []*flowCluster
 	var cands [][]*dme.Tree
-	var treeHashes []uint64
-	for i, fc := range pending {
-		if len(candsByIdx[i]) == 0 {
+	for _, fc := range fcs {
+		if fc.kind != kindTree {
+			continue
+		}
+		cs := dme.Candidates(obs, fc.positions(d), params.MaxCandidates)
+		if len(cs) == 0 {
 			fc.demoted = true
 			fc.kind = kindOrd
 			continue
 		}
 		treeClusters = append(treeClusters, fc)
-		cands = append(cands, candsByIdx[i])
-		treeHashes = append(treeHashes, hashes[i])
+		cands = append(cands, cs)
 	}
 
 	// Candidate selection (Section 4.2). "w/o Sel" takes the first.
 	picks := make([]int, len(cands))
-	selects := params.Mode != ModeWithoutSelection && len(cands) > 0
-	var selKey uint64
-	if selects && (seed != nil || capt != nil) {
-		selKey = selInstanceKey(treeHashes)
-	}
-	if selects {
-		if seed != nil && seed.HavePicks && seed.SelKey == selKey && len(seed.Picks) == len(picks) {
-			copy(picks, seed.Picks)
-			lmStats.SelectionReplayed = true
-		} else {
-			cfg := seltree.DefaultConfig()
-			cfg.Lambda = params.Lambda
-			cfg.Solver = params.Solver
-			if p, err := seltree.Select(cands, cfg); err == nil {
-				picks = p
-			}
+	if params.Mode != ModeWithoutSelection && len(cands) > 0 {
+		cfg := seltree.DefaultConfig()
+		cfg.Lambda = params.Lambda
+		cfg.Solver = params.Solver
+		if p, err := seltree.Select(cands, cfg); err == nil {
+			picks = p
 		}
-	}
-	if capt != nil && selects {
-		capt.SelKey = selKey
-		capt.Picks = append([]int(nil), picks...)
-		capt.HavePicks = true
 	}
 	for i, fc := range treeClusters {
 		fc.cands = cands[i]
@@ -666,7 +577,6 @@ func routeMST(ws *route.Workspace, obs *grid.ObsMap, pos []geom.Pt) ([]grid.Path
 // clusters' channels: the trapped valve's escape is committed first and the
 // blockers' internal channels re-route around it.
 func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*flowCluster, params Params, escHier *route.HierStats) []*flowCluster {
-	trace := params.Trace
 	byID := func() map[int]*flowCluster {
 		m := make(map[int]*flowCluster, len(fcs))
 		for _, fc := range fcs {
@@ -704,7 +614,6 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 		} else {
 			res = escape.Route(obs, terms, pins)
 		}
-		tracef(trace, "escape round %d: %d terms, unrouted %v\n", round, len(terms), res.Unrouted)
 		if len(res.Unrouted) == 0 {
 			break
 		}
@@ -750,7 +659,7 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 			}
 			trapped = append(trapped, fc)
 		}
-		if len(trapped) > 0 && ripAndCommit(ws, d, obs, &fcs, &nextID, trapped, usedPins, committed, trace) {
+		if len(trapped) > 0 && ripAndCommit(ws, d, obs, &fcs, &nextID, trapped, usedPins, committed) {
 			progress = true
 		}
 		if !progress {
@@ -812,7 +721,7 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 // ripped before intact LM blockers (the paper's "higher rip-up cost" for
 // LM clusters). Returns true when at least one escape was committed.
 func ripAndCommit(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcsp *[]*flowCluster, nextID *int,
-	trapped []*flowCluster, usedPins map[geom.Pt]bool, committed map[int]grid.Path, trace io.Writer) bool {
+	trapped []*flowCluster, usedPins map[geom.Pt]bool, committed map[int]grid.Path) bool {
 	g := obs.Grid()
 	owner := map[geom.Pt]*flowCluster{}
 	for _, fc := range *fcsp {
@@ -885,16 +794,11 @@ func ripAndCommit(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcsp *
 		if tryEscape() {
 			continue // earlier rips already freed this valve
 		}
-		done := false
 		for _, b := range blockers {
 			rip(b)
 			if tryEscape() {
-				done = true
 				break
 			}
-		}
-		if !done {
-			tracef(trace, "ripAndCommit: cluster %d still trapped after %d blockers\n", tc.id, len(blockers))
 		}
 	}
 	// Re-route every ripped cluster around the committed escapes.
@@ -1131,11 +1035,19 @@ func assemble(d *valve.Design, fcs []*flowCluster, mode Mode, runtime time.Durat
 	return r
 }
 
-// Verify checks the solution's design rules: every channel cell on-grid, no
-// two channels of different clusters sharing a cell, no channel on an
-// obstacle or foreign valve, every routed cluster's channels connected to
-// its pin. It returns an error describing the first violation.
+// Verify checks the solution's design rules: every cluster valve in the
+// design, every channel cell on-grid, no two channels of different clusters
+// sharing a cell, no channel on an obstacle or foreign valve, every routed
+// cluster's channels connected to its pin. It returns an error describing
+// the first violation.
 func Verify(d *valve.Design, r *Result) error {
+	for ci := range r.Clusters {
+		for _, v := range r.Clusters[ci].Valves {
+			if v < 0 || v >= len(d.Valves) {
+				return fmt.Errorf("cluster %d: valve %d not in design", r.Clusters[ci].ID, v)
+			}
+		}
+	}
 	g := grid.New(d.W, d.H)
 	static := grid.NewObsMap(g)
 	for _, o := range d.Obstacles {

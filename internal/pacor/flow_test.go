@@ -193,6 +193,22 @@ func TestVerifyCatchesOverlap(t *testing.T) {
 	}
 }
 
+// TestVerifyValveOutOfRange: a result naming a valve the design lacks is an
+// error, not an index panic.
+func TestVerifyValveOutOfRange(t *testing.T) {
+	d := testDesign(t)
+	for _, v := range []int{len(d.Valves), -1} {
+		res, err := Route(d, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Clusters[0].Valves = append(res.Clusters[0].Valves, v)
+		if err := Verify(d, res); err == nil {
+			t.Errorf("Verify accepted valve %d of a %d-valve design", v, len(d.Valves))
+		}
+	}
+}
+
 // TestRouteMSTRollback: a cluster with a walled-off valve fails after
 // committing a partial path, and routeMST rewinds it so obs is left
 // byte-identical; a routable cluster leaves obs carrying exactly the paths

@@ -7,8 +7,6 @@
 package pacor
 
 import (
-	"io"
-
 	"repro/internal/route"
 	"repro/internal/seltree"
 )
@@ -70,10 +68,6 @@ type Params struct {
 	// clustering stage with exact maximum-clique extraction (slower; for
 	// small designs and ablations).
 	ExactClustering bool
-	// Trace, when non-nil, receives escape-stage diagnostics. Library code
-	// never writes to process stdout (the nostdout invariant): callers that
-	// want tracing inject the destination here.
-	Trace io.Writer
 	// NegSeed, when non-nil, warm-starts the flow's main length-matching
 	// negotiation from a previous run's captured transcript
 	// (route.NegotiationSeed; designcache feeds this on a near-hit). Seeding
@@ -85,16 +79,6 @@ type Params struct {
 	// NegCapture, when non-nil, receives the main negotiation call's full
 	// transcript for use as a later run's NegSeed.
 	NegCapture *route.NegotiationSeed
-	// LMSeed, when non-nil, warm-starts the candidate-generation and MWCP
-	// selection sub-stage from a previous run's capture (see lmseed.go):
-	// clusters whose sink sequence matches and whose construction read cone
-	// avoids every changed cell replay their candidates, and the selection
-	// replays when the whole instance fingerprint matches. Like NegSeed it
-	// never changes routed output.
-	LMSeed *LMSeed
-	// LMCapture, when non-nil, receives this run's candidate/selection
-	// capture for use as a later run's LMSeed.
-	LMCapture *LMSeed
 }
 
 // DefaultParams returns the paper's settings, with the exact branch and

@@ -73,14 +73,22 @@ type Result struct {
 	// one search (a cold run's Searches equals a seeded run's Searches +
 	// SeededHits).
 	Negotiate route.NegotiateStats
-	// LMReuse reports what the cross-run LM-stage seed replayed (zero when
-	// the run was not seeded; see Params.LMSeed).
+	// LMReuse is always zero; see LMReuseStats.
 	LMReuse LMReuseStats
 	// EscapeHier aggregates the hierarchical escape router's per-stage work
 	// across the escape retries (zero when the hierarchy is off or the grid
 	// is below its auto threshold; see Params.Hier). The negotiation
 	// hierarchy's counters live in Negotiate.Hier.
 	EscapeHier route.HierStats
+}
+
+// LMReuseStats is always zero: nothing replays the DME candidates or the
+// MWCP selection across runs. It remains only because cmd/pacorbench reads
+// its fields.
+type LMReuseStats struct {
+	CandClusters      int
+	CandReplayed      int
+	SelectionReplayed bool
 }
 
 // CompletionRate returns the fraction of valves connected to a control pin.

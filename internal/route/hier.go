@@ -34,7 +34,7 @@ import (
 type HierMode uint8
 
 const (
-	// HierAuto turns the hierarchy on only above HierParams.AutoCells grid
+	// HierAuto turns the hierarchy on only above DefaultHierAutoCells grid
 	// cells: small instances (where flat search is already cheap, and whose
 	// golden outputs predate the hierarchy) run flat, large instances run
 	// hierarchically.
@@ -95,9 +95,6 @@ type HierParams struct {
 	// TileSize is the tile side length, rounded up to a power of two.
 	// 0 means DefaultTileSize.
 	TileSize int
-	// AutoCells is the HierAuto cell-count threshold (hierarchy on strictly
-	// above it). 0 means DefaultHierAutoCells.
-	AutoCells int
 }
 
 // tileSize resolves the effective tile side length.
@@ -116,11 +113,7 @@ func (p HierParams) On(cells int) bool {
 	case HierOn:
 		return true
 	}
-	ac := p.AutoCells
-	if ac <= 0 {
-		ac = DefaultHierAutoCells
-	}
-	return cells > ac
+	return cells > DefaultHierAutoCells
 }
 
 // HierStats counts the hierarchical router's per-stage work. All fields
