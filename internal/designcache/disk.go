@@ -14,10 +14,9 @@ import (
 // On-disk layout: one gob file per key, named by the RawKey hex, written
 // atomically (temp file + rename) so a crashed run never leaves a truncated
 // record a later run would choke on. Each record carries its key inside; a
-// load rejects a record whose inner key differs from its file name. The
-// layout mirrors pacorvet's content-addressed fact cache: content-hashed
-// file names make invalidation automatic — a changed design or parameter
-// set simply hashes elsewhere.
+// load rejects a record whose inner key differs from its file name.
+// Content-hashed file names make invalidation automatic — a changed design
+// or parameter set simply hashes elsewhere.
 
 // diskVersion stamps the record layout; mismatched records are ignored (and
 // re-routed), never misread.

@@ -24,7 +24,7 @@ func load(t *testing.T, src string) (*Graph, *types.Info) {
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil), Error: func(error) {}}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", nil), Error: func(error) {}}
 	if _, err := conf.Check("example.com/p", fset, []*ast.File{f}, info); err != nil {
 		t.Fatalf("check: %v", err)
 	}

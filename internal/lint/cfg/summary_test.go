@@ -1,7 +1,8 @@
 package cfg
 
 import (
-	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -22,44 +23,68 @@ func sampleSummaries() map[string]*Summary {
 	}
 }
 
-// TestEncodeDecodeRoundTrip checks that DecodePackage inverts
-// EncodePackage for everything that crosses the package boundary
-// (closures deliberately do not).
+// TestEncodeDecodeRoundTrip checks that a package's summary map comes
+// back out of the Store intact, key by key. Summaries never leave the
+// process, so closure summaries are kept like any other.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	sums := sampleSummaries()
-	blob, err := EncodePackage(sums)
-	if err != nil {
-		t.Fatal(err)
+	s := NewStore()
+	for k, v := range sums {
+		s.Put(k, v)
 	}
-	got, err := DecodePackage(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := got["p.host$0"]; ok {
-		t.Error("closure summary crossed the package boundary")
-	}
-	for _, key := range []string{"p.Finish", "p.(T).Commit", "p.Stamp", "p.Die"} {
-		if !got[key].Equal(sums[key]) {
-			t.Errorf("%s: decoded %+v, want %+v", key, got[key], sums[key])
+	for k, want := range sums {
+		if got := s.Get(k); !got.Equal(want) {
+			t.Errorf("%s: stored %+v, got back %+v", k, want, got)
 		}
 	}
 }
 
-// TestEncodeDeterministic pins byte-identical encoding across calls —
-// the blob's hash stands in for the package interface in cache keys.
+// TestEncodeDeterministic pins what two summarizations of one package
+// rely on: building the CFG of the same body twice gives the same blocks
+// and edges, and Solve over each gives the same fact at every block.
 func TestEncodeDeterministic(t *testing.T) {
-	a, err := EncodePackage(sampleSummaries())
-	if err != nil {
-		t.Fatal(err)
+	const body = `
+x := 0
+for i := 0; i < 3; i++ {
+	if i == x {
+		continue
 	}
-	for i := 0; i < 16; i++ {
-		b, err := EncodePackage(sampleSummaries())
-		if err != nil {
-			t.Fatal(err)
+	x = i
+}
+switch x {
+case 1:
+	x = 2
+	fallthrough
+case 2:
+	return
+}
+_ = x`
+	shape := func(g *Graph) string {
+		var b strings.Builder
+		for _, blk := range g.RPO() {
+			fmt.Fprintf(&b, "%d:%d->", blk.Index, len(blk.Nodes))
+			for _, s := range blk.Succs {
+				fmt.Fprintf(&b, "%d,", s.Index)
+			}
+			b.WriteByte(' ')
 		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("encoding differs between calls:\n%s\n%s", a, b)
-		}
+		return b.String()
+	}
+	// A may-analysis of which blocks can precede each block: any change in
+	// block numbering or edges shows up in the facts.
+	solve := func(g *Graph) []uint64 {
+		return Solve(g, Problem[uint64]{
+			Transfer: func(b *Block, in uint64) uint64 { return in | 1<<uint(b.Index) },
+			Join:     func(a, b uint64) uint64 { return a | b },
+			Equal:    func(a, b uint64) bool { return a == b },
+		})
+	}
+	g1, g2 := New(parseBody(t, body)), New(parseBody(t, body))
+	if a, b := shape(g1), shape(g2); a != b {
+		t.Fatalf("CFG shape differs between builds:\n%s\n%s", a, b)
+	}
+	if a, b := fmt.Sprint(solve(g1)), fmt.Sprint(solve(g2)); a != b {
+		t.Errorf("Solve facts differ between builds:\n%s\n%s", a, b)
 	}
 }
 
@@ -102,7 +127,7 @@ func TestStore(t *testing.T) {
 		t.Error("empty store returned a summary")
 	}
 	s.Put("x", &Summary{NoReturn: true})
-	s.PutAll(map[string]*Summary{"y": {StampsAlways: true}})
+	s.Put("y", &Summary{StampsAlways: true})
 	if got := s.Get("x"); got == nil || !got.NoReturn {
 		t.Errorf("Get(x) = %+v", got)
 	}

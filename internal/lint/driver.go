@@ -15,8 +15,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/lint/callgraph"
 	"repro/internal/lint/cfg"
@@ -26,41 +26,13 @@ import (
 type Options struct {
 	// Dir is the module root (where go.mod lives). Defaults to ".".
 	Dir string
-	// Patterns are `go list` package patterns ("./..."), or paths of
-	// directories holding loose .go files (fixtures under testdata/, which
-	// `go list` refuses to enumerate). The two kinds can be mixed.
+	// Patterns are `go list` package patterns ("./...", "./internal/route"),
+	// or directories of loose .go files that `go list` cannot list:
+	// fixtures under a testdata/ directory, or directories outside Dir.
+	// The two kinds can be mixed.
 	Patterns []string
 	// Analyzers is the registry to run; Analyzers() when empty.
 	Analyzers []*Analyzer
-	// Log receives progress/diagnostic output; discarded when nil.
-	Log io.Writer
-	// CacheDir enables the on-disk fact cache (see cache.go): packages
-	// whose sources and transitive dependency summaries are unchanged are
-	// served from it instead of being re-analyzed. Empty disables caching.
-	CacheDir string
-	// Stats, when non-nil, receives per-run cache counters.
-	Stats *RunStats
-	// Jobs is the number of packages analyzed concurrently in module mode.
-	// Values below 2 run sequentially. Output is byte-identical for every
-	// value: packages are scheduled in dependency order and findings,
-	// stats, and cache entries are assembled in `go list -deps` order.
-	Jobs int
-}
-
-// RunStats reports what one run actually analyzed.
-type RunStats struct {
-	// Packages is the number of module packages considered (targets plus
-	// their module dependencies). Fixture directories are not counted.
-	Packages int
-	// Reanalyzed is the number of packages parsed, summarized, and (when
-	// targeted) linted this run.
-	Reanalyzed int
-	// CacheHits is the number of packages served entirely from the fact
-	// cache.
-	CacheHits int
-	// ReanalyzedPkgs lists the import paths behind Reanalyzed, in
-	// processing order.
-	ReanalyzedPkgs []string
 }
 
 // Run loads every package matched by opts.Patterns, type-checks it, runs
@@ -77,44 +49,27 @@ func Run(opts Options) ([]Finding, error) {
 	if len(opts.Analyzers) == 0 {
 		opts.Analyzers = Analyzers()
 	}
-	if opts.Log == nil {
-		opts.Log = io.Discard
+	listPatterns, dirPatterns, err := splitPatterns(opts.Dir, opts.Patterns)
+	if err != nil {
+		return nil, err
 	}
 
-	var dirPatterns, listPatterns []string
-	for _, p := range opts.Patterns {
-		if isGoFileDir(opts.Dir, p) {
-			dirPatterns = append(dirPatterns, p)
-		} else {
-			listPatterns = append(listPatterns, p)
-		}
-	}
-
-	fset := token.NewFileSet()
-	ld := &loader{
-		fset:    fset,
-		dir:     opts.Dir,
-		source:  importer.ForCompiler(fset, "source", nil),
-		checked: map[string]*types.Package{},
-	}
-
+	ld := newLoader(opts.Dir)
 	store := cfg.NewStore()
 	var findings []Finding
 	if len(listPatterns) > 0 {
-		mod, err := ld.runModule(listPatterns, opts, store)
+		mod, err := ld.runModule(listPatterns, opts.Analyzers, store)
 		if err != nil {
 			return nil, err
 		}
 		findings = append(findings, mod...)
 	}
-	for _, d := range dirPatterns {
-		cp, err := ld.loadDir(d)
-		if err != nil {
-			return nil, err
-		}
-		if len(cp.parseBad) == 0 {
-			summarizePackage(cp, store)
-		}
+	pkgs, err := ld.loadDirs(dirPatterns)
+	if err != nil {
+		return nil, err
+	}
+	for _, cp := range pkgs {
+		ld.check(cp, store)
 		findings = append(findings, lintPackage(cp, opts.Analyzers, store)...)
 	}
 	findings = relativize(findings, opts.Dir)
@@ -124,14 +79,13 @@ func Run(opts Options) ([]Finding, error) {
 
 // checkedPackage is one parsed and (best-effort) type-checked package.
 type checkedPackage struct {
-	fset    *token.FileSet
-	path    string
-	name    string
-	files   []*ast.File
-	src     map[string][]byte // filename -> raw bytes, for text edits
-	pkg     *types.Package
-	info    *types.Info
-	typeErr []error
+	fset  *token.FileSet
+	path  string
+	name  string
+	files []*ast.File
+	src   map[string][]byte // filename -> raw bytes, for text edits
+	pkg   *types.Package
+	info  *types.Info
 	// parseBad holds positioned findings for files that failed to parse;
 	// when non-empty the package is reported as broken instead of being
 	// analyzed (see analyzer "parse").
@@ -217,50 +171,92 @@ func relativize(fs []Finding, dir string) []Finding {
 	return fs
 }
 
-// isGoFileDir reports whether pattern names an existing directory (relative
-// to dir) that directly contains .go files — the fixture-loading mode.
-func isGoFileDir(dir, pattern string) bool {
-	p := pattern
-	if !filepath.IsAbs(p) {
-		p = filepath.Join(dir, p)
+// splitPatterns separates `go list` patterns from directories of loose .go
+// files. A directory is loaded as loose files only when `go list` cannot
+// list it: it has a testdata path element below dir, or it lies outside
+// dir. Any other directory is a package directory and goes to `go list`
+// ("internal/route" as "./internal/route"), so it is linted under its real
+// import path and without its _test.go files.
+func splitPatterns(dir string, patterns []string) (list, dirs []string, err error) {
+	absDir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, nil, err
 	}
-	st, err := os.Stat(p)
-	if err != nil || !st.IsDir() {
-		return false
+	for _, p := range patterns {
+		abs := p
+		if !filepath.IsAbs(abs) {
+			abs = filepath.Join(absDir, p)
+		}
+		if st, err := os.Stat(abs); err != nil || !st.IsDir() {
+			list = append(list, p)
+			continue
+		}
+		rel, err := filepath.Rel(absDir, abs)
+		outside := err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator))
+		goFiles, _ := filepath.Glob(filepath.Join(abs, "*.go"))
+		switch {
+		case len(goFiles) > 0 && (outside || hasTestdata(rel)):
+			dirs = append(dirs, p)
+		case !outside && !filepath.IsAbs(p) && !strings.HasPrefix(p, "."):
+			list = append(list, "./"+filepath.ToSlash(p))
+		default:
+			list = append(list, p)
+		}
 	}
-	matches, _ := filepath.Glob(filepath.Join(p, "*.go"))
-	return len(matches) > 0
+	return list, dirs, nil
 }
 
-// loader incrementally parses and type-checks packages, serving
-// module-internal imports from its own cache and everything else (the
-// standard library) from the stdlib source importer. Safe for concurrent
-// use by the parallel driver: the checked map is mutex-guarded and the
-// stdlib source importer (which keeps its own unguarded package cache) is
-// serialized behind srcMu. The shared token.FileSet is internally
-// synchronized, and *types.Package values are immutable once checked.
+// hasTestdata reports whether the relative path rel has a testdata
+// element, which `go list` never descends into.
+func hasTestdata(rel string) bool {
+	for _, e := range strings.Split(filepath.ToSlash(rel), "/") {
+		if e == "testdata" {
+			return true
+		}
+	}
+	return false
+}
+
+// loader parses and type-checks packages, serving module-internal imports
+// from the packages it has already checked (`go list -deps` order puts
+// them before their importers) and everything else, the standard library
+// above all, from compiler export data that `go list -export` names.
 type loader struct {
 	fset    *token.FileSet
 	dir     string
-	source  types.Importer
-	mu      sync.Mutex // guards checked
-	srcMu   sync.Mutex // serializes source.Import
+	stdlib  types.Importer    // gc importer over exports
+	exports map[string]string // import path -> export data file
 	checked map[string]*types.Package
 }
 
-// Import implements types.Importer: module packages come from the cache
-// (they are checked in dependency order before their importers), the
-// standard library from the source importer.
+// newLoader returns a loader for the module rooted at dir.
+func newLoader(dir string) *loader {
+	fset := token.NewFileSet()
+	ld := &loader{
+		fset:    fset,
+		dir:     dir,
+		exports: map[string]string{},
+		checked: map[string]*types.Package{},
+	}
+	ld.stdlib = importer.ForCompiler(fset, "gc", ld.lookup)
+	return ld
+}
+
+// Import implements types.Importer.
 func (ld *loader) Import(path string) (*types.Package, error) {
-	ld.mu.Lock()
-	p, ok := ld.checked[path]
-	ld.mu.Unlock()
-	if ok && p != nil {
+	if p := ld.checked[path]; p != nil {
 		return p, nil
 	}
-	ld.srcMu.Lock()
-	defer ld.srcMu.Unlock()
-	return ld.source.Import(path)
+	return ld.stdlib.Import(path)
+}
+
+// lookup opens the export data of path for the gc importer.
+func (ld *loader) lookup(path string) (io.ReadCloser, error) {
+	file, ok := ld.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("no export data for %q", path)
+	}
+	return os.Open(file)
 }
 
 // listedPackage is the subset of `go list -json` output the driver needs.
@@ -268,16 +264,15 @@ type listedPackage struct {
 	ImportPath string
 	Dir        string
 	Name       string
+	Export     string
 	GoFiles    []string
 	Standard   bool
-	Deps       []string
+	// DepOnly marks a package listed only as a dependency of a pattern
+	// match: it is summarized but not linted.
+	DepOnly bool
 	// Error is set by `go list -e` on broken patterns and packages instead
 	// of a nonzero exit.
 	Error *listError
-	// DepsErrors carries the errors of broken imports (e.g. an import of a
-	// package whose directory was deleted) — go list -e reports those here
-	// rather than in Error.
-	DepsErrors []*listError
 }
 
 // listError is the Error object in `go list -e -json` output.
@@ -285,322 +280,110 @@ type listError struct {
 	Err string
 }
 
-// modPkg is one module package moving through the incremental pipeline.
-type modPkg struct {
-	lp       listedPackage
-	target   bool
-	files    []string          // absolute source paths, go list order
-	srcBytes map[string][]byte // path -> raw bytes
-	sumHash  string            // hash of the package's encoded summaries
-	mu       sync.Mutex        // guards cp (lazy checking of cache hits)
-	cp       *checkedPackage   // set once parsed and type-checked
-}
-
-// runModule lints the packages matched by patterns, incrementally when a
-// fact cache is configured. Packages are processed in dependency order
-// (`go list -deps` emits dependencies first); for each one the driver
-// computes a content-addressed key from its sources and its dependencies'
-// summary hashes, and either replays the cached findings and summaries or
-// re-analyzes. Cache-hit packages are not even parsed unless a dirtied
-// dependent later needs their type information.
-func (ld *loader) runModule(patterns []string, opts Options, store *cfg.Store) ([]Finding, error) {
-	// -e tolerates broken packages so parse failures surface as findings
-	// rather than aborting the whole run.
-	all, err := goList(ld.dir, append([]string{"-e", "-deps"}, patterns...))
+// runModule lints the packages matched by patterns in one pass over
+// `go list -deps` order, which lists every dependency before its
+// importers: each module package is parsed, type-checked, and summarized,
+// and linted if a pattern matched it. Its summaries are in the store
+// before any importer is analyzed.
+func (ld *loader) runModule(patterns []string, analyzers []*Analyzer, store *cfg.Store) ([]Finding, error) {
+	all, err := ld.listExports(patterns)
 	if err != nil {
 		return nil, err
 	}
-	targets, err := goList(ld.dir, append([]string{"-e"}, patterns...))
-	if err != nil {
-		return nil, err
-	}
-	isTarget := map[string]bool{}
-	for _, t := range targets {
+	targets := 0
+	for _, lp := range all {
+		if lp.DepOnly {
+			continue
+		}
 		// With -e a broken pattern comes back as a pseudo-package carrying
 		// only an Error; report it instead of linting around it.
-		if t.Error != nil && len(t.GoFiles) == 0 && t.Dir == "" {
-			return nil, fmt.Errorf("lint: %s", t.Error.Err)
+		if lp.Error != nil && len(lp.GoFiles) == 0 && lp.Dir == "" {
+			return nil, fmt.Errorf("lint: %s", lp.Error.Err)
 		}
-		isTarget[t.ImportPath] = true
+		targets++
 	}
-	if len(isTarget) == 0 {
+	if targets == 0 {
 		// `go list` exits 0 with only a stderr warning when a valid pattern
 		// matches no packages; silently linting nothing would report a clean
 		// tree that was never inspected.
 		return nil, fmt.Errorf("lint: patterns %s matched no packages", strings.Join(patterns, " "))
 	}
 
-	var cache *factCache
-	if opts.CacheDir != "" {
-		cache, err = openFactCache(opts.CacheDir)
-		if err != nil {
-			return nil, fmt.Errorf("lint: cache: %v", err)
-		}
-	}
-
-	var order []*modPkg
-	byPath := map[string]*modPkg{}
+	var out []Finding
 	for _, lp := range all {
 		if lp.Standard || len(lp.GoFiles) == 0 {
 			continue
 		}
-		mp := &modPkg{lp: lp, target: isTarget[lp.ImportPath]}
-		order = append(order, mp)
-		byPath[lp.ImportPath] = mp
-	}
-
-	// Read every package's sources up front, serially: the content keys of
-	// all packages must reflect one consistent snapshot of the tree, and
-	// doing it here keeps processPkg free of ordering concerns.
-	for _, mp := range order {
-		if opts.Stats != nil {
-			opts.Stats.Packages++
+		paths := make([]string, len(lp.GoFiles))
+		for i, f := range lp.GoFiles {
+			paths[i] = filepath.Join(lp.Dir, f)
 		}
-		mp.srcBytes = map[string][]byte{}
-		for _, f := range mp.lp.GoFiles {
-			p := filepath.Join(mp.lp.Dir, f)
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return nil, fmt.Errorf("lint: %s: %v", mp.lp.ImportPath, err)
-			}
-			mp.files = append(mp.files, p)
-			mp.srcBytes[p] = data
+		cp, err := ld.parse(paths)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %s: %v", lp.ImportPath, err)
 		}
-	}
-
-	results := make([]pkgResult, len(order))
-	if opts.Jobs > 1 && len(order) > 1 {
-		if err := ld.processParallel(order, byPath, opts, store, cache, results); err != nil {
-			return nil, err
+		cp.path, cp.name = lp.ImportPath, lp.Name
+		ld.check(cp, store)
+		if !lp.DepOnly {
+			out = append(out, lintPackage(cp, analyzers, store)...)
 		}
-	} else {
-		for i, mp := range order {
-			r, err := ld.processPkg(mp, byPath, opts, store, cache)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-	}
-
-	// Assemble findings and stats in `go list -deps` order regardless of
-	// the completion order above: byte-identical output for every -j.
-	var out []Finding
-	for i, mp := range order {
-		r := results[i]
-		if opts.Stats != nil {
-			if r.hit {
-				opts.Stats.CacheHits++
-			} else {
-				opts.Stats.Reanalyzed++
-				opts.Stats.ReanalyzedPkgs = append(opts.Stats.ReanalyzedPkgs, mp.lp.ImportPath)
-			}
-		}
-		out = append(out, r.findings...)
 	}
 	return out, nil
 }
 
-// pkgResult is the outcome of processing one module package.
-type pkgResult struct {
-	findings []Finding
-	hit      bool // served entirely from the fact cache
-}
-
-// processPkg analyzes one package: cache probe, then parse/type-check,
-// summarize, lint (targets only), and cache write-back. Every module
-// dependency must have completed first (its sumHash feeds this package's
-// cache key); the schedulers below guarantee that in both modes. Safe to
-// run concurrently for independent packages.
-func (ld *loader) processPkg(mp *modPkg, byPath map[string]*modPkg, opts Options, store *cfg.Store, cache *factCache) (pkgResult, error) {
-	key := cacheKey(mp, byPath, opts.Analyzers)
-
-	if cache != nil {
-		if ent := cache.load(mp.lp.ImportPath); ent != nil && ent.Key == key && (ent.Linted || !mp.target) {
-			if sums, err := cfg.DecodePackage(ent.Summaries); err == nil {
-				store.PutAll(sums)
-				mp.sumHash = ent.SummaryHash
-				r := pkgResult{hit: true}
-				if mp.target {
-					r.findings = ent.Findings
-				}
-				return r, nil
-			}
-		}
-	}
-
-	cp, err := ld.ensureChecked(mp, byPath)
-	if err != nil {
-		return pkgResult{}, fmt.Errorf("lint: %s: %v", mp.lp.ImportPath, err)
-	}
-	sums := map[string]*cfg.Summary{}
-	if len(cp.parseBad) == 0 {
-		sums = summarizePackage(cp, store)
-	}
-	blob, err := cfg.EncodePackage(sums)
-	if err != nil {
-		return pkgResult{}, fmt.Errorf("lint: %s: %v", mp.lp.ImportPath, err)
-	}
-	mp.sumHash = hashHex(blob)
-	var pkgFindings []Finding
-	if mp.target {
-		// Relativize before caching so entries stay valid when the
-		// checkout moves between runs (CI restores the cache into a
-		// fresh workspace).
-		pkgFindings = relativize(lintPackage(cp, opts.Analyzers, store), ld.dir)
-	}
-	if cache != nil {
-		ent := &cacheEntry{
-			Path:        mp.lp.ImportPath,
-			Key:         key,
-			SummaryHash: mp.sumHash,
-			Summaries:   blob,
-			Findings:    pkgFindings,
-			Linted:      mp.target,
-		}
-		if err := cache.save(mp.lp.ImportPath, ent); err != nil {
-			return pkgResult{}, fmt.Errorf("lint: cache: %v", err)
-		}
-	}
-	return pkgResult{findings: pkgFindings}, nil
-}
-
-// processParallel runs processPkg over the packages with opts.Jobs
-// workers, scheduling by module-dependency DAG: a package becomes ready
-// when every module dependency has finished, so summaries and summary
-// hashes are always in place before a dependent's cache key is computed —
-// the same invariant the sequential loop gets from `go list -deps` order.
-// Results land in per-index slots; the caller assembles them in order, so
-// output does not depend on completion timing. On failure the first error
-// in `go list -deps` order wins, again matching sequential behavior.
-func (ld *loader) processParallel(order []*modPkg, byPath map[string]*modPkg, opts Options, store *cfg.Store, cache *factCache, results []pkgResult) error {
-	n := len(order)
-	index := map[*modPkg]int{}
-	for i, mp := range order {
-		index[mp] = i
-	}
-	indeg := make([]int, n)
-	dependents := make([][]int, n)
-	for i, mp := range order {
-		for _, d := range mp.lp.Deps {
-			if dep := byPath[d]; dep != nil {
-				indeg[i]++
-				j := index[dep]
-				dependents[j] = append(dependents[j], i)
-			}
-		}
-	}
-
-	var (
-		mu     sync.Mutex
-		cond   = sync.NewCond(&mu)
-		ready  []int
-		done   int
-		errs   = make([]error, n)
-		failed bool
-	)
-	for i := range order {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-
-	workers := opts.Jobs
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mu.Lock()
-			for {
-				for len(ready) == 0 && done < n && !failed {
-					cond.Wait()
-				}
-				if failed || (len(ready) == 0 && done >= n) {
-					mu.Unlock()
-					return
-				}
-				i := ready[0]
-				ready = ready[1:]
-				mu.Unlock()
-
-				r, err := ld.processPkg(order[i], byPath, opts, store, cache)
-
-				mu.Lock()
-				if err != nil {
-					errs[i] = err
-					failed = true
-					cond.Broadcast()
-					mu.Unlock()
-					return
-				}
-				results[i] = r
-				done++
-				for _, j := range dependents[i] {
-					indeg[j]--
-					if indeg[j] == 0 {
-						ready = append(ready, j)
-					}
-				}
-				cond.Broadcast()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+// loadDirs parses the loose .go files of each directory (testdata
+// fixtures, scratch copies) as one package, and lists export data for the
+// union of their imports with one `go list -export` call.
+func (ld *loader) loadDirs(dirs []string) ([]*checkedPackage, error) {
+	var pkgs []*checkedPackage
+	imports := map[string]bool{}
+	for _, d := range dirs {
+		cp, err := ld.loadDir(d)
 		if err != nil {
-			return err
+			return nil, err
+		}
+		for _, f := range cp.files {
+			for _, spec := range f.Imports {
+				if path, err := strconv.Unquote(spec.Path.Value); err == nil {
+					imports[path] = true
+				}
+			}
+		}
+		pkgs = append(pkgs, cp)
+	}
+	if len(imports) > 0 {
+		paths := make([]string, 0, len(imports))
+		for p := range imports {
+			paths = append(paths, p)
+		}
+		sort.Strings(paths)
+		if _, err := ld.listExports(paths); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return pkgs, nil
 }
 
-// ensureChecked parses and type-checks mp, first ensuring every module
-// dependency is checked so the cache importer can serve it. Cache-hit
-// packages land here lazily, only when a re-analyzed dependent needs
-// their types — under the parallel driver two dependents can race here,
-// so mp.mu serializes the check. Locks nest only along dependency edges
-// (mp before its deps) and the dependency graph is acyclic, so the
-// nesting cannot deadlock.
-func (ld *loader) ensureChecked(mp *modPkg, byPath map[string]*modPkg) (*checkedPackage, error) {
-	mp.mu.Lock()
-	defer mp.mu.Unlock()
-	if mp.cp != nil {
-		return mp.cp, nil
-	}
-	for _, dep := range mp.lp.Deps {
-		if d := byPath[dep]; d != nil {
-			if _, err := ld.ensureChecked(d, byPath); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if mp.srcBytes == nil {
-		mp.srcBytes = map[string][]byte{}
-		for _, f := range mp.lp.GoFiles {
-			p := filepath.Join(mp.lp.Dir, f)
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return nil, err
-			}
-			mp.files = append(mp.files, p)
-			mp.srcBytes[p] = data
-		}
-	}
-	cp, err := ld.check(mp.lp.ImportPath, mp.lp.Name, mp.files, "", mp.srcBytes)
+// listExports runs `go list -e -export -deps` over patterns and records
+// the export data file of every listed package for the gc importer. -e
+// tolerates broken packages, so parse failures surface as findings rather
+// than aborting the whole run.
+func (ld *loader) listExports(patterns []string) ([]listedPackage, error) {
+	all, err := goList(ld.dir, append([]string{"-e", "-export", "-deps"}, patterns...))
 	if err != nil {
 		return nil, err
 	}
-	mp.cp = cp
-	return cp, nil
+	for _, lp := range all {
+		if lp.Export != "" {
+			ld.exports[lp.ImportPath] = lp.Export
+		}
+	}
+	return all, nil
 }
 
-// loadDir parses and type-checks the loose .go files in one directory
-// (testdata fixtures). The package path defaults to "fixture/<base>" and
-// can be overridden with //pacor:pkgpath.
+// loadDir parses the loose .go files in one directory. The package path
+// defaults to "fixture/<base>" and can be overridden with
+// //pacor:pkgpath.
 func (ld *loader) loadDir(dir string) (*checkedPackage, error) {
 	abs := dir
 	if !filepath.IsAbs(abs) {
@@ -611,69 +394,59 @@ func (ld *loader) loadDir(dir string) (*checkedPackage, error) {
 		return nil, err
 	}
 	sort.Strings(matches)
-	return ld.checkFiles(matches, "fixture/"+filepath.Base(abs))
-}
-
-// checkFiles parses the given files as one package and type-checks them.
-func (ld *loader) checkFiles(paths []string, fallbackPath string) (*checkedPackage, error) {
-	cp, err := ld.check("", "", paths, fallbackPath, nil)
-	return cp, err
-}
-
-// check parses paths into one package and type-checks it with the cache
-// importer. preloaded, when non-nil, supplies source bytes already read by
-// the caller. Type errors are collected, not fatal. Parse errors become
-// positioned "parse" findings on the returned package (parseBad) — the
-// package is still returned so the driver can report them; only I/O
-// failures are fatal.
-func (ld *loader) check(importPath, pkgName string, paths []string, fallbackPath string, preloaded map[string][]byte) (*checkedPackage, error) {
-	var files []*ast.File
-	var parseBad []Finding
-	src := map[string][]byte{}
-	for _, p := range paths {
-		data, ok := preloaded[p]
-		if !ok {
-			var err error
-			data, err = os.ReadFile(p)
-			if err != nil {
-				return nil, err
-			}
+	cp, err := ld.parse(matches)
+	if err != nil {
+		return nil, err
+	}
+	cp.path = "fixture/" + filepath.Base(abs)
+	for _, f := range cp.files {
+		if d := parseDirectives(ld.fset, f); d.pkgpath != "" {
+			cp.path = d.pkgpath
 		}
-		src[p] = data
+	}
+	return cp, nil
+}
+
+// parse reads and parses paths as one package. Parse errors become
+// positioned "parse" findings on the returned package (parseBad), which
+// then carries no files: a half-parsed package cannot be analyzed
+// meaningfully. Only I/O failures are fatal.
+func (ld *loader) parse(paths []string) (*checkedPackage, error) {
+	cp := &checkedPackage{fset: ld.fset, src: map[string][]byte{}}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return nil, err
+		}
+		cp.src[p] = data
 		f, err := parser.ParseFile(ld.fset, p, data, parser.ParseComments)
 		if err != nil {
-			parseBad = append(parseBad, parseFindings(ld.fset, p, err)...)
+			cp.parseBad = append(cp.parseBad, parseFindings(ld.fset, p, err)...)
 			continue
 		}
-		files = append(files, f)
+		cp.files = append(cp.files, f)
 	}
-	if len(parseBad) > 0 {
-		// A half-parsed package cannot be analyzed meaningfully; carry only
-		// the parse findings.
-		return &checkedPackage{
-			fset:     ld.fset,
-			path:     importPath,
-			name:     pkgName,
-			src:      src,
-			parseBad: parseBad,
-		}, nil
+	if len(cp.parseBad) > 0 {
+		cp.files = nil
+		return cp, nil
 	}
-	if len(files) == 0 {
+	if len(cp.files) == 0 {
 		return nil, fmt.Errorf("no Go files in %v", paths)
 	}
-	if pkgName == "" {
-		pkgName = files[0].Name.Name
-	}
-	if importPath == "" {
-		importPath = fallbackPath
-		for _, f := range files {
-			if d := parseDirectives(ld.fset, f); d.pkgpath != "" {
-				importPath = d.pkgpath
-			}
-		}
-	}
+	return cp, nil
+}
 
-	info := &types.Info{
+// check type-checks a parsed package under cp.path, publishes it to
+// importers, and summarizes it into store. Type errors are tolerated: the
+// package keeps whatever information the checker produced.
+func (ld *loader) check(cp *checkedPackage, store *cfg.Store) {
+	if len(cp.parseBad) > 0 {
+		return
+	}
+	if cp.name == "" {
+		cp.name = cp.files[0].Name.Name
+	}
+	cp.info = &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
@@ -681,27 +454,10 @@ func (ld *loader) check(importPath, pkgName string, paths []string, fallbackPath
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	var typeErrs []error
-	conf := types.Config{
-		Importer: ld,
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	pkg, _ := conf.Check(importPath, ld.fset, files, info) // errors collected above
-	if pkg != nil {
-		ld.mu.Lock()
-		ld.checked[importPath] = pkg
-		ld.mu.Unlock()
-	}
-	return &checkedPackage{
-		fset:    ld.fset,
-		path:    importPath,
-		name:    pkgName,
-		files:   files,
-		src:     src,
-		pkg:     pkg,
-		info:    info,
-		typeErr: typeErrs,
-	}, nil
+	conf := types.Config{Importer: ld, Error: func(error) {}}
+	cp.pkg, _ = conf.Check(cp.path, ld.fset, cp.files, cp.info) // errors tolerated, see above
+	ld.checked[cp.path] = cp.pkg
+	summarizePackage(cp, store)
 }
 
 // parseFindings converts a parse error for file p into positioned findings

@@ -1,0 +1,300 @@
+package lint
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/lint/cfg"
+)
+
+// writeModule lays out a module from a file map under a fresh temp
+// directory and returns its root.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for name, content := range files {
+		p := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+// writeTestModule lays out a tiny two-package module: leaf (no deps) and
+// top (imports leaf, holds a deliberate wsaliasing violation so every run
+// has a finding to compare). Returns the module root.
+func writeTestModule(t *testing.T) string {
+	t.Helper()
+	return writeModule(t, map[string]string{
+		"go.mod": "module cachemod\n\ngo 1.22\n",
+		"leaf/leaf.go": `// Package leaf is the dependency.
+package leaf
+
+// Workspace stands in for the pooled search state.
+type Workspace struct{ N int }
+
+// AcquireWorkspace stands in for the pooled acquire.
+func AcquireWorkspace() *Workspace { return &Workspace{} }
+
+// ReleaseWorkspace stands in for the pooled release.
+func ReleaseWorkspace(*Workspace) {}
+
+// Finish releases on every path.
+func Finish(ws *Workspace) int {
+	n := ws.N
+	ReleaseWorkspace(ws)
+	return n
+}
+`,
+		"top/top.go": `// Package top depends on leaf.
+package top
+
+import "cachemod/leaf"
+
+// Clean discharges through leaf.Finish's summary.
+func Clean() int {
+	ws := leaf.AcquireWorkspace()
+	return leaf.Finish(ws)
+}
+
+// Leaky never releases: one stable finding.
+func Leaky() int {
+	ws := leaf.AcquireWorkspace()
+	return ws.N
+}
+`,
+	})
+}
+
+// lintJSON lints root with the full registry and returns the findings
+// serialized to JSON.
+func lintJSON(t *testing.T, root string, patterns ...string) string {
+	t.Helper()
+	findings, err := Run(Options{Dir: root, Patterns: patterns})
+	if err != nil {
+		t.Fatalf("lint run %v: %v", patterns, err)
+	}
+	out, err := json.Marshal(findings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// editFile rewrites one file of the module through edit.
+func editFile(t *testing.T, path string, edit func(string) string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(edit(string(data))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheRoundTrip pins run-to-run determinism: two runs over the same
+// tree give byte-identical findings, and two summarizations of the same
+// packages give Equal summaries.
+func TestCacheRoundTrip(t *testing.T) {
+	root := writeTestModule(t)
+	first := lintJSON(t, root, "./...")
+	if first == "null" || first == "[]" {
+		t.Fatal("test module produced no findings; the comparison checks nothing")
+	}
+	if second := lintJSON(t, root, "./..."); second != first {
+		t.Errorf("second run differs from the first:\nfirst:  %s\nsecond: %s", first, second)
+	}
+
+	summarize := func() *cfg.Store {
+		store := cfg.NewStore()
+		if _, err := newLoader(root).runModule([]string{"./..."}, Analyzers(), store); err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	a, b := summarize(), summarize()
+	for _, key := range []string{
+		"cachemod/leaf.AcquireWorkspace", "cachemod/leaf.ReleaseWorkspace",
+		"cachemod/leaf.Finish", "cachemod/top.Clean", "cachemod/top.Leaky",
+	} {
+		if a.Get(key) == nil || !a.Get(key).Equal(b.Get(key)) {
+			t.Errorf("%s: summaries %+v and %+v, want two Equal summaries", key, a.Get(key), b.Get(key))
+		}
+	}
+}
+
+// TestCacheEarlyCutoff pins that an edit which leaves the leaf's summaries
+// intact, a comment, changes no finding anywhere.
+func TestCacheEarlyCutoff(t *testing.T) {
+	root := writeTestModule(t)
+	before := lintJSON(t, root, "./...")
+	editFile(t, filepath.Join(root, "leaf", "leaf.go"), func(s string) string {
+		return s + "\n// trailing comment, no semantic change\n"
+	})
+	if after := lintJSON(t, root, "./..."); after != before {
+		t.Errorf("a leaf comment edit changed the findings:\nbefore: %s\nafter:  %s", before, after)
+	}
+}
+
+// TestCacheInvalidationPropagates pins that a change to the leaf's
+// summaries reaches its importer: once leaf.Finish stops releasing,
+// top.Clean leaks too.
+func TestCacheInvalidationPropagates(t *testing.T) {
+	root := writeTestModule(t)
+	before, err := Run(Options{Dir: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	editFile(t, filepath.Join(root, "leaf", "leaf.go"), func(s string) string {
+		patched := strings.Replace(s, "\tReleaseWorkspace(ws)\n", "\t// no longer releases\n", 1)
+		if patched == s {
+			t.Fatal("release line not found in test module source")
+		}
+		return patched
+	})
+	after, err := Run(Options{Dir: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inTop := func(fs []Finding) int {
+		n := 0
+		for _, f := range fs {
+			if f.Pos.Filename == filepath.Join("top", "top.go") {
+				n++
+			}
+		}
+		return n
+	}
+	if inTop(after) <= inTop(before) {
+		t.Errorf("leaf summary change added no finding in top: before %v, after %v", before, after)
+	}
+}
+
+// TestDiffPatterns pins that linting only the importer still applies its
+// dependency's summaries: leaf is summarized but not linted, and
+// top.Clean's release through leaf.Finish is credited.
+func TestDiffPatterns(t *testing.T) {
+	root := writeTestModule(t)
+	findings, err := Run(Options{Dir: root, Patterns: []string{"cachemod/top"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || findings[0].Pos.Filename != filepath.Join("top", "top.go") || findings[0].Pos.Line != 14 {
+		t.Errorf("linting cachemod/top gave %v, want the one leak in Leaky (top/top.go:14)", findings)
+	}
+}
+
+// TestDiffPatternsDeletedDir pins that a package directory is linted as
+// the package `go list` names, not as a loose fixture: same import path,
+// no _test.go files. Only testdata/ directories and directories outside
+// the module are loaded as loose files.
+func TestDiffPatternsDeletedDir(t *testing.T) {
+	root := writeTestModule(t)
+	if err := os.WriteFile(filepath.Join(root, "top", "top_test.go"), []byte(`package top
+
+import "cachemod/leaf"
+
+func leakInTest() int {
+	ws := leaf.AcquireWorkspace()
+	return ws.N
+}
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := lintJSON(t, root, "cachemod/top")
+	for _, pattern := range []string{"./top", "top", filepath.Join(root, "top")} {
+		if got := lintJSON(t, root, pattern); got != want {
+			t.Errorf("pattern %q: got %s, want the findings of cachemod/top %s", pattern, got, want)
+		}
+	}
+}
+
+// writeParallelModule lays out a diamond-shaped seven-package module —
+// four leaves, two mids that each import two leaves, and a top importing
+// both mids. Every package carries one deliberate wsaliasing violation,
+// which makes the processing order observable.
+func writeParallelModule(t *testing.T) string {
+	t.Helper()
+	leaky := func(pkg, imports string) string {
+		return fmt.Sprintf(`// Package %[1]s is part of the diamond.
+package %[1]s
+%[2]s
+// Workspace stands in for the pooled search state.
+type Workspace struct{ N int }
+
+// AcquireWorkspace stands in for the pooled acquire.
+func AcquireWorkspace() *Workspace { return &Workspace{} }
+
+// ReleaseWorkspace stands in for the pooled release.
+func ReleaseWorkspace(*Workspace) {}
+
+// Leaky never releases: one stable finding per package.
+func Leaky() int {
+	ws := AcquireWorkspace()
+	return ws.N
+}
+`, pkg, imports)
+	}
+	return writeModule(t, map[string]string{
+		"go.mod":         "module parmod\n\ngo 1.22\n",
+		"leafa/leafa.go": leaky("leafa", ""),
+		"leafb/leafb.go": leaky("leafb", ""),
+		"leafc/leafc.go": leaky("leafc", ""),
+		"leafd/leafd.go": leaky("leafd", ""),
+		"midab/midab.go": leaky("midab", "\nimport (\n\t_ \"parmod/leafa\"\n\t_ \"parmod/leafb\"\n)\n"),
+		"midcd/midcd.go": leaky("midcd", "\nimport (\n\t_ \"parmod/leafc\"\n\t_ \"parmod/leafd\"\n)\n"),
+		"top/top.go":     leaky("top", "\nimport (\n\t_ \"parmod/midab\"\n\t_ \"parmod/midcd\"\n)\n"),
+	})
+}
+
+// TestParallelByteIdentity pins the driver's one loop: packages are
+// analyzed in `go list -deps` order, so every dependency is summarized
+// before its importers, and findings come out in that order before Run
+// sorts them.
+func TestParallelByteIdentity(t *testing.T) {
+	root := writeParallelModule(t)
+	listed, err := goList(root, []string{"-deps", "./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, lp := range listed {
+		if !lp.Standard {
+			want = append(want, filepath.Base(lp.Dir))
+		}
+	}
+
+	findings, err := newLoader(root).runModule([]string{"./..."}, Analyzers(), cfg.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, filepath.Base(filepath.Dir(f.Pos.Filename)))
+	}
+	if len(want) != 7 || !reflect.DeepEqual(got, want) {
+		t.Errorf("findings by package = %v, want one per package in go list -deps order %v", got, want)
+	}
+}
+
+// TestParallelSelfModule is the CI self-lint step in-repo: the analyzer
+// suite lints clean under its own rules.
+func TestParallelSelfModule(t *testing.T) {
+	findings, err := Run(Options{Dir: "../..", Patterns: []string{"./internal/lint/..."}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("%s", f)
+	}
+}

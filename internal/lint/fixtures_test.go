@@ -2,10 +2,8 @@ package lint
 
 import (
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -210,20 +208,15 @@ func TestSharedCaptureFixture(t *testing.T) {
 	const dir = "testdata/src/gohandoff"
 	runFixture(t, AnalyzerWsAliasing, dir)
 
-	fset := token.NewFileSet()
-	ld := &loader{
-		fset:    fset,
-		dir:     ".",
-		source:  importer.ForCompiler(fset, "source", nil),
-		checked: map[string]*types.Package{},
-	}
-	cp, err := ld.loadDir(dir)
+	ld := newLoader(".")
+	pkgs, err := ld.loadDirs([]string{dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := summarizePackage(cp, cfg.NewStore())
+	store := cfg.NewStore()
+	ld.check(pkgs[0], store)
 	param := func(fn string) cfg.ParamSummary {
-		sum := sums["fixture/gohandoff."+fn]
+		sum := store.Get("fixture/gohandoff." + fn)
 		if sum == nil {
 			t.Fatalf("no summary for %s", fn)
 		}
@@ -281,15 +274,13 @@ func TestCommitOrderFixture(t *testing.T) {
 }
 
 // goroutineSites lists the only files in the module that may contain a
-// `go` statement: the two sweep worker pools and the lint driver's -j
-// pool. Each runs under the race detector in CI (TestParallelDeterminism,
-// TestSweepOnce, TestParallelByteIdentity). The flow itself runs on the
-// caller's goroutine, which is why pacorvet carries no concurrency
-// analyzers.
+// `go` statement: the two sweep worker pools. Each runs under the race
+// detector in CI (TestParallelDeterminism, TestSweepOnce). The flow and
+// the lint driver run on the caller's goroutine, which is why pacorvet
+// carries no concurrency analyzers.
 var goroutineSites = map[string]bool{
-	"cmd/table2/main.go":      true,
-	"cmd/benchjson/main.go":   true,
-	"internal/lint/driver.go": true,
+	"cmd/table2/main.go":    true,
+	"cmd/benchjson/main.go": true,
 }
 
 // TestConcHygieneFixture is the module-wide goroutine inventory: every

@@ -13,10 +13,12 @@
 package lint
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"io"
 	"sort"
 	"strings"
 )
@@ -221,6 +223,17 @@ type TextEdit struct {
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
+}
+
+// WriteJSON renders findings as a plain JSON array of Finding values (an
+// empty array, not null, for a clean run).
+func WriteJSON(w io.Writer, findings []Finding) error {
+	if findings == nil {
+		findings = []Finding{}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(findings)
 }
 
 // sortFindings orders findings by file, line, column, analyzer, message so

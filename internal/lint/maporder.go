@@ -10,9 +10,7 @@ import (
 // order is random, so a `for k := range m` body must not let that order
 // leak into anything ordered — appending to a slice that is never sorted
 // afterwards, or writing output. Every such leak is a run-to-run diff in
-// reports, golden files, or the parallel sweep. (Channel sends inside
-// map ranges, which leak the order across goroutines, are nondeterm's
-// territory.)
+// reports, golden files, or the parallel sweep.
 var AnalyzerMapOrder = &Analyzer{
 	Name: "maporder",
 	Doc:  "map-range bodies must not leak iteration order into slices (without a later sort) or writers",

@@ -8,27 +8,23 @@ import (
 )
 
 // AnalyzerNonDeterm hunts sources of run-to-run divergence in library
-// code — the repo's outputs (Table 2, golden sweeps, the parallel
-// scheduler's commit stream) must be byte-identical across runs and
-// worker counts, so anything that injects entropy into a routing decision
-// is a bug even when each individual run looks correct:
+// code — the repo's outputs (Table 2, golden sweeps) must be
+// byte-identical across runs, so anything that injects entropy into a
+// routing decision is a bug even when each individual run looks correct:
 //
 //   - math/rand package-level functions draw from the process-global,
 //     randomly-seeded source (rand.New(rand.NewSource(seed)) is the
 //     deterministic idiom and stays allowed);
-//   - a select with two or more communication cases commits to a
-//     pseudo-randomly chosen ready case;
-//   - a channel send inside a map range publishes Go's randomized map
-//     iteration order to other goroutines (this check moved here from
-//     maporder: cross-goroutine leaks are nondeterminism, not just
-//     ordering);
 //   - wall-clock values (time.Now/time.Since) that flow into a branch or
 //     loop condition make control flow depend on machine load. Storing or
 //     returning durations is fine — only conditions are flagged, tracked
 //     by a taint analysis over the control-flow graph.
+//
+// Library code starts no goroutines (TestConcHygieneFixture), so racing
+// selects and channel sends have nothing to guard here.
 var AnalyzerNonDeterm = &Analyzer{
 	Name: "nondeterm",
-	Doc:  "library code must not let random sources, racing selects, map order, or wall-clock time steer routing results",
+	Doc:  "library code must not let random sources or wall-clock time steer routing results",
 	Run:  runNonDeterm,
 }
 
@@ -38,13 +34,8 @@ func runNonDeterm(p *Pass) {
 	}
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				checkGlobalRand(p, n)
-			case *ast.SelectStmt:
-				checkSelect(p, n)
-			case *ast.RangeStmt:
-				checkMapRangeSend(p, n)
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkGlobalRand(p, call)
 			}
 			return true
 		})
@@ -72,38 +63,6 @@ func checkGlobalRand(p *Pass, call *ast.CallExpr) {
 		return // building an explicitly-seeded source: the deterministic idiom
 	}
 	p.Reportf(call.Pos(), "%s.%s draws from the process-global random source; thread a rand.New(rand.NewSource(seed)) through instead", id.Name, sel.Sel.Name)
-}
-
-// checkSelect flags selects that can race: with two or more communication
-// cases simultaneously ready, the runtime commits to one pseudo-randomly.
-func checkSelect(p *Pass, sel *ast.SelectStmt) {
-	comm := 0
-	for _, c := range sel.Body.List {
-		if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-			comm++
-		}
-	}
-	if comm >= 2 {
-		p.Reportf(sel.Pos(), "select with %d communication cases commits to a nondeterministically chosen ready case; order the communications deterministically", comm)
-	}
-}
-
-// checkMapRangeSend flags channel sends inside map-range bodies: the
-// receiving goroutine observes Go's randomized iteration order.
-func checkMapRangeSend(p *Pass, rng *ast.RangeStmt) {
-	t := p.TypeOf(rng.X)
-	if t == nil {
-		return
-	}
-	if _, isMap := t.Underlying().(*types.Map); !isMap {
-		return
-	}
-	inspectShallow(rng.Body, func(n ast.Node) bool {
-		if send, ok := n.(*ast.SendStmt); ok {
-			p.Reportf(send.Pos(), "channel send inside map range leaks iteration order across goroutines; collect into a slice and sort first")
-		}
-		return true
-	})
 }
 
 // clockFact is the set of variables holding wall-clock-derived values.

@@ -32,10 +32,9 @@ var hardNoReturn = map[string]bool{
 }
 
 // summarizePackage builds cp's call graph, computes a summary for every
-// function body (closures included), publishes them in store, and returns
-// the package's summary map. The graph is retained on cp for the
-// analyzers' resolver.
-func summarizePackage(cp *checkedPackage, store *cfg.Store) map[string]*cfg.Summary {
+// function body (closures included), and publishes them in store. The
+// graph is retained on cp for the analyzers' resolver.
+func summarizePackage(cp *checkedPackage, store *cfg.Store) {
 	g := callgraph.Build(cp.path, cp.files, cp.info)
 	cp.graph = g
 
@@ -90,12 +89,6 @@ func summarizePackage(cp *checkedPackage, store *cfg.Store) map[string]*cfg.Summ
 			}
 		}
 	}
-
-	out := map[string]*cfg.Summary{}
-	for _, n := range g.Nodes {
-		out[n.Key] = store.Get(n.Key)
-	}
-	return out
 }
 
 // enclosingDecl walks a node's parent chain to the declaration hosting it.

@@ -21,43 +21,6 @@ func seededRand(seed int64) int {
 	return r.Intn(10)
 }
 
-// racingSelect commits to a nondeterministically chosen ready case when
-// both channels have data.
-func racingSelect(a, b chan int) int {
-	select { // want `select with 2 communication cases`
-	case v := <-a:
-		return v
-	case v := <-b:
-		return v
-	}
-}
-
-// drainSelect has one communication case plus default: no race between
-// ready cases.
-func drainSelect(a chan int) int {
-	select {
-	case v := <-a:
-		return v
-	default:
-		return 0
-	}
-}
-
-// leakSend publishes map iteration order across goroutines. (This check
-// moved here from maporder: the receiver observes the randomized order.)
-func leakSend(m map[string]int, ch chan string) {
-	for k := range m {
-		ch <- k // want `channel send inside map range leaks iteration order across goroutines`
-	}
-}
-
-// sliceSend ranges over a slice: ordered, nothing to report.
-func sliceSend(s []string, ch chan string) {
-	for _, v := range s {
-		ch <- v
-	}
-}
-
 // clockBranch lets wall-clock time steer control flow: under load the
 // loop exits earlier and routing output changes run to run.
 func clockBranch(deadline time.Duration, work func() bool) bool {
