@@ -58,7 +58,7 @@ func run(args []string, stdout io.Writer) error {
 	jsonFlag := fs.String("json", "", "write the routing result as JSON to this file")
 	skewFlag := fs.Bool("skew", false, "simulate pressure propagation and report per-cluster actuation skew")
 	statsFlag := fs.Bool("stats", false, "print negotiation work and cross-run reuse counters")
-	hierFlag := fs.String("hier", "auto", "hierarchical two-stage routing: auto (on above the Table 1 scale), on, off")
+	hierFlag := fs.String("hier", "auto", "hierarchical two-stage escape routing: auto (on above the Table 1 scale), on, off")
 	cacheDir := fs.String("cachedir", "", "cross-run design cache directory: exact hits replay the stored result, near hits warm-seed negotiation (routes identically)")
 	stableFlag := fs.Bool("stable", false, "omit wall-clock fields from the summary (for byte-comparing runs)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -164,10 +164,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		if len(ns.FailedIDs) > 0 {
 			fmt.Fprintf(stdout, "  negotiation failed edges: %v\n", ns.FailedIDs)
-		}
-		if hs := ns.Hier; hs.Tiles > 0 {
-			fmt.Fprintf(stdout, "  negotiation hier: %d tiles, corridors %d (+%d none), rungs %d corridor / %d widened / %d flat\n",
-				hs.Tiles, hs.Corridors, hs.NoCorridor, hs.CorridorHits, hs.Widened, hs.FlatFallbacks)
 		}
 		if hs := res.EscapeHier; hs.Tiles > 0 {
 			fmt.Fprintf(stdout, "  escape hier: %d tiles, corridors %d (+%d none), rungs %d corridor / %d widened / %d flat\n",

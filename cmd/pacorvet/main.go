@@ -3,9 +3,8 @@
 // nondeterm), allocation discipline (hotalloc), numeric tolerance
 // (floateq), error hygiene (liberrs), stdout hygiene (nostdout), pooled
 // workspace ownership (wsaliasing), the capture-cone stamping protocol
-// (snapshotread), obstacle-journal pairing (journalpair), and the mcf
-// arena contract (mcfpair) — over the packages matched by its arguments
-// and exits nonzero on any finding.
+// (snapshotread), and obstacle-journal pairing (journalpair) — over the
+// packages matched by its arguments and exits nonzero on any finding.
 //
 // Usage:
 //

@@ -155,21 +155,8 @@ func TestFormatJSON(t *testing.T) {
 // TestFixFlag runs -fix over a scratch copy of the seeded-defect tree and
 // checks the tool converges to exit 0.
 func TestFixFlag(t *testing.T) {
-	srcDir := filepath.Join(moduleRoot, "internal", "lint", "testdata", "fix")
-	matches, err := filepath.Glob(filepath.Join(srcDir, "*.go"))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no seeded-defect fixtures: %v", err)
-	}
 	scratch := t.TempDir()
-	for _, p := range matches {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(scratch, filepath.Base(p)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	copyFixTree(t, scratch)
 
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-dir", moduleRoot, "-fix", scratch}, &stdout, &stderr)
@@ -179,5 +166,92 @@ func TestFixFlag(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "applied") {
 		t.Errorf("stderr missing the fix summary:\n%s", stderr.String())
+	}
+}
+
+// TestFixRelativeDir lints and fixes a scratch copy of the seeded-defect
+// tree under a relative -dir, as `pacorvet -dir ../.. -fix <dir>` run from
+// a subdirectory does: the copy sits at testdata/fix below a scratch root,
+// and the tool runs from root/work with -dir "..". The findings and their
+// fix edits must name files relative to -dir, so -fix resolves them
+// against -dir exactly once.
+func TestFixRelativeDir(t *testing.T) {
+	root := t.TempDir()
+	fixDir := filepath.Join(root, "testdata", "fix")
+	workDir := filepath.Join(root, "work")
+	for _, d := range []string{fixDir, workDir} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copyFixTree(t, fixDir)
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(workDir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-dir", "..", "-format", "json", "testdata/fix"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("lint exit code = %d, want 1\nstderr:\n%s", code, stderr.String())
+	}
+	var findings []struct {
+		Pos   struct{ Filename string }
+		Fixes []struct{ Edits []struct{ File string } }
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &findings); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, stdout.String())
+	}
+	if len(findings) == 0 {
+		t.Fatal("the seeded-defect copy produced no findings")
+	}
+	for _, f := range findings {
+		files := []string{f.Pos.Filename}
+		for _, fix := range f.Fixes {
+			for _, e := range fix.Edits {
+				files = append(files, e.File)
+			}
+		}
+		for _, name := range files {
+			if !strings.HasPrefix(filepath.ToSlash(name), "testdata/fix/") {
+				t.Errorf("file %q is not relative to -dir (want prefix testdata/fix/)", name)
+			}
+		}
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-dir", "..", "-fix", "testdata/fix"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-fix exit code = %d, want 0 (converged)\nstdout:\n%s\nstderr:\n%s",
+			code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "applied") {
+		t.Errorf("stderr missing the fix summary:\n%s", stderr.String())
+	}
+}
+
+// copyFixTree copies the seeded-defect tree (internal/lint/testdata/fix)
+// into dir, so -fix never rewrites the checked-in fixture.
+func copyFixTree(t *testing.T, dir string) {
+	t.Helper()
+	matches, err := filepath.Glob(filepath.Join(moduleRoot, "internal", "lint", "testdata", "fix", "*.go"))
+	if err != nil || len(matches) == 0 {
+		t.Fatalf("no seeded-defect fixtures: %v", err)
+	}
+	for _, p := range matches {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(p)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

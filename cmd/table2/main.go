@@ -56,7 +56,7 @@ func run(args []string, stdout io.Writer) error {
 	workers := fs.Int("j", runtime.GOMAXPROCS(0), "parallel routing jobs (1 = sequential)")
 	stable := fs.Bool("stable", false, "zero out runtimes for byte-stable output (determinism checks)")
 	statsFlag := fs.Bool("stats", false, "append per-job negotiation counters to the report")
-	hierFlag := fs.String("hier", "auto", "hierarchical two-stage routing: auto (on above the Table 1 scale), on, off")
+	hierFlag := fs.String("hier", "auto", "hierarchical two-stage escape routing: auto (on above the Table 1 scale), on, off")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {

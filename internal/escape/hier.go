@@ -47,11 +47,10 @@ import (
 // zero-length escapes onto covered take-off pins that the conservative
 // capacity model excludes.
 //
-// Unlike the negotiation hierarchy (route/hier.go), this one is
-// APPROXIMATE: the flat network optimizes pin assignment and total length
-// jointly and exactly (Theorem 1); here pin choice is greedy within the
-// corridor's tile and paths commit in cluster order, so total escape length
-// can differ from the flat optimum. Callers report the delta explicitly
+// The hierarchy is APPROXIMATE: the flat network optimizes pin assignment
+// and total length jointly and exactly (Theorem 1); here pin choice is
+// greedy within the corridor's tile and paths commit in cluster order, so
+// total escape length can differ from the flat optimum. Callers report the delta explicitly
 // (EXPERIMENTS.md). Routability is protected by the repair loop and the
 // final flat pass.
 //

@@ -15,8 +15,7 @@ import (
 // each ending at a distinct candidate pin, with Unrouted exactly
 // complementing the routed set. The hierarchical router is approximate —
 // its pin assignment and lengths may differ from the flat network — so these
-// invariants, not byte-identity, are its contract (the negotiation
-// hierarchy's byte-identity property lives in route.TestHierNegotiateEqualsFlat).
+// invariants, not byte-identity, are its contract.
 func hierCheckValid(t *testing.T, trial int, g grid.Grid, obs *grid.ObsMap, res *Result, nTerms int, pins []geom.Pt) {
 	t.Helper()
 	candidate := map[geom.Pt]bool{}

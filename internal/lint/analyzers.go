@@ -4,8 +4,7 @@ package lint
 // are the syntax-level checks from the original gate; the rest are the
 // dataflow-aware ownership/protocol/determinism checks built on
 // internal/lint/cfg (wsaliasing, snapshotread and journalpair additionally
-// consume the interprocedural summaries from internal/lint/summaries.go),
-// ending with the mcf arena pairing contract (mcfpair).
+// consume the interprocedural summaries from internal/lint/summaries.go).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerMapOrder,
@@ -17,7 +16,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerSnapshotRead,
 		AnalyzerJournalPair,
 		AnalyzerNonDeterm,
-		AnalyzerMcfPair,
 	}
 }
 

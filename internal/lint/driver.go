@@ -229,8 +229,13 @@ type loader struct {
 	checked map[string]*types.Package
 }
 
-// newLoader returns a loader for the module rooted at dir.
+// newLoader returns a loader for the module rooted at dir. The root is
+// made absolute, so fixture files load under absolute paths that relativize
+// can map back to dir.
 func newLoader(dir string) *loader {
+	if abs, err := filepath.Abs(dir); err == nil {
+		dir = abs
+	}
 	fset := token.NewFileSet()
 	ld := &loader{
 		fset:    fset,
@@ -284,11 +289,24 @@ type listError struct {
 // `go list -deps` order, which lists every dependency before its
 // importers: each module package is parsed, type-checked, and summarized,
 // and linted if a pattern matched it. Its summaries are in the store
-// before any importer is analyzed.
+// before any importer is analyzed. Export data is requested only for the
+// standard-library dependencies: module packages are checked from source,
+// and compiling their export data would cost a build per edit.
 func (ld *loader) runModule(patterns []string, analyzers []*Analyzer, store *cfg.Store) ([]Finding, error) {
-	all, err := ld.listExports(patterns)
+	all, err := goList(ld.dir, append([]string{"-e", "-deps"}, patterns...))
 	if err != nil {
 		return nil, err
+	}
+	var std []string
+	for _, lp := range all {
+		if lp.Standard {
+			std = append(std, lp.ImportPath)
+		}
+	}
+	if len(std) > 0 {
+		if err := ld.listExports(std...); err != nil {
+			return nil, err
+		}
 	}
 	targets := 0
 	for _, lp := range all {
@@ -357,28 +375,28 @@ func (ld *loader) loadDirs(dirs []string) ([]*checkedPackage, error) {
 			paths = append(paths, p)
 		}
 		sort.Strings(paths)
-		if _, err := ld.listExports(paths); err != nil {
+		if err := ld.listExports(append([]string{"-deps"}, paths...)...); err != nil {
 			return nil, err
 		}
 	}
 	return pkgs, nil
 }
 
-// listExports runs `go list -e -export -deps` over patterns and records
-// the export data file of every listed package for the gc importer. -e
-// tolerates broken packages, so parse failures surface as findings rather
-// than aborting the whole run.
-func (ld *loader) listExports(patterns []string) ([]listedPackage, error) {
-	all, err := goList(ld.dir, append([]string{"-e", "-export", "-deps"}, patterns...))
+// listExports runs `go list -e -export` with args and records the export
+// data file of every listed package for the gc importer. -e tolerates
+// broken packages, so parse failures surface as findings rather than
+// aborting the whole run.
+func (ld *loader) listExports(args ...string) error {
+	all, err := goList(ld.dir, append([]string{"-e", "-export"}, args...))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, lp := range all {
 		if lp.Export != "" {
 			ld.exports[lp.ImportPath] = lp.Export
 		}
 	}
-	return all, nil
+	return nil
 }
 
 // loadDir parses the loose .go files in one directory. The package path

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -175,7 +176,7 @@ func TestAnalyzersRegistry(t *testing.T) {
 		}
 		names = append(names, a.Name)
 	}
-	want := "maporder hotalloc floateq liberrs nostdout wsaliasing snapshotread journalpair nondeterm mcfpair"
+	want := "maporder hotalloc floateq liberrs nostdout wsaliasing snapshotread journalpair nondeterm"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("registry = %q, want %q", got, want)
 	}
@@ -283,44 +284,40 @@ var goroutineSites = map[string]bool{
 	"cmd/benchjson/main.go": true,
 }
 
-// TestConcHygieneFixture is the module-wide goroutine inventory: every
-// non-test .go file outside testdata is parsed, and a `go` statement in
-// any file not listed in goroutineSites fails with its position.
-func TestConcHygieneFixture(t *testing.T) {
+// forEachModuleSource parses, in mode, every non-test .go file of the
+// module outside testdata and dot-dirs, and calls fn with the file's
+// slash-separated path relative to the module root.
+func forEachModuleSource(t *testing.T, mode parser.Mode, fn func(rel string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
 	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
 	files := 0
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			if file != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
 			return nil
 		}
 		files++
-		rel, err := filepath.Rel(root, path)
-		if err != nil || goroutineSites[filepath.ToSlash(rel)] {
-			return err
-		}
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		rel, err := filepath.Rel(root, file)
 		if err != nil {
 			return err
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
-				t.Errorf("%s:%d: go statement outside the inventoried worker pools", rel, fset.Position(g.Pos()).Line)
-			}
-			return true
-		})
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, file, nil, mode)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(rel), fset, f)
 		return nil
 	})
 	if err != nil {
@@ -331,6 +328,44 @@ func TestConcHygieneFixture(t *testing.T) {
 	}
 }
 
+// TestConcHygieneFixture is the module-wide goroutine inventory: a `go`
+// statement in any non-test file not listed in goroutineSites fails with
+// its position.
+func TestConcHygieneFixture(t *testing.T) {
+	forEachModuleSource(t, parser.SkipObjectResolution, func(rel string, fset *token.FileSet, f *ast.File) {
+		if goroutineSites[rel] {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s:%d: go statement outside the inventoried worker pools", rel, fset.Position(g.Pos()).Line)
+			}
+			return true
+		})
+	})
+}
+
+// mcfImporters lists the only directories whose non-test files may import
+// repro/internal/mcf: the solver itself and the escape router, its one
+// consumer. Negotiation searches the flat grid and builds no flow network.
+var mcfImporters = map[string]bool{
+	"internal/mcf":    true,
+	"internal/escape": true,
+}
+
+// TestMcfPairFixture is the module-wide inventory of min-cost-flow users:
+// an import of repro/internal/mcf from a non-test file outside
+// mcfImporters fails with its position.
 func TestMcfPairFixture(t *testing.T) {
-	runFixture(t, AnalyzerMcfPair, "testdata/src/mcfpair")
+	forEachModuleSource(t, parser.ImportsOnly, func(rel string, fset *token.FileSet, f *ast.File) {
+		if mcfImporters[path.Dir(rel)] {
+			return
+		}
+		for _, spec := range f.Imports {
+			if spec.Path.Value == `"repro/internal/mcf"` {
+				t.Errorf("%s:%d: imports repro/internal/mcf outside internal/mcf and internal/escape",
+					rel, fset.Position(spec.Pos()).Line)
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package mcf
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -20,88 +21,95 @@ func randomGraph(rng *rand.Rand, n, arcs int) (*Graph, int, int) {
 	return g, 0, n - 1
 }
 
+// TestResetRestoresCapacities checks that a solve depends only on how the
+// graph was built: two graphs built from the same arc sequence give the same
+// flow, cost and unit-path decomposition.
 func TestResetRestoresCapacities(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 30; trial++ {
-		g, s, tt := randomGraph(rng, 8+rng.Intn(8), 30)
-		f1, c1 := g.MinCostFlow(s, tt, -1)
-		g.Reset()
-		for id := 0; id < len(g.arcs); id += 2 {
-			if g.Flow(id) != 0 {
-				t.Fatalf("trial %d: arc %d carries flow %d after Reset", trial, id, g.Flow(id))
-			}
-		}
-		f2, c2 := g.MinCostFlow(s, tt, -1)
+		n := 8 + rng.Intn(8)
+		seed := rng.Int63()
+		ga, s, tt := randomGraph(rand.New(rand.NewSource(seed)), n, 30)
+		gb, _, _ := randomGraph(rand.New(rand.NewSource(seed)), n, 30)
+		f1, c1 := ga.MinCostFlow(s, tt, -1)
+		f2, c2 := gb.MinCostFlow(s, tt, -1)
 		if f1 != f2 || c1 != c2 {
-			t.Fatalf("trial %d: solve after Reset gave %d/%d, first solve %d/%d", trial, f2, c2, f1, c1)
+			t.Fatalf("trial %d: identical graphs gave %d/%d and %d/%d", trial, f1, c1, f2, c2)
+		}
+		pa, pb := ga.DecomposeUnitPaths(s, tt), gb.DecomposeUnitPaths(s, tt)
+		if !reflect.DeepEqual(pa, pb) {
+			t.Fatalf("trial %d: decompositions differ\n%v\n%v", trial, pa, pb)
+		}
+		if len(pa) != f1 {
+			t.Fatalf("trial %d: %d unit paths for flow %d", trial, len(pa), f1)
 		}
 	}
 }
 
+// TestCommitHidesAndProtectsFlow solves two units on a diamond of two
+// disjoint paths and checks that the decomposition returns both, cheap path
+// first.
 func TestCommitHidesAndProtectsFlow(t *testing.T) {
 	// Two disjoint unit paths 0->1->3 (cost 2) and 0->2->3 (cost 4).
 	g := NewGraph(4)
-	a01 := g.AddArc(0, 1, 1, 1)
+	g.AddArc(0, 1, 1, 1)
 	g.AddArc(1, 3, 1, 1)
 	g.AddArc(0, 2, 1, 2)
 	g.AddArc(2, 3, 1, 2)
-	if f, c := g.MinCostFlow(0, 3, 1); f != 1 || c != 2 {
-		t.Fatalf("first unit: flow=%d cost=%d, want 1/2", f, c)
+	if f, c := g.MinCostFlow(0, 3, 2); f != 2 || c != 6 {
+		t.Fatalf("flow=%d cost=%d, want 2/6", f, c)
 	}
-	g.Commit()
-	if g.Flow(a01) != 0 {
-		t.Fatalf("Flow after Commit = %d, want 0 (absorbed)", g.Flow(a01))
-	}
-	// The second unit must route on the expensive path — the committed
-	// cheap path's backward residual is gone, so it can neither be
-	// cancelled nor show up in the decomposition.
-	if f, c := g.MinCostFlow(0, 3, 1); f != 1 || c != 4 {
-		t.Fatalf("second unit: flow=%d cost=%d, want 1/4", f, c)
-	}
-	paths := g.DecomposeUnitPaths(0, 3)
-	if len(paths) != 1 {
-		t.Fatalf("decomposition sees %d paths, want only the uncommitted one", len(paths))
-	}
-	want := []int{0, 2, 3}
-	for i, nd := range want {
-		if paths[0][i] != nd {
-			t.Fatalf("decomposed path %v, want %v", paths[0], want)
-		}
-	}
-	// Reset undoes commits too.
-	g.Reset()
-	if f, c := g.MinCostFlow(0, 3, -1); f != 2 || c != 6 {
-		t.Fatalf("after Reset: flow=%d cost=%d, want 2/6", f, c)
+	got := g.DecomposeUnitPaths(0, 3)
+	want := [][]int{{0, 1, 3}, {0, 2, 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decomposition %v, want %v", got, want)
 	}
 }
 
+// TestSetCostReprices checks that Cost and To report each arc as built, for
+// the forward arc and its paired backward arc, before and after a solve.
 func TestSetCostReprices(t *testing.T) {
 	g := NewGraph(3)
-	cheap := g.AddArc(0, 1, 1, 1)
-	g.AddArc(1, 2, 1, 0)
-	if _, c := g.MinCostFlow(0, 2, -1); c != 1 {
-		t.Fatalf("cost=%d, want 1", c)
+	a := g.AddArc(0, 1, 1, 7)
+	b := g.AddArc(1, 2, 2, 3)
+	check := func(when string) {
+		t.Helper()
+		for _, c := range []struct{ id, to, cost int }{
+			{a, 1, 7}, {a ^ 1, 0, -7}, {b, 2, 3}, {b ^ 1, 1, -3},
+		} {
+			if g.To(c.id) != c.to || g.Cost(c.id) != c.cost {
+				t.Errorf("%s: arc %d To=%d Cost=%d, want %d/%d", when, c.id, g.To(c.id), g.Cost(c.id), c.to, c.cost)
+			}
+		}
 	}
-	g.Reset()
-	g.SetCost(cheap, 7)
-	if _, c := g.MinCostFlow(0, 2, -1); c != 7 {
-		t.Fatalf("cost after SetCost=%d, want 7", c)
+	check("built")
+	if f, c := g.MinCostFlow(0, 2, -1); f != 1 || c != 10 {
+		t.Fatalf("flow=%d cost=%d, want 1/10", f, c)
 	}
-	if g.Cost(cheap) != 7 {
-		t.Fatalf("Cost=%d, want 7", g.Cost(cheap))
-	}
+	check("solved")
 }
 
+// TestSetCostPanicsOnFlow checks that AddArc rejects an arc it cannot
+// represent: an endpoint out of range or a negative capacity.
 func TestSetCostPanicsOnFlow(t *testing.T) {
-	g := NewGraph(2)
-	a := g.AddArc(0, 1, 1, 1)
-	g.MinCostFlow(0, 1, -1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetCost on an arc carrying flow did not panic")
-		}
-	}()
-	g.SetCost(a, 2)
+	for _, c := range []struct {
+		name               string
+		from, to, capacity int
+	}{
+		{"from out of range", 2, 0, 1},
+		{"to out of range", 0, -1, 1},
+		{"negative capacity", 0, 1, -1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := NewGraph(2)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("AddArc did not panic")
+				}
+			}()
+			g.AddArc(c.from, c.to, c.capacity, 1)
+		})
+	}
 }
 
 // TestSolverMatchesPerCallState checks that a reused Solver produces
@@ -127,42 +135,46 @@ func TestSolverMatchesPerCallState(t *testing.T) {
 	}
 }
 
-// TestSolverSteadyStateAllocs pins the arena behavior: after the first call
-// has sized the arrays, Reset+solve cycles allocate nothing.
+// TestSolverSteadyStateAllocs pins the arena behavior: once a solve has
+// sized the arrays, another solve on the same graph (which finds nothing
+// left to push) allocates nothing.
 func TestSolverSteadyStateAllocs(t *testing.T) {
 	g, s, tt := randomGraph(rand.New(rand.NewSource(7)), 24, 120)
 	sv := NewSolver()
-	sv.MinCostFlow(g, s, tt, -1) // size the arenas
+	if f, _ := sv.MinCostFlow(g, s, tt, -1); f == 0 {
+		t.Fatal("instance carries no flow; the arena was never exercised")
+	}
 	allocs := testing.AllocsPerRun(50, func() {
-		g.Reset()
-		sv.MinCostFlow(g, s, tt, -1)
+		if f, c := sv.MinCostFlow(g, s, tt, -1); f != 0 || c != 0 {
+			t.Fatalf("re-solve pushed %d/%d on a max-flow graph", f, c)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Reset+MinCostFlow allocates %.1f per run, want 0", allocs)
+		t.Fatalf("steady-state MinCostFlow allocates %.1f per run, want 0", allocs)
 	}
 }
 
-// BenchmarkSolverReuse measures the arena path the hierarchical global stage
-// runs every negotiation round: Reset, re-price, solve per-net unit flows.
+// benchGraph rebuilds the benchmark instance, so both benchmarks below pay
+// the same construction cost and differ only in the solver state.
+func benchGraph() (*Graph, int, int) {
+	return randomGraph(rand.New(rand.NewSource(7)), 256, 2048)
+}
+
+// BenchmarkSolverReuse solves fresh graphs with one held Solver.
 func BenchmarkSolverReuse(b *testing.B) {
-	g, s, tt := randomGraph(rand.New(rand.NewSource(7)), 256, 2048)
 	sv := NewSolver()
-	sv.MinCostFlow(g, s, tt, -1)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Reset()
+		g, s, tt := benchGraph()
 		sv.MinCostFlow(g, s, tt, -1)
 	}
 }
 
 // BenchmarkMinCostFlowFresh is the per-call baseline for the same instance.
 func BenchmarkMinCostFlowFresh(b *testing.B) {
-	g, s, tt := randomGraph(rand.New(rand.NewSource(7)), 256, 2048)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Reset()
+		g, s, tt := benchGraph()
 		g.MinCostFlow(s, tt, -1)
 	}
 }

@@ -17,7 +17,6 @@ type Graph struct {
 	n    int
 	arcs []arc     // forward/backward arcs interleaved: arc i pairs with i^1
 	head [][]int32 // adjacency: arc indices per node
-	orig []int32   // as-built capacity per arc pair (indexed id/2), for Reset
 }
 
 type arc struct {
@@ -57,45 +56,9 @@ func (g *Graph) AddArc(from, to, capacity, cost int) int {
 	id := len(g.arcs)
 	g.arcs = append(g.arcs, arc{to: int32(to), cap: int32(capacity), cost: int32(cost)})
 	g.arcs = append(g.arcs, arc{to: int32(from), cap: 0, cost: int32(-cost)})
-	g.orig = append(g.orig, int32(capacity))
 	g.head[from] = append(g.head[from], int32(id))
 	g.head[to] = append(g.head[to], int32(id+1))
 	return id
-}
-
-// Reset restores every arc to its as-built capacity, erasing all flow —
-// including flow absorbed by Commit. The graph structure (nodes, arcs,
-// costs) is untouched, so a caller can rebuild the network state between
-// solver rounds without re-adding arcs or reallocating adjacency.
-func (g *Graph) Reset() {
-	for i := 0; i < len(g.arcs); i += 2 {
-		g.arcs[i].cap = g.orig[i>>1]
-		g.arcs[i^1].cap = 0
-	}
-}
-
-// Commit absorbs the current flow into the capacities: every forward arc
-// keeps its (already reduced) residual capacity, and the backward residual
-// is zeroed so later MinCostFlow calls can neither cancel the committed
-// flow nor see it via Flow/DecomposeUnitPaths. Sequential per-net routing
-// on one shared graph uses it between nets: each net's decomposition then
-// observes only its own unit of flow. Reset undoes all commits.
-func (g *Graph) Commit() {
-	for i := 0; i < len(g.arcs); i += 2 {
-		g.arcs[i^1].cap = 0
-	}
-}
-
-// SetCost re-prices arc id (an AddArc identifier) to cost, updating the
-// paired backward arc to -cost. Re-pricing an arc that currently carries
-// flow would corrupt the residual-cost invariant, so it panics; call it
-// only on a flow-free graph (fresh, Reset, or after Commit).
-func (g *Graph) SetCost(id, cost int) {
-	if g.arcs[id^1].cap != 0 {
-		panic(fmt.Sprintf("mcf: SetCost on arc %d carrying flow", id))
-	}
-	g.arcs[id].cost = int32(cost)
-	g.arcs[id^1].cost = int32(-cost)
 }
 
 // Flow returns the flow pushed through arc id (0 before solving).
@@ -124,8 +87,7 @@ func (g *Graph) MinCostFlow(s, t, maxFlow int) (flow, cost int) {
 
 // Solver is a reusable arena for MinCostFlow runs: the potential, distance,
 // and predecessor tables plus the Dijkstra frontier persist across calls, so
-// repeated solves — the hierarchical global stage re-prices and re-solves
-// one tile graph every negotiation round — allocate nothing in steady state.
+// repeated solves allocate nothing in steady state.
 // A Solver is not safe for concurrent use; the graph it runs on may change
 // between calls (the arrays resize on demand).
 //

@@ -73,9 +73,6 @@ func Route(d *valve.Design, params Params) (*Result, error) {
 	}
 	// Every stage of the flow searches on this one workspace.
 	ws := route.NewWorkspace(g)
-	if params.Negotiate.Hier == (route.HierParams{}) {
-		params.Negotiate.Hier = params.Hier
-	}
 
 	stageTimes := map[string]time.Duration{}
 	stage := func(name string, since time.Time) {

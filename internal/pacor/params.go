@@ -49,13 +49,12 @@ type Params struct {
 	Lambda float64
 	// Negotiate holds Algorithm 1's bg/alpha/gamma.
 	Negotiate route.NegotiateParams
-	// Hier configures the hierarchical two-stage router (route.HierParams)
-	// for both the negotiation searches (exact — output unchanged) and the
-	// escape stage (approximate — pin assignment and total length may differ
-	// from the flat flow network; Result.EscapeHier reports the stage's
-	// work). The zero value is auto: hierarchical only above the cell
-	// threshold, so every design at or below 256x256 routes exactly as
-	// before. It seeds Negotiate.Hier unless that is set explicitly.
+	// Hier configures the hierarchical two-stage escape router
+	// (route.HierParams, escape.RouteHier). It is approximate: pin
+	// assignment and total length may differ from the flat flow network;
+	// Result.EscapeHier reports the stage's work. The zero value is auto:
+	// hierarchical only above the cell threshold, so every design at or
+	// below 256x256 routes exactly as before.
 	Hier route.HierParams
 	// Solver picks the MWCP selection solver. The default is the exact
 	// branch and bound (mwcp.SolveExact). The paper adopted an ILP;

@@ -77,8 +77,7 @@ type Result struct {
 	LMReuse LMReuseStats
 	// EscapeHier aggregates the hierarchical escape router's per-stage work
 	// across the escape retries (zero when the hierarchy is off or the grid
-	// is below its auto threshold; see Params.Hier). The negotiation
-	// hierarchy's counters live in Negotiate.Hier.
+	// is below its auto threshold; see Params.Hier).
 	EscapeHier route.HierStats
 }
 

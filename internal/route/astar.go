@@ -31,10 +31,8 @@ type Request struct {
 	Bounds *geom.Rect
 	// Mask, when non-nil, restricts the search to a set of tiles (cells in
 	// unadmitted tiles are treated as blocked, targets exempt). The
-	// hierarchical router confines each net's detailed search to its
-	// corridor with it; Workspace.Clipped reports whether the mask (or
-	// Bounds) actually rejected anything — a search that never clipped has a
-	// transcript identical to the unmasked one.
+	// hierarchical escape router confines each cluster's detailed search to
+	// its corridor with it.
 	Mask *TileMask
 	// HistScale and HistMax certify the Hist cost domain for the bucket
 	// queue: HistScale is a power-of-two fixed-point scale under which every

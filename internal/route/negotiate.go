@@ -21,13 +21,6 @@ type NegotiateParams struct {
 	BaseHist float64
 	Alpha    float64
 	Gamma    int
-	// Hier configures the hierarchical two-stage router (hier.go): a tile-
-	// level min-cost-flow global stage assigns each edge a corridor, and the
-	// detailed searches run masked to it, escalating to the flat search
-	// whenever the mask clips. For negotiation the hierarchy is exact: it
-	// never changes routed output, only wall-clock. The zero value is auto:
-	// on only above the cell threshold.
-	Hier HierParams
 	// Seed, when non-nil, warm-starts the run from a previous run's captured
 	// transcript (cross-run incremental routing, seed.go): aligned edges
 	// whose recorded cones avoid every cross-run divergence cell replay the
@@ -57,10 +50,9 @@ func DefaultNegotiateParams() NegotiateParams {
 type NegotiateStats struct {
 	// Rounds counts Algorithm 1 iterations executed.
 	Rounds int
-	// Searches counts the (round, edge) searches run; a hierarchical ladder
-	// counts once however many rungs it climbs. Every (round, edge) pair is
-	// either searched or replayed from a seed, so an unseeded run has
-	// Searches = Rounds × edges.
+	// Searches counts the (round, edge) searches run. Every (round, edge)
+	// pair is either searched or replayed from a seed, so an unseeded run
+	// has Searches = Rounds × edges.
 	Searches int
 	// CacheHits and CacheMisses are always 0: nothing replays within a run.
 	// They remain only so that existing readers of the counters keep
@@ -75,9 +67,6 @@ type NegotiateStats struct {
 	// one is a search a cold run would have executed, so
 	// Searches_cold = Searches_seeded + SeededHits.
 	SeededHits int
-	// Hier counts the hierarchical router's corridor assignments and ladder
-	// rungs (zero when the hierarchy is off or below its auto threshold).
-	Hier HierStats
 	// FailedIDs lists, in edge order, the IDs left unrouted in the final
 	// round when negotiation gave up (ok=false); empty on success.
 	FailedIDs []int
@@ -89,7 +78,6 @@ func (s *NegotiateStats) Add(o NegotiateStats) {
 	s.Searches += o.Searches
 	s.SeededEdges += o.SeededEdges
 	s.SeededHits += o.SeededHits
-	s.Hier.Add(o.Hier)
 	s.FailedIDs = append(s.FailedIDs, o.FailedIDs...) //pacor:allow hotalloc stats aggregation runs once per flow stage, not per search
 }
 
@@ -157,16 +145,6 @@ func (w *Workspace) NegotiateTracked(obs *grid.ObsMap, edges []Edge, params Nego
 	w.negSeedOn = w.negSeedStart(g, work, edges, params, stats)
 	w.negCapOn = w.negCaptureStart(g, work, edges, params)
 
-	// Hierarchical global stage: coarsen the round-start work map (terminals
-	// included as obstacles) once per run; corridors are reassigned per round
-	// against the round's history. The run flag is always (re)set so a pooled
-	// workspace never carries a stale hierarchy into a flat run.
-	hierOn := params.Hier.On(g.Cells()) && len(edges) > 0
-	w.hier.run = false
-	if hierOn {
-		w.hierPrepare(work, len(edges), params.Hier, stats)
-	}
-
 	// The open list follows from the round's history alone: round r's values
 	// are the Eq.-5 iterates h_0..h_r, and while HistQuant certifies them the
 	// round's searches run on the bucket queue; once an iterate stops being
@@ -178,9 +156,6 @@ func (w *Workspace) NegotiateTracked(obs *grid.ObsMap, edges []Edge, params Nego
 	for r := 0; r < params.Gamma; r++ { // Steps 5-16
 		if r > 0 {
 			work.RewindJournal(mark)
-		}
-		if hierOn {
-			w.hierAssign(edges, hist, r, stats)
 		}
 		w.negScale, w.negMaxStep = 0, 0
 		if quantOK {
@@ -263,17 +238,11 @@ func (w *Workspace) negRound(g grid.Grid, work *grid.ObsMap, edges []Edge, hist 
 			p, ok = w.negReplay(g, work, hist, edges, ei, params, stats)
 		} else {
 			// Only a capture consumes the cone, so only a capture pays for
-			// tracking. The whole ladder runs tracked: its recorded cone is
-			// the union of every rung's visits — a superset of the flat
-			// search's cone, so seed replay stays sound (it can only
-			// over-invalidate). Cross-run comparison needs only the committed
-			// path.
-			req := w.negReq(e, work, hist)
+			// tracking. Cross-run comparison needs only the committed path.
 			if capOn {
 				w.StartVisitTracking()
 			}
-			var lvl hierLevel
-			p, ok, lvl = w.negSearch(g, req, ei)
+			p, ok = w.AStar(g, w.negReq(e, work, hist))
 			if capOn {
 				w.StopVisitTracking()
 				w.negVisits = w.CopyVisits(w.negVisits[:0])
@@ -281,7 +250,6 @@ func (w *Workspace) negRound(g grid.Grid, work *grid.ObsMap, edges []Edge, hist 
 			}
 			if stats != nil {
 				stats.Searches++
-				stats.Hier.count(lvl)
 			}
 			if seedLive {
 				w.negCrossCompare(g, ei, p, ok)

@@ -104,8 +104,6 @@ func (s *NegotiationSeed) SizeBytes() int64 {
 }
 
 // negParamsSig fingerprints the outcome-shaping negotiation parameters.
-// The hierarchy is deliberately absent: it is output-invariant (the
-// negotiation stage's ladder is exact), so seeds stay valid across it.
 func negParamsSig(p NegotiateParams) string {
 	return fmt.Sprintf("bh=%g;a=%g;g=%d", p.BaseHist, p.Alpha, p.Gamma)
 }

@@ -7,14 +7,14 @@ import (
 	"repro/internal/grid"
 )
 
-// This file implements the tile coarsening behind the hierarchical two-stage
-// router (hier.go): the grid is partitioned into T×T tiles (T a power of
-// two, so cell→tile is two shifts and a multiply), each tile knows how many
-// of its cells are free, and each tile-to-tile adjacency knows how many free
-// cell pairs straddle the shared edge — the crossing capacity the global
-// MCMF stage budgets corridors against. TileMask is the detailed stage's
-// companion: a per-tile bit set that restricts an A* request to its corridor
-// (Request.Mask).
+// This file implements the tile coarsening behind the hierarchical escape
+// router (escape.RouteHier): the grid is partitioned into T×T tiles (T a
+// power of two, so cell→tile is two shifts and a multiply), each tile knows
+// how many of its cells are free, and each tile-to-tile adjacency knows how
+// many free cell pairs straddle the shared edge — the crossing capacity the
+// global MCMF stage budgets corridors against. TileMask is the detailed
+// stage's companion: a per-tile bit set that restricts an A* request to its
+// corridor (Request.Mask).
 
 // Tiling is the T×T coarsening of one obstacle map.
 type Tiling struct {
@@ -51,7 +51,7 @@ func NewTiling(obs *grid.ObsMap, tileSize int) *Tiling {
 // the tile-grid shape is unchanged.
 //
 //pacor:hot
-//pacor:allow hotalloc per-tile arrays (re)allocated only when the tile-grid shape changes; Rebuild reuses them across negotiation runs
+//pacor:allow hotalloc per-tile arrays (re)allocated only when the tile-grid shape changes; Rebuild reuses them otherwise
 func (t *Tiling) Rebuild(obs *grid.ObsMap, tileSize int) {
 	g := obs.Grid()
 	size := tilePow2(tileSize)
@@ -103,11 +103,6 @@ func (t *Tiling) TileOf(p geom.Pt) int {
 	return (p.Y>>t.shift)*t.tw + p.X>>t.shift
 }
 
-// TileOfIndex returns the tile index of the cell with grid index i.
-func (t *Tiling) TileOfIndex(i int) int {
-	return ((i/t.g.W)>>t.shift)*t.tw + (i%t.g.W)>>t.shift
-}
-
 // FreeCells returns the number of unblocked cells in tile ti.
 func (t *Tiling) FreeCells(ti int) int { return int(t.free[ti]) }
 
@@ -150,18 +145,14 @@ func (m *TileMask) Contains(p geom.Pt) bool {
 	return m.bits[ti>>6]&(1<<(uint(ti)&63)) != 0
 }
 
-// maskWords returns the bitmap length for one mask over this tiling.
-func (t *Tiling) maskWords() int { return (t.tw*t.th + 63) / 64 }
-
-// fillMask populates a mask over bits (len maskWords, pre-cleared) with the
-// corridor tiles dilated by halo tiles in every direction (Chebyshev, so
-// diagonal neighbors are included — a detailed path may hug a tile corner).
+// BuildMask allocates a mask admitting the corridor tiles dilated by halo
+// tiles in every direction (Chebyshev, so diagonal neighbors are included —
+// a detailed path may hug a tile corner).
 //
 //pacor:hot
-func (t *Tiling) fillMask(m *TileMask, bits []uint64, tiles []int32, halo int) {
-	m.shift = t.shift
-	m.tw = t.tw
-	m.bits = bits
+//pacor:allow hotalloc one mask per corridor on the escape control path, not per search step
+func (t *Tiling) BuildMask(tiles []int32, halo int) *TileMask {
+	bits := make([]uint64, (t.tw*t.th+63)/64)
 	for _, ti := range tiles {
 		tx, ty := int(ti)%t.tw, int(ti)/t.tw
 		for y := ty - halo; y <= ty+halo; y++ {
@@ -177,16 +168,5 @@ func (t *Tiling) fillMask(m *TileMask, bits []uint64, tiles []int32, halo int) {
 			}
 		}
 	}
-}
-
-// BuildMask allocates a fresh mask admitting the corridor tiles dilated by
-// halo tiles (the escape stage builds a handful per run; the negotiation
-// stage uses workspace-resident slabs via fillMask instead).
-//
-//pacor:hot
-//pacor:allow hotalloc one mask per corridor on the escape control path, not per search step
-func (t *Tiling) BuildMask(tiles []int32, halo int) *TileMask {
-	m := &TileMask{}
-	t.fillMask(m, make([]uint64, t.maskWords()), tiles, halo)
-	return m
+	return &TileMask{shift: t.shift, tw: t.tw, bits: bits}
 }

@@ -31,9 +31,6 @@ func TestTilingCountsBruteForce(t *testing.T) {
 			for x := 0; x < g.W; x++ {
 				p := geom.Pt{X: x, Y: y}
 				ti := tl.TileOf(p)
-				if ti != tl.TileOfIndex(g.Index(p)) {
-					t.Fatalf("trial %d: TileOf(%v)=%d but TileOfIndex=%d", trial, p, ti, tl.TileOfIndex(g.Index(p)))
-				}
 				if !tl.TileRect(ti).Contains(p) {
 					t.Fatalf("trial %d: %v outside its tile rect %v", trial, p, tl.TileRect(ti))
 				}
@@ -133,9 +130,12 @@ func TestTileMaskHalo(t *testing.T) {
 }
 
 // TestSearchWindow: a search confined by Request.Mask returns only paths
-// whose cells lie inside the mask's tiles. The corridor is an L of tiles
-// (top row, then right column) between two opposite corners, so a shortest
-// unmasked path would cut through the excluded interior.
+// whose cells lie inside the mask's tiles. The corridor is a U of tiles
+// (left column, top row, right column) between two points halfway down the
+// side edges, so every masked path detours over the top while a shortest
+// unmasked path cuts through the excluded interior: the unmasked search on
+// the same map must find a shorter path that leaves the mask, or the mask
+// constrained nothing.
 func TestSearchWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	routed := 0
@@ -145,16 +145,17 @@ func TestSearchWindow(t *testing.T) {
 		for i := 0; i < g.Cells()/10; i++ {
 			obs.Set(geom.Pt{X: rng.Intn(g.W), Y: rng.Intn(g.H)}, true)
 		}
-		src, dst := geom.Pt{X: 2, Y: 2}, geom.Pt{X: 61, Y: 61}
+		src, dst := geom.Pt{X: 2, Y: 33}, geom.Pt{X: 61, Y: 33}
 		obs.Set(src, false)
 		obs.Set(dst, false)
 		tl := NewTiling(obs, 8)
 		var corridor []int32
+		for y := 1; y < 5; y++ {
+			corridor = append(corridor, int32(tl.TileOf(geom.Pt{X: 0, Y: 8 * y})))
+			corridor = append(corridor, int32(tl.TileOf(geom.Pt{X: 63, Y: 8 * y})))
+		}
 		for x := 0; x < 8; x++ {
 			corridor = append(corridor, int32(tl.TileOf(geom.Pt{X: 8 * x, Y: 0})))
-		}
-		for y := 1; y < 8; y++ {
-			corridor = append(corridor, int32(tl.TileOf(geom.Pt{X: 63, Y: 8 * y})))
 		}
 		mask := tl.BuildMask(corridor, 0)
 
@@ -164,13 +165,22 @@ func TestSearchWindow(t *testing.T) {
 		if !ok {
 			continue // the scattered obstacles sealed the corridor
 		}
-		if ws.Clipped() == 0 {
-			t.Fatalf("trial %d: the mask never constrained the search", trial)
-		}
 		for _, c := range p {
 			if !mask.Contains(c) {
 				t.Fatalf("trial %d: path cell %v lies outside the mask", trial, c)
 			}
+		}
+		req.Mask = nil
+		free, ok := ws.AStar(g, req)
+		if !ok || free.Len() >= p.Len() {
+			t.Fatalf("trial %d: unmasked search ok=%v len %d, masked len %d", trial, ok, free.Len(), p.Len())
+		}
+		leaves := false
+		for _, c := range free {
+			leaves = leaves || !mask.Contains(c)
+		}
+		if !leaves {
+			t.Fatalf("trial %d: the unmasked path stays inside the mask; the mask never constrained the search", trial)
 		}
 		routed++
 	}

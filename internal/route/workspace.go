@@ -48,13 +48,6 @@ type Workspace struct {
 	heapOnly   bool
 	lastBucket bool
 
-	// clipped counts, per search, frontier cells rejected by the request's
-	// Bounds or Mask. The hierarchical escalation ladder keys on it: a
-	// masked search that never clipped took every expansion the unmasked
-	// search would have taken — identical transcript, identical result — so
-	// only clipped searches escalate to a wider mask.
-	clipped int
-
 	nbuf []geom.Pt // neighbor scratch
 
 	// Visit tracking (a negotiation capture's cone, seed.go): while track is
@@ -89,12 +82,6 @@ type Workspace struct {
 	negAlign      []int            // child edge index -> parent edge index or -1
 	negParent     []seedSlot       // parent edges' current-round state
 	negShadow     []seedSlot       // capture delta-encoding shadow table
-
-	// Hierarchical negotiation state (hier.go): the tile coarsening, the
-	// tile corridor graph (rebuilt once per negotiation run, re-priced and
-	// re-solved per round), and the per-edge corridor masks of the current
-	// round. Workspace-resident so repeated runs reuse the arenas.
-	hier hierState
 
 	// pooled is true while the workspace sits in its sync.Pool. It makes a
 	// double ReleaseWorkspace a no-op instead of poisoning the pool: two
@@ -185,14 +172,7 @@ func (w *Workspace) begin(g grid.Grid) {
 	w.bopen = w.bopen[:0]
 	w.arena = w.arena[:0]
 	w.seq = 0
-	w.clipped = 0
 }
-
-// Clipped reports how many frontier cells the most recent search rejected
-// through its request's Bounds or Mask. Zero means the window/mask never
-// constrained the search: its transcript — and result — equal the
-// unconstrained search's.
-func (w *Workspace) Clipped() int { return w.clipped }
 
 // nextSeq returns the next push sequence number of the current search.
 func (w *Workspace) nextSeq() uint32 {
@@ -273,7 +253,6 @@ func targetH(tb geom.Rect, p geom.Pt) int {
 // changes the routed path, only the wall clock.
 func (w *Workspace) AStar(g grid.Grid, req Request) (grid.Path, bool) {
 	if len(req.Sources) == 0 || len(req.Targets) == 0 {
-		w.clipped = 0 // keep Clipped tied to this call even on the no-search path
 		return nil, false
 	}
 	w.begin(g)
@@ -336,7 +315,6 @@ func (w *Workspace) astarHeap(g grid.Grid, req Request, tb geom.Rect) (grid.Path
 				}
 			}
 			if !req.inBounds(q) && !w.isTarget(j) {
-				w.clipped++
 				continue
 			}
 			if req.Obs != nil && req.Obs.Blocked(q) && !w.isTarget(j) { //pacor:allow snapshotread untracked fast path; tracked searches stamp via the w.track branch above before this read
@@ -436,7 +414,6 @@ func (w *Workspace) astarBucket(g grid.Grid, req Request, tb geom.Rect, scale, m
 				}
 			}
 			if !req.inBounds(q) && !w.isTarget(j) {
-				w.clipped++
 				continue
 			}
 			if req.Obs != nil && req.Obs.Blocked(q) && !w.isTarget(j) { //pacor:allow snapshotread untracked fast path; tracked searches stamp via the w.track branch above before this read
@@ -485,7 +462,6 @@ func (w *Workspace) reconstruct(g grid.Grid, end int) grid.Path {
 // per-cell length table across calls.
 func (w *Workspace) BoundedAStar(g grid.Grid, req Request, minLen, maxLen int) (grid.Path, bool) {
 	if len(req.Sources) == 0 || len(req.Targets) == 0 || minLen > maxLen || maxLen < 0 {
-		w.clipped = 0 // keep Clipped tied to this call even on the no-search path
 		return nil, false
 	}
 	w.begin(g)
@@ -572,7 +548,6 @@ func (w *Workspace) boundedHeap(g grid.Grid, req Request, tb geom.Rect, minLen, 
 				w.touchBounded(j)
 			}
 			if !req.inBounds(q) && !w.isTarget(j) {
-				w.clipped++
 				continue
 			}
 			if req.Obs != nil && req.Obs.Blocked(q) && !w.isTarget(j) { //pacor:allow snapshotread untracked fast path; tracked searches stamp via the w.track branch above before this read
@@ -671,7 +646,6 @@ func (w *Workspace) boundedBucket(g grid.Grid, req Request, tb geom.Rect, minLen
 				w.touchBounded(j)
 			}
 			if !req.inBounds(q) && !w.isTarget(j) {
-				w.clipped++
 				continue
 			}
 			if req.Obs != nil && req.Obs.Blocked(q) && !w.isTarget(j) { //pacor:allow snapshotread untracked fast path; tracked searches stamp via the w.track branch above before this read
