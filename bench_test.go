@@ -187,6 +187,7 @@ func BenchmarkEscape(b *testing.B) {
 	})
 	b.Run("GreedyAStar", func(b *testing.B) {
 		var routed, length int
+		var ws route.Workspace
 		for i := 0; i < b.N; i++ {
 			obs, terms, pins := escapeScenario()
 			routed, length = 0, 0
@@ -199,7 +200,7 @@ func BenchmarkEscape(b *testing.B) {
 						free = append(free, p)
 					}
 				}
-				p, ok := route.AStar(g, route.Request{
+				p, ok := ws.AStar(g, route.Request{
 					Sources: tm.Cells, Targets: free, Obs: obs,
 				})
 				if !ok {
@@ -226,8 +227,9 @@ func BenchmarkDetour(b *testing.B) {
 	}
 	b.Run("BoundedAStar", func(b *testing.B) {
 		obs := grid.NewObsMap(g)
+		ws := route.NewWorkspace(g)
 		for i := 0; i < b.N; i++ {
-			if _, ok := route.BoundedAStar(g, route.Request{
+			if _, ok := ws.BoundedAStar(g, route.Request{
 				Sources: []geom.Pt{base[0]},
 				Targets: []geom.Pt{base[len(base)-1]},
 				Obs:     obs,
@@ -262,8 +264,9 @@ func BenchmarkNegotiationAlpha(b *testing.B) {
 		b.Run(fmt.Sprintf("alpha=%.1f", alpha), func(b *testing.B) {
 			params := route.NegotiateParams{BaseHist: 1.0, Alpha: alpha, Gamma: 10}
 			solved := 0.0
+			ws := route.NewWorkspace(g)
 			for i := 0; i < b.N; i++ {
-				if _, ok := route.Negotiate(obs, edges, params); ok {
+				if _, ok := ws.Negotiate(obs, edges, params, nil); ok {
 					solved = 1
 				} else {
 					solved = 0
@@ -375,9 +378,10 @@ func BenchmarkAStarMaze(b *testing.B) {
 	dst := geom.Pt{X: 126, Y: 126}
 	obs.Set(src, false)
 	obs.Set(dst, false)
+	ws := route.NewWorkspace(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		route.AStar(g, route.Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs})
+		ws.AStar(g, route.Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs})
 	}
 }
 
@@ -459,9 +463,10 @@ func BenchmarkDetourPolicy(b *testing.B) {
 	}
 	b.Run("Restore", func(b *testing.B) {
 		var spread int
+		var ws route.Workspace
 		for i := 0; i < b.N; i++ {
 			obs, net := build()
-			detour.Match(obs, net, 1)
+			detour.Match(&ws, obs, net, 1)
 			mn, mx := net.Spread()
 			spread = mx - mn
 		}
@@ -469,9 +474,10 @@ func BenchmarkDetourPolicy(b *testing.B) {
 	})
 	b.Run("BestEffort", func(b *testing.B) {
 		var spread int
+		var ws route.Workspace
 		for i := 0; i < b.N; i++ {
 			obs, net := build()
-			detour.MatchBestEffort(obs, net, 1)
+			detour.MatchBestEffort(&ws, obs, net, 1)
 			mn, mx := net.Spread()
 			spread = mx - mn
 		}

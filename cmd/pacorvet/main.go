@@ -1,14 +1,14 @@
 // Command pacorvet is the repository's custom static-analysis gate. It
 // runs the internal/lint analyzer suite — determinism (maporder,
 // nondeterm), allocation discipline (hotalloc), numeric tolerance
-// (floateq), error hygiene (liberrs), stdout hygiene (nostdout), pooled
-// workspace ownership (wsaliasing), the capture-cone stamping protocol
-// (snapshotread), and obstacle-journal pairing (journalpair) — over the
-// packages matched by its arguments and exits nonzero on any finding.
+// (floateq), error hygiene (liberrs), stdout hygiene (nostdout), the
+// capture-cone stamping protocol (snapshotread), and obstacle-journal
+// pairing (journalpair) — over the packages matched by its arguments and
+// exits nonzero on any finding.
 //
 // Usage:
 //
-//	pacorvet [-list] [-dir root] [-fix] [-format text|json] [patterns...]
+//	pacorvet [-list] [-dir root] [-format text|json] [patterns...]
 //
 // Patterns are `go list` package patterns (default ./...) or package
 // directories (./internal/route). A directory of loose .go files that
@@ -17,9 +17,7 @@
 // corpus is exercised. A pattern that matches no packages is an error
 // (exit 2), not a silent clean run.
 //
-// -fix applies each finding's first suggested repair in place, then
-// re-lints and reports what remains. -format=json emits the raw finding
-// list.
+// -format=json emits the raw finding list.
 //
 // Suppress a finding in place with a justified directive:
 //
@@ -48,10 +46,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list registered analyzers and exit")
 	dir := fs.String("dir", ".", "module root to lint from")
-	fix := fs.Bool("fix", false, "apply suggested fixes in place, then re-lint")
 	format := fs.String("format", "text", "output format: text or json")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: pacorvet [-list] [-dir root] [-fix] [-format text|json] [patterns...]\n")
+		fmt.Fprintf(stderr, "usage: pacorvet [-list] [-dir root] [-format text|json] [patterns...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -69,27 +66,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := lint.Options{Dir: *dir, Patterns: fs.Args()}
-	findings, err := lint.Run(opts)
+	findings, err := lint.Run(lint.Options{Dir: *dir, Patterns: fs.Args()})
 	if err != nil {
 		fmt.Fprintf(stderr, "pacorvet: %v\n", err)
 		return 2
-	}
-
-	if *fix {
-		res, err := lint.ApplyFixes(findings, *dir)
-		if err != nil {
-			fmt.Fprintf(stderr, "pacorvet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "pacorvet: applied %d fix(es) in %d file(s), %d skipped\n",
-			res.Applied, len(res.Files), res.Skipped)
-		// Report what the fixes did not repair.
-		findings, err = lint.Run(opts)
-		if err != nil {
-			fmt.Fprintf(stderr, "pacorvet: %v\n", err)
-			return 2
-		}
 	}
 
 	if *format == "json" {

@@ -45,7 +45,7 @@ func main() {
 			edges = append(edges, route.Edge{ID: ei,
 				Sources: []geom.Pt{e.From}, Targets: []geom.Pt{e.To}})
 		}
-		paths, ok := route.Negotiate(obs, edges, route.DefaultNegotiateParams())
+		paths, ok := route.NewWorkspace(obs.Grid()).Negotiate(obs, edges, route.DefaultNegotiateParams(), nil)
 		if !ok {
 			fmt.Printf("candidate %d: routing failed\n", i)
 			continue

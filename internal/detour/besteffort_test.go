@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/route"
 )
 
 // sealedNet builds a net whose short arm can be extended a little but not
@@ -39,7 +40,7 @@ func sealedNet(t *testing.T) (*grid.ObsMap, *Net) {
 func TestMatchRestoresOnPartialFailure(t *testing.T) {
 	obs, net := sealedNet(t)
 	before0, before1 := net.Segments[0].Len(), net.Segments[1].Len()
-	if Match(obs, net, 1) {
+	if Match(route.NewWorkspace(obs.Grid()), obs, net, 1) {
 		t.Fatal("sealed short arm cannot fully match")
 	}
 	if net.Segments[0].Len() != before0 || net.Segments[1].Len() != before1 {
@@ -52,7 +53,7 @@ func TestMatchBestEffortKeepsPartialProgress(t *testing.T) {
 	_, mxBefore := net.Spread()
 	mnBefore, _ := net.Spread()
 	spreadBefore := mxBefore - mnBefore
-	if MatchBestEffort(obs, net, 1) {
+	if MatchBestEffort(route.NewWorkspace(obs.Grid()), obs, net, 1) {
 		t.Fatal("sealed short arm cannot fully match even best-effort")
 	}
 	mn, mx := net.Spread()
@@ -77,7 +78,7 @@ func TestMatchBestEffortMatchesWhenPossible(t *testing.T) {
 		FullPaths: [][]int{{0}, {1}},
 	}
 	markNet(obs, net)
-	if !MatchBestEffort(obs, net, 1) {
+	if !MatchBestEffort(route.NewWorkspace(obs.Grid()), obs, net, 1) {
 		t.Fatal("open space must fully match")
 	}
 	mn, mx := net.Spread()

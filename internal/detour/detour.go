@@ -73,9 +73,10 @@ const maxRounds = 10
 // obs must contain every channel cell of the chip INCLUDING this net's own
 // segments. On success the net's segments are updated in place and obs
 // reflects the new geometry; on failure both are restored (Algorithm 2
-// steps 22-24) and ok is false.
-func Match(obs *grid.ObsMap, net *Net, delta int) bool {
-	return match(route.NewWorkspace(obs.Grid()), obs, net, delta, false)
+// steps 22-24) and ok is false. Every bounded-length reroute search runs on
+// ws, the caller's workspace.
+func Match(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int) bool {
+	return match(ws, obs, net, delta, false)
 }
 
 // MatchBestEffort is Match without the all-or-nothing restore: when full
@@ -83,18 +84,7 @@ func Match(obs *grid.ObsMap, net *Net, delta int) bool {
 // paper's Algorithm 2 restores (Match); this variant exists for the
 // ablation comparing the two policies — a reduced spread still reduces
 // simulated actuation skew even when it misses delta.
-func MatchBestEffort(obs *grid.ObsMap, net *Net, delta int) bool {
-	return match(route.NewWorkspace(obs.Grid()), obs, net, delta, true)
-}
-
-// MatchWS is Match with a caller-owned search workspace (one per goroutine);
-// every bounded-length reroute search reuses ws instead of allocating.
-func MatchWS(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int) bool {
-	return match(ws, obs, net, delta, false)
-}
-
-// MatchBestEffortWS is MatchBestEffort with a caller-owned search workspace.
-func MatchBestEffortWS(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int) bool {
+func MatchBestEffort(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int) bool {
 	return match(ws, obs, net, delta, true)
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/route"
 )
 
 // hPath builds a horizontal path from (x0,y) to (x1,y).
@@ -38,7 +39,7 @@ func TestMatchAlreadyMatched(t *testing.T) {
 		FullPaths: [][]int{{0}, {1}},
 	}
 	markNet(obs, net)
-	if !Match(obs, net, 0) {
+	if !Match(route.NewWorkspace(obs.Grid()), obs, net, 0) {
 		t.Fatal("equal-length net should match immediately")
 	}
 }
@@ -53,7 +54,7 @@ func TestMatchTwoArmTap(t *testing.T) {
 		FullPaths: [][]int{{0}, {1}},
 	}
 	markNet(obs, net)
-	if !Match(obs, net, 1) {
+	if !Match(route.NewWorkspace(obs.Grid()), obs, net, 1) {
 		t.Fatal("match failed in open space")
 	}
 	mn, mx := net.Spread()
@@ -91,7 +92,7 @@ func TestMatchTreeSharedSegment(t *testing.T) {
 		FullPaths: [][]int{{0, 2}, {1, 2}},
 	}
 	markNet(obs, net)
-	if !Match(obs, net, 1) {
+	if !Match(route.NewWorkspace(obs.Grid()), obs, net, 1) {
 		t.Fatal("tree match failed")
 	}
 	mn, mx := net.Spread()
@@ -124,7 +125,7 @@ func TestMatchFailsWhenSealed(t *testing.T) {
 	markNet(obs, net)
 	before := net.Clone()
 	obsBefore := obs.Clone()
-	if Match(obs, net, 1) {
+	if Match(route.NewWorkspace(obs.Grid()), obs, net, 1) {
 		t.Fatal("sealed corridor should fail to match")
 	}
 	// Restoration: net and obs unchanged.
@@ -155,7 +156,7 @@ func TestMatchRespectsForeignChannels(t *testing.T) {
 		FullPaths: [][]int{{0}, {1}},
 	}
 	markNet(obs, net)
-	if !Match(obs, net, 1) {
+	if !Match(route.NewWorkspace(obs.Grid()), obs, net, 1) {
 		t.Fatal("match failed")
 	}
 	cells := map[geom.Pt]bool{}

@@ -96,7 +96,8 @@ const (
 // member), steering corridors toward cheap take-off regions, but the
 // detailed search then lands on whichever take-off cell it reaches first —
 // the flat network's exact penalty-vs-length trade-off is not replayed.
-func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.HierParams) (*Result, route.HierStats) {
+// Every detailed search runs on ws, the caller's workspace.
+func RouteHier(ws *route.Workspace, obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.HierParams) (*Result, route.HierStats) {
 	var st route.HierStats
 	g := obs.Grid()
 
@@ -361,9 +362,6 @@ func RouteHier(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.Hier
 		}
 	}
 
-	// One workspace serves every detailed search below.
-	ws := route.AcquireWorkspace(g)
-	defer route.ReleaseWorkspace(ws)
 	res := &Result{
 		Paths: make(map[int]grid.Path),
 		Pins:  make(map[int]geom.Pt),

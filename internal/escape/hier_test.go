@@ -98,7 +98,7 @@ func TestRouteHierValidity(t *testing.T) {
 		for x := 1; x < w-1; x += 3 {
 			pins = append(pins, geom.Pt{X: x, Y: 0})
 		}
-		res, st := RouteHier(obs, terms, pins, hp)
+		res, st := RouteHier(route.NewWorkspace(g), obs, terms, pins, hp)
 		hierCheckValid(t, trial, g, obs, res, nTerms, pins)
 		if st.FlatFallbacks > 0 || st.NoCorridor > 0 {
 			sawFallback = true
@@ -115,9 +115,10 @@ func TestRouteHierValidity(t *testing.T) {
 	}
 }
 
-// TestRouteHierDeterministicAcrossWorkers pins byte-identical hierarchical
-// output across consecutive runs: the second run draws the workspace the
-// first one returned to the pool, so no search state may leak between runs.
+// TestRouteHierDeterministicAcrossWorkers pins that hierarchical escape
+// does not depend on what its workspace searched before: RouteHier on a
+// fresh workspace and on one dirtied by a negotiation, bounded searches and
+// an earlier RouteHier run give DeepEqual results and stats.
 func TestRouteHierDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	hp := route.HierParams{Mode: route.HierOn, TileSize: 8}
@@ -138,13 +139,26 @@ func TestRouteHierDeterministicAcrossWorkers(t *testing.T) {
 		for x := 1; x < w-1; x += 2 {
 			pins = append(pins, geom.Pt{X: x, Y: 0})
 		}
-		base, baseStats := RouteHier(obs, terms, pins, hp)
-		res, st := RouteHier(obs, terms, pins, hp)
-		if !reflect.DeepEqual(res, base) {
-			t.Fatalf("trial %d: second run's result differs from the first", trial)
+		base, baseStats := RouteHier(route.NewWorkspace(g), obs, terms, pins, hp)
+
+		ws := route.NewWorkspace(g)
+		var edges []route.Edge
+		for i, p := range pins[:4] {
+			edges = append(edges, route.Edge{ID: i, Sources: []geom.Pt{p}, Targets: []geom.Pt{{X: p.X, Y: h - 1}}})
 		}
-		if st != baseStats {
-			t.Fatalf("trial %d: second run's stats %+v differ from the first's %+v", trial, st, baseStats)
+		ws.Negotiate(obs, edges, route.DefaultNegotiateParams(), nil)
+		for _, p := range pins {
+			req := route.Request{Sources: []geom.Pt{p}, Targets: []geom.Pt{{X: w - 1 - p.X, Y: h - 1}}, Obs: obs}
+			ws.BoundedAStar(g, req, h+4, h+8)
+		}
+		for run := 0; run < 2; run++ {
+			res, st := RouteHier(ws, obs, terms, pins, hp)
+			if !reflect.DeepEqual(res, base) {
+				t.Fatalf("trial %d run %d: reused-workspace result differs from a fresh workspace's", trial, run)
+			}
+			if st != baseStats {
+				t.Fatalf("trial %d run %d: reused-workspace stats %+v differ from a fresh workspace's %+v", trial, run, st, baseStats)
+			}
 		}
 	}
 }

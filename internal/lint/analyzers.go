@@ -2,9 +2,9 @@ package lint
 
 // Analyzers returns the default registry, in stable order. The first five
 // are the syntax-level checks from the original gate; the rest are the
-// dataflow-aware ownership/protocol/determinism checks built on
-// internal/lint/cfg (wsaliasing, snapshotread and journalpair additionally
-// consume the interprocedural summaries from internal/lint/summaries.go).
+// dataflow-aware protocol/determinism checks built on internal/lint/cfg
+// (snapshotread and journalpair additionally consume the interprocedural
+// summaries from internal/lint/summaries.go).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerMapOrder,
@@ -12,7 +12,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerFloatEq,
 		AnalyzerLibErrs,
 		AnalyzerNoStdout,
-		AnalyzerWsAliasing,
 		AnalyzerSnapshotRead,
 		AnalyzerJournalPair,
 		AnalyzerNonDeterm,

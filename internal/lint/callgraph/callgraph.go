@@ -28,7 +28,7 @@ const (
 	// KindCall is an ordinary synchronous call.
 	KindCall EdgeKind = iota
 	// KindGo is a `go` statement: the callee runs asynchronously, so
-	// synchronous effects (a release before return) cannot be credited to
+	// synchronous effects (a journal stop before return) cannot be credited to
 	// the caller's paths.
 	KindGo
 	// KindDefer is a deferred call: the callee runs at function exit on

@@ -1,10 +1,10 @@
 // Package cfg builds per-function control-flow graphs over go/ast and
 // solves forward dataflow problems on them, entirely on the standard
 // library. It is the analysis substrate behind the dataflow-aware
-// analyzers in internal/lint (wsaliasing, snapshotread, nondeterm): the
-// syntax-level walkers cannot see that a workspace escapes on one branch
-// but is released on the other, or that an obstacle read precedes its
-// visit stamp only on the error path — a flow graph can.
+// analyzers in internal/lint (snapshotread, journalpair, nondeterm): the
+// syntax-level walkers cannot see that an obstacle journal is stopped on
+// one branch but left open on the other, or that an obstacle read precedes
+// its visit stamp only on the error path — a flow graph can.
 //
 // The graph is intentionally lint-grade rather than compiler-grade:
 // short-circuit evaluation inside a condition is not split into blocks

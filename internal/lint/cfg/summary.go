@@ -2,9 +2,9 @@ package cfg
 
 // This file defines the function-summary lattice the interprocedural
 // analyzers consume. A Summary condenses one function body into the
-// protocol effects visible at its call sites — does it release a pooled
-// workspace passed in, stamp visits before reading obstacle state, open or
-// close an obstacle journal, never return — so callers apply the summary
+// protocol effects visible at its call sites — does it stamp visits before
+// reading obstacle state, open or close an obstacle journal, let a
+// parameter escape, never return — so callers apply the summary
 // instead of giving up ("escapes") at the call. Summaries are computed
 // bottom-up over the call graph's SCCs with a fixed point for recursion
 // (see internal/lint/summaries.go). The driver analyzes packages in
@@ -16,20 +16,13 @@ package cfg
 // must-facts — true on every terminating path; "May" bits are
 // may-facts — true on at least one path.
 type ParamSummary struct {
-	// ReleasesAlways: every terminating path passes the parameter to
-	// ReleaseWorkspace (directly or through a callee that does). A call
-	// discharges the caller's release obligation.
-	ReleasesAlways bool
-	// ReleasesMay: some path releases, some does not — worse than either
-	// extreme, because the caller can neither keep nor drop the
-	// obligation.
-	ReleasesMay bool
 	// Escapes: the parameter may be retained beyond the call (stored,
 	// returned, captured, passed to an unknown callee). Callers must stop
 	// tracking it.
 	Escapes bool
 	// StopsJournalAlways: every terminating path calls StopJournal on the
-	// parameter.
+	// parameter (directly or through a callee that does). A call discharges
+	// the caller's journal obligation.
 	StopsJournalAlways bool
 	// StopsJournalMay: some path calls StopJournal on the parameter.
 	StopsJournalMay bool

@@ -9,7 +9,7 @@ import (
 func sampleSummaries() map[string]*Summary {
 	return map[string]*Summary{
 		"p.Finish": {
-			Params: []ParamSummary{{ReleasesAlways: true, ReleasesMay: true}},
+			Params: []ParamSummary{{OpensJournal: true}},
 		},
 		"p.(T).Commit": {
 			Recv:   true,
@@ -90,8 +90,8 @@ _ = x`
 
 // TestSummaryEqual covers the fixed-point change detector.
 func TestSummaryEqual(t *testing.T) {
-	a := &Summary{Params: []ParamSummary{{ReleasesAlways: true}}}
-	b := &Summary{Params: []ParamSummary{{ReleasesAlways: true}}}
+	a := &Summary{Params: []ParamSummary{{StopsJournalAlways: true}}}
+	b := &Summary{Params: []ParamSummary{{StopsJournalAlways: true}}}
 	if !a.Equal(b) {
 		t.Error("identical summaries compare unequal")
 	}
@@ -110,7 +110,7 @@ func TestSummaryEqual(t *testing.T) {
 
 // TestParamOutOfRange pins the zero-value fallback for variadic tails.
 func TestParamOutOfRange(t *testing.T) {
-	s := &Summary{Params: []ParamSummary{{ReleasesAlways: true}}}
+	s := &Summary{Params: []ParamSummary{{StopsJournalAlways: true}}}
 	if got := s.Param(5); got != (ParamSummary{}) {
 		t.Errorf("out-of-range Param = %+v, want zero", got)
 	}

@@ -83,7 +83,6 @@ type checkedPackage struct {
 	path  string
 	name  string
 	files []*ast.File
-	src   map[string][]byte // filename -> raw bytes, for text edits
 	pkg   *types.Package
 	info  *types.Info
 	// parseBad holds positioned findings for files that failed to parse;
@@ -134,7 +133,6 @@ func lintPackage(pkg *checkedPackage, analyzers []*Analyzer, store *cfg.Store) [
 			Pkg:      pkg.pkg,
 			Info:     pkg.info,
 			hot:      hot,
-			src:      pkg.src,
 			ip:       res,
 			report: func(f Finding) {
 				if allow[f.Pos.Filename].suppressed(f.Analyzer, f.Pos.Line) {
@@ -158,14 +156,6 @@ func relativize(fs []Finding, dir string) []Finding {
 	for i := range fs {
 		if rel, err := filepath.Rel(abs, fs[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			fs[i].Pos.Filename = rel
-		}
-		for j := range fs[i].Fixes {
-			edits := fs[i].Fixes[j].Edits
-			for k := range edits {
-				if rel, err := filepath.Rel(abs, edits[k].File); err == nil && !strings.HasPrefix(rel, "..") {
-					edits[k].File = rel
-				}
-			}
 		}
 	}
 	return fs
@@ -430,13 +420,12 @@ func (ld *loader) loadDir(dir string) (*checkedPackage, error) {
 // then carries no files: a half-parsed package cannot be analyzed
 // meaningfully. Only I/O failures are fatal.
 func (ld *loader) parse(paths []string) (*checkedPackage, error) {
-	cp := &checkedPackage{fset: ld.fset, src: map[string][]byte{}}
+	cp := &checkedPackage{fset: ld.fset}
 	for _, p := range paths {
 		data, err := os.ReadFile(p)
 		if err != nil {
 			return nil, err
 		}
-		cp.src[p] = data
 		f, err := parser.ParseFile(ld.fset, p, data, parser.ParseComments)
 		if err != nil {
 			cp.parseBad = append(cp.parseBad, parseFindings(ld.fset, p, err)...)

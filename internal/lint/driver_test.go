@@ -30,7 +30,7 @@ func writeModule(t *testing.T, files map[string]string) string {
 }
 
 // writeTestModule lays out a tiny two-package module: leaf (no deps) and
-// top (imports leaf, holds a deliberate wsaliasing violation so every run
+// top (imports leaf, holds a deliberate journalpair violation so every run
 // has a finding to compare). Returns the module root.
 func writeTestModule(t *testing.T) string {
 	t.Helper()
@@ -39,19 +39,19 @@ func writeTestModule(t *testing.T) string {
 		"leaf/leaf.go": `// Package leaf is the dependency.
 package leaf
 
-// Workspace stands in for the pooled search state.
-type Workspace struct{ N int }
+// ObsMap stands in for the journaled obstacle map.
+type ObsMap struct{ journal []int }
 
-// AcquireWorkspace stands in for the pooled acquire.
-func AcquireWorkspace() *Workspace { return &Workspace{} }
+// StartJournal stands in for the recording switch.
+func (o *ObsMap) StartJournal() { o.journal = o.journal[:0] }
 
-// ReleaseWorkspace stands in for the pooled release.
-func ReleaseWorkspace(*Workspace) {}
+// StopJournal stands in for the recording stop.
+func (o *ObsMap) StopJournal() { o.journal = nil }
 
-// Finish releases on every path.
-func Finish(ws *Workspace) int {
-	n := ws.N
-	ReleaseWorkspace(ws)
+// Finish stops the journal on every path.
+func Finish(o *ObsMap) int {
+	n := len(o.journal)
+	o.StopJournal()
 	return n
 }
 `,
@@ -61,15 +61,14 @@ package top
 import "cachemod/leaf"
 
 // Clean discharges through leaf.Finish's summary.
-func Clean() int {
-	ws := leaf.AcquireWorkspace()
-	return leaf.Finish(ws)
+func Clean(o *leaf.ObsMap) int {
+	o.StartJournal()
+	return leaf.Finish(o)
 }
 
-// Leaky never releases: one stable finding.
-func Leaky() int {
-	ws := leaf.AcquireWorkspace()
-	return ws.N
+// Leaky never stops: one stable finding.
+func Leaky(o *leaf.ObsMap) {
+	o.StartJournal()
 }
 `,
 	})
@@ -124,7 +123,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	a, b := summarize(), summarize()
 	for _, key := range []string{
-		"cachemod/leaf.AcquireWorkspace", "cachemod/leaf.ReleaseWorkspace",
+		"cachemod/leaf.(ObsMap).StartJournal", "cachemod/leaf.(ObsMap).StopJournal",
 		"cachemod/leaf.Finish", "cachemod/top.Clean", "cachemod/top.Leaky",
 	} {
 		if a.Get(key) == nil || !a.Get(key).Equal(b.Get(key)) {
@@ -147,8 +146,8 @@ func TestCacheEarlyCutoff(t *testing.T) {
 }
 
 // TestCacheInvalidationPropagates pins that a change to the leaf's
-// summaries reaches its importer: once leaf.Finish stops releasing,
-// top.Clean leaks too.
+// summaries reaches its importer: once leaf.Finish no longer stops the
+// journal, top.Clean leaks too.
 func TestCacheInvalidationPropagates(t *testing.T) {
 	root := writeTestModule(t)
 	before, err := Run(Options{Dir: root})
@@ -156,9 +155,9 @@ func TestCacheInvalidationPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	editFile(t, filepath.Join(root, "leaf", "leaf.go"), func(s string) string {
-		patched := strings.Replace(s, "\tReleaseWorkspace(ws)\n", "\t// no longer releases\n", 1)
+		patched := strings.Replace(s, "\to.StopJournal()\n", "\t// no longer stops\n", 1)
 		if patched == s {
-			t.Fatal("release line not found in test module source")
+			t.Fatal("StopJournal line not found in test module source")
 		}
 		return patched
 	})
@@ -182,7 +181,7 @@ func TestCacheInvalidationPropagates(t *testing.T) {
 
 // TestDiffPatterns pins that linting only the importer still applies its
 // dependency's summaries: leaf is summarized but not linted, and
-// top.Clean's release through leaf.Finish is credited.
+// top.Clean's stop through leaf.Finish is credited.
 func TestDiffPatterns(t *testing.T) {
 	root := writeTestModule(t)
 	findings, err := Run(Options{Dir: root, Patterns: []string{"cachemod/top"}})
@@ -190,7 +189,7 @@ func TestDiffPatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(findings) != 1 || findings[0].Pos.Filename != filepath.Join("top", "top.go") || findings[0].Pos.Line != 14 {
-		t.Errorf("linting cachemod/top gave %v, want the one leak in Leaky (top/top.go:14)", findings)
+		t.Errorf("linting cachemod/top gave %v, want the one open journal in Leaky (top/top.go:14)", findings)
 	}
 }
 
@@ -204,9 +203,8 @@ func TestDiffPatternsDeletedDir(t *testing.T) {
 
 import "cachemod/leaf"
 
-func leakInTest() int {
-	ws := leaf.AcquireWorkspace()
-	return ws.N
+func leakInTest(o *leaf.ObsMap) {
+	o.StartJournal()
 }
 `), 0o644); err != nil {
 		t.Fatal(err)
@@ -221,7 +219,7 @@ func leakInTest() int {
 
 // writeParallelModule lays out a diamond-shaped seven-package module —
 // four leaves, two mids that each import two leaves, and a top importing
-// both mids. Every package carries one deliberate wsaliasing violation,
+// both mids. Every package carries one deliberate journalpair violation,
 // which makes the processing order observable.
 func writeParallelModule(t *testing.T) string {
 	t.Helper()
@@ -229,19 +227,15 @@ func writeParallelModule(t *testing.T) string {
 		return fmt.Sprintf(`// Package %[1]s is part of the diamond.
 package %[1]s
 %[2]s
-// Workspace stands in for the pooled search state.
-type Workspace struct{ N int }
+// ObsMap stands in for the journaled obstacle map.
+type ObsMap struct{ journal []int }
 
-// AcquireWorkspace stands in for the pooled acquire.
-func AcquireWorkspace() *Workspace { return &Workspace{} }
+// StartJournal stands in for the recording switch.
+func (o *ObsMap) StartJournal() { o.journal = o.journal[:0] }
 
-// ReleaseWorkspace stands in for the pooled release.
-func ReleaseWorkspace(*Workspace) {}
-
-// Leaky never releases: one stable finding per package.
-func Leaky() int {
-	ws := AcquireWorkspace()
-	return ws.N
+// Leaky never stops its journal: one stable finding per package.
+func Leaky(o *ObsMap) {
+	o.StartJournal()
 }
 `, pkg, imports)
 	}

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -9,6 +11,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -116,9 +119,6 @@ func TestFloatEqFixture(t *testing.T)  { runFixture(t, AnalyzerFloatEq, "testdat
 func TestLibErrsFixture(t *testing.T)  { runFixture(t, AnalyzerLibErrs, "testdata/src/liberrs") }
 func TestNoStdoutFixture(t *testing.T) { runFixture(t, AnalyzerNoStdout, "testdata/src/nostdout") }
 
-func TestWsAliasingFixture(t *testing.T) {
-	runFixture(t, AnalyzerWsAliasing, "testdata/src/wsaliasing")
-}
 func TestSnapshotReadFixture(t *testing.T) {
 	runFixture(t, AnalyzerSnapshotRead, "testdata/src/snapshotread")
 }
@@ -176,7 +176,7 @@ func TestAnalyzersRegistry(t *testing.T) {
 		}
 		names = append(names, a.Name)
 	}
-	want := "maporder hotalloc floateq liberrs nostdout wsaliasing snapshotread journalpair nondeterm"
+	want := "maporder hotalloc floateq liberrs nostdout snapshotread journalpair nondeterm"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("registry = %q, want %q", got, want)
 	}
@@ -199,16 +199,10 @@ func TestFixtureSuiteFails(t *testing.T) {
 	}
 }
 
-// TestSharedCaptureFixture pins the summaries' rule for `go` statements,
-// which keeps wsaliasing sound on goroutine handoff: a spawned call's
-// arguments and a spawned closure's captures escape, so the spawner is not
-// charged with a leak, and the spawned callee's release is never credited
-// at the spawn site. The fixture's synchronous controls show that the
-// same calls made without `go` do discharge or keep the obligation.
-func TestSharedCaptureFixture(t *testing.T) {
-	const dir = "testdata/src/gohandoff"
-	runFixture(t, AnalyzerWsAliasing, dir)
-
+// fixtureSummaries type-checks the loose fixture package in dir and
+// returns its function summaries.
+func fixtureSummaries(t *testing.T, dir string) *cfg.Store {
+	t.Helper()
 	ld := newLoader(".")
 	pkgs, err := ld.loadDirs([]string{dir})
 	if err != nil {
@@ -216,19 +210,37 @@ func TestSharedCaptureFixture(t *testing.T) {
 	}
 	store := cfg.NewStore()
 	ld.check(pkgs[0], store)
-	param := func(fn string) cfg.ParamSummary {
-		sum := store.Get("fixture/gohandoff." + fn)
-		if sum == nil {
-			t.Fatalf("no summary for %s", fn)
-		}
-		return sum.Param(0)
+	return store
+}
+
+// paramSummary returns the summary of parameter i of function key in
+// store, failing the test when key has none.
+func paramSummary(t *testing.T, store *cfg.Store, key string, i int) cfg.ParamSummary {
+	t.Helper()
+	sum := store.Get(key)
+	if sum == nil {
+		t.Fatalf("no summary for %s", key)
 	}
-	if ps := param("consume"); !ps.ReleasesAlways || ps.Escapes {
-		t.Errorf("consume param = %+v, want a must-release that does not escape", ps)
+	return sum.Param(i)
+}
+
+// TestSharedCaptureFixture pins the summaries' rule for `go` statements,
+// which keeps journalpair sound on goroutine handoff: a spawned call's
+// arguments and a spawned closure's captures escape, so the spawner is not
+// charged with a leak, and the spawned callee's journal stop is never
+// credited at the spawn site. The fixture's synchronous controls show that
+// the same calls made without `go` do discharge or keep the obligation.
+func TestSharedCaptureFixture(t *testing.T) {
+	const dir = "testdata/src/gohandoff"
+	runFixture(t, AnalyzerJournalPair, dir)
+
+	store := fixtureSummaries(t, dir)
+	if ps := paramSummary(t, store, "fixture/gohandoff.consume", 0); !ps.StopsJournalAlways || ps.Escapes {
+		t.Errorf("consume param = %+v, want a must-stop that does not escape", ps)
 	}
 	for _, fn := range []string{"spawnCall", "spawnCapture"} {
-		if ps := param(fn); !ps.Escapes || ps.ReleasesAlways || ps.ReleasesMay {
-			t.Errorf("%s param = %+v, want an escape with no release credited", fn, ps)
+		if ps := paramSummary(t, store, "fixture/gohandoff."+fn, 0); !ps.Escapes || ps.StopsJournalAlways || ps.StopsJournalMay {
+			t.Errorf("%s param = %+v, want an escape with no stop credited", fn, ps)
 		}
 	}
 }
@@ -368,4 +380,87 @@ func TestMcfPairFixture(t *testing.T) {
 			}
 		}
 	})
+}
+
+// poolNames matches the acquire/release pair of a workspace pool.
+var poolNames = regexp.MustCompile(`^(Acquire|Release)Workspace$`)
+
+// TestWsAliasingFixture is the module-wide inventory behind "one search
+// workspace per run": every router takes the caller's workspace, so no
+// non-test file may use a sync.Pool or name a workspace pool's
+// acquire/release pair. A hit fails with its position.
+func TestWsAliasingFixture(t *testing.T) {
+	forEachModuleSource(t, parser.SkipObjectResolution, func(rel string, fset *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "sync" && n.Sel.Name == "Pool" {
+					t.Errorf("%s:%d: sync.Pool outside tests; hold a caller-owned value instead", rel, fset.Position(n.Pos()).Line)
+				}
+			case *ast.Ident:
+				if poolNames.MatchString(n.Name) {
+					t.Errorf("%s:%d: %s; routers take the caller's route.Workspace", rel, fset.Position(n.Pos()).Line, n.Name)
+				}
+			}
+			return true
+		})
+	})
+}
+
+// TestFixFixpoint pins the liberrs dead-discard findings: each sits on the
+// discard's own line, and its message names the repair.
+func TestFixFixpoint(t *testing.T) {
+	findings, err := Run(Options{
+		Patterns:  []string{"testdata/src/liberrs"},
+		Analyzers: []*Analyzer{AnalyzerLibErrs},
+	})
+	if err != nil {
+		t.Fatalf("lint run: %v", err)
+	}
+	var got []string
+	for _, f := range findings {
+		if strings.HasPrefix(f.Message, "dead discard") {
+			got = append(got, f.String())
+		}
+	}
+	want := []string{
+		"testdata/src/liberrs/liberrs.go:27:2: [liberrs] dead discard `_ = up`: the value has no side effects; use it or delete it",
+		"testdata/src/liberrs/liberrs.go:28:2: [liberrs] dead discard `_ = state`: the value has no side effects; use it or delete it",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("dead-discard findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestApplyFixesOverlap pins the JSON shape of a finding: Pos, Analyzer
+// and Message, with no repair edits attached to the liberrs findings.
+func TestApplyFixesOverlap(t *testing.T) {
+	findings, err := Run(Options{
+		Patterns:  []string{"testdata/src/liberrs"},
+		Analyzers: []*Analyzer{AnalyzerLibErrs},
+	})
+	if err != nil {
+		t.Fatalf("lint run: %v", err)
+	}
+	if len(findings) == 0 {
+		t.Fatal("liberrs fixture produced no findings")
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, findings); err != nil {
+		t.Fatal(err)
+	}
+	var decoded []map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
+	}
+	for _, f := range decoded {
+		var keys []string
+		for k := range f {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if got := strings.Join(keys, " "); got != "Analyzer Message Pos" {
+			t.Errorf("finding keys = %q, want \"Analyzer Message Pos\"", got)
+		}
+	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // This file holds the shared machinery the dataflow-aware analyzers
-// (wsaliasing, snapshotread, nondeterm) build on top of internal/lint/cfg:
+// (snapshotread, journalpair, nondeterm) build on top of internal/lint/cfg:
 // enumerating analyzable function bodies and walking nodes without
 // crossing into closures, whose control flow belongs to their own graph.
 

@@ -3,14 +3,16 @@ package lint
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/lint/cfg"
 )
 
-// TestInterprocFixture covers the interprocedural wsaliasing cases:
-// obligations discharged through helper summaries, kept alive through
-// call-only closures and deferred closures, and (mutually) recursive
-// release helpers converging at the SCC fixed point.
+// TestInterprocFixture covers the interprocedural journalpair cases:
+// obligations discharged through helper summaries (must- and may-stop),
+// kept alive through call-only closures and deferred closures, and
+// (mutually) recursive stop helpers converging at the SCC fixed point.
 func TestInterprocFixture(t *testing.T) {
-	runFixture(t, AnalyzerWsAliasing, "testdata/src/interproc")
+	runFixture(t, AnalyzerJournalPair, "testdata/src/interproc")
 }
 
 // TestSnapInterprocFixture covers the interprocedural snapshotread cases:
@@ -25,12 +27,26 @@ func TestJournalPairFixture(t *testing.T) {
 	runFixture(t, AnalyzerJournalPair, "testdata/src/journalpair")
 }
 
-// TestSeedWorkspaceFixture covers the cache-seeding workspace shapes: the
-// seed-hit fast path that skips the pooled release, a capture that reads
-// the workspace after a releasing helper, and obligations discharged
-// through a replay helper's summary.
+// TestSeedWorkspaceFixture covers the cache-seeding shapes of the seed
+// fixture through the summaries they rely on: the restore helper stops the
+// journal on every path without keeping the map, the replay helper only
+// reads (its callers keep the obligation), and a capture that stores the
+// map takes the obligation with it.
 func TestSeedWorkspaceFixture(t *testing.T) {
-	runFixture(t, AnalyzerWsAliasing, "testdata/src/seedworkspace")
+	const dir = "testdata/src/seedjournal"
+	runFixture(t, AnalyzerJournalPair, dir)
+
+	store := fixtureSummaries(t, dir)
+	const pkg = "fixture/internal/route."
+	if ps := paramSummary(t, store, pkg+"restore", 0); !ps.StopsJournalAlways || ps.Escapes {
+		t.Errorf("restore param = %+v, want a must-stop that does not escape", ps)
+	}
+	if ps := paramSummary(t, store, pkg+"replay", 0); ps != (cfg.ParamSummary{}) {
+		t.Errorf("replay param = %+v, want a plain read", ps)
+	}
+	if ps := paramSummary(t, store, pkg+"capturedIntoSeed", 0); !ps.Escapes || !ps.OpensJournal {
+		t.Errorf("capturedIntoSeed param = %+v, want an opened journal that escapes", ps)
+	}
 }
 
 // TestSeedJournalFixture covers the journal obligation across the

@@ -149,13 +149,7 @@ func checkBlankAssign(p *Pass, as *ast.AssignStmt) {
 				p.Reportf(as.Pos(), "blank assignment discards error from %s; handle or //pacor:allow with a reason", name)
 			}
 		case *ast.Ident, *ast.SelectorExpr:
-			var fix *SuggestedFix
-			if len(as.Lhs) == 1 && len(as.Rhs) == 1 {
-				if ed, ok := p.DeleteLines(as.Pos(), as.End()); ok {
-					fix = &SuggestedFix{Message: "delete the dead discard", Edits: []TextEdit{ed}}
-				}
-			}
-			p.ReportFix(as.Pos(), fix, "dead discard `_ = %s`: the value has no side effects; use it or delete it", exprString(rhs))
+			p.Reportf(as.Pos(), "dead discard `_ = %s`: the value has no side effects; use it or delete it", exprString(rhs))
 		}
 	}
 }

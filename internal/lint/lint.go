@@ -57,9 +57,6 @@ type Pass struct {
 	Info *types.Info
 	// Hot reports whether a function declaration was marked //pacor:hot.
 	hot map[*ast.FuncDecl]bool
-	// src holds the raw bytes of each file, keyed by the filename recorded
-	// in Fset. Analyzers consult it to build byte-accurate text edits.
-	src map[string][]byte
 	// ip resolves call sites to callee summaries (interprocedural facts);
 	// nil in unit tests that build a Pass by hand, so analyzers must
 	// tolerate its absence.
@@ -75,99 +72,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ReportFix records a finding at pos carrying a machine-applicable fix.
-// A nil fix degrades to Reportf.
-func (p *Pass) ReportFix(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
-	f := Finding{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	}
-	if fix != nil {
-		f.Fixes = []SuggestedFix{*fix}
-	}
-	p.report(f)
-}
-
-// Src returns the raw source bytes of the file containing pos, or nil when
-// the driver did not retain them.
-func (p *Pass) Src(pos token.Pos) []byte {
-	if p.src == nil {
-		return nil
-	}
-	return p.src[p.Fset.Position(pos).Filename]
-}
-
-// DeleteLines builds a TextEdit that removes the whole source lines spanned
-// by [from, end). It succeeds only when those lines hold nothing but the
-// statement itself — leading whitespace and an optional trailing //-comment
-// — so applying it can never damage a neighbouring statement (a one-liner
-// like "if c { _ = x }" is refused rather than mangled).
-func (p *Pass) DeleteLines(from, end token.Pos) (TextEdit, bool) {
-	src := p.Src(from)
-	if src == nil {
-		return TextEdit{}, false
-	}
-	a := p.Fset.Position(from)
-	b := p.Fset.Position(end)
-	if a.Filename != b.Filename || a.Offset > b.Offset || b.Offset > len(src) {
-		return TextEdit{}, false
-	}
-	lineStart := a.Offset - (a.Column - 1)
-	if lineStart < 0 || !isBlank(src[lineStart:a.Offset]) {
-		return TextEdit{}, false
-	}
-	lineEnd := b.Offset
-	for lineEnd < len(src) && src[lineEnd] != '\n' {
-		lineEnd++
-	}
-	trailing := strings.TrimSpace(string(src[b.Offset:lineEnd]))
-	if trailing != "" && !strings.HasPrefix(trailing, "//") {
-		return TextEdit{}, false
-	}
-	if lineEnd < len(src) {
-		lineEnd++ // take the newline too
-	}
-	return TextEdit{File: a.Filename, Start: lineStart, End: lineEnd, New: ""}, true
-}
-
-// InsertLineAfter builds a TextEdit that inserts text (sans newline) as a
-// new line directly below the line containing pos, matching that line's
-// indentation. It succeeds only when pos's line starts with whitespace
-// followed by the statement (the common case for straight-line code).
-func (p *Pass) InsertLineAfter(pos token.Pos, text string) (TextEdit, bool) {
-	src := p.Src(pos)
-	if src == nil {
-		return TextEdit{}, false
-	}
-	a := p.Fset.Position(pos)
-	if a.Offset > len(src) {
-		return TextEdit{}, false
-	}
-	lineStart := a.Offset - (a.Column - 1)
-	if lineStart < 0 || !isBlank(src[lineStart:a.Offset]) {
-		return TextEdit{}, false
-	}
-	indent := string(src[lineStart:a.Offset])
-	lineEnd := a.Offset
-	for lineEnd < len(src) && src[lineEnd] != '\n' {
-		lineEnd++
-	}
-	if lineEnd < len(src) {
-		lineEnd++
-	}
-	return TextEdit{File: a.Filename, Start: lineEnd, End: lineEnd, New: indent + text + "\n"}, true
-}
-
-func isBlank(b []byte) bool {
-	for _, c := range b {
-		if c != ' ' && c != '\t' {
-			return false
-		}
-	}
-	return true
 }
 
 // TypeOf returns the type of e, or nil when unknown.
@@ -198,27 +102,6 @@ type Finding struct {
 	Analyzer string
 	// Message describes the violation and, where possible, the fix.
 	Message string
-	// Fixes are machine-applicable repairs, best first. ApplyFixes applies
-	// the first fix of each finding.
-	Fixes []SuggestedFix `json:",omitempty"`
-}
-
-// A SuggestedFix is one machine-applicable repair for a finding: a set of
-// text edits that together remove the violation.
-type SuggestedFix struct {
-	// Message describes the repair ("delete the dead discard").
-	Message string
-	// Edits are the text replacements; they must not overlap one another.
-	Edits []TextEdit
-}
-
-// A TextEdit replaces the byte range [Start, End) of File with New.
-// Start == End is a pure insertion. File matches Finding.Pos.Filename
-// before relativization (the driver rewrites both together).
-type TextEdit struct {
-	File       string
-	Start, End int
-	New        string
 }
 
 func (f Finding) String() string {

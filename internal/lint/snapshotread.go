@@ -18,7 +18,7 @@ import (
 //
 // Scope: functions in the hot routing packages (internal/route,
 // internal/grid) and //pacor:hot functions elsewhere, and only those with
-// a Workspace in scope (receiver, parameter, or acquired locally) —
+// a Workspace in scope (receiver, parameter, or created locally) —
 // helpers that legitimately read obstacle state outside any search are
 // not the target. The check is a must-analysis over the
 // control-flow graph: the fact "some stamp has happened" must hold on
@@ -55,7 +55,7 @@ func runSnapshotRead(p *Pass) {
 
 // snapWsInScope reports whether fn has a *Workspace available: as the
 // method receiver, as a parameter (its own or, for a closure, the host
-// function's), or acquired in the body.
+// function's), or created in the body by a NewWorkspace call.
 func snapWsInScope(p *Pass, fn flowFunc) bool {
 	isWs := func(fl *ast.FieldList) bool {
 		if fl == nil {
@@ -76,17 +76,14 @@ func snapWsInScope(p *Pass, fn flowFunc) bool {
 	}
 	found := false
 	ast.Inspect(fn.body, func(n ast.Node) bool {
-		if wsAcquireCall(nodeAsExpr(n)) != nil {
-			found = true
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id := calleeIdent(call); id != nil && id.Name == "NewWorkspace" {
+				found = true
+			}
 		}
 		return !found
 	})
 	return found
-}
-
-func nodeAsExpr(n ast.Node) ast.Expr {
-	e, _ := n.(ast.Expr)
-	return e
 }
 
 // checkSnapshotFunc runs the must-stamped analysis over one body.

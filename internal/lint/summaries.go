@@ -19,7 +19,7 @@ import (
 // call expression, ipResolver finds the callee's summary, and given a
 // function literal bound to a local variable it computes the literal's
 // effect on a captured object (capEffect), which is how "the cleanup
-// closure releases the workspace" stops being an escape.
+// closure stops the journal" stops being an escape.
 
 // hardNoReturn are well-known functions that never return normally.
 var hardNoReturn = map[string]bool{
@@ -143,7 +143,7 @@ func optimisticSummary(n *callgraph.Node) *cfg.Summary {
 	objs, hasRecv := nodeParamObjs(n, nil)
 	sum := &cfg.Summary{Recv: hasRecv, StampsAlways: true, NoReturn: true}
 	for range objs {
-		sum.Params = append(sum.Params, cfg.ParamSummary{ReleasesAlways: true, StopsJournalAlways: true})
+		sum.Params = append(sum.Params, cfg.ParamSummary{StopsJournalAlways: true})
 	}
 	return sum
 }
@@ -167,8 +167,6 @@ func (r *ipResolver) summarizeNode(n *callgraph.Node, checked bool) *cfg.Summary
 	sum := &cfg.Summary{Recv: hasRecv, Params: make([]cfg.ParamSummary, len(objs))}
 	for i, eff := range res.effs {
 		sum.Params[i] = cfg.ParamSummary{
-			ReleasesAlways:     eff.relAlways,
-			ReleasesMay:        eff.relMay,
 			Escapes:            eff.escapes,
 			StopsJournalAlways: eff.stopAlways,
 			StopsJournalMay:    eff.stopMay,
@@ -252,7 +250,6 @@ func (r *ipResolver) boundLit(obj types.Object) *ast.FuncLit {
 // objEffect is a function body's effect on one object (a parameter, or a
 // variable captured by a closure).
 type objEffect struct {
-	relAlways, relMay   bool
 	escapes             bool
 	stopAlways, stopMay bool
 	opens               bool
@@ -278,10 +275,9 @@ type bodyResult struct {
 }
 
 // ipFact is the dataflow fact: per-target bitmasks (bit i = targets[i])
-// plus the must-stamped bit. rel/stop are must-facts (intersection at
-// joins), the rest are may-facts (union).
+// plus the must-stamped bit. stop is a must-fact (intersection at joins),
+// the rest are may-facts (union).
 type ipFact struct {
-	rel, relMay   uint64
 	stop, stopMay uint64
 	open, esc     uint64
 	stamped       bool
@@ -310,14 +306,13 @@ func (r *ipResolver) bodyEffects(body *ast.BlockStmt, targets []types.Object) bo
 	// Deferred statements execute at exit on every path; classify them
 	// once, fold their effects into the exit fact, and skip them during
 	// the per-block walk.
-	var deferRel, deferStop, deferEsc uint64
+	var deferStop, deferEsc uint64
 	inspectShallow(body, func(n ast.Node) bool {
 		d, ok := n.(*ast.DeferStmt)
 		if !ok {
 			return true
 		}
-		rel, stop, esc := s.deferEffects(d.Call)
-		deferRel |= rel
+		stop, esc := s.deferEffects(d.Call)
 		deferStop |= stop
 		deferEsc |= esc
 		return true
@@ -334,7 +329,6 @@ func (r *ipResolver) bodyEffects(body *ast.BlockStmt, targets []types.Object) bo
 		},
 		Join: func(a, b ipFact) ipFact {
 			return ipFact{
-				rel: a.rel & b.rel, relMay: a.relMay | b.relMay,
 				stop: a.stop & b.stop, stopMay: a.stopMay | b.stopMay,
 				open: a.open | b.open, esc: a.esc | b.esc,
 				stamped: a.stamped && b.stamped,
@@ -362,8 +356,6 @@ func (r *ipResolver) bodyEffects(body *ast.BlockStmt, targets []types.Object) bo
 	s.collect = nil
 
 	exit := facts[g.Exit.Index]
-	exit.rel |= deferRel
-	exit.relMay |= deferRel
 	exit.stop |= deferStop
 	exit.stopMay |= deferStop
 	exit.open &^= deferStop
@@ -378,8 +370,6 @@ func (r *ipResolver) bodyEffects(body *ast.BlockStmt, targets []types.Object) bo
 			continue
 		}
 		res.effs[i] = objEffect{
-			relAlways:  exit.rel&m != 0 && exitReached,
-			relMay:     exit.relMay&m != 0,
 			escapes:    exit.esc&m != 0,
 			stopAlways: exit.stop&m != 0 && exitReached,
 			stopMay:    exit.stopMay&m != 0,
@@ -600,15 +590,6 @@ func (s *ipScan) typeNameOf(e ast.Expr) string {
 
 // call interprets one synchronous call site.
 func (s *ipScan) call(call *ast.CallExpr, fact *ipFact) {
-	// Direct release of a target.
-	if id := calleeIdent(call); id != nil && id.Name == "ReleaseWorkspace" && len(call.Args) == 1 {
-		if m := s.objBit(call.Args[0]); m != 0 {
-			fact.rel |= m
-			fact.relMay |= m
-			return
-		}
-	}
-
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		recvType := s.typeNameOf(sel.X)
 		// Journal protocol on a target ObsMap.
@@ -750,8 +731,6 @@ func (s *ipScan) applyCalleeGlobal(sum *cfg.Summary, fact *ipFact) {
 
 func paramToEffect(p cfg.ParamSummary) objEffect {
 	return objEffect{
-		relAlways:  p.ReleasesAlways,
-		relMay:     p.ReleasesMay,
 		escapes:    p.Escapes,
 		stopAlways: p.StopsJournalAlways,
 		stopMay:    p.StopsJournalMay,
@@ -762,12 +741,6 @@ func paramToEffect(p cfg.ParamSummary) objEffect {
 // applyEffect folds one callee-side object effect into the caller fact
 // for the targets in mask m.
 func (s *ipScan) applyEffect(eff objEffect, m uint64, fact *ipFact) {
-	if eff.relAlways {
-		fact.rel |= m
-	}
-	if eff.relAlways || eff.relMay {
-		fact.relMay |= m
-	}
 	if eff.escapes {
 		fact.esc |= m
 	}
@@ -786,19 +759,13 @@ func (s *ipScan) applyEffect(eff objEffect, m uint64, fact *ipFact) {
 }
 
 // deferEffects classifies one deferred call into exit-time masks:
-// must-release, must-stop-journal, and escapes.
-func (s *ipScan) deferEffects(call *ast.CallExpr) (rel, stop, esc uint64) {
-	// defer ReleaseWorkspace(t)
-	if id := calleeIdent(call); id != nil && id.Name == "ReleaseWorkspace" && len(call.Args) == 1 {
-		if m := s.objBit(call.Args[0]); m != 0 {
-			return m, 0, 0
-		}
-	}
+// must-stop-journal and escapes.
+func (s *ipScan) deferEffects(call *ast.CallExpr) (stop, esc uint64) {
 	// defer t.StopJournal()
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if s.typeNameOf(sel.X) == "ObsMap" && sel.Sel.Name == "StopJournal" {
 			if m := s.objBit(sel.X); m != 0 {
-				return 0, m, 0
+				return m, 0
 			}
 		}
 	}
@@ -818,11 +785,9 @@ func (s *ipScan) deferEffects(call *ast.CallExpr) (rel, stop, esc uint64) {
 			}
 			eff := s.r.capEffect(lit, obj)
 			switch {
-			case eff.relAlways:
-				rel |= m
 			case eff.stopAlways:
 				stop |= m
-			case eff.escapes || eff.relMay || eff.stopMay || eff.opens:
+			case eff.escapes || eff.stopMay || eff.opens:
 				esc |= m
 			}
 		}
@@ -831,7 +796,7 @@ func (s *ipScan) deferEffects(call *ast.CallExpr) (rel, stop, esc uint64) {
 		for _, a := range call.Args {
 			esc |= s.referencedMask(a)
 		}
-		return rel, stop, esc
+		return stop, esc
 	}
 	// defer knownCallee(..., t, ...)
 	var sum *cfg.Summary
@@ -846,7 +811,7 @@ func (s *ipScan) deferEffects(call *ast.CallExpr) (rel, stop, esc uint64) {
 			base = 1
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 				if m := s.objBit(sel.X); m != 0 {
-					rel, stop, esc = foldDeferParam(sum.Param(0), m, rel, stop, esc)
+					stop, esc = foldDeferParam(sum.Param(0), m, stop, esc)
 				}
 			}
 		}
@@ -860,23 +825,21 @@ func (s *ipScan) deferEffects(call *ast.CallExpr) (rel, stop, esc uint64) {
 				esc |= m
 				continue
 			}
-			rel, stop, esc = foldDeferParam(sum.Param(base+i), m, rel, stop, esc)
+			stop, esc = foldDeferParam(sum.Param(base+i), m, stop, esc)
 		}
-		return rel, stop, esc
+		return stop, esc
 	}
-	return 0, 0, s.referencedMask(call)
+	return 0, s.referencedMask(call)
 }
 
-func foldDeferParam(p cfg.ParamSummary, m, rel, stop, esc uint64) (uint64, uint64, uint64) {
+func foldDeferParam(p cfg.ParamSummary, m, stop, esc uint64) (uint64, uint64) {
 	switch {
-	case p.ReleasesAlways:
-		rel |= m
 	case p.StopsJournalAlways:
 		stop |= m
-	case p.Escapes || p.ReleasesMay || p.StopsJournalMay || p.OpensJournal:
+	case p.Escapes || p.StopsJournalMay || p.OpensJournal:
 		esc |= m
 	}
-	return rel, stop, esc
+	return stop, esc
 }
 
 // objReferencedIn reports whether obj is mentioned under n.

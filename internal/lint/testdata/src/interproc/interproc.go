@@ -1,190 +1,182 @@
-// Package interproc is a fixture for the interprocedural wsaliasing
+// Package interproc is a fixture for the interprocedural journalpair
 // cases: obligations discharged or kept alive through helper calls,
 // call-only closure bindings, deferred closures, and (mutual) recursion —
-// exactly the patterns the intraprocedural engine either missed (silent
-// escape) or could not prove clean.
+// exactly the patterns an intraprocedural check either misses (silent
+// escape) or cannot prove clean.
 package interproc
 
 //pacor:pkgpath fixture/internal/search
 
-// Grid stands in for grid.Grid.
-type Grid struct{ W, H int }
+// Pt stands in for geom.Pt.
+type Pt struct{ X, Y int }
 
-// Cells mirrors the real grid API.
-func (g Grid) Cells() int { return g.W * g.H }
-
-// Workspace stands in for route.Workspace.
-type Workspace struct{ cells int }
-
-// Search stands in for a workspace-backed search.
-func (w *Workspace) Search(from, to int) int { return from + to + w.cells }
-
-// AcquireWorkspace stands in for the pooled acquire.
-func AcquireWorkspace(g Grid) *Workspace { return &Workspace{cells: g.Cells()} }
-
-// ReleaseWorkspace stands in for the pooled release.
-func ReleaseWorkspace(*Workspace) {}
-
-// finish releases on every path: callers that hand their workspace to it
-// have discharged the obligation.
-func finish(ws *Workspace) int {
-	n := ws.Search(0, 1)
-	ReleaseWorkspace(ws)
-	return n
+// ObsMap stands in for grid.ObsMap.
+type ObsMap struct {
+	bits    []bool
+	journal []int
 }
 
-// finishMaybe releases on only one path: callers can neither keep nor
-// drop the obligation, so handing a workspace to it is treated as an
-// ownership transfer (no local report — the bug is inside finishMaybe's
-// contract, not at the call site).
-func finishMaybe(ws *Workspace, ok bool) int {
-	if ok {
-		ReleaseWorkspace(ws)
-		return 0
+// Blocked mirrors the real obstacle query.
+func (o *ObsMap) Blocked(p Pt) bool { return len(o.bits) > 0 && o.bits[0] }
+
+// StartJournal mirrors the recording switch.
+func (o *ObsMap) StartJournal() { o.journal = o.journal[:0] }
+
+// StopJournal mirrors the recording stop.
+func (o *ObsMap) StopJournal() { o.journal = nil }
+
+// finish stops on every path: callers that hand their map to it have
+// discharged the obligation.
+func finish(o *ObsMap, p Pt) bool {
+	ok := !o.Blocked(p)
+	o.StopJournal()
+	return ok
+}
+
+// finishMaybe stops on only one path: callers can neither keep nor drop
+// the obligation, so the call clears it optimistically (no local report —
+// the bug, if any, is inside finishMaybe's contract, not at the call site).
+func finishMaybe(o *ObsMap, p Pt, commit bool) bool {
+	if commit {
+		o.StopJournal()
+		return true
 	}
-	return ws.Search(1, 2)
+	return !o.Blocked(p)
 }
 
-// observe only reads the workspace; the caller keeps the obligation.
-func observe(ws *Workspace) int { return ws.Search(2, 3) }
+// observe only reads the map; the caller keeps the obligation.
+func observe(o *ObsMap, p Pt) bool { return !o.Blocked(p) }
 
-// helperDischarges is clean: finish always releases.
-func helperDischarges(g Grid) int {
-	ws := AcquireWorkspace(g)
-	return finish(ws)
+// helperDischarges is clean: finish always stops.
+func helperDischarges(o *ObsMap, p Pt) bool {
+	o.StartJournal()
+	return finish(o, p)
 }
 
-// helperObservesLeak: the old engine wrote the observe call off as an
+// helperObservesLeak: without summaries the observe call would be an
 // escape; the summary says observe merely reads, so the leak is visible.
-func helperObservesLeak(g Grid) int {
-	ws := AcquireWorkspace(g) // want `workspace ws does not reach ReleaseWorkspace on every path`
-	return observe(ws)
+func helperObservesLeak(o *ObsMap, p Pt) bool {
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
+	return observe(o, p)
 }
 
-// doubleThroughHelpers: both helpers release, so the second call releases
-// an already-released workspace.
-func doubleThroughHelpers(g Grid) int {
-	ws := AcquireWorkspace(g)
-	n := finish(ws)
-	return n + finish(ws) // want `workspace ws may already be released`
+// maybeStops stays silent: finishMaybe's partial stop clears the
+// obligation at the call.
+func maybeStops(o *ObsMap, p Pt, commit bool) bool {
+	o.StartJournal()
+	return finishMaybe(o, p, commit)
 }
 
-// useAfterHelperRelease: finish released it, observe then touches freed
-// pool memory.
-func useAfterHelperRelease(g Grid) int {
-	ws := AcquireWorkspace(g)
-	n := finish(ws)
-	return n + observe(ws) // want `workspace ws is used after ReleaseWorkspace`
-}
-
-// maybeTransfers stays silent: finishMaybe's partial release makes the
-// call an ownership transfer.
-func maybeTransfers(g Grid, ok bool) int {
-	ws := AcquireWorkspace(g)
-	return finishMaybe(ws, ok)
+// maybeStopsLate: the may-stop clears the obligation only on the path that
+// makes the call; the early return leaves the journal open.
+func maybeStopsLate(o *ObsMap, p Pt, commit, early bool) bool {
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
+	if early {
+		return false
+	}
+	return finishMaybe(o, p, commit)
 }
 
 // closureDischarges is clean: cleanup is bound once, only called, and
-// releases on its every path.
-func closureDischarges(g Grid) int {
-	ws := AcquireWorkspace(g)
-	cleanup := func() { ReleaseWorkspace(ws) }
-	n := ws.Search(3, 4)
+// stops on its every path.
+func closureDischarges(o *ObsMap, p Pt) bool {
+	o.StartJournal()
+	cleanup := func() { o.StopJournal() }
+	ok := observe(o, p)
 	cleanup()
-	return n
+	return ok
 }
 
-// closureNeverReleases: the bound closure only reads, so the obligation
-// never moves — the old engine saw a capture and gave up.
-func closureNeverReleases(g Grid) int {
-	ws := AcquireWorkspace(g) // want `workspace ws does not reach ReleaseWorkspace on every path`
-	peek := func() int { return ws.Search(4, 5) }
+// closureNeverStops: the bound closure only reads, so the obligation never
+// moves — a capture alone is not an escape.
+func closureNeverStops(o *ObsMap, p Pt) bool {
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
+	peek := func() bool { return observe(o, p) }
 	return peek()
 }
 
-// deferredClosureBranchLeak: the deferred closure releases on only one
-// path, which is exactly as leaky as no defer on the dry branch.
-func deferredClosureBranchLeak(g Grid, wet bool) int {
-	ws := AcquireWorkspace(g) // want `workspace ws does not reach ReleaseWorkspace on every path`
-	defer func() {
-		if wet {
-			ReleaseWorkspace(ws)
-		}
-	}()
-	return ws.Search(5, 6)
+// deferredClosureReads: the deferred closure only reads, which covers no
+// path, so the journal stays open on every return.
+func deferredClosureReads(o *ObsMap, p Pt) bool {
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
+	defer func() { observe(o, p) }()
+	return !o.Blocked(p)
 }
 
-// deferredClosureClean releases unconditionally inside the deferred
-// closure: covered on every path.
-func deferredClosureClean(g Grid, fail bool) int {
-	ws := AcquireWorkspace(g)
-	defer func() { ReleaseWorkspace(ws) }()
+// deferredClosureClean stops unconditionally inside the deferred closure:
+// covered on every path.
+func deferredClosureClean(o *ObsMap, p Pt, fail bool) bool {
+	o.StartJournal()
+	defer func() { o.StopJournal() }()
 	if fail {
-		return -1
+		return false
 	}
-	return ws.Search(6, 7)
+	return observe(o, p)
 }
 
-// deferredHelperClean: defer finish(ws) discharges through the summary.
-func deferredHelperClean(g Grid, fail bool) int {
-	ws := AcquireWorkspace(g)
-	defer finish(ws)
+// deferredHelperClean: defer finish(o, p) discharges through the summary.
+func deferredHelperClean(o *ObsMap, p Pt, fail bool) bool {
+	o.StartJournal()
+	defer finish(o, p)
 	if fail {
-		return -1
+		return false
 	}
-	return ws.Search(7, 8)
+	return observe(o, p)
 }
 
-// releaseEven / releaseOdd are mutually recursive and both bottom out in
-// a release: the SCC fixed point must converge on ReleasesAlways.
-func releaseEven(ws *Workspace, n int) {
+// stopEven / stopOdd are mutually recursive and both bottom out in a stop:
+// the SCC fixed point must converge on StopsJournalAlways.
+func stopEven(o *ObsMap, n int) {
 	if n <= 0 {
-		ReleaseWorkspace(ws)
+		o.StopJournal()
 		return
 	}
-	releaseOdd(ws, n-1)
+	stopOdd(o, n-1)
 }
 
-func releaseOdd(ws *Workspace, n int) {
+func stopOdd(o *ObsMap, n int) {
 	if n <= 0 {
-		ReleaseWorkspace(ws)
+		o.StopJournal()
 		return
 	}
-	releaseEven(ws, n-1)
+	stopEven(o, n-1)
 }
 
-// mutualRecursionClean: the recursive pair releases on every path.
-func mutualRecursionClean(g Grid, n int) {
-	ws := AcquireWorkspace(g)
-	releaseEven(ws, n)
+// mutualRecursionClean: the recursive pair stops on every path.
+func mutualRecursionClean(o *ObsMap, n int) {
+	o.StartJournal()
+	stopEven(o, n)
 }
 
-// drainSelf is directly recursive and releases at the base case.
-func drainSelf(ws *Workspace, n int) {
+// drainSelf is directly recursive and stops at the base case.
+func drainSelf(o *ObsMap, n int) {
 	if n <= 0 {
-		ReleaseWorkspace(ws)
+		o.StopJournal()
 		return
 	}
-	drainSelf(ws, n-1)
+	drainSelf(o, n-1)
 }
 
 // selfRecursionClean: direct recursion converges the same way.
-func selfRecursionClean(g Grid, n int) {
-	ws := AcquireWorkspace(g)
-	drainSelf(ws, n)
+func selfRecursionClean(o *ObsMap, n int) {
+	o.StartJournal()
+	drainSelf(o, n)
 }
 
-// recurseNoRelease is recursive and never releases on the returning path.
-func recurseNoRelease(ws *Workspace, n int) int {
+// recurseNoStop is recursive and never stops on the returning path.
+func recurseNoStop(o *ObsMap, p Pt, n int) int {
 	if n <= 0 {
 		return 0
 	}
-	return recurseNoRelease(ws, n-1) + 1
+	if o.Blocked(p) {
+		return 1
+	}
+	return recurseNoStop(o, p, n-1) + 1
 }
 
-// recursionLeak: the recursive helper's fixed point settles on "no
-// release", so the caller still owes one.
-func recursionLeak(g Grid, n int) int {
-	ws := AcquireWorkspace(g) // want `workspace ws does not reach ReleaseWorkspace on every path`
-	return recurseNoRelease(ws, n)
+// recursionLeak: the recursive helper's fixed point settles on "no stop",
+// so the caller still owes one.
+func recursionLeak(o *ObsMap, p Pt, n int) int {
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
+	return recurseNoStop(o, p, n)
 }

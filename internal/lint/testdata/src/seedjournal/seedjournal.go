@@ -91,3 +91,17 @@ func captureNeverStops(o *ObsMap, p Pt) bool {
 	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	return replay(o, p)
 }
+
+// Capture stands in for a transcript under construction that keeps the
+// map it records.
+type Capture struct {
+	rounds int
+	obs    *ObsMap
+}
+
+// capturedIntoSeed escapes: the capture now owns the map and its journal
+// obligation, so the local check stays silent.
+func capturedIntoSeed(o *ObsMap) Capture {
+	o.StartJournal()
+	return Capture{rounds: 1, obs: o}
+}

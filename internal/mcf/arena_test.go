@@ -66,8 +66,9 @@ func TestCommitHidesAndProtectsFlow(t *testing.T) {
 	}
 }
 
-// TestSetCostReprices checks that Cost and To report each arc as built, for
-// the forward arc and its paired backward arc, before and after a solve.
+// TestSetCostReprices checks that each arc keeps its head and cost as
+// built, for the forward arc and its paired backward arc, before and after a
+// solve.
 func TestSetCostReprices(t *testing.T) {
 	g := NewGraph(3)
 	a := g.AddArc(0, 1, 1, 7)
@@ -77,8 +78,8 @@ func TestSetCostReprices(t *testing.T) {
 		for _, c := range []struct{ id, to, cost int }{
 			{a, 1, 7}, {a ^ 1, 0, -7}, {b, 2, 3}, {b ^ 1, 1, -3},
 		} {
-			if g.To(c.id) != c.to || g.Cost(c.id) != c.cost {
-				t.Errorf("%s: arc %d To=%d Cost=%d, want %d/%d", when, c.id, g.To(c.id), g.Cost(c.id), c.to, c.cost)
+			if to, cost := int(g.arcs[c.id].to), int(g.arcs[c.id].cost); to != c.to || cost != c.cost {
+				t.Errorf("%s: arc %d to=%d cost=%d, want %d/%d", when, c.id, to, cost, c.to, c.cost)
 			}
 		}
 	}
@@ -116,7 +117,7 @@ func TestSetCostPanicsOnFlow(t *testing.T) {
 // bit-identical flow state to fresh per-call solves across many graphs.
 func TestSolverMatchesPerCallState(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	sv := NewSolver()
+	sv := &Solver{}
 	for trial := 0; trial < 40; trial++ {
 		n := 6 + rng.Intn(12)
 		seed := rng.Int63()
@@ -140,7 +141,7 @@ func TestSolverMatchesPerCallState(t *testing.T) {
 // left to push) allocates nothing.
 func TestSolverSteadyStateAllocs(t *testing.T) {
 	g, s, tt := randomGraph(rand.New(rand.NewSource(7)), 24, 120)
-	sv := NewSolver()
+	sv := &Solver{}
 	if f, _ := sv.MinCostFlow(g, s, tt, -1); f == 0 {
 		t.Fatal("instance carries no flow; the arena was never exercised")
 	}
@@ -162,7 +163,7 @@ func benchGraph() (*Graph, int, int) {
 
 // BenchmarkSolverReuse solves fresh graphs with one held Solver.
 func BenchmarkSolverReuse(b *testing.B) {
-	sv := NewSolver()
+	sv := &Solver{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g, s, tt := benchGraph()

@@ -33,16 +33,6 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, head: make([][]int32, n)}
 }
 
-// N returns the number of nodes.
-func (g *Graph) N() int { return g.n }
-
-// AddNode appends one node and returns its index.
-func (g *Graph) AddNode() int {
-	g.head = append(g.head, nil)
-	g.n++
-	return g.n - 1
-}
-
 // AddArc adds a directed arc with the given capacity and per-unit cost and
 // returns its identifier for later Flow queries. Capacity must be
 // non-negative.
@@ -63,12 +53,6 @@ func (g *Graph) AddArc(from, to, capacity, cost int) int {
 
 // Flow returns the flow pushed through arc id (0 before solving).
 func (g *Graph) Flow(id int) int { return int(g.arcs[id^1].cap) }
-
-// Cost returns the cost of arc id.
-func (g *Graph) Cost(id int) int { return int(g.arcs[id].cost) }
-
-// To returns the head node of arc id.
-func (g *Graph) To(id int) int { return int(g.arcs[id].to) }
 
 const inf = math.MaxInt64 / 4
 
@@ -101,9 +85,6 @@ type Solver struct {
 	inqArc []int32
 	heap   []nodeItem
 }
-
-// NewSolver returns an empty solver arena.
-func NewSolver() *Solver { return &Solver{} }
 
 // MinCostFlow solves on g exactly like Graph.MinCostFlow, reusing the
 // solver's arrays.

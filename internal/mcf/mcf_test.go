@@ -103,17 +103,30 @@ func TestNegativeCosts(t *testing.T) {
 	}
 }
 
+// TestAddNode pins NewGraph's sizing contract: a graph holds exactly the n
+// nodes it was built with, so arcs may join nodes 0..n-1 and carry flow,
+// an arc to node n panics, and a graph without nodes cannot be built.
 func TestAddNode(t *testing.T) {
-	g := NewGraph(1)
-	a := g.AddNode()
-	b := g.AddNode()
-	if a != 1 || b != 2 || g.N() != 3 {
-		t.Fatalf("AddNode ids %d %d n=%d", a, b, g.N())
+	g := NewGraph(3)
+	if g.n != 3 || len(g.head) != 3 {
+		t.Fatalf("NewGraph(3): n=%d, %d adjacency lists", g.n, len(g.head))
 	}
-	g.AddArc(0, b, 2, 1)
-	flow, _ := g.MinCostFlow(0, b, -1)
-	if flow != 2 {
-		t.Errorf("flow = %d", flow)
+	g.AddArc(0, 2, 2, 1)
+	if flow, _ := g.MinCostFlow(0, 2, -1); flow != 2 {
+		t.Errorf("flow = %d, want 2", flow)
+	}
+	for _, build := range []func(){
+		func() { NewGraph(3).AddArc(0, 3, 1, 1) },
+		func() { NewGraph(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("out-of-range graph size did not panic")
+				}
+			}()
+			build()
+		}()
 	}
 }
 

@@ -78,14 +78,8 @@ func (r *Result) TotalLen() int {
 // paths are marked as obstacles in obs (the caller owns rollback via Clone
 // if needed). hist, when non-nil, is a per-cell extra-cost array shared with
 // the negotiation stage. ok is false when any terminal failed to attach.
-func RouteCluster(obs *grid.ObsMap, terms []geom.Pt, hist []float64) (*Result, bool) {
-	return RouteClusterWS(route.NewWorkspace(obs.Grid()), obs, terms, hist)
-}
-
-// RouteClusterWS is RouteCluster with a caller-owned search workspace: every
-// A* edge search reuses ws instead of allocating per call. ws must not be
-// shared with another goroutine.
-func RouteClusterWS(ws *route.Workspace, obs *grid.ObsMap, terms []geom.Pt, hist []float64) (*Result, bool) {
+// Every A* edge search runs on ws, the caller's workspace.
+func RouteCluster(ws *route.Workspace, obs *grid.ObsMap, terms []geom.Pt, hist []float64) (*Result, bool) {
 	res := &Result{}
 	if len(terms) <= 1 {
 		return res, true

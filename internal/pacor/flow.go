@@ -214,7 +214,7 @@ func routeLMClusters(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs
 	np := params.Negotiate
 	np.Seed = params.NegSeed
 	np.Capture = params.NegCapture
-	paths, _ := ws.NegotiateTracked(obs, edges, np, negStats)
+	paths, _ := ws.Negotiate(obs, edges, np, negStats)
 
 	// First pass: commit every completely routed cluster, so the rescue
 	// pass below sees the full environment.
@@ -287,7 +287,7 @@ func rescueTreeCluster(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, f
 			edges = append(edges, route.Edge{
 				ID: ei, Sources: []geom.Pt{e.From}, Targets: []geom.Pt{e.To}})
 		}
-		paths, ok := ws.NegotiateTracked(obs, edges, params.Negotiate, negStats)
+		paths, ok := ws.Negotiate(obs, edges, params.Negotiate, negStats)
 		if !ok {
 			continue
 		}
@@ -397,7 +397,7 @@ func refineLMClusters(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fc
 				edges = append(edges, route.Edge{
 					ID: ei, Sources: []geom.Pt{e.From}, Targets: []geom.Pt{e.To}})
 			}
-			paths, ok := ws.NegotiateTracked(base, edges, params.Negotiate, negStats)
+			paths, ok := ws.Negotiate(base, edges, params.Negotiate, negStats)
 			if !ok {
 				continue
 			}
@@ -494,7 +494,7 @@ func matchAll(ws *route.Workspace, obs *grid.ObsMap, fcs []*flowCluster, delta i
 		if fc.net == nil || fc.demoted {
 			continue
 		}
-		detour.MatchWS(ws, obs, fc.net, delta)
+		detour.Match(ws, obs, fc.net, delta)
 		fc.paths = fc.net.Segments
 	}
 }
@@ -548,14 +548,14 @@ func routeOrdinary(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs [
 	return fcs
 }
 
-// routeMST routes one cluster's MST channels (mstroute.RouteClusterWS)
+// routeMST routes one cluster's MST channels (mstroute.RouteCluster)
 // directly on obs. On success obs carries exactly the returned paths. A
 // cluster that cannot attach every valve commits nothing: its partial paths
 // are rewound through obs's change journal, leaving obs as it was. obs must
 // not be journaling already.
 func routeMST(ws *route.Workspace, obs *grid.ObsMap, pos []geom.Pt) ([]grid.Path, bool) {
 	obs.StartJournal(nil)
-	res, ok := mstroute.RouteClusterWS(ws, obs, pos, nil)
+	res, ok := mstroute.RouteCluster(ws, obs, pos, nil)
 	if !ok {
 		obs.RewindJournal(0)
 	}
@@ -606,7 +606,7 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 		}
 		if params.Hier.On(obs.Grid().Cells()) {
 			var hs route.HierStats
-			res, hs = escape.RouteHier(obs, terms, pins, params.Hier)
+			res, hs = escape.RouteHier(ws, obs, terms, pins, params.Hier)
 			escHier.Add(hs)
 		} else {
 			res = escape.Route(obs, terms, pins)

@@ -3,9 +3,8 @@
 // point-to-path, and path-to-path searches), the negotiation-based iterative
 // router of Algorithm 1, and the minimum-length bounded router of Section 6.
 //
-// All searches run on a reusable Workspace (generation-stamped per-cell
-// arrays, no per-call O(W·H) allocation); the package-level functions are
-// convenience wrappers over a pooled workspace.
+// All searches run on a caller-owned Workspace (generation-stamped per-cell
+// arrays, no per-call O(W·H) allocation).
 package route
 
 import (
@@ -48,16 +47,4 @@ type Request struct {
 func (r *Request) inBounds(q geom.Pt) bool {
 	return (r.Bounds == nil || r.Bounds.Contains(q)) &&
 		(r.Mask == nil || r.Mask.Contains(q))
-}
-
-// AStar finds a cheapest path from any source to any target. The returned
-// path runs source..target. ok is false when no path exists.
-//
-// This wrapper draws a pooled Workspace; callers in routing inner loops
-// should hold their own Workspace and use its AStar method directly.
-func AStar(g grid.Grid, req Request) (grid.Path, bool) {
-	w := AcquireWorkspace(g)
-	path, ok := w.AStar(g, req)
-	ReleaseWorkspace(w)
-	return path, ok
 }

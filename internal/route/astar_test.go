@@ -21,7 +21,7 @@ func mustPath(t *testing.T, p grid.Path, ok bool) grid.Path {
 func TestAStarStraightLine(t *testing.T) {
 	g := grid.New(10, 10)
 	obs := grid.NewObsMap(g)
-	p, ok := AStar(g, Request{
+	p, ok := NewWorkspace(g).AStar(g, Request{
 		Sources: []geom.Pt{{X: 1, Y: 1}},
 		Targets: []geom.Pt{{X: 7, Y: 1}},
 		Obs:     obs,
@@ -42,7 +42,7 @@ func TestAStarAroundWall(t *testing.T) {
 	for y := 0; y < 8; y++ {
 		obs.Set(geom.Pt{X: 4, Y: y}, true)
 	}
-	p, ok := AStar(g, Request{
+	p, ok := NewWorkspace(g).AStar(g, Request{
 		Sources: []geom.Pt{{X: 0, Y: 0}},
 		Targets: []geom.Pt{{X: 8, Y: 0}},
 		Obs:     obs,
@@ -65,7 +65,7 @@ func TestAStarNoPath(t *testing.T) {
 	for y := 0; y < 5; y++ {
 		obs.Set(geom.Pt{X: 2, Y: y}, true)
 	}
-	if _, ok := AStar(g, Request{
+	if _, ok := NewWorkspace(g).AStar(g, Request{
 		Sources: []geom.Pt{{X: 0, Y: 0}},
 		Targets: []geom.Pt{{X: 4, Y: 4}},
 		Obs:     obs,
@@ -78,7 +78,7 @@ func TestAStarMultiSourceMultiTarget(t *testing.T) {
 	g := grid.New(20, 20)
 	obs := grid.NewObsMap(g)
 	// Path-to-path: nearest pair is (5,5)..(7,5) -> length 2.
-	p, ok := AStar(g, Request{
+	p, ok := NewWorkspace(g).AStar(g, Request{
 		Sources: []geom.Pt{{X: 0, Y: 0}, {X: 5, Y: 5}},
 		Targets: []geom.Pt{{X: 19, Y: 19}, {X: 7, Y: 5}},
 		Obs:     obs,
@@ -95,7 +95,7 @@ func TestAStarTargetOnObstacleAllowed(t *testing.T) {
 	obs := grid.NewObsMap(g)
 	target := geom.Pt{X: 5, Y: 5}
 	obs.Set(target, true)
-	p, ok := AStar(g, Request{
+	p, ok := NewWorkspace(g).AStar(g, Request{
 		Sources: []geom.Pt{{X: 0, Y: 5}},
 		Targets: []geom.Pt{target},
 		Obs:     obs,
@@ -114,7 +114,7 @@ func TestAStarHistoryAvoidance(t *testing.T) {
 	for x := 1; x < 6; x++ {
 		hist[g.Index(geom.Pt{X: x, Y: 1})] = 10
 	}
-	p, ok := AStar(g, Request{
+	p, ok := NewWorkspace(g).AStar(g, Request{
 		Sources: []geom.Pt{{X: 0, Y: 1}},
 		Targets: []geom.Pt{{X: 6, Y: 1}},
 		Obs:     obs,
@@ -129,13 +129,13 @@ func TestAStarHistoryAvoidance(t *testing.T) {
 
 func TestAStarEmptyRequests(t *testing.T) {
 	g := grid.New(4, 4)
-	if _, ok := AStar(g, Request{}); ok {
+	if _, ok := NewWorkspace(g).AStar(g, Request{}); ok {
 		t.Error("empty request should fail")
 	}
-	if _, ok := AStar(g, Request{Sources: []geom.Pt{{X: 0, Y: 0}}}); ok {
+	if _, ok := NewWorkspace(g).AStar(g, Request{Sources: []geom.Pt{{X: 0, Y: 0}}}); ok {
 		t.Error("no targets should fail")
 	}
-	if _, ok := AStar(g, Request{
+	if _, ok := NewWorkspace(g).AStar(g, Request{
 		Sources: []geom.Pt{{X: 0, Y: 0}},
 		Targets: []geom.Pt{{X: 9, Y: 9}}, // off-grid
 	}); ok {
@@ -145,7 +145,7 @@ func TestAStarEmptyRequests(t *testing.T) {
 
 func TestAStarSourceEqualsTarget(t *testing.T) {
 	g := grid.New(4, 4)
-	p, ok := AStar(g, Request{
+	p, ok := NewWorkspace(g).AStar(g, Request{
 		Sources: []geom.Pt{{X: 2, Y: 2}},
 		Targets: []geom.Pt{{X: 2, Y: 2}},
 	})
@@ -170,7 +170,7 @@ func TestAStarOptimalityVsBFS(t *testing.T) {
 		t.Fatal("bad test setup")
 	}
 	want := bfsLen(g, obs, src, dst)
-	p, ok := AStar(g, Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs})
+	p, ok := NewWorkspace(g).AStar(g, Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs})
 	if want == -1 {
 		if ok {
 			t.Fatal("A* found path where BFS did not")

@@ -5,27 +5,6 @@ import (
 	"repro/internal/grid"
 )
 
-// BoundedAStar implements the minimum-length bounded routing of Section 6:
-// it searches for a simple path whose length lies in [minLen, maxLen],
-// preferring the shortest such path. Two modifications versus classic A*
-// (as described in the paper): (1) the per-cell G value records the path
-// length from the source and is only updated when it increases, so the
-// search can deliberately pass a cell again on a longer path; and (2) the
-// F value adds a penalty when the estimated total length G+H falls short of
-// the bound, which steers the frontier toward detours.
-//
-// The search returns ok=false when no conforming path is found within the
-// expansion budget.
-//
-// This wrapper draws a pooled Workspace; callers in routing inner loops
-// should hold their own Workspace and use its BoundedAStar method directly.
-func BoundedAStar(g grid.Grid, req Request, minLen, maxLen int) (grid.Path, bool) {
-	w := AcquireWorkspace(g)
-	path, ok := w.BoundedAStar(g, req, minLen, maxLen)
-	ReleaseWorkspace(w)
-	return path, ok
-}
-
 // bnode is one state of the bounded-length search: a cell reached with a
 // specific path length, linked to its predecessor state. States live in the
 // workspace arena (per-cell parent arrays do not suffice because states are

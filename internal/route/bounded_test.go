@@ -11,7 +11,7 @@ func TestBoundedAStarTrivial(t *testing.T) {
 	// Bound below the shortest distance behaves like plain A*.
 	g := grid.New(10, 10)
 	obs := grid.NewObsMap(g)
-	p, ok := BoundedAStar(g, Request{
+	p, ok := NewWorkspace(g).BoundedAStar(g, Request{
 		Sources: []geom.Pt{{X: 0, Y: 0}},
 		Targets: []geom.Pt{{X: 5, Y: 0}},
 		Obs:     obs,
@@ -27,7 +27,7 @@ func TestBoundedAStarStretch(t *testing.T) {
 	// detour. Parity: any path between them has odd length, so 9 is hit.
 	g := grid.New(12, 12)
 	obs := grid.NewObsMap(g)
-	p, ok := BoundedAStar(g, Request{
+	p, ok := NewWorkspace(g).BoundedAStar(g, Request{
 		Sources: []geom.Pt{{X: 0, Y: 0}},
 		Targets: []geom.Pt{{X: 5, Y: 0}},
 		Obs:     obs,
@@ -47,7 +47,7 @@ func TestBoundedAStarExactWindowWithObstacles(t *testing.T) {
 	src := geom.Pt{X: 1, Y: 1}
 	dst := geom.Pt{X: 8, Y: 1}
 	for want := 7; want <= 15; want += 2 {
-		p, ok := BoundedAStar(g, Request{
+		p, ok := NewWorkspace(g).BoundedAStar(g, Request{
 			Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs,
 		}, want, want+1)
 		if !ok {
@@ -71,7 +71,7 @@ func TestBoundedAStarParityImpossible(t *testing.T) {
 	// Window [6,6] for odd-distance endpoints is parity-infeasible.
 	g := grid.New(10, 10)
 	obs := grid.NewObsMap(g)
-	if _, ok := BoundedAStar(g, Request{
+	if _, ok := NewWorkspace(g).BoundedAStar(g, Request{
 		Sources: []geom.Pt{{X: 0, Y: 0}},
 		Targets: []geom.Pt{{X: 5, Y: 0}},
 		Obs:     obs,
@@ -82,10 +82,10 @@ func TestBoundedAStarParityImpossible(t *testing.T) {
 
 func TestBoundedAStarDegenerateInputs(t *testing.T) {
 	g := grid.New(5, 5)
-	if _, ok := BoundedAStar(g, Request{}, 0, 5); ok {
+	if _, ok := NewWorkspace(g).BoundedAStar(g, Request{}, 0, 5); ok {
 		t.Error("empty request")
 	}
-	if _, ok := BoundedAStar(g, Request{
+	if _, ok := NewWorkspace(g).BoundedAStar(g, Request{
 		Sources: []geom.Pt{{X: 0, Y: 0}}, Targets: []geom.Pt{{X: 1, Y: 0}},
 	}, 5, 3); ok {
 		t.Error("inverted window")

@@ -11,7 +11,7 @@ import (
 
 // TestHierNegotiateEqualsFlat pins that negotiation does not depend on what
 // a workspace searched before: on random mid-size congested instances, a
-// pooled workspace that has just run corridor-masked searches (as
+// workspace that has just run corridor-masked searches (as
 // escape.RouteHier leaves one) negotiates the same paths and counters as a
 // fresh workspace. The masked searches must both succeed and fail across
 // the sweep, or the stale state they leave behind is not varied enough to
@@ -44,11 +44,11 @@ func TestHierNegotiateEqualsFlat(t *testing.T) {
 
 		params := DefaultNegotiateParams()
 		var wantStats NegotiateStats
-		wantPaths, wantOK := NewWorkspace(g).NegotiateTracked(obs, edges, params, &wantStats)
+		wantPaths, wantOK := NewWorkspace(g).Negotiate(obs, edges, params, &wantStats)
 
-		// Dirty a pooled workspace with masked searches between the edge
+		// Dirty a workspace with masked searches between the edge
 		// terminals, each confined to an L of tiles through its corners.
-		ws := AcquireWorkspace(g)
+		ws := NewWorkspace(g)
 		tl := NewTiling(obs, 16)
 		for _, e := range edges {
 			s, d := e.Sources[0], e.Targets[0]
@@ -63,8 +63,7 @@ func TestHierNegotiateEqualsFlat(t *testing.T) {
 			}
 		}
 		var gotStats NegotiateStats
-		gotPaths, gotOK := ws.NegotiateTracked(obs, edges, params, &gotStats)
-		ReleaseWorkspace(ws)
+		gotPaths, gotOK := ws.Negotiate(obs, edges, params, &gotStats)
 
 		if gotOK != wantOK {
 			t.Fatalf("trial %d: reused ok=%v, fresh ok=%v", trial, gotOK, wantOK)

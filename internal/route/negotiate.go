@@ -88,28 +88,13 @@ func (s *NegotiateStats) Add(o NegotiateStats) {
 // restarts, up to Gamma rounds. On success it returns the path per edge ID.
 // On failure it returns ok=false along with the paths of the last
 // (incomplete) iteration for diagnostic use; obs is left unmodified either
-// way.
+// way. Every inner A* reuses w's search arrays, and one scratch obstacle map
+// is shared across iterations.
 //
-// This wrapper draws a pooled Workspace; callers in routing inner loops
-// should hold their own Workspace and use its Negotiate method directly.
-func Negotiate(obs *grid.ObsMap, edges []Edge, params NegotiateParams) (map[int]grid.Path, bool) {
-	w := AcquireWorkspace(obs.Grid())
-	paths, ok := w.Negotiate(obs, edges, params)
-	ReleaseWorkspace(w)
-	return paths, ok
-}
-
-// Negotiate is the workspace-backed form of the package-level Negotiate:
-// the same Algorithm 1, with every inner A* reusing w's search arrays and
-// one scratch obstacle map shared across iterations.
-func (w *Workspace) Negotiate(obs *grid.ObsMap, edges []Edge, params NegotiateParams) (map[int]grid.Path, bool) {
-	return w.NegotiateTracked(obs, edges, params, nil)
-}
-
-// NegotiateTracked is Negotiate with run statistics: when stats is non-nil,
-// round, search, and seeding counters accumulate into it, and on failure the
-// final round's unrouted edge IDs land in stats.FailedIDs (edge order).
-func (w *Workspace) NegotiateTracked(obs *grid.ObsMap, edges []Edge, params NegotiateParams, stats *NegotiateStats) (map[int]grid.Path, bool) {
+// When stats is non-nil, round, search, and seeding counters accumulate
+// into it, and on failure the final round's unrouted edge IDs land in
+// stats.FailedIDs (edge order).
+func (w *Workspace) Negotiate(obs *grid.ObsMap, edges []Edge, params NegotiateParams, stats *NegotiateStats) (map[int]grid.Path, bool) {
 	g := obs.Grid()
 	//pacor:allow hotalloc once per negotiation run, amortized over gamma iterations of inner searches
 	hist := make([]float64, g.Cells()) // Step 1: initialize history cost

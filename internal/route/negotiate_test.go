@@ -17,7 +17,7 @@ func TestNegotiateTwoDisjointEdges(t *testing.T) {
 		{ID: 0, Sources: []geom.Pt{{X: 0, Y: 2}}, Targets: []geom.Pt{{X: 9, Y: 2}}},
 		{ID: 1, Sources: []geom.Pt{{X: 0, Y: 7}}, Targets: []geom.Pt{{X: 9, Y: 7}}},
 	}
-	paths, ok := Negotiate(obs, edges, DefaultNegotiateParams())
+	paths, ok := NewWorkspace(obs.Grid()).Negotiate(obs, edges, DefaultNegotiateParams(), nil)
 	if !ok {
 		t.Fatal("negotiation failed on disjoint edges")
 	}
@@ -42,7 +42,7 @@ func TestNegotiateConflict(t *testing.T) {
 		{ID: 1, Sources: []geom.Pt{{X: 9, Y: 2}}, Targets: []geom.Pt{{X: 11, Y: 2}}},
 	}
 	params := NegotiateParams{BaseHist: 1.0, Alpha: 0.8, Gamma: 10}
-	paths, ok := Negotiate(obs, edges, params)
+	paths, ok := NewWorkspace(obs.Grid()).Negotiate(obs, edges, params, nil)
 	if !ok {
 		t.Fatal("negotiation failed to resolve the column conflict")
 	}
@@ -77,7 +77,7 @@ func TestNegotiateImpossible(t *testing.T) {
 		{ID: 2, Sources: []geom.Pt{{X: 0, Y: 4}}, Targets: []geom.Pt{{X: 8, Y: 4}}},
 	}
 	params := DefaultNegotiateParams()
-	_, ok := Negotiate(obs, edges, params)
+	_, ok := NewWorkspace(obs.Grid()).Negotiate(obs, edges, params, nil)
 	if ok {
 		t.Fatal("three edges cannot share a one-cell corridor")
 	}
@@ -89,7 +89,7 @@ func TestNegotiateLeavesObsUntouched(t *testing.T) {
 	obs.Set(geom.Pt{X: 3, Y: 3}, true)
 	before := obs.Count()
 	edges := []Edge{{ID: 0, Sources: []geom.Pt{{X: 0, Y: 0}}, Targets: []geom.Pt{{X: 7, Y: 7}}}}
-	if _, ok := Negotiate(obs, edges, DefaultNegotiateParams()); !ok {
+	if _, ok := NewWorkspace(obs.Grid()).Negotiate(obs, edges, DefaultNegotiateParams(), nil); !ok {
 		t.Fatal("route failed")
 	}
 	if obs.Count() != before {
@@ -115,7 +115,7 @@ func TestNegotiateOrderIndependenceViaHistory(t *testing.T) {
 		// would cross edge 0's territory).
 		{ID: 1, Sources: []geom.Pt{{X: 0, Y: 2}}, Targets: []geom.Pt{{X: 6, Y: 2}}},
 	}
-	paths, ok := Negotiate(obs, edges, DefaultNegotiateParams())
+	paths, ok := NewWorkspace(obs.Grid()).Negotiate(obs, edges, DefaultNegotiateParams(), nil)
 	if !ok {
 		t.Fatal("negotiation failed")
 	}
@@ -174,11 +174,10 @@ func negotiateRun(g grid.Grid, obs *grid.ObsMap, edges []Edge, capture, heapOnly
 		params.Capture = &NegotiationSeed{}
 	}
 	var stats NegotiateStats
-	ws := AcquireWorkspace(g)
+	ws := NewWorkspace(g)
 	ws.heapOnly = heapOnly
-	paths, ok := ws.NegotiateTracked(obs, edges, params, &stats)
+	paths, ok := ws.Negotiate(obs, edges, params, &stats)
 	ws.heapOnly = false
-	ReleaseWorkspace(ws)
 	return paths, ok, stats
 }
 
@@ -190,7 +189,7 @@ func TestNegotiateCacheByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 40; trial++ {
 		g, obs, edges := randomNegotiateInstance(rng)
-		wantPaths, wantOK := Negotiate(obs, edges, DefaultNegotiateParams())
+		wantPaths, wantOK := NewWorkspace(obs.Grid()).Negotiate(obs, edges, DefaultNegotiateParams(), nil)
 
 		for _, capture := range []bool{false, true} {
 			paths, ok, _ := negotiateRun(g, obs, edges, capture, false)
@@ -287,9 +286,8 @@ func TestNegotiateFailedIDs(t *testing.T) {
 		{ID: 12, Sources: []geom.Pt{{X: 0, Y: 4}}, Targets: []geom.Pt{{X: 8, Y: 4}}},
 	}
 	var failed NegotiateStats
-	ws := AcquireWorkspace(g)
-	_, ok := ws.NegotiateTracked(obs, edges, DefaultNegotiateParams(), &failed)
-	ReleaseWorkspace(ws)
+	ws := NewWorkspace(g)
+	_, ok := ws.Negotiate(obs, edges, DefaultNegotiateParams(), &failed)
 	if ok {
 		t.Fatal("three edges cannot share a one-cell corridor")
 	}
@@ -310,11 +308,10 @@ func TestNegotiateFailedIDs(t *testing.T) {
 	// Success path: FailedIDs stays empty.
 	var stats NegotiateStats
 	okEdges := []Edge{{ID: 0, Sources: []geom.Pt{{X: 0, Y: 2}}, Targets: []geom.Pt{{X: 8, Y: 2}}}}
-	ws = AcquireWorkspace(g)
-	if _, ok := ws.NegotiateTracked(obs, okEdges, DefaultNegotiateParams(), &stats); !ok {
+	ws = NewWorkspace(g)
+	if _, ok := ws.Negotiate(obs, okEdges, DefaultNegotiateParams(), &stats); !ok {
 		t.Fatal("single corridor edge must route")
 	}
-	ReleaseWorkspace(ws)
 	if len(stats.FailedIDs) != 0 {
 		t.Fatalf("successful negotiation reported failed edges %v", stats.FailedIDs)
 	}
@@ -350,7 +347,7 @@ func laneScenario(nEdges int) (grid.Grid, *grid.ObsMap, []Edge) {
 func TestRunScheduledMatchesSequential(t *testing.T) {
 	g, obs, edges := laneScenario(8)
 	var stats NegotiateStats
-	got, ok := NewWorkspace(g).NegotiateTracked(obs, edges, DefaultNegotiateParams(), &stats)
+	got, ok := NewWorkspace(g).Negotiate(obs, edges, DefaultNegotiateParams(), &stats)
 	if !ok || stats.Rounds != 1 {
 		t.Fatalf("ok=%v after %d rounds; the scenario must route in round 1", ok, stats.Rounds)
 	}
@@ -384,14 +381,14 @@ func TestRunScheduledMispredictedWindows(t *testing.T) {
 	params := DefaultNegotiateParams()
 
 	var wantStats NegotiateStats
-	want, wantOK := NewWorkspace(g).NegotiateTracked(obs, edges, params, &wantStats)
+	want, wantOK := NewWorkspace(g).Negotiate(obs, edges, params, &wantStats)
 
 	ws := NewWorkspace(otherObs.Grid())
-	if _, ok := ws.Negotiate(otherObs, otherEdges, params); !ok {
+	if _, ok := ws.Negotiate(otherObs, otherEdges, params, nil); !ok {
 		t.Fatal("warm-up negotiation failed")
 	}
 	var gotStats NegotiateStats
-	got, gotOK := ws.NegotiateTracked(obs, edges, params, &gotStats)
+	got, gotOK := ws.Negotiate(obs, edges, params, &gotStats)
 	if gotOK != wantOK {
 		t.Fatalf("reused workspace ok=%v, fresh ok=%v", gotOK, wantOK)
 	}
@@ -417,7 +414,7 @@ func TestRunScheduledFailuresCommitNothing(t *testing.T) {
 
 	ws := NewWorkspace(g)
 	var stats NegotiateStats
-	if _, ok := ws.NegotiateTracked(obs, []Edge{walled, reachable}, DefaultNegotiateParams(), &stats); ok {
+	if _, ok := ws.Negotiate(obs, []Edge{walled, reachable}, DefaultNegotiateParams(), &stats); ok {
 		t.Fatal("walled-off edge reported routed")
 	}
 	if !reflect.DeepEqual(stats.FailedIDs, []int{walled.ID}) {
@@ -427,20 +424,21 @@ func TestRunScheduledFailuresCommitNothing(t *testing.T) {
 		t.Fatal("failed negotiation changed the caller's obstacle map")
 	}
 
-	want, wantOK := NewWorkspace(g).Negotiate(obs, []Edge{reachable}, DefaultNegotiateParams())
-	got, gotOK := ws.Negotiate(obs, []Edge{reachable}, DefaultNegotiateParams())
+	want, wantOK := NewWorkspace(g).Negotiate(obs, []Edge{reachable}, DefaultNegotiateParams(), nil)
+	got, gotOK := ws.Negotiate(obs, []Edge{reachable}, DefaultNegotiateParams(), nil)
 	if !gotOK || !wantOK {
 		t.Fatalf("reachable edge alone: reused ok=%v, fresh ok=%v", gotOK, wantOK)
 	}
 	pathsIdentical(t, "reachable edge after failure", got, want)
 }
 
-// TestNegotiateWorkersByteIdentical: the pooled package-level Negotiate
-// returns the paths of (*Workspace).Negotiate on a fresh workspace, and a
-// pooled workspace reproduces the fresh one's paths, counters and capture,
-// with and without Capture.
+// TestNegotiateWorkersByteIdentical: Negotiate with nil stats returns the
+// paths and capture of a tracked run, and one workspace reused across runs
+// (each capture mode negotiates on the workspace the previous run left)
+// reproduces a fresh workspace's paths, counters and capture.
 func TestNegotiateWorkersByteIdentical(t *testing.T) {
 	g, obs, edges := laneScenario(10)
+	reused := NewWorkspace(g)
 	for _, capture := range []bool{false, true} {
 		label := fmt.Sprintf("capture=%v", capture)
 		params := func() NegotiateParams {
@@ -452,32 +450,30 @@ func TestNegotiateWorkersByteIdentical(t *testing.T) {
 		}
 		fresh := params()
 		var wantStats NegotiateStats
-		want, wantOK := NewWorkspace(g).NegotiateTracked(obs, edges, fresh, &wantStats)
+		want, wantOK := NewWorkspace(g).Negotiate(obs, edges, fresh, &wantStats)
 
-		wrapped := params()
-		got, gotOK := Negotiate(obs, edges, wrapped)
+		untracked := params()
+		got, gotOK := NewWorkspace(g).Negotiate(obs, edges, untracked, nil)
 		if gotOK != wantOK {
-			t.Fatalf("%s: pooled wrapper ok=%v, fresh ok=%v", label, gotOK, wantOK)
+			t.Fatalf("%s: nil stats ok=%v, tracked ok=%v", label, gotOK, wantOK)
 		}
-		pathsIdentical(t, label+" wrapper", got, want)
-		if !reflect.DeepEqual(wrapped.Capture, fresh.Capture) {
-			t.Fatalf("%s: pooled wrapper capture differs from fresh", label)
+		pathsIdentical(t, label+" nil stats", got, want)
+		if !reflect.DeepEqual(untracked.Capture, fresh.Capture) {
+			t.Fatalf("%s: nil-stats capture differs from tracked", label)
 		}
 
-		pooled := params()
+		again := params()
 		var gotStats NegotiateStats
-		ws := AcquireWorkspace(g)
-		got, gotOK = ws.NegotiateTracked(obs, edges, pooled, &gotStats)
-		ReleaseWorkspace(ws)
+		got, gotOK = reused.Negotiate(obs, edges, again, &gotStats)
 		if gotOK != wantOK {
-			t.Fatalf("%s: pooled workspace ok=%v, fresh ok=%v", label, gotOK, wantOK)
+			t.Fatalf("%s: reused workspace ok=%v, fresh ok=%v", label, gotOK, wantOK)
 		}
-		pathsIdentical(t, label+" pooled workspace", got, want)
+		pathsIdentical(t, label+" reused workspace", got, want)
 		if !reflect.DeepEqual(gotStats, wantStats) {
-			t.Fatalf("%s: pooled stats %+v, fresh %+v", label, gotStats, wantStats)
+			t.Fatalf("%s: reused stats %+v, fresh %+v", label, gotStats, wantStats)
 		}
-		if !reflect.DeepEqual(pooled.Capture, fresh.Capture) {
-			t.Fatalf("%s: pooled capture differs from fresh", label)
+		if !reflect.DeepEqual(again.Capture, fresh.Capture) {
+			t.Fatalf("%s: reused capture differs from fresh", label)
 		}
 	}
 }

@@ -27,7 +27,7 @@ func TestAStarMatchesBFSRandomMazes(t *testing.T) {
 		obs.Set(src, false)
 		obs.Set(dst, false)
 		want := bfsLen(g, obs, src, dst)
-		p, ok := AStar(g, Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs})
+		p, ok := NewWorkspace(g).AStar(g, Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs})
 		if (want == -1) != !ok {
 			t.Fatalf("trial %d: BFS=%d ok=%v disagree", trial, want, ok)
 		}
@@ -67,7 +67,7 @@ func TestBoundedAStarWindowInvariant(t *testing.T) {
 		d := geom.Dist(src, dst)
 		minLen := d + rng.Intn(10)
 		maxLen := minLen + 1 + rng.Intn(4)
-		p, ok := BoundedAStar(g, Request{
+		p, ok := NewWorkspace(g).BoundedAStar(g, Request{
 			Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs,
 		}, minLen, maxLen)
 		if !ok {
@@ -95,7 +95,7 @@ func TestBoundedAStarFindsParityFeasibleWindows(t *testing.T) {
 	for minLen := 7; minLen <= 21; minLen++ {
 		maxLen := minLen
 		feasible := (minLen-7)%2 == 0
-		p, ok := BoundedAStar(g, Request{
+		p, ok := NewWorkspace(g).BoundedAStar(g, Request{
 			Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs,
 		}, minLen, maxLen)
 		if feasible && !ok {
@@ -177,7 +177,7 @@ func TestNegotiateRandomValidity(t *testing.T) {
 		for i := 0; i < n; i++ {
 			edges = append(edges, Edge{ID: i, Sources: []geom.Pt{pick()}, Targets: []geom.Pt{pick()}})
 		}
-		paths, ok := Negotiate(obs, edges, DefaultNegotiateParams())
+		paths, ok := NewWorkspace(obs.Grid()).Negotiate(obs, edges, DefaultNegotiateParams(), nil)
 		if !ok {
 			continue
 		}

@@ -432,8 +432,8 @@ func (w *Workspace) negCaptureRecord(ei int, p grid.Path, ok bool, cone []uint64
 	sh.set, sh.ok, sh.path, sh.visits = true, ok, pc, vc
 }
 
-// negSeedFinish clears the run's cross-run state so a pooled workspace never
-// pins seed or capture memory past the run.
+// negSeedFinish clears the run's cross-run state so a workspace never pins
+// seed or capture memory past the run.
 func (w *Workspace) negSeedFinish() {
 	for i := range w.negParent {
 		w.negParent[i] = seedSlot{}

@@ -17,9 +17,8 @@ func negRun(g grid.Grid, obs *grid.ObsMap, edges []Edge,
 	params.Seed = seed
 	params.Capture = capture
 	params.checkReplay = check
-	ws := AcquireWorkspace(g)
-	paths, ok := ws.NegotiateTracked(obs, edges, params, &s)
-	ReleaseWorkspace(ws)
+	ws := NewWorkspace(g)
+	paths, ok := ws.Negotiate(obs, edges, params, &s)
 	return paths, ok, s
 }
 

@@ -9,21 +9,19 @@ import (
 
 // This file implements the tile coarsening behind the hierarchical escape
 // router (escape.RouteHier): the grid is partitioned into T×T tiles (T a
-// power of two, so cell→tile is two shifts and a multiply), each tile knows
-// how many of its cells are free, and each tile-to-tile adjacency knows how
-// many free cell pairs straddle the shared edge — the crossing capacity the
-// global MCMF stage budgets corridors against. TileMask is the detailed
+// power of two, so cell→tile is two shifts and a multiply), and each
+// tile-to-tile adjacency knows how many free cell pairs straddle the shared
+// edge — the crossing capacity the global MCMF stage budgets corridors
+// against. TileMask is the detailed
 // stage's companion: a per-tile bit set that restricts an A* request to its
 // corridor (Request.Mask).
 
 // Tiling is the T×T coarsening of one obstacle map.
 type Tiling struct {
-	g      grid.Grid
 	size   int  // tile side length (power of two)
 	shift  uint // log2(size)
 	tw, th int  // tile-grid dimensions (ceil division)
 
-	free     []int32 // free cells per tile
 	capRight []int32 // free cell pairs across tile t's right edge (t -> t+1)
 	capDown  []int32 // free cell pairs across tile t's bottom edge (t -> t+tw)
 }
@@ -55,24 +53,20 @@ func NewTiling(obs *grid.ObsMap, tileSize int) *Tiling {
 func (t *Tiling) Rebuild(obs *grid.ObsMap, tileSize int) {
 	g := obs.Grid()
 	size := tilePow2(tileSize)
-	t.g = g
 	t.size = size
 	t.shift = uint(bits.TrailingZeros(uint(size)))
 	t.tw = (g.W + size - 1) / size
 	t.th = (g.H + size - 1) / size
 	n := t.tw * t.th
-	if len(t.free) != n {
-		t.free = make([]int32, n)
+	if len(t.capRight) != n {
 		t.capRight = make([]int32, n)
 		t.capDown = make([]int32, n)
 	} else {
-		clear(t.free)
 		clear(t.capRight)
 		clear(t.capDown)
 	}
-	// One pass over the cells: count free cells per tile and free cell pairs
-	// across tile edges (a pair is usable by a channel only when both cells
-	// are free).
+	// One pass over the cells: count free cell pairs across tile edges (a
+	// pair is usable by a channel only when both cells are free).
 	for y := 0; y < g.H; y++ {
 		ty := y >> t.shift
 		for x := 0; x < g.W; x++ {
@@ -81,7 +75,6 @@ func (t *Tiling) Rebuild(obs *grid.ObsMap, tileSize int) {
 				continue
 			}
 			ti := ty*t.tw + x>>t.shift
-			t.free[ti]++
 			if x+1 < g.W && (x+1)&(size-1) == 0 && !obs.Blocked(geom.Pt{X: x + 1, Y: y}) {
 				t.capRight[ti]++
 			}
@@ -101,19 +94,6 @@ func (t *Tiling) Tiles() int { return t.tw * t.th }
 // TileOf returns the tile index of cell p.
 func (t *Tiling) TileOf(p geom.Pt) int {
 	return (p.Y>>t.shift)*t.tw + p.X>>t.shift
-}
-
-// FreeCells returns the number of unblocked cells in tile ti.
-func (t *Tiling) FreeCells(ti int) int { return int(t.free[ti]) }
-
-// TileRect returns the cell rectangle of tile ti, clipped to the grid.
-func (t *Tiling) TileRect(ti int) geom.Rect {
-	tx, ty := ti%t.tw, ti/t.tw
-	r := geom.Rect{
-		MinX: tx << t.shift, MinY: ty << t.shift,
-		MaxX: (tx+1)<<t.shift - 1, MaxY: (ty+1)<<t.shift - 1,
-	}
-	return r.Intersect(t.g.Bounds())
 }
 
 // ForEachAdjacency calls fn for every tile pair sharing an edge with a

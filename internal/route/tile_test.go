@@ -8,10 +8,10 @@ import (
 	"repro/internal/grid"
 )
 
-// TestTilingCountsBruteForce checks the coarsening's bookkeeping — free cells
-// per tile and crossing capacities per adjacency — against a brute-force
-// recount on random obstacle maps with grid sizes that do and do not divide
-// evenly by the tile side.
+// TestTilingCountsBruteForce checks the coarsening's bookkeeping — the
+// tile of every cell and the crossing capacity of every adjacency — against
+// a brute-force recount on random obstacle maps with grid sizes that do and
+// do not divide evenly by the tile side.
 func TestTilingCountsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	for trial := 0; trial < 25; trial++ {
@@ -26,22 +26,16 @@ func TestTilingCountsBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: size %d rounded to %d", trial, size, tl.Size())
 		}
 
-		free := make([]int, tl.Tiles())
+		tw := (g.W + size - 1) / size
+		if th := (g.H + size - 1) / size; tl.Tiles() != tw*th {
+			t.Fatalf("trial %d: %d tiles, want %d×%d", trial, tl.Tiles(), tw, th)
+		}
 		for y := 0; y < g.H; y++ {
 			for x := 0; x < g.W; x++ {
 				p := geom.Pt{X: x, Y: y}
-				ti := tl.TileOf(p)
-				if !tl.TileRect(ti).Contains(p) {
-					t.Fatalf("trial %d: %v outside its tile rect %v", trial, p, tl.TileRect(ti))
+				if got, want := tl.TileOf(p), (y/size)*tw+x/size; got != want {
+					t.Fatalf("trial %d: TileOf(%v)=%d, want %d", trial, p, got, want)
 				}
-				if !obs.Blocked(p) {
-					free[ti]++
-				}
-			}
-		}
-		for ti := range free {
-			if tl.FreeCells(ti) != free[ti] {
-				t.Fatalf("trial %d tile %d: FreeCells=%d, brute force %d", trial, ti, tl.FreeCells(ti), free[ti])
 			}
 		}
 

@@ -58,7 +58,7 @@ type Workspace struct {
 	track bool
 	vbits []uint64
 
-	// Negotiation state (negotiate.go). It lives on the pooled workspace so
+	// Negotiation state (negotiate.go). It lives on the workspace so
 	// repeated Negotiate calls reuse the work map and journal instead of
 	// allocating per call.
 	negWork    *grid.ObsMap // journaled per-round work map
@@ -71,7 +71,7 @@ type Workspace struct {
 	// Cross-run seeding state (seed.go): the parent transcript being
 	// replayed, the capture being recorded, the monotone cross-run dirty
 	// bitmap, and the child→parent edge alignment. Live only during a run
-	// (negSeedFinish clears the pointers so the pool never pins a seed).
+	// (negSeedFinish clears the pointers so the workspace never pins a seed).
 	negSeedOn     bool             // params.Seed accepted for this run
 	negCapOn      bool             // params.Capture active for this run
 	negParentLive bool             // parent transcript still covers the current round
@@ -82,16 +82,10 @@ type Workspace struct {
 	negAlign      []int            // child edge index -> parent edge index or -1
 	negParent     []seedSlot       // parent edges' current-round state
 	negShadow     []seedSlot       // capture delta-encoding shadow table
-
-	// pooled is true while the workspace sits in its sync.Pool. It makes a
-	// double ReleaseWorkspace a no-op instead of poisoning the pool: two
-	// Put calls of the same pointer would let two goroutines Get the same
-	// workspace and race on every search array.
-	pooled bool
 }
 
 // NewWorkspace returns a workspace sized for g. Searches on other grid
-// sizes transparently resize it.
+// sizes transparently resize it, and a zero Workspace grows on first use.
 func NewWorkspace(g grid.Grid) *Workspace {
 	w := &Workspace{}
 	w.grow(g.Cells())
@@ -245,10 +239,11 @@ func targetH(tb geom.Rect, p geom.Pt) int {
 	return dx + dy
 }
 
-// AStar is the workspace-backed form of the package-level AStar: identical
-// search semantics, no per-call allocation beyond the returned path. The
-// open list is the Dial bucket queue (queue.go) whenever the request's key
-// domain is certified integral and the ring fits, the binary heap otherwise.
+// AStar finds a cheapest path from any source to any target. The returned
+// path runs source..target. ok is false when no path exists. A search
+// allocates nothing beyond the returned path. The open list is the Dial
+// bucket queue (queue.go) whenever the request's key domain is certified
+// integral and the ring fits, the binary heap otherwise.
 // Both implement the same (f, push order) total order, so the choice never
 // changes the routed path, only the wall clock.
 func (w *Workspace) AStar(g grid.Grid, req Request) (grid.Path, bool) {
@@ -457,9 +452,18 @@ func (w *Workspace) reconstruct(g grid.Grid, end int) grid.Path {
 	return path
 }
 
-// BoundedAStar is the workspace-backed form of the package-level
-// BoundedAStar: identical search semantics, reusing the state arena and
-// per-cell length table across calls.
+// BoundedAStar implements the minimum-length bounded routing of Section 6:
+// it searches for a simple path whose length lies in [minLen, maxLen],
+// preferring the shortest such path. Two modifications versus classic A*
+// (as described in the paper): (1) the per-cell G value records the path
+// length from the source and is only updated when it increases, so the
+// search can deliberately pass a cell again on a longer path; and (2) the
+// F value adds a penalty when the estimated total length G+H falls short of
+// the bound, which steers the frontier toward detours.
+//
+// The search returns ok=false when no conforming path is found within the
+// expansion budget. The state arena and per-cell length table are reused
+// across calls.
 func (w *Workspace) BoundedAStar(g grid.Grid, req Request, minLen, maxLen int) (grid.Path, bool) {
 	if len(req.Sources) == 0 || len(req.Targets) == 0 || minLen > maxLen || maxLen < 0 {
 		return nil, false

@@ -3,6 +3,7 @@ package route
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -24,9 +25,9 @@ func scatterObs(w, h, blocks int, seed int64) (grid.Grid, *grid.ObsMap) {
 	return g, obs
 }
 
-// TestWorkspaceMatchesWrapper pins the workspace methods to the pooled
-// wrappers: same paths, search for search, including reuse across many
-// searches on one workspace.
+// TestWorkspaceMatchesWrapper pins workspace reuse: one workspace reused
+// across 200 searches returns, path for path, what a fresh workspace per
+// search returns.
 func TestWorkspaceMatchesWrapper(t *testing.T) {
 	g, obs := scatterObs(48, 48, 400, 3)
 	ws := NewWorkspace(g)
@@ -35,14 +36,124 @@ func TestWorkspaceMatchesWrapper(t *testing.T) {
 		src := geom.Pt{X: rng.Intn(48), Y: rng.Intn(48)}
 		dst := geom.Pt{X: rng.Intn(48), Y: rng.Intn(48)}
 		req := Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs}
-		p1, ok1 := AStar(g, req)
+		p1, ok1 := NewWorkspace(g).AStar(g, req)
 		p2, ok2 := ws.AStar(g, req)
-		if ok1 != ok2 {
-			t.Fatalf("search %d (%v->%v): ok %v vs %v", i, src, dst, ok1, ok2)
+		if ok1 != ok2 || !pathsEqual(p1, p2) {
+			t.Fatalf("search %d (%v->%v): reused ok=%v %v, fresh ok=%v %v", i, src, dst, ok2, p2, ok1, p1)
 		}
-		if ok1 && p1.Len() != p2.Len() {
-			t.Fatalf("search %d (%v->%v): len %d vs %d", i, src, dst, p1.Len(), p2.Len())
+	}
+}
+
+// reuseCase is one search of the grid-alternation tests: an A* or bounded
+// request on its own grid.
+type reuseCase struct {
+	g              grid.Grid
+	req            Request
+	bounded        bool
+	minLen, maxLen int
+}
+
+// run searches c on ws.
+func (c reuseCase) run(ws *Workspace) (grid.Path, bool) {
+	if c.bounded {
+		return ws.BoundedAStar(c.g, c.req, c.minLen, c.maxLen)
+	}
+	return ws.AStar(c.g, c.req)
+}
+
+// alternatingCases builds corner-to-corner A* and bounded searches on a
+// 16×16, a 32×8 (the same cell count, another shape) and a 40×40 grid.
+func alternatingCases() []reuseCase {
+	var cases []reuseCase
+	for i, dim := range [][3]int{{16, 16, 40}, {32, 8, 0}, {40, 40, 300}} {
+		g, obs := scatterObs(dim[0], dim[1], dim[2], int64(5+i))
+		req := Request{
+			Sources: []geom.Pt{{X: 0, Y: 0}},
+			Targets: []geom.Pt{{X: dim[0] - 1, Y: dim[1] - 1}},
+			Obs:     obs,
 		}
+		d := dim[0] + dim[1] - 2
+		cases = append(cases,
+			reuseCase{g: g, req: req},
+			reuseCase{g: g, req: req, bounded: true, minLen: d + 4, maxLen: d + 6})
+	}
+	return cases
+}
+
+// checkAlternation runs every case rounds times on ws, in order, and checks
+// each result path for path against a fresh NewWorkspace.
+func checkAlternation(t *testing.T, ws *Workspace, rounds int) {
+	t.Helper()
+	cases := alternatingCases()
+	for r := 0; r < rounds; r++ {
+		for i, c := range cases {
+			want, wantOK := c.run(NewWorkspace(c.g))
+			got, gotOK := c.run(ws)
+			if gotOK != wantOK || !pathsEqual(got, want) {
+				t.Fatalf("round %d case %d (%dx%d bounded=%v): reused ok=%v %v, fresh ok=%v %v",
+					r, i, c.g.W, c.g.H, c.bounded, gotOK, got, wantOK, want)
+			}
+		}
+	}
+}
+
+// TestReleaseWorkspaceNil pins that a zero Workspace needs no constructor:
+// it grows on its first search and then answers like a fresh NewWorkspace.
+func TestReleaseWorkspaceNil(t *testing.T) {
+	var ws Workspace
+	checkAlternation(t, &ws, 1)
+	if ws.cells == 0 {
+		t.Fatal("zero workspace did not grow on first use")
+	}
+}
+
+// TestReleaseWorkspaceDouble: a zero Workspace also negotiates on first
+// use, with the paths and counters of a fresh NewWorkspace.
+func TestReleaseWorkspaceDouble(t *testing.T) {
+	g, obs, edges := laneScenario(6)
+	var wantStats, gotStats NegotiateStats
+	want, wantOK := NewWorkspace(g).Negotiate(obs, edges, DefaultNegotiateParams(), &wantStats)
+	var ws Workspace
+	got, gotOK := ws.Negotiate(obs, edges, DefaultNegotiateParams(), &gotStats)
+	if gotOK != wantOK || !reflect.DeepEqual(gotStats, wantStats) {
+		t.Fatalf("zero workspace ok=%v stats %+v, fresh ok=%v stats %+v", gotOK, gotStats, wantOK, wantStats)
+	}
+	pathsIdentical(t, "zero workspace", got, want)
+}
+
+// TestAcquireWorkspaceReacquire: one workspace alternating between the
+// three grids for several rounds matches a fresh workspace on every search.
+func TestAcquireWorkspaceReacquire(t *testing.T) {
+	checkAlternation(t, NewWorkspace(grid.New(16, 16)), 4)
+}
+
+// TestWorkspaceCrossGridReuse: a workspace sized for the largest grid
+// shrinks and regrows through the alternation without stale state.
+func TestWorkspaceCrossGridReuse(t *testing.T) {
+	ws := NewWorkspace(grid.New(40, 40))
+	checkAlternation(t, ws, 2)
+	if ws.cells != 40*40 {
+		t.Fatalf("workspace ended sized for %d cells, want the last grid's %d", ws.cells, 40*40)
+	}
+}
+
+// TestWorkspacePoolRoundTrip: a workspace sized for 16×16 serves the 32×8
+// grid of the same cell count without resizing, and the corner-to-corner
+// search on the empty 32×8 grid is the Manhattan distance.
+func TestWorkspacePoolRoundTrip(t *testing.T) {
+	ws := NewWorkspace(grid.New(16, 16))
+	stamp := &ws.stamp[0]
+	g := grid.New(32, 8)
+	p, ok := ws.AStar(g, Request{
+		Sources: []geom.Pt{{X: 0, Y: 0}},
+		Targets: []geom.Pt{{X: 31, Y: 7}},
+		Obs:     grid.NewObsMap(g),
+	})
+	if !ok || p.Len() != 38 {
+		t.Fatalf("reshaped search: ok=%v len=%d, want the Manhattan distance 38", ok, p.Len())
+	}
+	if &ws.stamp[0] != stamp {
+		t.Fatal("a grid with the same cell count reallocated the workspace")
 	}
 }
 
