@@ -59,7 +59,13 @@ func Route(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt) *Result {
 	S := 2 * cells
 	T := S + 1
 	base := T + 1
-	net := mcf.NewGraph(base + len(terms))
+	// At most five arcs per cell (in->out and four neighbors), one drain per
+	// pin, and per cluster its arc from S plus one per take-off cell.
+	arcs := 5*cells + len(pins) + len(terms)
+	for _, tm := range terms {
+		arcs += len(tm.Cells)
+	}
+	net := mcf.NewGraph(base+len(terms), arcs)
 
 	pinSet := make(map[geom.Pt]bool, len(pins))
 	for _, p := range pins {

@@ -166,7 +166,14 @@ func RouteHier(ws *route.Workspace, obs *grid.ObsMap, terms []Terminal, pins []g
 		S := nt
 		T := nt + 1
 		base := nt + 2
-		net := mcf.NewGraph(base + len(ks))
+		// At most four arcs per adjacency and two adjacencies per tile, one
+		// drain per tile, and per cluster its arc from S plus one per
+		// take-off cell.
+		arcs := 9*nt + len(ks)
+		for _, k := range ks {
+			arcs += len(terms[k].Cells)
+		}
+		net := mcf.NewGraph(base+len(ks), arcs)
 		D := t.Size()
 		t.ForEachAdjacency(func(u, v, c int) {
 			// Congestion steps: about half the crossing capacity at base cost

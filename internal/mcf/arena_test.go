@@ -1,24 +1,36 @@
 package mcf
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// randomGraph builds a random layered-ish network and returns it with its
-// source and sink.
-func randomGraph(rng *rand.Rand, n, arcs int) (*Graph, int, int) {
-	g := NewGraph(n)
+// randomNetwork draws a random layered-ish network from 0 to n-1 out of
+// arcs arc draws, skipping self-loops.
+func randomNetwork(rng *rand.Rand, n, arcs int) instance {
+	in := instance{n: n, s: 0, t: n - 1, maxFlow: -1}
 	for i := 0; i < arcs; i++ {
 		from := rng.Intn(n)
 		to := rng.Intn(n)
 		if from == to {
 			continue
 		}
-		g.AddArc(from, to, 1+rng.Intn(3), rng.Intn(8))
+		in.arcs = append(in.arcs, arcSpec{from, to, 1 + rng.Intn(3), rng.Intn(8)})
 	}
-	return g, 0, n - 1
+	return in
+}
+
+// randomGraph builds a random layered-ish network and returns it with its
+// source and sink.
+func randomGraph(rng *rand.Rand, n, arcs int) (*Graph, int, int) {
+	in := randomNetwork(rng, n, arcs)
+	g := NewGraph(n, len(in.arcs))
+	for _, a := range in.arcs {
+		g.AddArc(a.from, a.to, a.cap, a.cost)
+	}
+	return g, in.s, in.t
 }
 
 // TestResetRestoresCapacities checks that a solve depends only on how the
@@ -51,7 +63,7 @@ func TestResetRestoresCapacities(t *testing.T) {
 // first.
 func TestCommitHidesAndProtectsFlow(t *testing.T) {
 	// Two disjoint unit paths 0->1->3 (cost 2) and 0->2->3 (cost 4).
-	g := NewGraph(4)
+	g := NewGraph(4, 4)
 	g.AddArc(0, 1, 1, 1)
 	g.AddArc(1, 3, 1, 1)
 	g.AddArc(0, 2, 1, 2)
@@ -67,23 +79,25 @@ func TestCommitHidesAndProtectsFlow(t *testing.T) {
 }
 
 // TestSetCostReprices checks that each arc keeps its head and cost as
-// built, for the forward arc and its paired backward arc, before and after a
-// solve.
+// built, for the forward half and its paired backward half, once laid out
+// and after a solve.
 func TestSetCostReprices(t *testing.T) {
-	g := NewGraph(3)
+	g := NewGraph(3, 2)
 	a := g.AddArc(0, 1, 1, 7)
 	b := g.AddArc(1, 2, 2, 3)
 	check := func(when string) {
 		t.Helper()
-		for _, c := range []struct{ id, to, cost int }{
-			{a, 1, 7}, {a ^ 1, 0, -7}, {b, 2, 3}, {b ^ 1, 1, -3},
-		} {
-			if to, cost := int(g.arcs[c.id].to), int(g.arcs[c.id].cost); to != c.to || cost != c.cost {
-				t.Errorf("%s: arc %d to=%d cost=%d, want %d/%d", when, c.id, to, cost, c.to, c.cost)
+		for _, c := range []struct{ id, from, to, cost int }{{a, 0, 1, 7}, {b, 1, 2, 3}} {
+			f := g.arcs[g.pos[c.id]]
+			r := g.arcs[g.rev[g.pos[c.id]]]
+			if int(f.to) != c.to || int(f.cost) != c.cost || int(r.to) != c.from || int(r.cost) != -c.cost {
+				t.Errorf("%s: arc %d halves to=%d cost=%d / to=%d cost=%d, want %d/%d / %d/%d",
+					when, c.id, f.to, f.cost, r.to, r.cost, c.to, c.cost, c.from, -c.cost)
 			}
 		}
 	}
-	check("built")
+	g.layout()
+	check("laid out")
 	if f, c := g.MinCostFlow(0, 2, -1); f != 1 || c != 10 {
 		t.Fatalf("flow=%d cost=%d, want 1/10", f, c)
 	}
@@ -102,7 +116,7 @@ func TestSetCostPanicsOnFlow(t *testing.T) {
 		{"negative capacity", 0, 1, -1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			g := NewGraph(2)
+			g := NewGraph(2, 1)
 			defer func() {
 				if recover() == nil {
 					t.Fatal("AddArc did not panic")
@@ -113,69 +127,52 @@ func TestSetCostPanicsOnFlow(t *testing.T) {
 	}
 }
 
-// TestSolverMatchesPerCallState checks that a reused Solver produces
-// bit-identical flow state to fresh per-call solves across many graphs.
+// TestSolverMatchesPerCallState checks that the solver state sized once
+// with the graph, whose distances are reset and potentials moved only on the
+// nodes each Dijkstra touched, produces bit-identical flow state to the
+// reference solver, which allocates fresh state per call and resets every
+// node.
 func TestSolverMatchesPerCallState(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	sv := &Solver{}
 	for trial := 0; trial < 40; trial++ {
-		n := 6 + rng.Intn(12)
-		seed := rng.Int63()
-		ga, s, tt := randomGraph(rand.New(rand.NewSource(seed)), n, 40)
-		gb, _, _ := randomGraph(rand.New(rand.NewSource(seed)), n, 40)
-		fa, ca := ga.MinCostFlow(s, tt, -1)
-		fb, cb := sv.MinCostFlow(gb, s, tt, -1)
-		if fa != fb || ca != cb {
-			t.Fatalf("trial %d: reused solver %d/%d, fresh %d/%d", trial, fb, cb, fa, ca)
-		}
-		for id := 0; id < len(ga.arcs); id += 2 {
-			if ga.Flow(id) != gb.Flow(id) {
-				t.Fatalf("trial %d: arc %d flow %d vs %d", trial, id, ga.Flow(id), gb.Flow(id))
-			}
-		}
+		matchReference(t, fmt.Sprintf("trial %d", trial), randomNetwork(rng, 6+rng.Intn(12), 40))
 	}
 }
 
-// TestSolverSteadyStateAllocs pins the arena behavior: once a solve has
-// sized the arrays, another solve on the same graph (which finds nothing
-// left to push) allocates nothing.
+// TestSolverSteadyStateAllocs pins that the solver state is sized with the
+// graph: once a solve has laid the graph out, another solve on it (which
+// finds nothing left to push) allocates nothing, and DecomposeUnitPaths
+// allocates its paths and the slice holding them, nothing per node or arc.
 func TestSolverSteadyStateAllocs(t *testing.T) {
 	g, s, tt := randomGraph(rand.New(rand.NewSource(7)), 24, 120)
-	sv := &Solver{}
-	if f, _ := sv.MinCostFlow(g, s, tt, -1); f == 0 {
-		t.Fatal("instance carries no flow; the arena was never exercised")
+	flow, _ := g.MinCostFlow(s, tt, -1)
+	if flow == 0 {
+		t.Fatal("instance carries no flow; the solver state was never exercised")
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if f, c := sv.MinCostFlow(g, s, tt, -1); f != 0 || c != 0 {
+		if f, c := g.MinCostFlow(s, tt, -1); f != 0 || c != 0 {
 			t.Fatalf("re-solve pushed %d/%d on a max-flow graph", f, c)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state MinCostFlow allocates %.1f per run, want 0", allocs)
 	}
-}
-
-// benchGraph rebuilds the benchmark instance, so both benchmarks below pay
-// the same construction cost and differ only in the solver state.
-func benchGraph() (*Graph, int, int) {
-	return randomGraph(rand.New(rand.NewSource(7)), 256, 2048)
-}
-
-// BenchmarkSolverReuse solves fresh graphs with one held Solver.
-func BenchmarkSolverReuse(b *testing.B) {
-	sv := &Solver{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g, s, tt := benchGraph()
-		sv.MinCostFlow(g, s, tt, -1)
+	allocs = testing.AllocsPerRun(50, func() {
+		if p := g.DecomposeUnitPaths(s, tt); len(p) != flow {
+			t.Fatalf("%d unit paths for flow %d", len(p), flow)
+		}
+	})
+	if allocs > float64(2*flow) {
+		t.Fatalf("DecomposeUnitPaths allocates %.1f per run for %d paths, want at most %d", allocs, flow, 2*flow)
 	}
 }
 
-// BenchmarkMinCostFlowFresh is the per-call baseline for the same instance.
+// BenchmarkMinCostFlowFresh builds and solves the benchmark instance, a
+// random 256-node graph with 2048 arcs, once per iteration.
 func BenchmarkMinCostFlowFresh(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g, s, tt := benchGraph()
+		g, s, tt := randomGraph(rand.New(rand.NewSource(7)), 256, 2048)
 		g.MinCostFlow(s, tt, -1)
 	}
 }

@@ -30,7 +30,7 @@ func TestMinCostFlowMatchesLP(t *testing.T) {
 		if len(arcs) == 0 {
 			continue
 		}
-		g := NewGraph(n)
+		g := NewGraph(n, len(arcs))
 		ids := make([]int, len(arcs))
 		for i, a := range arcs {
 			ids[i] = g.AddArc(a.from, a.to, a.cap, a.cost)
@@ -89,12 +89,12 @@ func TestMinCostFlowMatchesLP(t *testing.T) {
 // free flow variable.
 func TestMaxFlowMatchesLP(t *testing.T) {
 	// Fixed layered network with parallel routes.
-	g := NewGraph(6)
 	type arcRec struct{ from, to, cap int }
 	arcs := []arcRec{
 		{0, 1, 3}, {0, 2, 2}, {1, 3, 2}, {1, 4, 2}, {2, 4, 2},
 		{3, 5, 2}, {4, 5, 3}, {2, 3, 1},
 	}
+	g := NewGraph(6, len(arcs))
 	for _, a := range arcs {
 		g.AddArc(a.from, a.to, a.cap, 1)
 	}

@@ -12,30 +12,71 @@ import (
 	"math"
 )
 
-// Graph is a directed flow network over nodes 0..n-1.
+// Graph is a directed flow network over nodes 0..n-1. It is built in two
+// phases: AddArc records arcs into a buffer sized by NewGraph, and the first
+// MinCostFlow lays them out in compressed-sparse-row form — every node's
+// half-arcs stored together, in the order AddArc created them — and sizes
+// the solver state with the graph. After that the graph takes no more arcs;
+// only the Dijkstra frontier grows while solving, and it keeps its capacity
+// from one Dijkstra and one solve to the next.
+//
+// The per-node arc order is the tie-break contract: Dijkstra relaxes, pushes
+// and settles equal-cost alternatives in it, so it fixes which of several
+// optimal flows a solve returns and the order of DecomposeUnitPaths.
 type Graph struct {
-	n    int
-	arcs []arc     // forward/backward arcs interleaved: arc i pairs with i^1
-	head [][]int32 // adjacency: arc indices per node
+	n     int
+	added []addedArc // arcs in id order; dropped once laid out
+
+	start []int32 // node u's half-arcs are arcs[start[u]:start[u+1]]
+	arcs  []half
+	rev   []int32 // index of each half's pair; complemented (^i) on a backward half
+	pos   []int32 // arc id -> index of its forward half in arcs
+
+	// Solver state, sized with the graph.
+	node    []nodeState
+	pred    []int32 // half-arc that reached each node
+	touched []int32 // nodes whose dist is not inf
+	heap    []nodeItem
 }
 
-type arc struct {
+// nodeState keeps a node's potential and tentative distance together, so a
+// relaxation reads both from one cache line.
+type nodeState struct{ pot, dist int64 }
+
+type addedArc struct{ from, to, cap, cost int32 }
+
+// half is one direction of an arc, stored in its tail node's row.
+type half struct {
 	to   int32
 	cap  int32 // residual capacity
 	cost int32
 }
 
-// NewGraph returns an empty network with n nodes.
-func NewGraph(n int) *Graph {
-	if n <= 0 {
+// pair returns the index of half i's paired half.
+func (g *Graph) pair(i int32) int32 {
+	r := g.rev[i]
+	if r < 0 {
+		r = ^r
+	}
+	return r
+}
+
+// NewGraph returns an empty network with n nodes that holds at most arcs
+// arcs.
+func NewGraph(n, arcs int) *Graph {
+	if n <= 0 || n >= math.MaxInt32 {
 		panic(fmt.Sprintf("mcf: invalid node count %d", n))
 	}
-	return &Graph{n: n, head: make([][]int32, n)}
+	if arcs < 0 || arcs > math.MaxInt32/2 {
+		panic(fmt.Sprintf("mcf: invalid arc count %d", arcs))
+	}
+	return &Graph{n: n, added: make([]addedArc, 0, arcs)}
 }
 
 // AddArc adds a directed arc with the given capacity and per-unit cost and
 // returns its identifier for later Flow queries. Capacity must be
-// non-negative.
+// non-negative, the arc count must stay within NewGraph's, and the graph
+// must not have been solved.
 func (g *Graph) AddArc(from, to, capacity, cost int) int {
 	if from < 0 || from >= g.n || to < 0 || to >= g.n {
 		panic(fmt.Sprintf("mcf: arc %d->%d out of range (n=%d)", from, to, g.n))
@@ -43,16 +84,64 @@ func (g *Graph) AddArc(from, to, capacity, cost int) int {
 	if capacity < 0 {
 		panic("mcf: negative capacity")
 	}
-	id := len(g.arcs)
-	g.arcs = append(g.arcs, arc{to: int32(to), cap: int32(capacity), cost: int32(cost)})
-	g.arcs = append(g.arcs, arc{to: int32(from), cap: 0, cost: int32(-cost)})
-	g.head[from] = append(g.head[from], int32(id))
-	g.head[to] = append(g.head[to], int32(id+1))
-	return id
+	if g.arcs != nil {
+		panic("mcf: arc added to a solved graph")
+	}
+	if len(g.added) == cap(g.added) {
+		panic(fmt.Sprintf("mcf: more than %d arcs", cap(g.added)))
+	}
+	g.added = append(g.added, addedArc{int32(from), int32(to), int32(capacity), int32(cost)})
+	return len(g.added) - 1
+}
+
+// layout moves the added arcs into rows by a stable counting sort on the
+// tail node, so each row keeps the order AddArc created its half-arcs in,
+// and allocates the solver state.
+func (g *Graph) layout() {
+	if g.arcs != nil {
+		return
+	}
+	// Count each row's size into start[u+2], so that after the prefix sum
+	// start[u+1] is row u's first slot; filling advances it to row u's end,
+	// which is row u+1's start.
+	start := make([]int32, g.n+2)
+	for _, a := range g.added {
+		start[a.from+2]++
+		start[a.to+2]++
+	}
+	for u := 2; u < len(start); u++ {
+		start[u] += start[u-1]
+	}
+	g.arcs = make([]half, 2*len(g.added))
+	g.rev = make([]int32, 2*len(g.added))
+	g.pos = make([]int32, len(g.added))
+	for id, a := range g.added {
+		f := start[a.from+1]
+		start[a.from+1]++
+		b := start[a.to+1]
+		start[a.to+1]++
+		g.arcs[f] = half{to: a.to, cap: a.cap, cost: a.cost}
+		g.arcs[b] = half{to: a.from, cost: -a.cost}
+		g.rev[f], g.rev[b] = b, ^f
+		g.pos[id] = f
+	}
+	g.start = start[:g.n+1]
+	g.added = nil
+	g.node = make([]nodeState, g.n)
+	for i := range g.node {
+		g.node[i].dist = inf
+	}
+	g.pred = make([]int32, g.n)
+	g.touched = make([]int32, 0, g.n)
 }
 
 // Flow returns the flow pushed through arc id (0 before solving).
-func (g *Graph) Flow(id int) int { return int(g.arcs[id^1].cap) }
+func (g *Graph) Flow(id int) int {
+	if g.arcs == nil {
+		return 0
+	}
+	return int(g.arcs[g.rev[g.pos[id]]].cap)
+}
 
 const inf = math.MaxInt64 / 4
 
@@ -62,43 +151,17 @@ const inf = math.MaxInt64 / 4
 // the first Bellman-Ford potential pass; the general case is handled by the
 // initial Bellman-Ford.
 //
-// The call allocates fresh solver state; callers that solve repeatedly on
-// the same (or equally sized) graphs should hold a Solver and reuse it.
-func (g *Graph) MinCostFlow(s, t, maxFlow int) (flow, cost int) {
-	var sv Solver
-	return sv.MinCostFlow(g, s, t, maxFlow)
-}
-
-// Solver is a reusable arena for MinCostFlow runs: the potential, distance,
-// and predecessor tables plus the Dijkstra frontier persist across calls, so
-// repeated solves allocate nothing in steady state.
-// A Solver is not safe for concurrent use; the graph it runs on may change
-// between calls (the arrays resize on demand).
-//
 // The frontier is a hand-rolled binary heap with the same sift order as
 // container/heap over a d-ordered slice, so the node settle order — and with
 // it every tie-break in the computed flow — is identical to the boxed
 // implementation it replaced.
-type Solver struct {
-	pot    []int64
-	dist   []int64
-	inqArc []int32
-	heap   []nodeItem
-}
-
-// MinCostFlow solves on g exactly like Graph.MinCostFlow, reusing the
-// solver's arrays.
-func (s *Solver) MinCostFlow(g *Graph, src, dst, maxFlow int) (flow, cost int) {
+func (g *Graph) MinCostFlow(src, dst, maxFlow int) (flow, cost int) {
 	if src == dst {
 		return 0, 0
 	}
-	if len(s.pot) < g.n {
-		s.pot = make([]int64, g.n)
-		s.dist = make([]int64, g.n)
-		s.inqArc = make([]int32, g.n)
-	}
-	pot, dist, inqArc := s.pot[:g.n], s.dist[:g.n], s.inqArc[:g.n]
-	s.initPotentials(g, src, pot)
+	g.layout()
+	node, pred, arcs := g.node, g.pred, g.arcs
+	g.initPotentials(src)
 	want := int64(inf)
 	if maxFlow >= 0 {
 		want = int64(maxFlow)
@@ -106,66 +169,73 @@ func (s *Solver) MinCostFlow(g *Graph, src, dst, maxFlow int) (flow, cost int) {
 	var totalFlow, totalCost int64
 	for totalFlow < want {
 		// Dijkstra with reduced costs.
-		for i := range dist {
-			dist[i] = inf
-			inqArc[i] = -1
+		for _, v := range g.touched {
+			node[v].dist = inf
 		}
-		dist[src] = 0
-		s.heap = s.heap[:0]
-		s.hpush(nodeItem{node: int32(src), d: 0})
+		node[src].dist = 0
+		g.touched = append(g.touched[:0], int32(src))
+		g.heap = g.heap[:0]
+		g.hpush(nodeItem{node: int32(src), d: 0})
 		distT := int64(inf)
-		for len(s.heap) > 0 {
-			it := s.hpop()
-			u := int(it.node)
-			if it.d > dist[u] {
+		for len(g.heap) > 0 {
+			it := g.hpop()
+			u := it.node
+			nu := &node[u]
+			if it.d > nu.dist {
 				continue
 			}
-			if u == dst {
+			if int(u) == dst {
 				distT = it.d
 				break // early exit: nodes beyond t keep dist >= distT
 			}
-			for _, ai := range g.head[u] {
-				a := g.arcs[ai]
+			du := it.d + nu.pot
+			first := g.start[u]
+			for k, a := range arcs[first:g.start[u+1]] {
 				if a.cap <= 0 {
 					continue
 				}
-				v := int(a.to)
-				nd := dist[u] + int64(a.cost) + pot[u] - pot[v]
-				if nd < dist[v] {
-					dist[v] = nd
-					inqArc[v] = ai
-					s.hpush(nodeItem{node: int32(v), d: nd})
+				v := a.to
+				nv := &node[v]
+				nd := du + int64(a.cost) - nv.pot
+				if nd < nv.dist {
+					if nv.dist == inf {
+						g.touched = append(g.touched, v)
+					}
+					nv.dist = nd
+					pred[v] = first + int32(k)
+					g.hpush(nodeItem{node: v, d: nd})
 				}
 			}
 		}
 		if distT >= inf {
 			break // t unreachable: done
 		}
-		// Potential update with early exit: unvisited nodes (and nodes with
-		// tentative distance beyond distT) clamp to distT, preserving
-		// reduced-cost nonnegativity.
-		for i := 0; i < g.n; i++ {
-			d := dist[i]
-			if d > distT {
-				d = distT
+		// Potential update with early exit: nodes with a tentative distance
+		// beyond distT clamp to distT, preserving reduced-cost nonnegativity.
+		// Every potential is stored minus distT, a shift common to all nodes
+		// that leaves each reduced cost unchanged; so only the touched nodes
+		// move, and the others, which would gain exactly distT, stay put.
+		for _, v := range g.touched {
+			if nv := &node[v]; nv.dist < distT {
+				nv.pot += nv.dist - distT
 			}
-			pot[i] += d
 		}
 		// Bottleneck along the path.
 		push := want - totalFlow
-		for v := dst; v != src; {
-			a := g.arcs[inqArc[v]]
+		for v := int32(dst); int(v) != src; {
+			a := &arcs[pred[v]]
 			if int64(a.cap) < push {
 				push = int64(a.cap)
 			}
-			v = int(g.arcs[inqArc[v]^1].to)
+			v = arcs[g.pair(pred[v])].to
 		}
-		for v := dst; v != src; {
-			ai := inqArc[v]
-			g.arcs[ai].cap -= int32(push)
-			g.arcs[ai^1].cap += int32(push)
-			totalCost += push * int64(g.arcs[ai].cost)
-			v = int(g.arcs[ai^1].to)
+		for v := int32(dst); int(v) != src; {
+			a := &arcs[pred[v]]
+			r := &arcs[g.pair(pred[v])]
+			a.cap -= int32(push)
+			r.cap += int32(push)
+			totalCost += push * int64(a.cost)
+			v = r.to
 		}
 		totalFlow += push
 	}
@@ -174,37 +244,37 @@ func (s *Solver) MinCostFlow(g *Graph, src, dst, maxFlow int) (flow, cost int) {
 
 // initPotentials fills pot via Bellman-Ford from src to support negative arc
 // costs. With all-nonnegative costs it converges immediately.
-func (s *Solver) initPotentials(g *Graph, src int, pot []int64) {
+func (g *Graph) initPotentials(src int) {
+	node := g.node
 	hasNeg := false
-	for i := 0; i < len(g.arcs); i += 2 {
-		if g.arcs[i].cost < 0 && g.arcs[i].cap > 0 {
+	for _, f := range g.pos {
+		if a := &g.arcs[f]; a.cost < 0 && a.cap > 0 {
 			hasNeg = true
 			break
 		}
 	}
 	if !hasNeg {
-		for i := range pot {
-			pot[i] = 0
+		for i := range node {
+			node[i].pot = 0
 		}
 		return
 	}
-	for i := range pot {
-		pot[i] = inf
+	for i := range node {
+		node[i].pot = inf
 	}
-	pot[src] = 0
+	node[src].pot = 0
 	for iter := 0; iter < g.n; iter++ {
 		changed := false
 		for u := 0; u < g.n; u++ {
-			if pot[u] >= inf {
+			if node[u].pot >= inf {
 				continue
 			}
-			for _, ai := range g.head[u] {
-				a := g.arcs[ai]
+			for _, a := range g.arcs[g.start[u]:g.start[u+1]] {
 				if a.cap <= 0 {
 					continue
 				}
-				if nd := pot[u] + int64(a.cost); nd < pot[int(a.to)] {
-					pot[int(a.to)] = nd
+				if nd := node[u].pot + int64(a.cost); nd < node[a.to].pot {
+					node[a.to].pot = nd
 					changed = true
 				}
 			}
@@ -213,9 +283,9 @@ func (s *Solver) initPotentials(g *Graph, src int, pot []int64) {
 			break
 		}
 	}
-	for i := range pot {
-		if pot[i] >= inf {
-			pot[i] = 0 // unreachable: potential irrelevant
+	for i := range node {
+		if node[i].pot >= inf {
+			node[i].pot = 0 // unreachable: potential irrelevant
 		}
 	}
 }
@@ -226,27 +296,31 @@ type nodeItem struct {
 	d    int64
 }
 
-// hpush appends it and sifts up, mirroring container/heap's up().
-func (s *Solver) hpush(it nodeItem) {
-	h := append(s.heap, it)
+// hpush appends it and sifts up, mirroring container/heap's up(): the
+// parents it passes move down one level each, and it lands in the slot
+// container/heap's swaps would leave it in.
+func (g *Graph) hpush(it nodeItem) {
+	h := append(g.heap, it)
 	j := len(h) - 1
 	for j > 0 {
 		i := (j - 1) / 2
-		if !(h[j].d < h[i].d) {
+		if !(it.d < h[i].d) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[j] = h[i]
 		j = i
 	}
-	s.heap = h
+	h[j] = it
+	g.heap = h
 }
 
-// hpop removes and returns the minimum, mirroring container/heap's Pop()
-// (swap root with last, sift down over the shortened slice).
-func (s *Solver) hpop() nodeItem {
-	h := s.heap
+// hpop removes and returns the minimum, mirroring container/heap's Pop():
+// the last item replaces the root and sifts down over the shortened slice,
+// with the same moves as container/heap's swaps.
+func (g *Graph) hpop() nodeItem {
+	h := g.heap
 	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
+	top, x := h[0], h[n]
 	i := 0
 	for {
 		j1 := 2*i + 1
@@ -257,61 +331,74 @@ func (s *Solver) hpop() nodeItem {
 		if j2 := j1 + 1; j2 < n && h[j2].d < h[j1].d {
 			j = j2
 		}
-		if !(h[j].d < h[i].d) {
+		if !(h[j].d < x.d) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
-	it := h[n]
-	s.heap = h[:n]
-	return it
+	h[i] = x
+	g.heap = h[:n]
+	return top
 }
 
 // DecomposeUnitPaths decomposes the current flow from s to t into unit-flow
-// paths (each a node sequence s..t). It consumes a copy of the flow, leaving
-// the graph state untouched. Cycles in the flow (possible in principle, not
-// produced by successive shortest paths with nonnegative costs) are dropped.
+// paths (each a node sequence s..t). Each walk leaves a node by its first
+// forward arc that still carries undecomposed flow into a node the walk has
+// not visited, and the decomposition ends at the first walk that gets stuck,
+// so cycles in the flow (possible in principle, not produced by successive
+// shortest paths with nonnegative costs) are dropped. The graph's flow is
+// the same afterwards.
 func (g *Graph) DecomposeUnitPaths(s, t int) [][]int {
-	residFlow := make([]int32, len(g.arcs))
-	for i := 0; i < len(g.arcs); i += 2 {
-		residFlow[i] = g.arcs[i^1].cap // flow on forward arc i
+	if g.arcs == nil || s == t {
+		return nil
 	}
+	// pred doubles as the walk's visited mark: -1 on unvisited nodes, the
+	// half-arc that entered the node on visited ones (any value >= 0 on s).
+	// A walk never backtracks, so a successful walk visits exactly its
+	// path's nodes, which are unmarked again as the path is taken.
+	pred, arcs, rev := g.pred, g.arcs, g.rev
+	for i := range pred {
+		pred[i] = -1
+	}
+	pred[s] = 0
 	var paths [][]int
 	for {
-		// Walk from s following arcs with positive flow.
-		path := []int{s}
-		arcsUsed := []int{}
-		u := s
-		visited := map[int]bool{s: true}
-		found := true
-		for u != t {
-			next := -1
-			for _, ai := range g.head[u] {
-				if ai&1 == 1 { // backward arc
-					continue
-				}
-				if residFlow[ai] > 0 && !visited[int(g.arcs[ai].to)] {
-					next = int(ai)
+		u, steps := int32(s), 0
+		for int(u) != t {
+			next := int32(-1)
+			for i := g.start[u]; i < g.start[u+1]; i++ {
+				if r := rev[i]; r >= 0 && arcs[r].cap > 0 && pred[arcs[i].to] < 0 {
+					next = i
 					break
 				}
 			}
-			if next == -1 {
-				found = false
-				break
+			if next < 0 {
+				// Give the flow back and turn each path's arcs into nodes.
+				for _, p := range paths {
+					for k := 1; k < len(p); k++ {
+						arcs[rev[p[k]]].cap++
+						p[k] = int(arcs[p[k]].to)
+					}
+				}
+				return paths
 			}
-			u = int(g.arcs[next].to)
-			visited[u] = true
-			path = append(path, u)
-			arcsUsed = append(arcsUsed, next)
+			u = arcs[next].to
+			pred[u] = next
+			steps++
 		}
-		if !found {
-			break
+		// Take one unit off each arc of the path, kept as arc indices until
+		// the decomposition ends.
+		p := make([]int, steps+1)
+		p[0] = s
+		for v, k := int32(t), steps; k > 0; k-- {
+			ai := pred[v]
+			pred[v] = -1
+			p[k] = int(ai)
+			r := &arcs[rev[ai]]
+			r.cap--
+			v = r.to
 		}
-		for _, ai := range arcsUsed {
-			residFlow[ai]--
-		}
-		paths = append(paths, path)
+		paths = append(paths, p)
 	}
-	return paths
 }

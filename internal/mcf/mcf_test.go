@@ -6,7 +6,7 @@ import (
 )
 
 func TestSingleArc(t *testing.T) {
-	g := NewGraph(2)
+	g := NewGraph(2, 1)
 	a := g.AddArc(0, 1, 3, 5)
 	flow, cost := g.MinCostFlow(0, 1, -1)
 	if flow != 3 || cost != 15 {
@@ -19,7 +19,7 @@ func TestSingleArc(t *testing.T) {
 
 func TestChoosesCheaperPath(t *testing.T) {
 	// Two parallel 0->1 paths via 2 (cost 1+1) and 3 (cost 5+5), cap 1 each.
-	g := NewGraph(4)
+	g := NewGraph(4, 4)
 	g.AddArc(0, 2, 1, 1)
 	g.AddArc(2, 1, 1, 1)
 	g.AddArc(0, 3, 1, 5)
@@ -29,7 +29,7 @@ func TestChoosesCheaperPath(t *testing.T) {
 		t.Fatalf("flow=%d cost=%d, want 1/2", flow, cost)
 	}
 	// Second unit must take the expensive path.
-	g2 := NewGraph(4)
+	g2 := NewGraph(4, 4)
 	g2.AddArc(0, 2, 1, 1)
 	g2.AddArc(2, 1, 1, 1)
 	g2.AddArc(0, 3, 1, 5)
@@ -45,7 +45,7 @@ func TestResidualRerouting(t *testing.T) {
 	// first path's arc: diamond with cross edge.
 	//   0->1 (cap1,cost1), 0->2 (cap1,cost2), 1->2 (cap1,cost0),
 	//   1->3 (cap1,cost2), 2->3 (cap1,cost1)
-	g := NewGraph(4)
+	g := NewGraph(4, 5)
 	g.AddArc(0, 1, 1, 1)
 	g.AddArc(0, 2, 1, 2)
 	g.AddArc(1, 2, 1, 0)
@@ -63,7 +63,7 @@ func TestResidualRerouting(t *testing.T) {
 }
 
 func TestMaxFlowLimited(t *testing.T) {
-	g := NewGraph(3)
+	g := NewGraph(3, 2)
 	g.AddArc(0, 1, 10, 1)
 	g.AddArc(1, 2, 10, 1)
 	flow, cost := g.MinCostFlow(0, 2, 4)
@@ -73,7 +73,7 @@ func TestMaxFlowLimited(t *testing.T) {
 }
 
 func TestDisconnected(t *testing.T) {
-	g := NewGraph(3)
+	g := NewGraph(3, 1)
 	g.AddArc(0, 1, 1, 1)
 	flow, cost := g.MinCostFlow(0, 2, -1)
 	if flow != 0 || cost != 0 {
@@ -82,7 +82,7 @@ func TestDisconnected(t *testing.T) {
 }
 
 func TestSelfSourceSink(t *testing.T) {
-	g := NewGraph(2)
+	g := NewGraph(2, 1)
 	g.AddArc(0, 1, 1, 1)
 	flow, cost := g.MinCostFlow(0, 0, -1)
 	if flow != 0 || cost != 0 {
@@ -93,7 +93,7 @@ func TestSelfSourceSink(t *testing.T) {
 func TestNegativeCosts(t *testing.T) {
 	// A negative-cost arc must still yield the right optimum via
 	// Bellman-Ford potentials.
-	g := NewGraph(3)
+	g := NewGraph(3, 3)
 	g.AddArc(0, 1, 1, -3)
 	g.AddArc(1, 2, 1, 1)
 	g.AddArc(0, 2, 1, 5)
@@ -104,20 +104,22 @@ func TestNegativeCosts(t *testing.T) {
 }
 
 // TestAddNode pins NewGraph's sizing contract: a graph holds exactly the n
-// nodes it was built with, so arcs may join nodes 0..n-1 and carry flow,
+// nodes it was built with, so arcs may join nodes 0..n-1 and carry flow, the
+// solve lays out one row per node and sizes the solver state with the graph,
 // an arc to node n panics, and a graph without nodes cannot be built.
 func TestAddNode(t *testing.T) {
-	g := NewGraph(3)
-	if g.n != 3 || len(g.head) != 3 {
-		t.Fatalf("NewGraph(3): n=%d, %d adjacency lists", g.n, len(g.head))
-	}
+	g := NewGraph(3, 1)
 	g.AddArc(0, 2, 2, 1)
 	if flow, _ := g.MinCostFlow(0, 2, -1); flow != 2 {
 		t.Errorf("flow = %d, want 2", flow)
 	}
+	if g.n != 3 || len(g.start) != 4 || len(g.node) != 3 || len(g.pred) != 3 {
+		t.Fatalf("NewGraph(3): n=%d, %d row starts, solver state %d/%d",
+			g.n, len(g.start), len(g.node), len(g.pred))
+	}
 	for _, build := range []func(){
-		func() { NewGraph(3).AddArc(0, 3, 1, 1) },
-		func() { NewGraph(0) },
+		func() { NewGraph(3, 1).AddArc(0, 3, 1, 1) },
+		func() { NewGraph(0, 0) },
 	} {
 		func() {
 			defer func() {
@@ -131,7 +133,7 @@ func TestAddNode(t *testing.T) {
 }
 
 func TestDecomposeUnitPaths(t *testing.T) {
-	g := NewGraph(5)
+	g := NewGraph(5, 5)
 	g.AddArc(0, 1, 1, 1)
 	g.AddArc(1, 4, 1, 1)
 	g.AddArc(0, 2, 1, 1)
@@ -163,10 +165,10 @@ func TestFlowConservationRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 25; trial++ {
 		n := 6 + rng.Intn(10)
-		g := NewGraph(n)
+		nArcs := n * 2
+		g := NewGraph(n, nArcs)
 		type arcRec struct{ id, from, to, cap, cost int }
 		var recs []arcRec
-		nArcs := n * 2
 		for i := 0; i < nArcs; i++ {
 			from, to := rng.Intn(n), rng.Intn(n)
 			if from == to {
@@ -212,7 +214,19 @@ func TestPanics(t *testing.T) {
 		}()
 		f()
 	}
-	assertPanic("zero nodes", func() { NewGraph(0) })
-	assertPanic("bad arc", func() { NewGraph(2).AddArc(0, 5, 1, 1) })
-	assertPanic("neg cap", func() { NewGraph(2).AddArc(0, 1, -1, 1) })
+	assertPanic("zero nodes", func() { NewGraph(0, 0) })
+	assertPanic("negative arc count", func() { NewGraph(2, -1) })
+	assertPanic("bad arc", func() { NewGraph(2, 1).AddArc(0, 5, 1, 1) })
+	assertPanic("neg cap", func() { NewGraph(2, 1).AddArc(0, 1, -1, 1) })
+	assertPanic("more arcs than declared", func() {
+		g := NewGraph(2, 1)
+		g.AddArc(0, 1, 1, 1)
+		g.AddArc(1, 0, 1, 1)
+	})
+	assertPanic("arc after solve", func() {
+		g := NewGraph(2, 2)
+		g.AddArc(0, 1, 1, 1)
+		g.MinCostFlow(0, 1, -1)
+		g.AddArc(1, 0, 1, 1)
+	})
 }

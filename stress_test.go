@@ -10,7 +10,9 @@ import (
 // TestStressScale runs the flow on a workload larger than any Table 1
 // design (96 valves, 24 LM clusters on a 256x256 grid) and demands full
 // completion with verified design rules — scalability headroom beyond the
-// paper's benchmark suite.
+// paper's benchmark suite. Its escape stage de-clusters and re-solves the
+// min-cost flow once (two solves on a grid no Table 1 design reaches), so
+// the pinned matched count and lengths also pin that retry path.
 func TestStressScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress workload skipped in -short mode")
@@ -29,8 +31,11 @@ func TestStressScale(t *testing.T) {
 	if res.CompletionRate() != 1.0 {
 		t.Errorf("completion %.3f, want 1.0", res.CompletionRate())
 	}
-	if res.MultiClusters != 24 {
-		t.Errorf("clusters = %d, want 24", res.MultiClusters)
+	if res.MultiClusters != 24 || res.MatchedClusters != 22 {
+		t.Errorf("clusters %d/%d, want 22/24 matched", res.MatchedClusters, res.MultiClusters)
+	}
+	if res.MatchedLen != 2082 || res.TotalLen != 3717 {
+		t.Errorf("lengths %d/%d, want 2082/3717", res.MatchedLen, res.TotalLen)
 	}
 	t.Logf("stress: %d/%d matched, total length %d, runtime %v",
 		res.MatchedClusters, res.MultiClusters, res.TotalLen, res.Runtime)
