@@ -1,10 +1,9 @@
 // Command pacorvet is the repository's custom static-analysis gate. It
 // runs the internal/lint analyzer suite — determinism (maporder,
 // nondeterm), allocation discipline (hotalloc), numeric tolerance
-// (floateq), error hygiene (liberrs), stdout hygiene (nostdout), the
-// capture-cone stamping protocol (snapshotread), and obstacle-journal
-// pairing (journalpair) — over the packages matched by its arguments and
-// exits nonzero on any finding.
+// (floateq), error hygiene (liberrs), stdout hygiene (nostdout), and
+// obstacle-journal pairing (journalpair) — over the packages matched by
+// its arguments and exits nonzero on any finding.
 //
 // Usage:
 //

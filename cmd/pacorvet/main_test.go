@@ -24,10 +24,8 @@ func TestFixturesFail(t *testing.T) {
 		"internal/lint/testdata/src/floateq",
 		"internal/lint/testdata/src/liberrs",
 		"internal/lint/testdata/src/nostdout",
-		"internal/lint/testdata/src/snapshotread",
 		"internal/lint/testdata/src/nondeterm",
 		"internal/lint/testdata/src/interproc",
-		"internal/lint/testdata/src/snapinterproc",
 		"internal/lint/testdata/src/journalpair",
 		"internal/lint/testdata/src/parseerror",
 	}, &stdout, &stderr)
@@ -37,7 +35,7 @@ func TestFixturesFail(t *testing.T) {
 	out := stdout.String()
 	for _, an := range []string{
 		"[maporder]", "[hotalloc]", "[floateq]", "[liberrs]", "[nostdout]",
-		"[snapshotread]", "[nondeterm]", "[journalpair]", "[parse]",
+		"[nondeterm]", "[journalpair]", "[parse]",
 	} {
 		if !strings.Contains(out, an) {
 			t.Errorf("output missing findings from %s:\n%s", an, out)
@@ -72,7 +70,7 @@ func TestListFlag(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "maporder hotalloc floateq liberrs nostdout snapshotread journalpair nondeterm"
+	want := "maporder hotalloc floateq liberrs nostdout journalpair nondeterm"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names = %q, want %q\n%s", got, want, stdout.String())
 	}

@@ -98,25 +98,15 @@ func match(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int, bestEffor
 	// handful of cells per round, so undoing them is proportional to the work
 	// actually done. A caller may already be journaling obs; nested scopes
 	// share that journal via a mark.
-	owned := !obs.Journaling()
-	if owned {
+	if !obs.Journaling() {
 		obs.StartJournal(nil)
+		defer obs.StopJournal()
 	}
 	mark := obs.JournalLen()
-	done := func(ok bool) bool {
-		if owned {
-			obs.StopJournal()
-		}
-		return ok
-	}
-	restore := func() {
-		*net = *backupNet
-		obs.RewindJournal(mark)
-	}
 
 	for r := 0; r < maxRounds; r++ { // Steps 3-6
 		if net.Matched(delta) {
-			return done(true)
+			return true
 		}
 		_, maxL := net.Spread()
 		detoured := make([]bool, len(net.Segments)) // Fd, step 7
@@ -151,11 +141,12 @@ func match(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int, bestEffor
 			if !success {
 				if bestEffort {
 					// Keep the spread reduction achieved so far.
-					return done(net.Matched(delta))
+					return net.Matched(delta)
 				}
 				// Steps 22-24: restore and give up.
-				restore()
-				return done(false)
+				*net = *backupNet
+				obs.RewindJournal(mark)
+				return false
 			}
 		}
 		if !progress && !net.Matched(delta) {
@@ -163,13 +154,14 @@ func match(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int, bestEffor
 		}
 	}
 	if net.Matched(delta) {
-		return done(true)
+		return true
 	}
 	if bestEffort {
-		return done(false)
+		return false
 	}
-	restore()
-	return done(false)
+	*net = *backupNet
+	obs.RewindJournal(mark)
+	return false
 }
 
 // rerouteSegment searches for a replacement of segment si with length in

@@ -1,10 +1,9 @@
 package lint
 
 // Analyzers returns the default registry, in stable order. The first five
-// are the syntax-level checks from the original gate; the rest are the
-// dataflow-aware protocol/determinism checks built on internal/lint/cfg
-// (snapshotread and journalpair additionally consume the interprocedural
-// summaries from internal/lint/summaries.go).
+// are the syntax-level checks from the original gate; the last two are the
+// dataflow-aware protocol/determinism checks built on internal/lint/cfg,
+// each of which reads one function body at a time.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerMapOrder,
@@ -12,7 +11,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerFloatEq,
 		AnalyzerLibErrs,
 		AnalyzerNoStdout,
-		AnalyzerSnapshotRead,
 		AnalyzerJournalPair,
 		AnalyzerNonDeterm,
 	}

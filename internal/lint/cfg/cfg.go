@@ -1,14 +1,15 @@
 // Package cfg builds per-function control-flow graphs over go/ast and
 // solves forward dataflow problems on them, entirely on the standard
 // library. It is the analysis substrate behind the dataflow-aware
-// analyzers in internal/lint (snapshotread, journalpair, nondeterm): the
-// syntax-level walkers cannot see that an obstacle journal is stopped on
-// one branch but left open on the other, or that an obstacle read precedes
-// its visit stamp only on the error path — a flow graph can.
+// analyzers in internal/lint (journalpair, nondeterm): the syntax-level
+// walkers cannot see that an obstacle journal is stopped on one branch but
+// left open on the other, or that a wall-clock value reaches a branch
+// condition through an assignment — a flow graph can.
 //
 // The graph is intentionally lint-grade rather than compiler-grade:
 // short-circuit evaluation inside a condition is not split into blocks
-// (the whole condition is one node), panics do not terminate blocks, and
+// (the whole condition is one node), panics do not terminate blocks (an
+// analysis that cares ends the path in its transfer function), and
 // deferred calls appear where the defer statement executes. Those
 // approximations err toward fewer spurious paths, which is the right
 // direction for a reporting tool.

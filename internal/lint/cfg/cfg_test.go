@@ -1,9 +1,11 @@
 package cfg
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"strings"
 	"testing"
 )
 
@@ -449,5 +451,54 @@ func dominates(idom []*Block, a, b *Block) bool {
 			return false
 		}
 		b = d
+	}
+}
+
+// TestEncodeDeterministic pins what two lint runs over one tree rely on:
+// building the CFG of the same body twice gives the same blocks and edges,
+// and Solve over each gives the same fact at every block.
+func TestEncodeDeterministic(t *testing.T) {
+	const body = `
+x := 0
+for i := 0; i < 3; i++ {
+	if i == x {
+		continue
+	}
+	x = i
+}
+switch x {
+case 1:
+	x = 2
+	fallthrough
+case 2:
+	return
+}
+_ = x`
+	shape := func(g *Graph) string {
+		var b strings.Builder
+		for _, blk := range g.RPO() {
+			fmt.Fprintf(&b, "%d:%d->", blk.Index, len(blk.Nodes))
+			for _, s := range blk.Succs {
+				fmt.Fprintf(&b, "%d,", s.Index)
+			}
+			b.WriteByte(' ')
+		}
+		return b.String()
+	}
+	// A may-analysis of which blocks can precede each block: any change in
+	// block numbering or edges shows up in the facts.
+	solve := func(g *Graph) []uint64 {
+		return Solve(g, Problem[uint64]{
+			Transfer: func(b *Block, in uint64) uint64 { return in | 1<<uint(b.Index) },
+			Join:     func(a, b uint64) uint64 { return a | b },
+			Equal:    func(a, b uint64) bool { return a == b },
+		})
+	}
+	g1, g2 := New(parseBody(t, body)), New(parseBody(t, body))
+	if a, b := shape(g1), shape(g2); a != b {
+		t.Fatalf("CFG shape differs between builds:\n%s\n%s", a, b)
+	}
+	if a, b := fmt.Sprint(solve(g1)), fmt.Sprint(solve(g2)); a != b {
+		t.Errorf("Solve facts differ between builds:\n%s\n%s", a, b)
 	}
 }

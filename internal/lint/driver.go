@@ -17,9 +17,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/lint/callgraph"
-	"repro/internal/lint/cfg"
 )
 
 // Options configures one lint run.
@@ -55,10 +52,9 @@ func Run(opts Options) ([]Finding, error) {
 	}
 
 	ld := newLoader(opts.Dir)
-	store := cfg.NewStore()
 	var findings []Finding
 	if len(listPatterns) > 0 {
-		mod, err := ld.runModule(listPatterns, opts.Analyzers, store)
+		mod, err := ld.runModule(listPatterns, opts.Analyzers)
 		if err != nil {
 			return nil, err
 		}
@@ -69,8 +65,8 @@ func Run(opts Options) ([]Finding, error) {
 		return nil, err
 	}
 	for _, cp := range pkgs {
-		ld.check(cp, store)
-		findings = append(findings, lintPackage(cp, opts.Analyzers, store)...)
+		ld.check(cp)
+		findings = append(findings, lintPackage(cp, opts.Analyzers)...)
 	}
 	findings = relativize(findings, opts.Dir)
 	sortFindings(findings)
@@ -89,20 +85,16 @@ type checkedPackage struct {
 	// when non-empty the package is reported as broken instead of being
 	// analyzed (see analyzer "parse").
 	parseBad []Finding
-	// graph is the package call graph, built by summarizePackage; nil for
-	// packages that were never summarized (parse failures).
-	graph *callgraph.Graph
 }
 
 // lintPackage runs every analyzer over pkg and filters the findings
 // through the package's //pacor:allow directives. A package that failed
 // to parse reports its parse findings and nothing else — analyzers over a
 // half-parsed package would only add noise.
-func lintPackage(pkg *checkedPackage, analyzers []*Analyzer, store *cfg.Store) []Finding {
+func lintPackage(pkg *checkedPackage, analyzers []*Analyzer) []Finding {
 	if len(pkg.parseBad) > 0 {
 		return pkg.parseBad
 	}
-	res := &ipResolver{info: pkg.info, graph: pkg.graph, store: store, active: map[*ast.FuncLit]bool{}}
 	// Directive tables per file.
 	allow := map[string]fileDirectives{} // filename -> directives
 	hot := map[*ast.FuncDecl]bool{}
@@ -133,7 +125,6 @@ func lintPackage(pkg *checkedPackage, analyzers []*Analyzer, store *cfg.Store) [
 			Pkg:      pkg.pkg,
 			Info:     pkg.info,
 			hot:      hot,
-			ip:       res,
 			report: func(f Finding) {
 				if allow[f.Pos.Filename].suppressed(f.Analyzer, f.Pos.Line) {
 					return
@@ -263,7 +254,7 @@ type listedPackage struct {
 	GoFiles    []string
 	Standard   bool
 	// DepOnly marks a package listed only as a dependency of a pattern
-	// match: it is summarized but not linted.
+	// match: it is type-checked for its importers but not linted.
 	DepOnly bool
 	// Error is set by `go list -e` on broken patterns and packages instead
 	// of a nonzero exit.
@@ -277,12 +268,12 @@ type listError struct {
 
 // runModule lints the packages matched by patterns in one pass over
 // `go list -deps` order, which lists every dependency before its
-// importers: each module package is parsed, type-checked, and summarized,
-// and linted if a pattern matched it. Its summaries are in the store
-// before any importer is analyzed. Export data is requested only for the
-// standard-library dependencies: module packages are checked from source,
-// and compiling their export data would cost a build per edit.
-func (ld *loader) runModule(patterns []string, analyzers []*Analyzer, store *cfg.Store) ([]Finding, error) {
+// importers: each module package is parsed and type-checked, so its types
+// are in place before any importer is checked, and linted if a pattern
+// matched it. Export data is requested only for the standard-library
+// dependencies: module packages are checked from source, and compiling
+// their export data would cost a build per edit.
+func (ld *loader) runModule(patterns []string, analyzers []*Analyzer) ([]Finding, error) {
 	all, err := goList(ld.dir, append([]string{"-e", "-deps"}, patterns...))
 	if err != nil {
 		return nil, err
@@ -331,9 +322,9 @@ func (ld *loader) runModule(patterns []string, analyzers []*Analyzer, store *cfg
 			return nil, fmt.Errorf("lint: %s: %v", lp.ImportPath, err)
 		}
 		cp.path, cp.name = lp.ImportPath, lp.Name
-		ld.check(cp, store)
+		ld.check(cp)
 		if !lp.DepOnly {
-			out = append(out, lintPackage(cp, analyzers, store)...)
+			out = append(out, lintPackage(cp, analyzers)...)
 		}
 	}
 	return out, nil
@@ -443,10 +434,10 @@ func (ld *loader) parse(paths []string) (*checkedPackage, error) {
 	return cp, nil
 }
 
-// check type-checks a parsed package under cp.path, publishes it to
-// importers, and summarizes it into store. Type errors are tolerated: the
-// package keeps whatever information the checker produced.
-func (ld *loader) check(cp *checkedPackage, store *cfg.Store) {
+// check type-checks a parsed package under cp.path and publishes it to
+// importers. Type errors are tolerated: the package keeps whatever
+// information the checker produced.
+func (ld *loader) check(cp *checkedPackage) {
 	if len(cp.parseBad) > 0 {
 		return
 	}
@@ -464,7 +455,6 @@ func (ld *loader) check(cp *checkedPackage, store *cfg.Store) {
 	conf := types.Config{Importer: ld, Error: func(error) {}}
 	cp.pkg, _ = conf.Check(cp.path, ld.fset, cp.files, cp.info) // errors tolerated, see above
 	ld.checked[cp.path] = cp.pkg
-	summarizePackage(cp, store)
 }
 
 // parseFindings converts a parse error for file p into positioned findings

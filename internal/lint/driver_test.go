@@ -8,8 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/lint/cfg"
 )
 
 // writeModule lays out a module from a file map under a fresh temp
@@ -30,8 +28,8 @@ func writeModule(t *testing.T, files map[string]string) string {
 }
 
 // writeTestModule lays out a tiny two-package module: leaf (no deps) and
-// top (imports leaf, holds a deliberate journalpair violation so every run
-// has a finding to compare). Returns the module root.
+// top (imports leaf), each holding one deliberate journalpair violation so
+// every run has findings to compare. Returns the module root.
 func writeTestModule(t *testing.T) string {
 	t.Helper()
 	return writeModule(t, map[string]string{
@@ -48,11 +46,10 @@ func (o *ObsMap) StartJournal() { o.journal = o.journal[:0] }
 // StopJournal stands in for the recording stop.
 func (o *ObsMap) StopJournal() { o.journal = nil }
 
-// Finish stops the journal on every path.
-func Finish(o *ObsMap) int {
-	n := len(o.journal)
-	o.StopJournal()
-	return n
+// Open starts a journal and never stops it: one stable finding.
+func Open(o *ObsMap) int {
+	o.StartJournal()
+	return len(o.journal)
 }
 `,
 		"top/top.go": `// Package top depends on leaf.
@@ -60,10 +57,11 @@ package top
 
 import "cachemod/leaf"
 
-// Clean discharges through leaf.Finish's summary.
+// Clean stops its journal on every path.
 func Clean(o *leaf.ObsMap) int {
 	o.StartJournal()
-	return leaf.Finish(o)
+	defer o.StopJournal()
+	return leaf.Open(o)
 }
 
 // Leaky never stops: one stable finding.
@@ -102,8 +100,7 @@ func editFile(t *testing.T, path string, edit func(string) string) {
 }
 
 // TestCacheRoundTrip pins run-to-run determinism: two runs over the same
-// tree give byte-identical findings, and two summarizations of the same
-// packages give Equal summaries.
+// tree give byte-identical findings.
 func TestCacheRoundTrip(t *testing.T) {
 	root := writeTestModule(t)
 	first := lintJSON(t, root, "./...")
@@ -113,27 +110,10 @@ func TestCacheRoundTrip(t *testing.T) {
 	if second := lintJSON(t, root, "./..."); second != first {
 		t.Errorf("second run differs from the first:\nfirst:  %s\nsecond: %s", first, second)
 	}
-
-	summarize := func() *cfg.Store {
-		store := cfg.NewStore()
-		if _, err := newLoader(root).runModule([]string{"./..."}, Analyzers(), store); err != nil {
-			t.Fatal(err)
-		}
-		return store
-	}
-	a, b := summarize(), summarize()
-	for _, key := range []string{
-		"cachemod/leaf.(ObsMap).StartJournal", "cachemod/leaf.(ObsMap).StopJournal",
-		"cachemod/leaf.Finish", "cachemod/top.Clean", "cachemod/top.Leaky",
-	} {
-		if a.Get(key) == nil || !a.Get(key).Equal(b.Get(key)) {
-			t.Errorf("%s: summaries %+v and %+v, want two Equal summaries", key, a.Get(key), b.Get(key))
-		}
-	}
 }
 
-// TestCacheEarlyCutoff pins that an edit which leaves the leaf's summaries
-// intact, a comment, changes no finding anywhere.
+// TestCacheEarlyCutoff pins that an edit with no semantic change, a
+// comment in the leaf, changes no finding anywhere.
 func TestCacheEarlyCutoff(t *testing.T) {
 	root := writeTestModule(t)
 	before := lintJSON(t, root, "./...")
@@ -145,9 +125,9 @@ func TestCacheEarlyCutoff(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationPropagates pins that a change to the leaf's
-// summaries reaches its importer: once leaf.Finish no longer stops the
-// journal, top.Clean leaks too.
+// TestCacheInvalidationPropagates pins that every run reads the tree
+// afresh: once leaf.Open defers its stop, the next run drops the leaf's
+// finding and keeps top's.
 func TestCacheInvalidationPropagates(t *testing.T) {
 	root := writeTestModule(t)
 	before, err := Run(Options{Dir: root})
@@ -155,9 +135,9 @@ func TestCacheInvalidationPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	editFile(t, filepath.Join(root, "leaf", "leaf.go"), func(s string) string {
-		patched := strings.Replace(s, "\to.StopJournal()\n", "\t// no longer stops\n", 1)
+		patched := strings.Replace(s, "\to.StartJournal()\n", "\to.StartJournal()\n\tdefer o.StopJournal()\n", 1)
 		if patched == s {
-			t.Fatal("StopJournal line not found in test module source")
+			t.Fatal("StartJournal line not found in test module source")
 		}
 		return patched
 	})
@@ -165,31 +145,31 @@ func TestCacheInvalidationPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inTop := func(fs []Finding) int {
+	in := func(fs []Finding, pkg string) int {
 		n := 0
 		for _, f := range fs {
-			if f.Pos.Filename == filepath.Join("top", "top.go") {
+			if f.Pos.Filename == filepath.Join(pkg, pkg+".go") {
 				n++
 			}
 		}
 		return n
 	}
-	if inTop(after) <= inTop(before) {
-		t.Errorf("leaf summary change added no finding in top: before %v, after %v", before, after)
+	if in(before, "leaf") != 1 || in(after, "leaf") != 0 || in(before, "top") != 1 || in(after, "top") != 1 {
+		t.Errorf("findings before %v, after %v; want the leaf's one finding gone and top's kept", before, after)
 	}
 }
 
-// TestDiffPatterns pins that linting only the importer still applies its
-// dependency's summaries: leaf is summarized but not linted, and
-// top.Clean's stop through leaf.Finish is credited.
+// TestDiffPatterns pins that linting only the importer type-checks its
+// dependency without linting it: leaf's open journal is not reported,
+// top's is.
 func TestDiffPatterns(t *testing.T) {
 	root := writeTestModule(t)
 	findings, err := Run(Options{Dir: root, Patterns: []string{"cachemod/top"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 1 || findings[0].Pos.Filename != filepath.Join("top", "top.go") || findings[0].Pos.Line != 14 {
-		t.Errorf("linting cachemod/top gave %v, want the one open journal in Leaky (top/top.go:14)", findings)
+	if len(findings) != 1 || findings[0].Pos.Filename != filepath.Join("top", "top.go") || findings[0].Pos.Line != 15 {
+		t.Errorf("linting cachemod/top gave %v, want the one open journal in Leaky (top/top.go:15)", findings)
 	}
 }
 
@@ -252,7 +232,7 @@ func Leaky(o *ObsMap) {
 }
 
 // TestParallelByteIdentity pins the driver's one loop: packages are
-// analyzed in `go list -deps` order, so every dependency is summarized
+// analyzed in `go list -deps` order, so every dependency is type-checked
 // before its importers, and findings come out in that order before Run
 // sorts them.
 func TestParallelByteIdentity(t *testing.T) {
@@ -268,7 +248,7 @@ func TestParallelByteIdentity(t *testing.T) {
 		}
 	}
 
-	findings, err := newLoader(root).runModule([]string{"./..."}, Analyzers(), cfg.NewStore())
+	findings, err := newLoader(root).runModule([]string{"./..."}, Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +261,9 @@ func TestParallelByteIdentity(t *testing.T) {
 	}
 }
 
-// TestParallelSelfModule is the CI self-lint step in-repo: the analyzer
-// suite lints clean under its own rules.
+// TestParallelSelfModule pins that a pattern below the module root lints
+// on its own: the analyzer suite, linted alone, is clean under its own
+// rules.
 func TestParallelSelfModule(t *testing.T) {
 	findings, err := Run(Options{Dir: "../..", Patterns: []string{"./internal/lint/..."}})
 	if err != nil {

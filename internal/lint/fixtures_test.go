@@ -14,8 +14,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"repro/internal/lint/cfg"
 )
 
 // wantRe extracts the expectation patterns from a // want comment. Both
@@ -118,10 +116,6 @@ func TestHotMarkFixture(t *testing.T)  { runFixture(t, AnalyzerHotAlloc, "testda
 func TestFloatEqFixture(t *testing.T)  { runFixture(t, AnalyzerFloatEq, "testdata/src/floateq") }
 func TestLibErrsFixture(t *testing.T)  { runFixture(t, AnalyzerLibErrs, "testdata/src/liberrs") }
 func TestNoStdoutFixture(t *testing.T) { runFixture(t, AnalyzerNoStdout, "testdata/src/nostdout") }
-
-func TestSnapshotReadFixture(t *testing.T) {
-	runFixture(t, AnalyzerSnapshotRead, "testdata/src/snapshotread")
-}
 func TestNonDetermFixture(t *testing.T) {
 	runFixture(t, AnalyzerNonDeterm, "testdata/src/nondeterm")
 }
@@ -176,7 +170,7 @@ func TestAnalyzersRegistry(t *testing.T) {
 		}
 		names = append(names, a.Name)
 	}
-	want := "maporder hotalloc floateq liberrs nostdout snapshotread journalpair nondeterm"
+	want := "maporder hotalloc floateq liberrs nostdout journalpair nondeterm"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("registry = %q, want %q", got, want)
 	}
@@ -199,50 +193,13 @@ func TestFixtureSuiteFails(t *testing.T) {
 	}
 }
 
-// fixtureSummaries type-checks the loose fixture package in dir and
-// returns its function summaries.
-func fixtureSummaries(t *testing.T, dir string) *cfg.Store {
-	t.Helper()
-	ld := newLoader(".")
-	pkgs, err := ld.loadDirs([]string{dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := cfg.NewStore()
-	ld.check(pkgs[0], store)
-	return store
-}
-
-// paramSummary returns the summary of parameter i of function key in
-// store, failing the test when key has none.
-func paramSummary(t *testing.T, store *cfg.Store, key string, i int) cfg.ParamSummary {
-	t.Helper()
-	sum := store.Get(key)
-	if sum == nil {
-		t.Fatalf("no summary for %s", key)
-	}
-	return sum.Param(i)
-}
-
-// TestSharedCaptureFixture pins the summaries' rule for `go` statements,
-// which keeps journalpair sound on goroutine handoff: a spawned call's
-// arguments and a spawned closure's captures escape, so the spawner is not
-// charged with a leak, and the spawned callee's journal stop is never
-// credited at the spawn site. The fixture's synchronous controls show that
-// the same calls made without `go` do discharge or keep the obligation.
+// TestSharedCaptureFixture pins journalpair's rule for `go` statements: a
+// spawned call's arguments and a spawned closure's captures move to the
+// goroutine, so the spawner is not charged with a leak. The fixture's
+// synchronous controls, the same calls made without `go`, only use the
+// map and leak.
 func TestSharedCaptureFixture(t *testing.T) {
-	const dir = "testdata/src/gohandoff"
-	runFixture(t, AnalyzerJournalPair, dir)
-
-	store := fixtureSummaries(t, dir)
-	if ps := paramSummary(t, store, "fixture/gohandoff.consume", 0); !ps.StopsJournalAlways || ps.Escapes {
-		t.Errorf("consume param = %+v, want a must-stop that does not escape", ps)
-	}
-	for _, fn := range []string{"spawnCall", "spawnCapture"} {
-		if ps := paramSummary(t, store, "fixture/gohandoff."+fn, 0); !ps.Escapes || ps.StopsJournalAlways || ps.StopsJournalMay {
-			t.Errorf("%s param = %+v, want an escape with no stop credited", fn, ps)
-		}
-	}
+	runFixture(t, AnalyzerJournalPair, "testdata/src/gohandoff")
 }
 
 // TestCommitOrderFixture pins the fact that makes a commit-order analyzer

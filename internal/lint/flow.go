@@ -6,39 +6,24 @@ import (
 )
 
 // This file holds the shared machinery the dataflow-aware analyzers
-// (snapshotread, journalpair, nondeterm) build on top of internal/lint/cfg:
-// enumerating analyzable function bodies and walking nodes without
-// crossing into closures, whose control flow belongs to their own graph.
+// (journalpair, nondeterm) build on top of internal/lint/cfg: enumerating
+// analyzable function bodies and walking nodes without crossing into
+// closures, whose control flow belongs to their own graph.
 
-// A flowFunc is one analyzable function body: a declared function, or a
-// closure nested inside one (analyzed separately — the cfg builder treats
-// FuncLits as opaque values).
-type flowFunc struct {
-	// decl is the enclosing function declaration (the closure's host when
-	// lit is non-nil); directive lookups (//pacor:hot) key off it.
-	decl *ast.FuncDecl
-	// lit is the closure, nil for the declaration itself.
-	lit *ast.FuncLit
-	// typ and body belong to lit when non-nil, else to decl.
-	typ  *ast.FuncType
-	body *ast.BlockStmt
-	// name labels the function in messages.
-	name string
-}
-
-// flowFuncs enumerates every function body in file, closures included,
-// outermost first.
-func flowFuncs(file *ast.File) []flowFunc {
-	var out []flowFunc
+// funcBodies enumerates every function body in file, outermost first: each
+// declared function, then the closures nested inside it (analyzed
+// separately — the cfg builder treats FuncLits as opaque values).
+func funcBodies(file *ast.File) []*ast.BlockStmt {
+	var out []*ast.BlockStmt
 	for _, d := range file.Decls {
 		fn, ok := d.(*ast.FuncDecl)
 		if !ok || fn.Body == nil {
 			continue
 		}
-		out = append(out, flowFunc{decl: fn, typ: fn.Type, body: fn.Body, name: fn.Name.Name})
+		out = append(out, fn.Body)
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			if l, ok := n.(*ast.FuncLit); ok {
-				out = append(out, flowFunc{decl: fn, lit: l, typ: l.Type, body: l.Body, name: fn.Name.Name + " closure"})
+				out = append(out, l.Body)
 			}
 			return true
 		})
@@ -63,9 +48,9 @@ func inspectShallow(n ast.Node, f func(ast.Node) bool) {
 }
 
 // namedTypeName unwraps pointers from t and returns the name of the
-// resulting named type ("" when t is unnamed or nil). The dataflow
-// analyzers match the repo's own types (Workspace, ObsMap) by name so the
-// fixture corpus can declare self-contained stand-ins.
+// resulting named type ("" when t is unnamed or nil). journalpair matches
+// the repo's ObsMap by name so the fixture corpus can declare
+// self-contained stand-ins.
 func namedTypeName(t types.Type) string {
 	if t == nil {
 		return ""
@@ -78,16 +63,4 @@ func namedTypeName(t types.Type) string {
 		return ""
 	}
 	return named.Obj().Name()
-}
-
-// calleeIdent returns the rightmost identifier of call's callee: f for
-// f(...), m for x.m(...), nil for anything else.
-func calleeIdent(call *ast.CallExpr) *ast.Ident {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun
-	case *ast.SelectorExpr:
-		return fun.Sel
-	}
-	return nil
 }

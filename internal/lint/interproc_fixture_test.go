@@ -1,25 +1,20 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/lint/cfg"
 )
 
-// TestInterprocFixture covers the interprocedural journalpair cases:
-// obligations discharged through helper summaries (must- and may-stop),
-// kept alive through call-only closures and deferred closures, and
-// (mutually) recursive stop helpers converging at the SCC fixed point.
+// TestInterprocFixture covers journalpair at function boundaries: a call
+// to a stopping helper (plain, deferred or recursive) discharges nothing,
+// and a closure that captures the map, called or deferred, takes the
+// obligation with it.
 func TestInterprocFixture(t *testing.T) {
 	runFixture(t, AnalyzerJournalPair, "testdata/src/interproc")
-}
-
-// TestSnapInterprocFixture covers the interprocedural snapshotread cases:
-// un-stamped Blocked reads hiding inside helpers and stamps supplied by
-// callee summaries.
-func TestSnapInterprocFixture(t *testing.T) {
-	runFixture(t, AnalyzerSnapshotRead, "testdata/src/snapinterproc")
 }
 
 // TestJournalPairFixture covers the journal pairing analyzer.
@@ -27,33 +22,71 @@ func TestJournalPairFixture(t *testing.T) {
 	runFixture(t, AnalyzerJournalPair, "testdata/src/journalpair")
 }
 
+// TestSeedJournalFixture covers the journal obligation across the
+// seed/restore boundary: rewinding to the pre-seed mark never closes the
+// journal, a restore helper's stop is not credited to its caller, and a
+// capture that stores the map takes the obligation with it.
+func TestSeedJournalFixture(t *testing.T) {
+	runFixture(t, AnalyzerJournalPair, "testdata/src/seedjournal")
+}
+
 // TestSeedWorkspaceFixture covers the cache-seeding shapes of the seed
-// fixture through the summaries they rely on: the restore helper stops the
-// journal on every path without keeping the map, the replay helper only
-// reads (its callers keep the obligation), and a capture that stores the
-// map takes the obligation with it.
+// fixture one function at a time: the restore and replay helpers start
+// nothing and report nothing, a caller that replays and stops itself is
+// clean, a caller that leaves its stop to restore still owes it, and a
+// capture that stores the map takes the obligation with it.
 func TestSeedWorkspaceFixture(t *testing.T) {
 	const dir = "testdata/src/seedjournal"
-	runFixture(t, AnalyzerJournalPair, dir)
-
-	store := fixtureSummaries(t, dir)
-	const pkg = "fixture/internal/route."
-	if ps := paramSummary(t, store, pkg+"restore", 0); !ps.StopsJournalAlways || ps.Escapes {
-		t.Errorf("restore param = %+v, want a must-stop that does not escape", ps)
+	findings, err := Run(Options{
+		Patterns:  []string{dir},
+		Analyzers: []*Analyzer{AnalyzerJournalPair},
+	})
+	if err != nil {
+		t.Fatalf("lint run: %v", err)
 	}
-	if ps := paramSummary(t, store, pkg+"replay", 0); ps != (cfg.ParamSummary{}) {
-		t.Errorf("replay param = %+v, want a plain read", ps)
-	}
-	if ps := paramSummary(t, store, pkg+"capturedIntoSeed", 0); !ps.Escapes || !ps.OpensJournal {
-		t.Errorf("capturedIntoSeed param = %+v, want an opened journal that escapes", ps)
+	got := findingsByFunc(t, dir, findings)
+	for fn, want := range map[string]int{
+		"restore":          0,
+		"replay":           0,
+		"seededPaired":     0,
+		"restoredByHelper": 1,
+		"capturedIntoSeed": 0,
+	} {
+		if got[fn] != want {
+			t.Errorf("%s: %d journalpair findings, want %d", fn, got[fn], want)
+		}
 	}
 }
 
-// TestSeedJournalFixture covers the journal obligation across the
-// seed/restore boundary: rewinding to the pre-seed mark never closes the
-// journal, and a restore helper's summary can.
-func TestSeedJournalFixture(t *testing.T) {
-	runFixture(t, AnalyzerJournalPair, "testdata/src/seedjournal")
+// findingsByFunc counts the findings that fall inside each top-level
+// function of the fixture files under dir.
+func findingsByFunc(t *testing.T, dir string, findings []Finding) map[string]int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("%s: no fixture sources: %v", dir, err)
+	}
+	counts := map[string]int{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			from, to := fset.Position(fd.Pos()).Line, fset.Position(fd.End()).Line
+			for _, fi := range findings {
+				if fi.Pos.Filename == path && fi.Pos.Line >= from && fi.Pos.Line <= to {
+					counts[fd.Name.Name]++
+				}
+			}
+		}
+	}
+	return counts
 }
 
 // TestParseErrorFixture pins the parse-failure contract: a broken file

@@ -57,10 +57,6 @@ type Pass struct {
 	Info *types.Info
 	// Hot reports whether a function declaration was marked //pacor:hot.
 	hot map[*ast.FuncDecl]bool
-	// ip resolves call sites to callee summaries (interprocedural facts);
-	// nil in unit tests that build a Pass by hand, so analyzers must
-	// tolerate its absence.
-	ip *ipResolver
 
 	report func(Finding)
 }

@@ -39,8 +39,8 @@ func runNonDeterm(p *Pass) {
 			}
 			return true
 		})
-		for _, fn := range flowFuncs(file) {
-			checkClockTaint(p, fn)
+		for _, body := range funcBodies(file) {
+			checkClockTaint(p, body)
 		}
 	}
 }
@@ -71,8 +71,8 @@ type clockFact map[types.Object]bool
 // checkClockTaint runs the wall-clock taint analysis over one body:
 // time.Now/time.Since results propagate through assignments, and a
 // tainted value appearing in a control condition is flagged.
-func checkClockTaint(p *Pass, fn flowFunc) {
-	g := cfg.New(fn.body)
+func checkClockTaint(p *Pass, body *ast.BlockStmt) {
+	g := cfg.New(body)
 	facts := cfg.Solve(g, cfg.Problem[clockFact]{
 		Entry: clockFact{},
 		Transfer: func(b *cfg.Block, in clockFact) clockFact {

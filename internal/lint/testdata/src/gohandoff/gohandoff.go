@@ -1,9 +1,9 @@
-// Package gohandoff is a fixture for the summaries' rule on `go`
+// Package gohandoff is a fixture for journalpair's rule on `go`
 // statements: a spawned call's arguments and a spawned closure's captured
-// variables escape to the new goroutine. The spawner's journal obligation
-// goes with them, so no leak is reported; and the spawned callee's stop is
-// never credited at the spawn site, because it runs later, on another
-// goroutine. The synchronous cases are the controls.
+// variables move to the new goroutine, and the spawner's journal
+// obligation goes with them, so no leak is reported. The synchronous calls
+// are the controls: a call only uses the map it is passed, so they leak
+// whether or not the callee stops.
 package gohandoff
 
 // Pt stands in for geom.Pt.
@@ -24,25 +24,25 @@ func (o *ObsMap) StartJournal() { o.journal = o.journal[:0] }
 // StopJournal mirrors the recording stop.
 func (o *ObsMap) StopJournal() { o.journal = nil }
 
-// consume stops on every path: a synchronous call discharges the caller's
-// obligation.
+// consume stops on every path.
 func consume(o *ObsMap, p Pt) bool {
 	ok := !o.Blocked(p)
 	o.StopJournal()
 	return ok
 }
 
-// observe only reads the map; the caller keeps the obligation.
+// observe only reads the map.
 func observe(o *ObsMap, p Pt) bool { return !o.Blocked(p) }
 
-// syncConsume is the control for crediting: the synchronous call stops.
+// syncConsume is a control: a synchronous call does not take the
+// obligation, even to a callee that stops.
 func syncConsume(o *ObsMap, p Pt) bool {
-	o.StartJournal()
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	return consume(o, p)
 }
 
-// syncObserve is the control for escaping: a read-only helper leaves the
-// obligation here, and nothing stops the journal.
+// syncObserve is a control: a read-only helper leaves the obligation
+// here, and nothing stops the journal.
 func syncObserve(o *ObsMap, p Pt) bool {
 	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	return observe(o, p)
@@ -67,23 +67,23 @@ func spawnClosure(o *ObsMap, p Pt, ch chan bool) {
 	go func() { ch <- observe(o, p) }()
 }
 
-// spawnCall's summary: the parameter escapes and is never stopped here.
+// spawnCall hands its parameter to a goroutine; it starts nothing.
 func spawnCall(o *ObsMap, p Pt) { go consume(o, p) }
 
-// spawnCapture's summary: the same, through a spawned closure's capture.
+// spawnCapture does the same through a spawned closure's capture.
 func spawnCapture(o *ObsMap, p Pt) {
 	go func() { consume(o, p) }()
 }
 
-// viaSpawnCall applies spawnCall's summary: an ownership transfer, so no
-// leak.
+// viaSpawnCall calls the spawning helper synchronously: a use, so the
+// journal started here leaks as far as this body shows.
 func viaSpawnCall(o *ObsMap, p Pt) {
-	o.StartJournal()
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	spawnCall(o, p)
 }
 
 // viaSpawnCapture is the same through the capturing helper.
 func viaSpawnCapture(o *ObsMap, p Pt) {
-	o.StartJournal()
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	spawnCapture(o, p)
 }

@@ -1,8 +1,8 @@
-// Package interproc is a fixture for the interprocedural journalpair
-// cases: obligations discharged or kept alive through helper calls,
-// call-only closure bindings, deferred closures, and (mutual) recursion —
-// exactly the patterns an intraprocedural check either misses (silent
-// escape) or cannot prove clean.
+// Package interproc is a fixture for journalpair at function boundaries:
+// helper calls, closures, deferred calls and recursion. The check reads
+// one body at a time, so a call only uses the map it is passed (a helper's
+// stop discharges nothing), while a closure that captures the map takes
+// the obligation with it.
 package interproc
 
 //pacor:pkgpath fixture/internal/search
@@ -25,17 +25,14 @@ func (o *ObsMap) StartJournal() { o.journal = o.journal[:0] }
 // StopJournal mirrors the recording stop.
 func (o *ObsMap) StopJournal() { o.journal = nil }
 
-// finish stops on every path: callers that hand their map to it have
-// discharged the obligation.
+// finish stops on every path; it starts nothing, so it owes nothing.
 func finish(o *ObsMap, p Pt) bool {
 	ok := !o.Blocked(p)
 	o.StopJournal()
 	return ok
 }
 
-// finishMaybe stops on only one path: callers can neither keep nor drop
-// the obligation, so the call clears it optimistically (no local report —
-// the bug, if any, is inside finishMaybe's contract, not at the call site).
+// finishMaybe stops on only one path.
 func finishMaybe(o *ObsMap, p Pt, commit bool) bool {
 	if commit {
 		o.StopJournal()
@@ -44,31 +41,28 @@ func finishMaybe(o *ObsMap, p Pt, commit bool) bool {
 	return !o.Blocked(p)
 }
 
-// observe only reads the map; the caller keeps the obligation.
+// observe only reads the map.
 func observe(o *ObsMap, p Pt) bool { return !o.Blocked(p) }
 
-// helperDischarges is clean: finish always stops.
+// helperDischarges hands the stop to finish, which this body cannot see.
 func helperDischarges(o *ObsMap, p Pt) bool {
-	o.StartJournal()
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	return finish(o, p)
 }
 
-// helperObservesLeak: without summaries the observe call would be an
-// escape; the summary says observe merely reads, so the leak is visible.
+// helperObservesLeak: the helper merely reads, and nothing stops.
 func helperObservesLeak(o *ObsMap, p Pt) bool {
 	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	return observe(o, p)
 }
 
-// maybeStops stays silent: finishMaybe's partial stop clears the
-// obligation at the call.
+// maybeStops hands a partial stop to a helper.
 func maybeStops(o *ObsMap, p Pt, commit bool) bool {
-	o.StartJournal()
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	return finishMaybe(o, p, commit)
 }
 
-// maybeStopsLate: the may-stop clears the obligation only on the path that
-// makes the call; the early return leaves the journal open.
+// maybeStopsLate also leaves the journal open on its early return.
 func maybeStopsLate(o *ObsMap, p Pt, commit, early bool) bool {
 	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	if early {
@@ -77,8 +71,8 @@ func maybeStopsLate(o *ObsMap, p Pt, commit, early bool) bool {
 	return finishMaybe(o, p, commit)
 }
 
-// closureDischarges is clean: cleanup is bound once, only called, and
-// stops on its every path.
+// closureDischarges is silent: the cleanup closure captures o, which
+// moves the obligation into the closure.
 func closureDischarges(o *ObsMap, p Pt) bool {
 	o.StartJournal()
 	cleanup := func() { o.StopJournal() }
@@ -87,24 +81,22 @@ func closureDischarges(o *ObsMap, p Pt) bool {
 	return ok
 }
 
-// closureNeverStops: the bound closure only reads, so the obligation never
-// moves — a capture alone is not an escape.
+// closureNeverStops is silent for the same reason, although its closure
+// only reads: a capture moves the obligation whatever the closure does.
 func closureNeverStops(o *ObsMap, p Pt) bool {
-	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
+	o.StartJournal()
 	peek := func() bool { return observe(o, p) }
 	return peek()
 }
 
-// deferredClosureReads: the deferred closure only reads, which covers no
-// path, so the journal stays open on every return.
+// deferredClosureReads is silent: the deferred closure captures o.
 func deferredClosureReads(o *ObsMap, p Pt) bool {
-	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
+	o.StartJournal()
 	defer func() { observe(o, p) }()
 	return !o.Blocked(p)
 }
 
-// deferredClosureClean stops unconditionally inside the deferred closure:
-// covered on every path.
+// deferredClosureClean stops inside the deferred closure; silent.
 func deferredClosureClean(o *ObsMap, p Pt, fail bool) bool {
 	o.StartJournal()
 	defer func() { o.StopJournal() }()
@@ -114,9 +106,10 @@ func deferredClosureClean(o *ObsMap, p Pt, fail bool) bool {
 	return observe(o, p)
 }
 
-// deferredHelperClean: defer finish(o, p) discharges through the summary.
-func deferredHelperClean(o *ObsMap, p Pt, fail bool) bool {
-	o.StartJournal()
+// deferredHelper defers a helper call: a deferred call uses o like any
+// other call, so only defer o.StopJournal() covers the exits.
+func deferredHelper(o *ObsMap, p Pt, fail bool) bool {
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	defer finish(o, p)
 	if fail {
 		return false
@@ -124,8 +117,7 @@ func deferredHelperClean(o *ObsMap, p Pt, fail bool) bool {
 	return observe(o, p)
 }
 
-// stopEven / stopOdd are mutually recursive and both bottom out in a stop:
-// the SCC fixed point must converge on StopsJournalAlways.
+// stopEven / stopOdd are mutually recursive and both bottom out in a stop.
 func stopEven(o *ObsMap, n int) {
 	if n <= 0 {
 		o.StopJournal()
@@ -142,9 +134,9 @@ func stopOdd(o *ObsMap, n int) {
 	stopEven(o, n-1)
 }
 
-// mutualRecursionClean: the recursive pair stops on every path.
-func mutualRecursionClean(o *ObsMap, n int) {
-	o.StartJournal()
+// mutualRecursion hands the stop to the recursive pair.
+func mutualRecursion(o *ObsMap, n int) {
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	stopEven(o, n)
 }
 
@@ -157,13 +149,13 @@ func drainSelf(o *ObsMap, n int) {
 	drainSelf(o, n-1)
 }
 
-// selfRecursionClean: direct recursion converges the same way.
-func selfRecursionClean(o *ObsMap, n int) {
-	o.StartJournal()
+// selfRecursion hands the stop to the recursive helper.
+func selfRecursion(o *ObsMap, n int) {
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	drainSelf(o, n)
 }
 
-// recurseNoStop is recursive and never stops on the returning path.
+// recurseNoStop is recursive and never stops.
 func recurseNoStop(o *ObsMap, p Pt, n int) int {
 	if n <= 0 {
 		return 0
@@ -174,8 +166,7 @@ func recurseNoStop(o *ObsMap, p Pt, n int) int {
 	return recurseNoStop(o, p, n-1) + 1
 }
 
-// recursionLeak: the recursive helper's fixed point settles on "no stop",
-// so the caller still owes one.
+// recursionLeak: nothing stops the journal.
 func recursionLeak(o *ObsMap, p Pt, n int) int {
 	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	return recurseNoStop(o, p, n)

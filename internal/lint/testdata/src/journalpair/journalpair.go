@@ -1,6 +1,6 @@
 // Package journalpair is a fixture for the journalpair analyzer: every
-// ObsMap.StartJournal must reach StopJournal on all paths, directly,
-// through a defer, or through a callee whose summary stops it.
+// ObsMap.StartJournal must reach StopJournal on all paths of the same
+// function, directly or through a deferred stop.
 package journalpair
 
 //pacor:pkgpath fixture/internal/route
@@ -83,13 +83,45 @@ func rewindThenLeak(o *ObsMap, p Pt) bool {
 // commit stands in for a helper that always closes the journal.
 func commit(o *ObsMap) { o.StopJournal() }
 
-// stoppedByHelper is clean: commit's summary stops the journal on every
-// path, so the obligation is discharged through the call.
+// stoppedByHelper leaks as far as this body shows: passing o to a call
+// only uses it, so the stop must be written here.
 func stoppedByHelper(o *ObsMap, p Pt) bool {
-	o.StartJournal()
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	ok := route(o, p)
 	commit(o)
 	return ok
+}
+
+// ownedScope starts a journal only when the caller has none and defers
+// the stop in the same branch, the shape of detour's restore scope.
+func ownedScope(o *ObsMap, owned bool, p Pt) bool {
+	if owned {
+		o.StartJournal()
+		defer o.StopJournal()
+	}
+	return route(o, p)
+}
+
+// panicEndsPath is clean: the panicking branch never returns, so only
+// the returning path has to stop the journal.
+func panicEndsPath(o *ObsMap, p Pt) bool {
+	o.StartJournal()
+	if o.Blocked(p) {
+		panic("journalpair: blocked source")
+	}
+	o.StopJournal()
+	return true
+}
+
+// stopBeforePanicOnly stops on the panicking branch alone, which covers
+// nothing: the returning path still leaks.
+func stopBeforePanicOnly(o *ObsMap, p Pt) bool {
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
+	if o.Blocked(p) {
+		o.StopJournal()
+		panic("journalpair: blocked source")
+	}
+	return route(o, p)
 }
 
 // nestedMarks rewinds to an inner mark, then stops: still paired.

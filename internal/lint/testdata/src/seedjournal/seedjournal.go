@@ -1,8 +1,8 @@
 // Package seedjournal is a fixture for the journalpair analyzer over the
 // seed/restore boundary of the cross-run cache: the obstacle journal
-// recording a seeded attempt must be stopped whether the attempt commits,
-// restores to the pre-seed mark, or bails out on a dirty cone — rewinding
-// to a mark never closes the journal.
+// recording a seeded attempt must be stopped in the same function whether
+// the attempt commits, restores to the pre-seed mark, or bails out on a
+// dirty cone — rewinding to a mark never closes the journal.
 package seedjournal
 
 //pacor:pkgpath fixture/internal/route
@@ -53,16 +53,17 @@ func seededPaired(o *ObsMap, s *Seed, p Pt) bool {
 	return ok
 }
 
-// restore closes the journal on every path: callers that hand the map to
-// it have discharged the obligation through its summary.
+// restore closes the journal on every path; it starts nothing.
 func restore(o *ObsMap, mark int) {
 	o.RewindJournal(mark)
 	o.StopJournal()
 }
 
-// restoredByHelper is clean interprocedurally: restore always stops.
+// restoredByHelper stops on the commit path but hands the divergence
+// path's stop to restore, which this body cannot see: a call only uses
+// the map, so the stop belongs here (or in a defer).
 func restoredByHelper(o *ObsMap, p Pt) bool {
-	o.StartJournal()
+	o.StartJournal() // want `journal on o is started here but does not reach StopJournal on every path`
 	mark := o.JournalLen()
 	if !replay(o, p) {
 		restore(o, mark)

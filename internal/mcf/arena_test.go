@@ -82,17 +82,18 @@ func TestCommitHidesAndProtectsFlow(t *testing.T) {
 // built, for the forward half and its paired backward half, once laid out
 // and after a solve.
 func TestSetCostReprices(t *testing.T) {
-	g := NewGraph(3, 2)
-	a := g.AddArc(0, 1, 1, 7)
-	b := g.AddArc(1, 2, 2, 3)
+	arcs := []arcSpec{{0, 1, 1, 7}, {1, 2, 2, 3}}
+	g := NewGraph(3, len(arcs))
+	for _, a := range arcs {
+		g.AddArc(a.from, a.to, a.cap, a.cost)
+	}
 	check := func(when string) {
 		t.Helper()
-		for _, c := range []struct{ id, from, to, cost int }{{a, 0, 1, 7}, {b, 1, 2, 3}} {
-			f := g.arcs[g.pos[c.id]]
-			r := g.arcs[g.rev[g.pos[c.id]]]
+		for id, h := range arcHalves(t, g, arcs) {
+			c, f, r := arcs[id], g.arcs[h[0]], g.arcs[h[1]]
 			if int(f.to) != c.to || int(f.cost) != c.cost || int(r.to) != c.from || int(r.cost) != -c.cost {
 				t.Errorf("%s: arc %d halves to=%d cost=%d / to=%d cost=%d, want %d/%d / %d/%d",
-					when, c.id, f.to, f.cost, r.to, r.cost, c.to, c.cost, c.from, -c.cost)
+					when, id, f.to, f.cost, r.to, r.cost, c.to, c.cost, c.from, -c.cost)
 			}
 		}
 	}

@@ -31,9 +31,8 @@ func TestMinCostFlowMatchesLP(t *testing.T) {
 			continue
 		}
 		g := NewGraph(n, len(arcs))
-		ids := make([]int, len(arcs))
-		for i, a := range arcs {
-			ids[i] = g.AddArc(a.from, a.to, a.cap, a.cost)
+		for _, a := range arcs {
+			g.AddArc(a.from, a.to, a.cap, a.cost)
 		}
 		s, sink := 0, n-1
 		flow, cost := g.MinCostFlow(s, sink, -1)

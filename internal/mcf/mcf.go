@@ -30,7 +30,6 @@ type Graph struct {
 	start []int32 // node u's half-arcs are arcs[start[u]:start[u+1]]
 	arcs  []half
 	rev   []int32 // index of each half's pair; complemented (^i) on a backward half
-	pos   []int32 // arc id -> index of its forward half in arcs
 
 	// Solver state, sized with the graph.
 	node    []nodeState
@@ -73,11 +72,10 @@ func NewGraph(n, arcs int) *Graph {
 	return &Graph{n: n, added: make([]addedArc, 0, arcs)}
 }
 
-// AddArc adds a directed arc with the given capacity and per-unit cost and
-// returns its identifier for later Flow queries. Capacity must be
-// non-negative, the arc count must stay within NewGraph's, and the graph
-// must not have been solved.
-func (g *Graph) AddArc(from, to, capacity, cost int) int {
+// AddArc adds a directed arc with the given capacity and per-unit cost.
+// Capacity must be non-negative, the arc count must stay within NewGraph's,
+// and the graph must not have been solved.
+func (g *Graph) AddArc(from, to, capacity, cost int) {
 	if from < 0 || from >= g.n || to < 0 || to >= g.n {
 		panic(fmt.Sprintf("mcf: arc %d->%d out of range (n=%d)", from, to, g.n))
 	}
@@ -91,7 +89,6 @@ func (g *Graph) AddArc(from, to, capacity, cost int) int {
 		panic(fmt.Sprintf("mcf: more than %d arcs", cap(g.added)))
 	}
 	g.added = append(g.added, addedArc{int32(from), int32(to), int32(capacity), int32(cost)})
-	return len(g.added) - 1
 }
 
 // layout moves the added arcs into rows by a stable counting sort on the
@@ -114,8 +111,7 @@ func (g *Graph) layout() {
 	}
 	g.arcs = make([]half, 2*len(g.added))
 	g.rev = make([]int32, 2*len(g.added))
-	g.pos = make([]int32, len(g.added))
-	for id, a := range g.added {
+	for _, a := range g.added {
 		f := start[a.from+1]
 		start[a.from+1]++
 		b := start[a.to+1]
@@ -123,7 +119,6 @@ func (g *Graph) layout() {
 		g.arcs[f] = half{to: a.to, cap: a.cap, cost: a.cost}
 		g.arcs[b] = half{to: a.from, cost: -a.cost}
 		g.rev[f], g.rev[b] = b, ^f
-		g.pos[id] = f
 	}
 	g.start = start[:g.n+1]
 	g.added = nil
@@ -133,14 +128,6 @@ func (g *Graph) layout() {
 	}
 	g.pred = make([]int32, g.n)
 	g.touched = make([]int32, 0, g.n)
-}
-
-// Flow returns the flow pushed through arc id (0 before solving).
-func (g *Graph) Flow(id int) int {
-	if g.arcs == nil {
-		return 0
-	}
-	return int(g.arcs[g.rev[g.pos[id]]].cap)
 }
 
 const inf = math.MaxInt64 / 4
@@ -247,8 +234,8 @@ func (g *Graph) MinCostFlow(src, dst, maxFlow int) (flow, cost int) {
 func (g *Graph) initPotentials(src int) {
 	node := g.node
 	hasNeg := false
-	for _, f := range g.pos {
-		if a := &g.arcs[f]; a.cost < 0 && a.cap > 0 {
+	for i, a := range g.arcs {
+		if g.rev[i] >= 0 && a.cost < 0 && a.cap > 0 { // a forward half
 			hasNeg = true
 			break
 		}

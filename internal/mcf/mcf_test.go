@@ -6,14 +6,15 @@ import (
 )
 
 func TestSingleArc(t *testing.T) {
+	arcs := []arcSpec{{0, 1, 3, 5}}
 	g := NewGraph(2, 1)
-	a := g.AddArc(0, 1, 3, 5)
+	g.AddArc(0, 1, 3, 5)
 	flow, cost := g.MinCostFlow(0, 1, -1)
 	if flow != 3 || cost != 15 {
 		t.Fatalf("flow=%d cost=%d, want 3/15", flow, cost)
 	}
-	if g.Flow(a) != 3 {
-		t.Errorf("arc flow = %d", g.Flow(a))
+	if f := arcFlows(t, g, arcs)[0]; f != 3 {
+		t.Errorf("arc flow = %d", f)
 	}
 }
 
@@ -167,23 +168,22 @@ func TestFlowConservationRandom(t *testing.T) {
 		n := 6 + rng.Intn(10)
 		nArcs := n * 2
 		g := NewGraph(n, nArcs)
-		type arcRec struct{ id, from, to, cap, cost int }
-		var recs []arcRec
+		var recs []arcSpec
 		for i := 0; i < nArcs; i++ {
 			from, to := rng.Intn(n), rng.Intn(n)
 			if from == to {
 				continue
 			}
-			c := 1 + rng.Intn(4)
-			w := rng.Intn(9)
-			id := g.AddArc(from, to, c, w)
-			recs = append(recs, arcRec{id, from, to, c, w})
+			r := arcSpec{from, to, 1 + rng.Intn(4), rng.Intn(9)}
+			g.AddArc(r.from, r.to, r.cap, r.cost)
+			recs = append(recs, r)
 		}
 		flow, cost := g.MinCostFlow(0, n-1, -1)
 		net := make([]int, n)
 		sumCost := 0
-		for _, r := range recs {
-			f := g.Flow(r.id)
+		flows := arcFlows(t, g, recs)
+		for i, r := range recs {
+			f := flows[i]
 			if f < 0 || f > r.cap {
 				t.Fatalf("trial %d: arc flow %d outside [0,%d]", trial, f, r.cap)
 			}

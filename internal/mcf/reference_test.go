@@ -321,6 +321,38 @@ func (g *refGraph) DecomposeUnitPaths(s, t int) [][]int {
 // arcSpec is one AddArc call.
 type arcSpec struct{ from, to, cap, cost int }
 
+// arcHalves returns, for each arc of g in the order the test added them,
+// the indices of its forward and backward halves. It replays layout's
+// stable counting sort, so the graph keeps no arc-id index for tests.
+func arcHalves(t *testing.T, g *Graph, arcs []arcSpec) [][2]int32 {
+	t.Helper()
+	g.layout()
+	next := append([]int32(nil), g.start...)
+	out := make([][2]int32, len(arcs))
+	for id, a := range arcs {
+		f := next[a.from]
+		next[a.from]++
+		b := next[a.to]
+		next[a.to]++
+		if g.rev[f] != b {
+			t.Fatalf("arc %d: halves %d and %d are not a pair", id, f, b)
+		}
+		out[id] = [2]int32{f, b}
+	}
+	return out
+}
+
+// arcFlows returns the flow on each arc of g, in the order the test added
+// them: the residual capacity of the arc's backward half.
+func arcFlows(t *testing.T, g *Graph, arcs []arcSpec) []int {
+	t.Helper()
+	flows := make([]int, len(arcs))
+	for id, h := range arcHalves(t, g, arcs) {
+		flows[id] = int(g.arcs[h[1]].cap)
+	}
+	return flows
+}
+
 // instance is a network with a source, a sink and a flow bound (-1: max).
 type instance struct {
 	n, s, t, maxFlow int
@@ -428,10 +460,11 @@ func escapeInstance(rng *rand.Rand) instance {
 // build adds the instance's arcs to a CSR graph and to the reference.
 func (in instance) build(t *testing.T) (*Graph, *refGraph) {
 	g, ref := NewGraph(in.n, len(in.arcs)), newRefGraph(in.n)
-	for _, a := range in.arcs {
+	for id, a := range in.arcs {
+		g.AddArc(a.from, a.to, a.cap, a.cost)
 		// The reference numbers half-arcs, so arc id k is its 2k.
-		if id, rid := g.AddArc(a.from, a.to, a.cap, a.cost), ref.AddArc(a.from, a.to, a.cap, a.cost); 2*id != rid {
-			t.Fatalf("arc id %d, reference id %d", id, rid)
+		if rid := ref.AddArc(a.from, a.to, a.cap, a.cost); rid != 2*id {
+			t.Fatalf("arc %d has reference id %d", id, rid)
 		}
 	}
 	return g, ref
@@ -449,9 +482,9 @@ func matchReference(t *testing.T, name string, in instance) {
 		if f != rf || c != rc {
 			t.Fatalf("%s solve %d: flow/cost %d/%d, reference %d/%d", name, round, f, c, rf, rc)
 		}
-		for id := range in.arcs {
-			if g.Flow(id) != ref.Flow(2*id) {
-				t.Fatalf("%s solve %d: arc %d flow %d, reference %d", name, round, id, g.Flow(id), ref.Flow(2*id))
+		for id, fl := range arcFlows(t, g, in.arcs) {
+			if fl != ref.Flow(2*id) {
+				t.Fatalf("%s solve %d: arc %d flow %d, reference %d", name, round, id, fl, ref.Flow(2*id))
 			}
 		}
 		p, rp := g.DecomposeUnitPaths(in.s, in.t), ref.DecomposeUnitPaths(in.s, in.t)

@@ -312,7 +312,7 @@ func (w *Workspace) astarHeap(g grid.Grid, req Request, tb geom.Rect) (grid.Path
 			if !req.inBounds(q) && !w.isTarget(j) {
 				continue
 			}
-			if req.Obs != nil && req.Obs.Blocked(q) && !w.isTarget(j) { //pacor:allow snapshotread untracked fast path; tracked searches stamp via the w.track branch above before this read
+			if req.Obs != nil && req.Obs.Blocked(q) && !w.isTarget(j) {
 				continue
 			}
 			if !w.track {
@@ -411,7 +411,7 @@ func (w *Workspace) astarBucket(g grid.Grid, req Request, tb geom.Rect, scale, m
 			if !req.inBounds(q) && !w.isTarget(j) {
 				continue
 			}
-			if req.Obs != nil && req.Obs.Blocked(q) && !w.isTarget(j) { //pacor:allow snapshotread untracked fast path; tracked searches stamp via the w.track branch above before this read
+			if req.Obs != nil && req.Obs.Blocked(q) && !w.isTarget(j) {
 				continue
 			}
 			if !w.track {
@@ -554,7 +554,7 @@ func (w *Workspace) boundedHeap(g grid.Grid, req Request, tb geom.Rect, minLen, 
 			if !req.inBounds(q) && !w.isTarget(j) {
 				continue
 			}
-			if req.Obs != nil && req.Obs.Blocked(q) && !w.isTarget(j) { //pacor:allow snapshotread untracked fast path; tracked searches stamp via the w.track branch above before this read
+			if req.Obs != nil && req.Obs.Blocked(q) && !w.isTarget(j) {
 				continue
 			}
 			if !w.track {
@@ -652,7 +652,7 @@ func (w *Workspace) boundedBucket(g grid.Grid, req Request, tb geom.Rect, minLen
 			if !req.inBounds(q) && !w.isTarget(j) {
 				continue
 			}
-			if req.Obs != nil && req.Obs.Blocked(q) && !w.isTarget(j) { //pacor:allow snapshotread untracked fast path; tracked searches stamp via the w.track branch above before this read
+			if req.Obs != nil && req.Obs.Blocked(q) && !w.isTarget(j) {
 				continue
 			}
 			if !w.track {

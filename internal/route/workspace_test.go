@@ -296,11 +296,28 @@ func TestWorkspaceResize(t *testing.T) {
 // property that cross-run seeding relies on: a tracked search's visit set
 // covers every cell whose obstacle state it read. Flipping every cell
 // outside the visit set and off the found path therefore cannot change the
-// result of searching again — for A* with history and for the bounded
-// search alike.
+// result of searching again. Six variants cover all four search loops, and
+// each asserts the open list it ran on: A* with an uncertified history
+// (heap), A* with no history and with a certified one (bucket), the
+// bounded search (bucket), and A* and the bounded search on a heap-only
+// workspace.
 func TestRunScheduledVisitsMatchesSequentialTracked(t *testing.T) {
+	variants := []struct {
+		name             string
+		bounded          bool // BoundedAStar instead of AStar
+		hist, certified  bool // the request carries Hist; with HistScale 1, HistMax 3
+		heapOnly, bucket bool // the workspace setting, and the open list the search must use
+	}{
+		{"AStar uncertified Hist", false, true, false, false, false},
+		{"AStar no Hist", false, false, false, false, true},
+		{"AStar certified Hist", false, true, true, false, true},
+		{"BoundedAStar", true, true, false, false, true},
+		{"AStar heapOnly", false, true, true, true, false},
+		{"BoundedAStar heapOnly", true, true, false, true, false},
+	}
+	found := make([]int, len(variants))
+	flippedAny := false
 	rng := rand.New(rand.NewSource(91))
-	flippedAny, found := false, 0
 	for trial := 0; trial < 30; trial++ {
 		g, obs := scatterObs(20+rng.Intn(20), 20+rng.Intn(20), 150, int64(100+trial))
 		src := geom.Pt{X: 0, Y: 0}
@@ -309,19 +326,39 @@ func TestRunScheduledVisitsMatchesSequentialTracked(t *testing.T) {
 		for i := range hist {
 			hist[i] = float64(rng.Intn(3))
 		}
-		req := Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs, Hist: hist}
 		d := geom.Dist(src, dst)
-		searches := []func(ws *Workspace, r Request) (grid.Path, bool){
-			func(ws *Workspace, r Request) (grid.Path, bool) { return ws.AStar(g, r) },
-			func(ws *Workspace, r Request) (grid.Path, bool) { return ws.BoundedAStar(g, r, d+4, d+8) },
-		}
-		for si, search := range searches {
-			ws := NewWorkspace(g)
-			ws.StartVisitTracking()
-			want, wantOK := search(ws, req)
-			ws.StopVisitTracking()
+		for vi, v := range variants {
+			// search runs the variant on a fresh workspace. The bounded
+			// window starts at the shortest length: on these corner to
+			// corner pairs neither bounded loop finds a path of length d+4
+			// or more.
+			search := func(r Request, track bool) (*Workspace, grid.Path, bool) {
+				ws := NewWorkspace(g)
+				ws.heapOnly = v.heapOnly
+				if track {
+					ws.StartVisitTracking()
+					defer ws.StopVisitTracking()
+				}
+				if v.bounded {
+					p, ok := ws.BoundedAStar(g, r, d, d+8)
+					return ws, p, ok
+				}
+				p, ok := ws.AStar(g, r)
+				return ws, p, ok
+			}
+			req := Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs}
+			if v.hist {
+				req.Hist = hist
+			}
+			if v.certified {
+				req.HistScale, req.HistMax = 1, 3
+			}
+			ws, want, wantOK := search(req, true)
+			if ws.lastBucket != v.bucket {
+				t.Fatalf("trial %d %s: lastBucket = %v, want %v", trial, v.name, ws.lastBucket, v.bucket)
+			}
 			if wantOK {
-				found++
+				found[vi]++
 			}
 			visits := ws.CopyVisits(nil)
 
@@ -340,14 +377,18 @@ func TestRunScheduledVisitsMatchesSequentialTracked(t *testing.T) {
 			}
 			r := req
 			r.Obs = flipped
-			got, gotOK := search(NewWorkspace(g), r)
-			if gotOK != wantOK || !pathsEqual(got, want) {
-				t.Fatalf("trial %d search %d: flipping unvisited cells changed the result (ok %v -> %v, len %d -> %d)",
-					trial, si, wantOK, gotOK, want.Len(), got.Len())
+			if _, got, gotOK := search(r, false); gotOK != wantOK || !pathsEqual(got, want) {
+				t.Fatalf("trial %d %s: flipping unvisited cells changed the result (ok %v -> %v, len %d -> %d)",
+					trial, v.name, wantOK, gotOK, want.Len(), got.Len())
 			}
 		}
 	}
-	if !flippedAny || found == 0 {
-		t.Fatalf("flipped any cell: %v, searches that found a path: %d; the test checked nothing", flippedAny, found)
+	for vi, v := range variants {
+		if found[vi] == 0 {
+			t.Errorf("%s found no path in any trial; its flip check compared only failures", v.name)
+		}
+	}
+	if !flippedAny {
+		t.Fatal("no cell was flipped; the test checked nothing")
 	}
 }
