@@ -435,8 +435,8 @@ func BenchmarkStressScale(b *testing.B) {
 	}
 }
 
-// BenchmarkDetourPolicy compares Algorithm 2's restore-on-failure policy
-// against the best-effort variant on a partially sealed net.
+// BenchmarkDetourPolicy times Algorithm 2's restore-on-failure policy on a
+// partially sealed net that cannot match.
 func BenchmarkDetourPolicy(b *testing.B) {
 	build := func() (*grid.ObsMap, *detour.Net) {
 		g := grid.New(30, 9)
@@ -467,17 +467,6 @@ func BenchmarkDetourPolicy(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			obs, net := build()
 			detour.Match(&ws, obs, net, 1)
-			mn, mx := net.Spread()
-			spread = mx - mn
-		}
-		b.ReportMetric(float64(spread), "spread")
-	})
-	b.Run("BestEffort", func(b *testing.B) {
-		var spread int
-		var ws route.Workspace
-		for i := 0; i < b.N; i++ {
-			obs, net := build()
-			detour.MatchBestEffort(&ws, obs, net, 1)
 			mn, mx := net.Spread()
 			spread = mx - mn
 		}

@@ -17,8 +17,12 @@
 //
 // Usage:
 //
-//	benchjson [-out BENCH_PR8.json] [-pr 8] [-baseline BENCH_PR6.json]
+//	benchjson [-out BENCH_PR<n>.json] [-pr n] [-baseline BENCH_PR<m>.json]
 //	          [-designs S1,S3,S5] [-sweep S1,S2,S3,S4,S5]
+//
+// The snapshot goes to standard output unless -out names a file, and no
+// baseline is read unless -baseline names one, so a bare run overwrites no
+// committed snapshot. Progress lines go to standard error.
 package main
 
 import (
@@ -85,9 +89,9 @@ type Snapshot struct {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_PR10.json", "output file")
+	out := flag.String("out", "", "output file (empty = standard output)")
 	pr := flag.Int("pr", 10, "PR number stamped into the snapshot")
-	baseline := flag.String("baseline", "BENCH_PR8.json", "prior snapshot to diff against (empty = none)")
+	baseline := flag.String("baseline", "", "prior snapshot to diff against (empty = none)")
 	designs := flag.String("designs", "S1,S3,S5", "designs for the full-flow benchmarks")
 	sweep := flag.String("sweep", "S1,S2,S3,S4,S5", "designs for the sequential-vs-parallel sweep timing")
 	flag.Parse()
@@ -123,7 +127,7 @@ func main() {
 			GoMaxProcs:  runtime.GOMAXPROCS(0),
 			Note:        note,
 		}
-		fmt.Printf("%-28s %12d ns/op %10d B/op %8d allocs/op (gomaxprocs %d)\n",
+		fmt.Fprintf(os.Stderr, "%-28s %12d ns/op %10d B/op %8d allocs/op (gomaxprocs %d)\n",
 			name, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp(), runtime.GOMAXPROCS(0))
 	}
 	// tag stamps the grid family and routing stage onto an already-recorded
@@ -288,8 +292,8 @@ func main() {
 		SpeedupVs: "Table2SweepSequential",
 		Speedup:   float64(seq.Nanoseconds()) / float64(par.Nanoseconds()),
 	}
-	fmt.Printf("%-28s %12d ns (1 worker)\n", "Table2SweepSequential", seq.Nanoseconds())
-	fmt.Printf("%-28s %12d ns (%d workers, %.2fx)\n", "Table2SweepParallel",
+	fmt.Fprintf(os.Stderr, "%-28s %12d ns (1 worker)\n", "Table2SweepSequential", seq.Nanoseconds())
+	fmt.Fprintf(os.Stderr, "%-28s %12d ns (%d workers, %.2fx)\n", "Table2SweepParallel",
 		par.Nanoseconds(), runtime.GOMAXPROCS(0), float64(seq.Nanoseconds())/float64(par.Nanoseconds()))
 
 	// ChipXL: the million-cell family. The A* row isolates the open list on
@@ -400,10 +404,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+	data = append(data, '\n')
+	if *out == "" {
+		if _, err := os.Stdout.Write(data); err != nil {
+			fatal(err)
+		}
+		return
+	}
+	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fatal(err)
 	}
-	fmt.Println("wrote", *out)
+	fmt.Fprintln(os.Stderr, "wrote", *out)
 }
 
 // annotateBaseline loads a prior snapshot and stamps, on every measurement
@@ -447,7 +458,7 @@ func annotateBaseline(snap *Snapshot, path string) error {
 		m.BaselineNsPerOp = bm.NsPerOp
 		m.SpeedupVsBaseline = float64(bm.NsPerOp) / float64(m.NsPerOp)
 		snap.Benchmarks[name] = m
-		fmt.Printf("%-28s vs PR%d: %.2fx\n", name, base.PR, m.SpeedupVsBaseline)
+		fmt.Fprintf(os.Stderr, "%-28s vs PR%d: %.2fx\n", name, base.PR, m.SpeedupVsBaseline)
 	}
 	return nil
 }

@@ -62,7 +62,7 @@ func Route(d *valve.Design) (*pacor.Result, error) {
 		// Internal channels: plain MST (no negotiation, no retry).
 		internalOK := true
 		if len(pts) > 1 {
-			mres, ok := mstroute.RouteCluster(ws, obs, pts, nil)
+			mres, ok := mstroute.RouteCluster(ws, obs, pts)
 			cr.Paths = mres.Paths
 			internalOK = ok
 		}

@@ -39,8 +39,8 @@ func (k Key) String() string { return fmt.Sprintf("%x", k[:]) }
 // excluded, so one cache entry serves cold, seeded and capturing runs alike
 // (the byte-identity tests pin exactly this property).
 func ParamsSig(p pacor.Params) string {
-	return fmt.Sprintf("m=%d;mc=%d;l=%g;sv=%d;er=%d;ec=%t;bh=%g;a=%g;g=%d;hm=%d;ht=%d",
-		p.Mode, p.MaxCandidates, p.Lambda, p.Solver, p.EscapeRetries, p.ExactClustering,
+	return fmt.Sprintf("m=%d;mc=%d;l=%g;sv=%d;bh=%g;a=%g;g=%d;hm=%d;ht=%d",
+		p.Mode, p.MaxCandidates, p.Lambda, p.Solver,
 		p.Negotiate.BaseHist, p.Negotiate.Alpha, p.Negotiate.Gamma,
 		p.Hier.Mode, p.Hier.TileSize)
 }

@@ -120,12 +120,11 @@ func (r *Router) Len() (entries int, bytes int64) {
 // Route routes d under params through the cache. An exact hit returns the
 // stored result; the caller must treat it as read-only — it is shared with
 // the cache and with concurrent callers. A near hit routes with the best
-// cached parent's transcript as params.NegSeed; a miss routes cold. Every
-// computed route is captured and inserted. params.NegSeed and
-// params.NegCapture are overwritten by the cache; everything else passes
-// through, and because seeding never changes routed output (route/seed.go),
-// the result is byte-identical to an uncached pacor.Route for every hit
-// class.
+// cached parent's transcript as params.Negotiate.Seed; a miss routes cold.
+// Every computed route is captured and inserted. The cache overwrites
+// params.Negotiate.Seed and Capture; everything else passes through, and
+// because seeding never changes routed output (route/seed.go), the result
+// is byte-identical to an uncached pacor.Route for every hit class.
 func (r *Router) Route(d *valve.Design, params pacor.Params) (*pacor.Result, error) {
 	sig := ParamsSig(params)
 	key := RawKey(d, sig)
@@ -172,10 +171,10 @@ func (r *Router) routeSlow(d *valve.Design, params pacor.Params, sig string, key
 		parent = r.diskParent(bits, d.W, d.H, sig, key)
 	}
 	capture := &route.NegotiationSeed{}
+	params.Negotiate.Seed, params.Negotiate.Capture = nil, capture
 	if parent != nil {
-		params.NegSeed = parent.seed
+		params.Negotiate.Seed = parent.seed
 	}
-	params.NegCapture = capture
 
 	res, err := r.opts.RouteFn(d, params)
 	if err != nil {

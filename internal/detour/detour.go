@@ -76,19 +76,6 @@ const maxRounds = 10
 // steps 22-24) and ok is false. Every bounded-length reroute search runs on
 // ws, the caller's workspace.
 func Match(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int) bool {
-	return match(ws, obs, net, delta, false)
-}
-
-// MatchBestEffort is Match without the all-or-nothing restore: when full
-// matching fails, partial detours that reduced the spread are kept. The
-// paper's Algorithm 2 restores (Match); this variant exists for the
-// ablation comparing the two policies — a reduced spread still reduces
-// simulated actuation skew even when it misses delta.
-func MatchBestEffort(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int) bool {
-	return match(ws, obs, net, delta, true)
-}
-
-func match(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int, bestEffort bool) bool {
 	if net.Matched(delta) {
 		return true
 	}
@@ -128,7 +115,7 @@ func match(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int, bestEffor
 				need := l - seg.Len() // length contributed by other segments
 				ltMin := (maxL - delta) - need
 				ltMax := maxL - need
-				if newSeg, ok := rerouteSegment(ws, obs, net, si, ltMin, ltMax, bestEffort); ok {
+				if newSeg, ok := rerouteSegment(ws, obs, net, si, ltMin, ltMax); ok {
 					obs.SetPath(net.Segments[si], false)
 					obs.SetPath(newSeg, true)
 					net.Segments[si] = newSeg
@@ -139,10 +126,6 @@ func match(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int, bestEffor
 				}
 			}
 			if !success {
-				if bestEffort {
-					// Keep the spread reduction achieved so far.
-					return net.Matched(delta)
-				}
 				// Steps 22-24: restore and give up.
 				*net = *backupNet
 				obs.RewindJournal(mark)
@@ -156,9 +139,6 @@ func match(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int, bestEffor
 	if net.Matched(delta) {
 		return true
 	}
-	if bestEffort {
-		return false
-	}
 	*net = *backupNet
 	obs.RewindJournal(mark)
 	return false
@@ -166,14 +146,12 @@ func match(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int, bestEffor
 
 // rerouteSegment searches for a replacement of segment si with length in
 // [ltMin, ltMax], keeping its endpoints. The segment's own interior cells
-// are freed for the search; everything else in obs blocks. In best-effort
-// mode a partial lengthening below ltMin still counts as success (the
-// spread shrinks even though the window is missed).
+// are freed for the search; everything else in obs blocks.
 //
-// The segment is freed on obs itself under a journal mark (match always has
+// The segment is freed on obs itself under a journal mark (Match always has
 // a journal active) and the mark is rewound before returning, so obs is
 // left exactly as it came in — the caller commits the swap.
-func rerouteSegment(ws *route.Workspace, obs *grid.ObsMap, net *Net, si, ltMin, ltMax int, bestEffort bool) (grid.Path, bool) {
+func rerouteSegment(ws *route.Workspace, obs *grid.ObsMap, net *Net, si, ltMin, ltMax int) (grid.Path, bool) {
 	seg := net.Segments[si]
 	if len(seg) < 2 || ltMin > ltMax {
 		return nil, false
@@ -216,12 +194,6 @@ func rerouteSegment(ws *route.Workspace, obs *grid.ObsMap, net *Net, si, ltMin, 
 	if !cheapFirst {
 		// Fallback: stack U-turn extensions onto the existing geometry.
 		if p, ok := route.ExtendPath(obs, seg, ltMin, ltMax); ok {
-			return p, true
-		}
-	}
-	if bestEffort {
-		// Keep whatever lengthening the extension achieved.
-		if p, _ := route.ExtendPath(obs, seg, ltMin, ltMax); p.Len() > seg.Len() && p.Len() <= ltMax {
 			return p, true
 		}
 	}

@@ -47,42 +47,3 @@ func TestMatchRestoresOnPartialFailure(t *testing.T) {
 		t.Error("Match must restore the original geometry on failure")
 	}
 }
-
-func TestMatchBestEffortKeepsPartialProgress(t *testing.T) {
-	obs, net := sealedNet(t)
-	_, mxBefore := net.Spread()
-	mnBefore, _ := net.Spread()
-	spreadBefore := mxBefore - mnBefore
-	if MatchBestEffort(route.NewWorkspace(obs.Grid()), obs, net, 1) {
-		t.Fatal("sealed short arm cannot fully match even best-effort")
-	}
-	mn, mx := net.Spread()
-	if mx-mn >= spreadBefore {
-		t.Errorf("best effort kept spread %d, want below %d", mx-mn, spreadBefore)
-	}
-	// The kept geometry must be consistent with obs.
-	for _, s := range net.Segments {
-		for _, c := range s {
-			if !obs.Blocked(c) {
-				t.Errorf("kept segment cell %v not marked", c)
-			}
-		}
-	}
-}
-
-func TestMatchBestEffortMatchesWhenPossible(t *testing.T) {
-	g := grid.New(24, 12)
-	obs := grid.NewObsMap(g)
-	net := &Net{
-		Segments:  []grid.Path{hPath(2, 10, 5), hPath(14, 10, 5)},
-		FullPaths: [][]int{{0}, {1}},
-	}
-	markNet(obs, net)
-	if !MatchBestEffort(route.NewWorkspace(obs.Grid()), obs, net, 1) {
-		t.Fatal("open space must fully match")
-	}
-	mn, mx := net.Spread()
-	if mx-mn > 1 {
-		t.Errorf("spread %d", mx-mn)
-	}
-}

@@ -99,9 +99,9 @@ func editFile(t *testing.T, path string, edit func(string) string) {
 	}
 }
 
-// TestCacheRoundTrip pins run-to-run determinism: two runs over the same
+// TestRunDeterministic pins run-to-run determinism: two runs over the same
 // tree give byte-identical findings.
-func TestCacheRoundTrip(t *testing.T) {
+func TestRunDeterministic(t *testing.T) {
 	root := writeTestModule(t)
 	first := lintJSON(t, root, "./...")
 	if first == "null" || first == "[]" {
@@ -112,9 +112,9 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCacheEarlyCutoff pins that an edit with no semantic change, a
+// TestCommentEditKeepsFindings pins that an edit with no semantic change, a
 // comment in the leaf, changes no finding anywhere.
-func TestCacheEarlyCutoff(t *testing.T) {
+func TestCommentEditKeepsFindings(t *testing.T) {
 	root := writeTestModule(t)
 	before := lintJSON(t, root, "./...")
 	editFile(t, filepath.Join(root, "leaf", "leaf.go"), func(s string) string {
@@ -125,10 +125,10 @@ func TestCacheEarlyCutoff(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationPropagates pins that every run reads the tree
+// TestRunReadsEditedSource pins that every run reads the tree
 // afresh: once leaf.Open defers its stop, the next run drops the leaf's
 // finding and keeps top's.
-func TestCacheInvalidationPropagates(t *testing.T) {
+func TestRunReadsEditedSource(t *testing.T) {
 	root := writeTestModule(t)
 	before, err := Run(Options{Dir: root})
 	if err != nil {
@@ -159,10 +159,10 @@ func TestCacheInvalidationPropagates(t *testing.T) {
 	}
 }
 
-// TestDiffPatterns pins that linting only the importer type-checks its
-// dependency without linting it: leaf's open journal is not reported,
-// top's is.
-func TestDiffPatterns(t *testing.T) {
+// TestPatternLintsOnlyTarget pins that linting only the importer
+// type-checks its dependency without linting it: leaf's open journal is not
+// reported, top's is.
+func TestPatternLintsOnlyTarget(t *testing.T) {
 	root := writeTestModule(t)
 	findings, err := Run(Options{Dir: root, Patterns: []string{"cachemod/top"}})
 	if err != nil {
@@ -173,11 +173,11 @@ func TestDiffPatterns(t *testing.T) {
 	}
 }
 
-// TestDiffPatternsDeletedDir pins that a package directory is linted as
+// TestPackageDirPatterns pins that a package directory is linted as
 // the package `go list` names, not as a loose fixture: same import path,
 // no _test.go files. Only testdata/ directories and directories outside
 // the module are loaded as loose files.
-func TestDiffPatternsDeletedDir(t *testing.T) {
+func TestPackageDirPatterns(t *testing.T) {
 	root := writeTestModule(t)
 	if err := os.WriteFile(filepath.Join(root, "top", "top_test.go"), []byte(`package top
 
@@ -231,11 +231,11 @@ func Leaky(o *ObsMap) {
 	})
 }
 
-// TestParallelByteIdentity pins the driver's one loop: packages are
+// TestFindingsInDepsOrder pins the driver's one loop: packages are
 // analyzed in `go list -deps` order, so every dependency is type-checked
 // before its importers, and findings come out in that order before Run
 // sorts them.
-func TestParallelByteIdentity(t *testing.T) {
+func TestFindingsInDepsOrder(t *testing.T) {
 	root := writeParallelModule(t)
 	listed, err := goList(root, []string{"-deps", "./..."})
 	if err != nil {
@@ -261,10 +261,10 @@ func TestParallelByteIdentity(t *testing.T) {
 	}
 }
 
-// TestParallelSelfModule pins that a pattern below the module root lints
+// TestLintSuiteClean pins that a pattern below the module root lints
 // on its own: the analyzer suite, linted alone, is clean under its own
 // rules.
-func TestParallelSelfModule(t *testing.T) {
+func TestLintSuiteClean(t *testing.T) {
 	findings, err := Run(Options{Dir: "../..", Patterns: []string{"./internal/lint/..."}})
 	if err != nil {
 		t.Fatal(err)

@@ -193,21 +193,20 @@ func TestFixtureSuiteFails(t *testing.T) {
 	}
 }
 
-// TestSharedCaptureFixture pins journalpair's rule for `go` statements: a
+// TestGoHandoffFixture pins journalpair's rule for `go` statements: a
 // spawned call's arguments and a spawned closure's captures move to the
 // goroutine, so the spawner is not charged with a leak. The fixture's
 // synchronous controls, the same calls made without `go`, only use the
 // map and leak.
-func TestSharedCaptureFixture(t *testing.T) {
+func TestGoHandoffFixture(t *testing.T) {
 	runFixture(t, AnalyzerJournalPair, "testdata/src/gohandoff")
 }
 
-// TestCommitOrderFixture pins the fact that makes a commit-order analyzer
-// unnecessary on the routing packages: their sources carry no pacor
-// directive beyond allow, hot and pkgpath, so no lock-holding contract
-// exists to check. (That they start no goroutines is part of the
-// module-wide inventory in TestConcHygieneFixture.) Test files are exempt.
-func TestCommitOrderFixture(t *testing.T) {
+// TestRoutingDirectivesKnown pins that the routing packages' sources carry
+// no pacor directive beyond allow, hot and pkgpath, so no lock-holding
+// contract exists to check. (That they start no goroutines is part of the
+// module-wide inventory in TestGoStatementInventory.) Test files are exempt.
+func TestRoutingDirectivesKnown(t *testing.T) {
 	known := []string{allowPrefix, hotPrefix, pkgpathPrefix}
 	for _, dir := range []string{"../route", "../grid", "../pacor", "../escape"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -297,10 +296,10 @@ func forEachModuleSource(t *testing.T, mode parser.Mode, fn func(rel string, fse
 	}
 }
 
-// TestConcHygieneFixture is the module-wide goroutine inventory: a `go`
+// TestGoStatementInventory is the module-wide goroutine inventory: a `go`
 // statement in any non-test file not listed in goroutineSites fails with
 // its position.
-func TestConcHygieneFixture(t *testing.T) {
+func TestGoStatementInventory(t *testing.T) {
 	forEachModuleSource(t, parser.SkipObjectResolution, func(rel string, fset *token.FileSet, f *ast.File) {
 		if goroutineSites[rel] {
 			return
@@ -322,10 +321,10 @@ var mcfImporters = map[string]bool{
 	"internal/escape": true,
 }
 
-// TestMcfPairFixture is the module-wide inventory of min-cost-flow users:
-// an import of repro/internal/mcf from a non-test file outside
+// TestMcfImportInventory is the module-wide inventory of min-cost-flow
+// users: an import of repro/internal/mcf from a non-test file outside
 // mcfImporters fails with its position.
-func TestMcfPairFixture(t *testing.T) {
+func TestMcfImportInventory(t *testing.T) {
 	forEachModuleSource(t, parser.ImportsOnly, func(rel string, fset *token.FileSet, f *ast.File) {
 		if mcfImporters[path.Dir(rel)] {
 			return
@@ -342,11 +341,11 @@ func TestMcfPairFixture(t *testing.T) {
 // poolNames matches the acquire/release pair of a workspace pool.
 var poolNames = regexp.MustCompile(`^(Acquire|Release)Workspace$`)
 
-// TestWsAliasingFixture is the module-wide inventory behind "one search
+// TestNoWorkspacePool is the module-wide inventory behind "one search
 // workspace per run": every router takes the caller's workspace, so no
 // non-test file may use a sync.Pool or name a workspace pool's
 // acquire/release pair. A hit fails with its position.
-func TestWsAliasingFixture(t *testing.T) {
+func TestNoWorkspacePool(t *testing.T) {
 	forEachModuleSource(t, parser.SkipObjectResolution, func(rel string, fset *token.FileSet, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -364,9 +363,9 @@ func TestWsAliasingFixture(t *testing.T) {
 	})
 }
 
-// TestFixFixpoint pins the liberrs dead-discard findings: each sits on the
-// discard's own line, and its message names the repair.
-func TestFixFixpoint(t *testing.T) {
+// TestDeadDiscardFindings pins the liberrs dead-discard findings: each sits
+// on the discard's own line, and its message names the repair.
+func TestDeadDiscardFindings(t *testing.T) {
 	findings, err := Run(Options{
 		Patterns:  []string{"testdata/src/liberrs"},
 		Analyzers: []*Analyzer{AnalyzerLibErrs},
@@ -389,9 +388,9 @@ func TestFixFixpoint(t *testing.T) {
 	}
 }
 
-// TestApplyFixesOverlap pins the JSON shape of a finding: Pos, Analyzer
+// TestFindingJSONShape pins the JSON shape of a finding: Pos, Analyzer
 // and Message, with no repair edits attached to the liberrs findings.
-func TestApplyFixesOverlap(t *testing.T) {
+func TestFindingJSONShape(t *testing.T) {
 	findings, err := Run(Options{
 		Patterns:  []string{"testdata/src/liberrs"},
 		Analyzers: []*Analyzer{AnalyzerLibErrs},

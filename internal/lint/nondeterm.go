@@ -20,7 +20,7 @@ import (
 //     returning durations is fine — only conditions are flagged, tracked
 //     by a taint analysis over the control-flow graph.
 //
-// Library code starts no goroutines (TestConcHygieneFixture), so racing
+// Library code starts no goroutines (TestGoStatementInventory), so racing
 // selects and channel sends have nothing to guard here.
 var AnalyzerNonDeterm = &Analyzer{
 	Name: "nondeterm",

@@ -74,12 +74,12 @@ func (r *Result) TotalLen() int {
 	return n
 }
 
-// RouteCluster connects the terminals into one routed tree on obs. Routed
-// paths are marked as obstacles in obs (the caller owns rollback via Clone
-// if needed). hist, when non-nil, is a per-cell extra-cost array shared with
-// the negotiation stage. ok is false when any terminal failed to attach.
-// Every A* edge search runs on ws, the caller's workspace.
-func RouteCluster(ws *route.Workspace, obs *grid.ObsMap, terms []geom.Pt, hist []float64) (*Result, bool) {
+// RouteCluster connects the terminals into one routed tree on obs, each MST
+// edge by a unit-cost A* search. Routed paths are marked as obstacles in obs
+// (the caller owns rollback via Clone if needed). ok is false when any
+// terminal failed to attach. Every A* edge search runs on ws, the caller's
+// workspace.
+func RouteCluster(ws *route.Workspace, obs *grid.ObsMap, terms []geom.Pt) (*Result, bool) {
 	res := &Result{}
 	if len(terms) <= 1 {
 		return res, true
@@ -88,7 +88,6 @@ func RouteCluster(ws *route.Workspace, obs *grid.ObsMap, terms []geom.Pt, hist [
 	edges := MST(terms)
 	// Tree cells grow as edges route; point-to-path search targets them all.
 	tree := []geom.Pt{terms[0]}
-	attached := map[int]bool{0: true}
 	ok := true
 	for _, e := range edges {
 		// Prim guarantees e[0] is already attached; if its own attachment
@@ -98,7 +97,6 @@ func RouteCluster(ws *route.Workspace, obs *grid.ObsMap, terms []geom.Pt, hist [
 			Sources: []geom.Pt{src},
 			Targets: tree,
 			Obs:     obs,
-			Hist:    hist,
 		})
 		if !routed {
 			res.Failed = append(res.Failed, e[1])
@@ -107,7 +105,6 @@ func RouteCluster(ws *route.Workspace, obs *grid.ObsMap, terms []geom.Pt, hist [
 		}
 		res.Paths = append(res.Paths, p)
 		obs.SetPath(p, true)
-		attached[e[1]] = true
 		tree = append(tree, p...)
 	}
 	// De-duplicate failed list order for determinism.

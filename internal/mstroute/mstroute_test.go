@@ -108,7 +108,7 @@ func TestRouteClusterOpenGrid(t *testing.T) {
 	g := grid.New(20, 20)
 	obs := grid.NewObsMap(g)
 	terms := []geom.Pt{{X: 2, Y: 2}, {X: 15, Y: 2}, {X: 2, Y: 15}, {X: 15, Y: 15}}
-	res, ok := RouteCluster(route.NewWorkspace(obs.Grid()), obs, terms, nil)
+	res, ok := RouteCluster(route.NewWorkspace(obs.Grid()), obs, terms)
 	if !ok {
 		t.Fatalf("routing failed: %+v", res.Failed)
 	}
@@ -132,7 +132,7 @@ func TestRouteClusterPointToPathShortens(t *testing.T) {
 	g := grid.New(20, 5)
 	obs := grid.NewObsMap(g)
 	terms := []geom.Pt{{X: 1, Y: 2}, {X: 18, Y: 2}, {X: 9, Y: 2}}
-	res, ok := RouteCluster(route.NewWorkspace(obs.Grid()), obs, terms, nil)
+	res, ok := RouteCluster(route.NewWorkspace(obs.Grid()), obs, terms)
 	if !ok {
 		t.Fatal("routing failed")
 	}
@@ -151,7 +151,7 @@ func TestRouteClusterWithObstacles(t *testing.T) {
 		obs.Set(geom.Pt{X: 7, Y: y}, true)
 	}
 	terms := []geom.Pt{{X: 2, Y: 7}, {X: 12, Y: 7}}
-	res, ok := RouteCluster(route.NewWorkspace(obs.Grid()), obs, terms, nil)
+	res, ok := RouteCluster(route.NewWorkspace(obs.Grid()), obs, terms)
 	if !ok {
 		t.Fatal("routing failed")
 	}
@@ -176,7 +176,7 @@ func TestRouteClusterFailure(t *testing.T) {
 		obs.Set(target.Add(d), true)
 	}
 	terms := []geom.Pt{{X: 1, Y: 1}, target}
-	res, ok := RouteCluster(route.NewWorkspace(obs.Grid()), obs, terms, nil)
+	res, ok := RouteCluster(route.NewWorkspace(obs.Grid()), obs, terms)
 	if ok {
 		t.Fatal("sealed terminal should fail")
 	}
@@ -188,7 +188,7 @@ func TestRouteClusterFailure(t *testing.T) {
 func TestRouteClusterSingleton(t *testing.T) {
 	g := grid.New(5, 5)
 	obs := grid.NewObsMap(g)
-	res, ok := RouteCluster(route.NewWorkspace(obs.Grid()), obs, []geom.Pt{{X: 2, Y: 2}}, nil)
+	res, ok := RouteCluster(route.NewWorkspace(obs.Grid()), obs, []geom.Pt{{X: 2, Y: 2}})
 	if !ok || len(res.Paths) != 0 {
 		t.Error("singleton cluster should trivially succeed with no paths")
 	}
@@ -198,7 +198,7 @@ func TestRouteClusterMarksObstacles(t *testing.T) {
 	g := grid.New(10, 10)
 	obs := grid.NewObsMap(g)
 	terms := []geom.Pt{{X: 1, Y: 1}, {X: 8, Y: 1}}
-	res, ok := RouteCluster(route.NewWorkspace(obs.Grid()), obs, terms, nil)
+	res, ok := RouteCluster(route.NewWorkspace(obs.Grid()), obs, terms)
 	if !ok {
 		t.Fatal("routing failed")
 	}

@@ -5,17 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/geom"
 	"repro/internal/route"
 	"repro/internal/seltree"
 	"repro/internal/valve"
 )
 
 // TestWorkerCountByteIdentical routes the synthetic Table 1 benchmarks in
-// every mode with the cross-run negotiation capture (NegCapture) unset and
-// set, and requires the serialized results to be byte-for-byte identical:
-// recording a transcript for a later warm start must never change the run
-// it records. Runtime fields are zeroed before comparison — wall time is
-// the one thing allowed to differ.
+// every mode with the cross-run negotiation capture (Negotiate.Capture)
+// unset and set, and requires the serialized results to be byte-for-byte
+// identical: recording a transcript for a later warm start must never
+// change the run it records. Runtime fields are zeroed before comparison —
+// wall time is the one thing allowed to differ.
 func TestWorkerCountByteIdentical(t *testing.T) {
 	names := []string{"S1", "S2", "S3", "S4", "S5"}
 	if testing.Short() {
@@ -34,7 +35,7 @@ func TestWorkerCountByteIdentical(t *testing.T) {
 					params.Mode = mode
 					var negCap route.NegotiationSeed
 					if capture {
-						params.NegCapture = &negCap
+						params.Negotiate.Capture = &negCap
 					}
 					res, err := Route(d, params)
 					if err != nil {
@@ -54,6 +55,51 @@ func TestWorkerCountByteIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNegotiateCaptureHoldsMainCall: a capture set through
+// Params.Negotiate.Capture records the main length-matching negotiation,
+// whose edges end at every valve of every LM cluster (tree leaves and pair
+// ends), not a rescue or refinement call, which negotiates one tree alone.
+// Fed back as Params.Negotiate.Seed, it replays searches and leaves the
+// result unchanged.
+func TestNegotiateCaptureHoldsMainCall(t *testing.T) {
+	d := testDesign(t)
+	params := DefaultParams()
+	var capture route.NegotiationSeed
+	params.Negotiate.Capture = &capture
+	cold, err := Route(d, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(capture.Rounds) == 0 {
+		t.Fatal("capture recorded no negotiation round")
+	}
+	ends := map[geom.Pt]bool{}
+	for _, e := range capture.Edges {
+		for _, p := range append(append([]geom.Pt(nil), e.Sources...), e.Targets...) {
+			ends[p] = true
+		}
+	}
+	for _, c := range d.LMClusters {
+		for _, v := range c {
+			if !ends[d.Valves[v].Pos] {
+				t.Errorf("valve %d of LM cluster %v ends no captured edge", v, c)
+			}
+		}
+	}
+
+	params.Negotiate.Seed, params.Negotiate.Capture = &capture, nil
+	warm, err := Route(d, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Negotiate.SeededHits == 0 {
+		t.Error("seeding from the capture replayed no search")
+	}
+	if !bytes.Equal(stableJSON(t, cold), stableJSON(t, warm)) {
+		t.Error("the seeded route differs from the capturing one")
 	}
 }
 

@@ -81,12 +81,7 @@ func Route(d *valve.Design, params Params) (*Result, error) {
 
 	// Stage 1: valve clustering (Figure 2).
 	t0 := time.Now()
-	var part *cluster.Result
-	if params.ExactClustering {
-		part = cluster.PartitionExact(d)
-	} else {
-		part = cluster.Partition(d)
-	}
+	part := cluster.Partition(d)
 	var fcs []*flowCluster
 	for _, c := range part.Clusters {
 		fc := &flowCluster{id: c.ID, valves: c.Valves, lm: c.LM}
@@ -208,13 +203,9 @@ func routeLMClusters(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs
 	if len(edges) == 0 {
 		return
 	}
-	// Only the main negotiation call carries the cross-run seed and capture:
-	// rescue and refinement route different edge sets on different base maps,
-	// where a parent transcript can't align.
-	np := params.Negotiate
-	np.Seed = params.NegSeed
-	np.Capture = params.NegCapture
-	paths, _ := ws.Negotiate(obs, edges, np, negStats)
+	// Only this call carries the cross-run seed and capture (routeSolo
+	// clears them for rescue and refinement).
+	paths, _ := ws.Negotiate(obs, edges, params.Negotiate, negStats)
 
 	// First pass: commit every completely routed cluster, so the rescue
 	// pass below sees the full environment.
@@ -259,7 +250,7 @@ func routeLMClusters(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs
 	// environment before giving up the LM constraint (the paper reconstructs
 	// the DME tree when negotiation exhausts its iterations).
 	for _, fc := range incompleteTrees {
-		if !rescueTreeCluster(ws, d, obs, fc, params, negStats) {
+		if !rescueTreeCluster(ws, obs, fc, params, negStats) {
 			fc.demoted = true
 			fc.kind = kindOrd
 			fc.tree = nil
@@ -270,30 +261,11 @@ func routeLMClusters(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs
 // rescueTreeCluster tries every candidate of an unrealized tree cluster
 // solo against the current obstacle map, committing the first that routes
 // completely. Returns false when no candidate routes.
-func rescueTreeCluster(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fc *flowCluster, params Params, negStats *route.NegotiateStats) bool {
+func rescueTreeCluster(ws *route.Workspace, obs *grid.ObsMap, fc *flowCluster, params Params, negStats *route.NegotiateStats) bool {
 	for _, cand := range fc.cands {
-		blocked := false
-		for ni, nd := range cand.Topo.Nodes {
-			if nd.Sink < 0 && obs.Blocked(cand.Pos[ni]) {
-				blocked = true
-				break
-			}
-		}
-		if blocked {
+		segs := routeSolo(ws, obs, cand, params.Negotiate, negStats)
+		if segs == nil {
 			continue
-		}
-		var edges []route.Edge
-		for ei, e := range cand.Edges() {
-			edges = append(edges, route.Edge{
-				ID: ei, Sources: []geom.Pt{e.From}, Targets: []geom.Pt{e.To}})
-		}
-		paths, ok := ws.Negotiate(obs, edges, params.Negotiate, negStats)
-		if !ok {
-			continue
-		}
-		segs := make([]grid.Path, len(edges))
-		for ei := range edges {
-			segs[ei] = paths[ei]
 		}
 		for _, p := range segs {
 			obs.SetPath(p, true)
@@ -304,6 +276,35 @@ func rescueTreeCluster(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, f
 		return true
 	}
 	return false
+}
+
+// routeSolo negotiates the edges of candidate tree cand alone on obs and
+// returns their paths in edge order, or nil when the candidate does not
+// route. A candidate whose internal nodes sit on other clusters' channels
+// (or valves) would route into them, so it is skipped without a search.
+// The cross-run seed and capture belong to the main negotiation call, so
+// they are cleared here.
+func routeSolo(ws *route.Workspace, obs *grid.ObsMap, cand *dme.Tree, np route.NegotiateParams, negStats *route.NegotiateStats) []grid.Path {
+	for ni, nd := range cand.Topo.Nodes {
+		if nd.Sink < 0 && obs.Blocked(cand.Pos[ni]) {
+			return nil
+		}
+	}
+	var edges []route.Edge
+	for ei, e := range cand.Edges() {
+		edges = append(edges, route.Edge{
+			ID: ei, Sources: []geom.Pt{e.From}, Targets: []geom.Pt{e.To}})
+	}
+	np.Seed, np.Capture = nil, nil
+	paths, ok := ws.Negotiate(obs, edges, np, negStats)
+	if !ok {
+		return nil
+	}
+	segs := make([]grid.Path, len(edges))
+	for ei := range edges {
+		segs[ei] = paths[ei]
+	}
+	return segs
 }
 
 // resolveNodeCollisions makes the selected trees' internal node positions
@@ -380,30 +381,9 @@ func refineLMClusters(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fc
 			cands = []*dme.Tree{fc.tree}
 		}
 		for _, cand := range cands {
-			// A candidate whose internal nodes sit on other clusters'
-			// channels (or valves) would route into them: skip it.
-			blockedNode := false
-			for ni, nd := range cand.Topo.Nodes {
-				if nd.Sink < 0 && base.Blocked(cand.Pos[ni]) {
-					blockedNode = true
-					break
-				}
-			}
-			if blockedNode {
+			segs := routeSolo(ws, base, cand, params.Negotiate, negStats)
+			if segs == nil {
 				continue
-			}
-			var edges []route.Edge
-			for ei, e := range cand.Edges() {
-				edges = append(edges, route.Edge{
-					ID: ei, Sources: []geom.Pt{e.From}, Targets: []geom.Pt{e.To}})
-			}
-			paths, ok := ws.Negotiate(base, edges, params.Negotiate, negStats)
-			if !ok {
-				continue
-			}
-			segs := make([]grid.Path, len(edges))
-			for ei := range edges {
-				segs[ei] = paths[ei]
 			}
 			net := netFromTree(cand, segs)
 			nmn, nmx := net.Spread()
@@ -555,7 +535,7 @@ func routeOrdinary(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs [
 // not be journaling already.
 func routeMST(ws *route.Workspace, obs *grid.ObsMap, pos []geom.Pt) ([]grid.Path, bool) {
 	obs.StartJournal(nil)
-	res, ok := mstroute.RouteCluster(ws, obs, pos, nil)
+	res, ok := mstroute.RouteCluster(ws, obs, pos)
 	if !ok {
 		obs.RewindJournal(0)
 	}
@@ -587,16 +567,12 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 			nextID = fc.id + 1
 		}
 	}
-	retries := params.EscapeRetries
-	if retries < 1 {
-		retries = 1
-	}
 	// Escapes committed early by rip-up (already marked in obs).
 	committed := map[int]grid.Path{}
 	usedPins := map[geom.Pt]bool{}
 
 	var res *escape.Result
-	for round := 0; round < retries; round++ {
+	for round := 0; round < escapeRetries; round++ {
 		terms := buildTerminals(d, fcs, committed)
 		var pins []geom.Pt
 		for _, p := range d.Pins {
@@ -614,7 +590,7 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 		if len(res.Unrouted) == 0 {
 			break
 		}
-		if round == retries-1 {
+		if round == escapeRetries-1 {
 			break
 		}
 		m := byID()

@@ -47,7 +47,14 @@ type Params struct {
 	MaxCandidates int
 	// Lambda weighs mismatch vs overlap in selection (Eq. 2-3).
 	Lambda float64
-	// Negotiate holds Algorithm 1's bg/alpha/gamma.
+	// Negotiate holds Algorithm 1's bg/alpha/gamma, and the cross-run
+	// Seed and Capture (designcache sets both). Only the main
+	// length-matching negotiation uses Seed and Capture: rescue and
+	// refinement negotiate one cluster's edges on a different base map,
+	// where the transcript does not apply, and run with both cleared. A
+	// seed never changes routed output (route/seed.go's cone-disjointness
+	// gate), and a capture receives the main call's transcript for a later
+	// run's Seed.
 	Negotiate route.NegotiateParams
 	// Hier configures the hierarchical two-stage escape router
 	// (route.HierParams, escape.RouteHier). It is approximate: pin
@@ -61,24 +68,10 @@ type Params struct {
 	// seltree.SolverILP runs it as the paper-fidelity ablation, and it
 	// returns the same picks, only slower.
 	Solver seltree.Solver
-	// EscapeRetries bounds the de-clustering/rip-up escape rounds.
-	EscapeRetries int
-	// ExactClustering replaces the greedy max-clique heuristic of the valve
-	// clustering stage with exact maximum-clique extraction (slower; for
-	// small designs and ablations).
-	ExactClustering bool
-	// NegSeed, when non-nil, warm-starts the flow's main length-matching
-	// negotiation from a previous run's captured transcript
-	// (route.NegotiationSeed; designcache feeds this on a near-hit). Seeding
-	// never changes routed output — see seed.go's cone-disjointness gate —
-	// and only the main call consumes it: rescue and refinement negotiate
-	// different edge sets against different base maps, where the parent
-	// transcript does not apply.
-	NegSeed *route.NegotiationSeed
-	// NegCapture, when non-nil, receives the main negotiation call's full
-	// transcript for use as a later run's NegSeed.
-	NegCapture *route.NegotiationSeed
 }
+
+// escapeRetries bounds the de-clustering/rip-up escape rounds.
+const escapeRetries = 6
 
 // DefaultParams returns the paper's settings, with the exact branch and
 // bound in place of its ILP for candidate selection.
@@ -89,6 +82,5 @@ func DefaultParams() Params {
 		Lambda:        0.1,
 		Negotiate:     route.DefaultNegotiateParams(),
 		Solver:        seltree.SolverExact,
-		EscapeRetries: 6,
 	}
 }

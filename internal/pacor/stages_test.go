@@ -26,27 +26,3 @@ func TestStageTimesRecorded(t *testing.T) {
 		t.Errorf("stage times %v exceed total runtime %v", sum, res.Runtime)
 	}
 }
-
-func TestExactClusteringMode(t *testing.T) {
-	d := testDesign(t)
-	params := DefaultParams()
-	params.ExactClustering = true
-	res, err := Route(d, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CompletionRate() != 1 {
-		t.Errorf("completion %.2f", res.CompletionRate())
-	}
-	if err := Verify(d, res); err != nil {
-		t.Error(err)
-	}
-	// Exact clustering must not create more clusters than the greedy mode.
-	greedy, err := Route(d, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Clusters) > len(greedy.Clusters) {
-		t.Errorf("exact %d clusters > greedy %d", len(res.Clusters), len(greedy.Clusters))
-	}
-}

@@ -340,11 +340,11 @@ func laneScenario(nEdges int) (grid.Grid, *grid.ObsMap, []Edge) {
 	return g, obs, edges
 }
 
-// TestRunScheduledMatchesSequential: a negotiation that routes in its first
+// TestNegotiateMatchesHandLoop: a negotiation that routes in its first
 // round returns exactly the paths of the plain Algorithm 1 loop written out
 // by hand — block every terminal, then search the edges in order with zero
 // history, each found path becoming an obstacle before the next search.
-func TestRunScheduledMatchesSequential(t *testing.T) {
+func TestNegotiateMatchesHandLoop(t *testing.T) {
 	g, obs, edges := laneScenario(8)
 	var stats NegotiateStats
 	got, ok := NewWorkspace(g).Negotiate(obs, edges, DefaultNegotiateParams(), &stats)
@@ -372,10 +372,10 @@ func TestRunScheduledMatchesSequential(t *testing.T) {
 	pathsIdentical(t, "negotiate vs hand loop", got, want)
 }
 
-// TestRunScheduledMispredictedWindows: a workspace carries no routing state
+// TestNegotiateReusedAcrossGrids: a workspace carries no routing state
 // from one negotiation into the next. After negotiating a differently sized
 // grid it returns the same paths and counters as a fresh workspace.
-func TestRunScheduledMispredictedWindows(t *testing.T) {
+func TestNegotiateReusedAcrossGrids(t *testing.T) {
 	_, otherObs, otherEdges := laneScenario(3)
 	g, obs, edges := laneScenario(10)
 	params := DefaultNegotiateParams()
@@ -398,11 +398,11 @@ func TestRunScheduledMispredictedWindows(t *testing.T) {
 	}
 }
 
-// TestRunScheduledFailuresCommitNothing: a walled-off edge beside a
+// TestNegotiateFailureCommitsNothing: a walled-off edge beside a
 // reachable one fails the negotiation, is reported in FailedIDs, and leaves
 // the caller's obstacle map byte-identical. The same workspace then routes
 // the reachable edge alone exactly as a fresh workspace does.
-func TestRunScheduledFailuresCommitNothing(t *testing.T) {
+func TestNegotiateFailureCommitsNothing(t *testing.T) {
 	g := grid.New(8, 8)
 	obs := grid.NewObsMap(g)
 	for y := 0; y < 8; y++ {

@@ -4,10 +4,12 @@ import "math"
 
 // This file implements the Dial-style bucket queue the grid searches use in
 // place of the binary heap, and the fixed-point quantization certificate that
-// gates it.
+// gates it. Each search picks its open list once, before its first push
+// (astarRing / boundedRing in workspace.go certify and size the ring), and
+// its one loop pushes and pops through Workspace.push / pop.
 //
 // Both grid searches order their frontiers by an f key plus a deterministic
-// tie-break (openLess / boundedLess: smaller f first, earlier push first).
+// tie-break (openLess: smaller f first, earlier push first).
 // When every key the search can produce is an exact integer — unit step
 // costs, or Eq.-5 history costs certified by HistQuant — the binary heap can
 // be replaced by a ring of B = 2^k buckets indexed key mod B: push is O(1),
@@ -28,7 +30,7 @@ import "math"
 // its pushes can land below the cursor; push rolls the cursor back, and the
 // ring is sized for the whole key universe [minLen, max(2*minLen, maxLen+H)]
 // instead of a sliding window. When the required ring exceeds maxBucketSpan,
-// the search falls back to the heap — same output, different constant factor.
+// the search runs on the heap — same output, different constant factor.
 
 const (
 	// maxBucketSpan caps the ring size; searches whose key span would exceed

@@ -32,19 +32,21 @@ type Workspace struct {
 	closed []bool    // A*: settled cells
 
 	maxSeen []int32 // bounded search: longest path length seen per cell
+	arena   []bnode // bounded search: state arena
 
-	open  []openItem    // A* frontier (heap mode), reused across searches
-	seq   uint32        // push sequence within the current search (tie-break)
-	bopen []boundedItem // bounded-search frontier (heap mode)
-	arena []bnode       // bounded-search state arena
-	bq    bucketQueue   // Dial ring shared by both searches (bucket mode)
+	// The open list (push/pop): each search runs on either the binary heap
+	// or the Dial ring, both reused across searches.
+	open   []openItem  // binary heap
+	seq    uint32      // heap push sequence within the current search (tie-break)
+	bq     bucketQueue // Dial ring
+	bscale float64     // ring key = f·bscale (A*'s certified scale; 1 for the bounded search)
 
 	// heapOnly makes every search run on the binary heap, the reference the
-	// package's queue tests compare the bucket queue against; lastBucket
-	// records whether the most recent search actually ran on the bucket queue
-	// (after certification and ring-feasibility fallbacks). Neither is
-	// reachable from outside the package: the open list follows from the
-	// request alone.
+	// package's queue tests compare the bucket queue against. lastBucket
+	// selects the ring for the current search, so after a search it records
+	// whether that search ran on the ring (after certification and
+	// ring-feasibility fallbacks). Neither is reachable from outside the
+	// package: the open list follows from the request alone.
 	heapOnly   bool
 	lastBucket bool
 
@@ -163,16 +165,8 @@ func (w *Workspace) begin(g grid.Grid) {
 	}
 	w.gen++
 	w.open = w.open[:0]
-	w.bopen = w.bopen[:0]
 	w.arena = w.arena[:0]
 	w.seq = 0
-}
-
-// nextSeq returns the next push sequence number of the current search.
-func (w *Workspace) nextSeq() uint32 {
-	s := w.seq
-	w.seq++
-	return s
 }
 
 // touch brings cell i into the current generation with A* initial state and
@@ -241,10 +235,10 @@ func targetH(tb geom.Rect, p geom.Pt) int {
 
 // AStar finds a cheapest path from any source to any target. The returned
 // path runs source..target. ok is false when no path exists. A search
-// allocates nothing beyond the returned path. The open list is the Dial
-// bucket queue (queue.go) whenever the request's key domain is certified
-// integral and the ring fits, the binary heap otherwise.
-// Both implement the same (f, push order) total order, so the choice never
+// allocates nothing beyond the returned path. The open list is chosen once
+// per search: the Dial bucket queue (queue.go) when astarRing certifies the
+// request's keys and fits them in the ring, the binary heap otherwise. Both
+// implement the same (f, push order) total order, so the choice never
 // changes the routed path, only the wall clock.
 func (w *Workspace) AStar(g grid.Grid, req Request) (grid.Path, bool) {
 	if len(req.Sources) == 0 || len(req.Targets) == 0 {
@@ -255,23 +249,7 @@ func (w *Workspace) AStar(g grid.Grid, req Request) (grid.Path, bool) {
 	if nt == 0 {
 		return nil, false
 	}
-	if !w.heapOnly {
-		if scale, maxStep, ok := req.quant(); ok {
-			// The bucket attempt inspects only source heuristics before
-			// committing; when the ring is infeasible it returns done=false
-			// without having stamped a cell, and the heap takes over on the
-			// same generation.
-			if path, found, done := w.astarBucket(g, req, tb, scale, maxStep); done {
-				return path, found
-			}
-		}
-	}
-	return w.astarHeap(g, req, tb)
-}
-
-// astarHeap is the float64 binary-heap search loop.
-func (w *Workspace) astarHeap(g grid.Grid, req Request, tb geom.Rect) (grid.Path, bool) {
-	w.lastBucket = false
+	w.lastBucket = !w.heapOnly && w.astarRing(g, req, tb)
 	for _, s := range req.Sources {
 		if !g.In(s) {
 			continue
@@ -281,11 +259,14 @@ func (w *Workspace) astarHeap(g grid.Grid, req Request, tb geom.Rect) (grid.Path
 			continue
 		}
 		w.gCost[i] = 0
-		pushOpen(&w.open, openItem{idx: int32(i), seq: w.nextSeq(), f: float64(targetH(tb, s))})
+		w.push(float64(targetH(tb, s)), int32(i))
 	}
-	for len(w.open) > 0 {
-		it := popOpen(&w.open)
-		i := int(it.idx)
+	for {
+		it, ok := w.pop()
+		if !ok {
+			return nil, false
+		}
+		i := int(it)
 		if w.closed[i] {
 			continue
 		}
@@ -328,110 +309,37 @@ func (w *Workspace) astarHeap(g grid.Grid, req Request, tb geom.Rect) (grid.Path
 			if w.gCost[j] < 0 || ng < w.gCost[j] {
 				w.gCost[j] = ng
 				w.parent[j] = int32(i)
-				pushOpen(&w.open, openItem{idx: int32(j), seq: w.nextSeq(), f: ng + float64(targetH(tb, q))})
+				w.push(ng+float64(targetH(tb, q)), int32(j))
 			}
 		}
 	}
-	return nil, false
 }
 
-// astarBucket is the Dial bucket-queue search loop: the same expansion body
-// as astarHeap, with frontier keys in the certified fixed-point integer
-// domain (key = (g+h)·scale; the scale is a power of two, so the float64
-// products are exact and the integer key order equals the float f order).
-// done=false means the ring was infeasible for this request's key span; no
-// cell has been stamped and the caller falls back to the heap.
-func (w *Workspace) astarBucket(g grid.Grid, req Request, tb geom.Rect, scale, maxStep int64) (path grid.Path, found, done bool) {
-	// Ring sizing: before the first pop the live keys span the sources'
-	// heuristic spread; afterwards a pushed key exceeds the popped one by at
-	// most step+scale (consistent heuristic, one cell per move).
-	var hmin, hmax int64
-	first := true
+// astarRing prepares the ring for an A* request and reports whether the
+// search can run on it. The request's cost domain must be certified
+// integral (Request.quant); ring keys are then f·scale, exact in float64
+// because the scale is a power of two, so the integer key order equals the
+// float f order. Before the first pop the live keys span the sources'
+// heuristic spread; afterwards a pushed key exceeds the popped one by at most
+// step+scale (consistent heuristic, one cell per move). false means the
+// domain is uncertified or the span exceeds the ring cap.
+func (w *Workspace) astarRing(g grid.Grid, req Request, tb geom.Rect) bool {
+	scale, maxStep, ok := req.quant()
+	if !ok {
+		return false
+	}
+	hmin, hmax := int64(math.MaxInt64), int64(0)
 	for _, s := range req.Sources {
-		if !g.In(s) {
-			continue
-		}
-		h := int64(targetH(tb, s)) * scale
-		if first {
-			hmin, hmax = h, h
-			first = false
-		} else if h < hmin {
-			hmin = h
-		} else if h > hmax {
-			hmax = h
+		if g.In(s) {
+			h := int64(targetH(tb, s)) * scale
+			hmin, hmax = min(hmin, h), max(hmax, h)
 		}
 	}
-	if first {
-		return nil, false, true // no in-grid source; the heap would fail identically
+	if !w.bq.prep(max(hmax-hmin, maxStep+scale)) {
+		return false
 	}
-	span := hmax - hmin
-	if m := maxStep + scale; m > span {
-		span = m
-	}
-	if !w.bq.prep(span) {
-		return nil, false, false
-	}
-	w.lastBucket = true
-	scaleF := float64(scale)
-	for _, s := range req.Sources {
-		if !g.In(s) {
-			continue
-		}
-		i := g.Index(s)
-		if w.touch(i) && w.gCost[i] == 0 {
-			continue
-		}
-		w.gCost[i] = 0
-		w.bq.push(int64(targetH(tb, s))*scale, int32(i))
-	}
-	for {
-		it, ok := w.bq.pop()
-		if !ok {
-			break
-		}
-		i := int(it)
-		if w.closed[i] {
-			continue
-		}
-		w.closed[i] = true
-		p := g.Pt(i)
-		if w.isTarget(i) {
-			return w.reconstruct(g, i), true, true
-		}
-		w.nbuf = g.Neighbors(p, w.nbuf)
-		for _, q := range w.nbuf {
-			j := g.Index(q)
-			// Same stamp-before-read discipline as astarHeap; see the comment
-			// there.
-			if w.track {
-				if w.touch(j) && w.closed[j] {
-					continue
-				}
-			}
-			if !req.inBounds(q) && !w.isTarget(j) {
-				continue
-			}
-			if req.Obs != nil && req.Obs.Blocked(q) && !w.isTarget(j) {
-				continue
-			}
-			if !w.track {
-				if w.touch(j) && w.closed[j] {
-					continue
-				}
-			}
-			step := 1.0
-			if req.Hist != nil {
-				step += req.Hist[j]
-			}
-			ng := w.gCost[i] + step
-			if w.gCost[j] < 0 || ng < w.gCost[j] {
-				w.gCost[j] = ng
-				w.parent[j] = int32(i)
-				w.bq.push(int64((ng+float64(targetH(tb, q)))*scaleF), int32(j))
-			}
-		}
-	}
-	return nil, false, true
+	w.bscale = float64(scale)
+	return true
 }
 
 // reconstruct walks the parent chain from end, allocating the result path
@@ -463,7 +371,8 @@ func (w *Workspace) reconstruct(g grid.Grid, end int) grid.Path {
 //
 // The search returns ok=false when no conforming path is found within the
 // expansion budget. The state arena and per-cell length table are reused
-// across calls.
+// across calls. The open list is chosen once per search, as in AStar: the
+// ring when boundedRing fits the key universe, the heap otherwise.
 func (w *Workspace) BoundedAStar(g grid.Grid, req Request, minLen, maxLen int) (grid.Path, bool) {
 	if len(req.Sources) == 0 || len(req.Targets) == 0 || minLen > maxLen || maxLen < 0 {
 		return nil, false
@@ -473,32 +382,9 @@ func (w *Workspace) BoundedAStar(g grid.Grid, req Request, minLen, maxLen int) (
 	if nt == 0 {
 		return nil, false
 	}
-	// The bounded search ignores Hist (unit steps), so its keys are always
-	// integral — no quantization certificate needed, only ring feasibility.
-	if !w.heapOnly {
-		if path, found, done := w.boundedBucket(g, req, tb, minLen, maxLen); done {
-			return path, found
-		}
-	}
-	return w.boundedHeap(g, req, tb, minLen, maxLen)
-}
-
-// boundedPrio is the bounded search's key: under-length states are ordered
-// by decreasing G+H, so the search stretches paths before settling;
-// conforming states use plain A* ordering.
-func boundedPrio(minLen, gv, hv int) int {
-	f := gv + hv
-	if f < minLen {
-		return 2*minLen - f
-	}
-	return f
-}
-
-// boundedHeap is the binary-heap bounded search loop.
-func (w *Workspace) boundedHeap(g grid.Grid, req Request, tb geom.Rect, minLen, maxLen int) (grid.Path, bool) {
-	w.lastBucket = false
-	prio := func(gv, hv int) int { return boundedPrio(minLen, gv, hv) }
-
+	w.lastBucket = !w.heapOnly && w.boundedRing(g, tb, minLen, maxLen)
+	// Every push appends one arena state and pushes its index, so the push
+	// order the open list breaks ties by is the arena order.
 	for _, s := range req.Sources {
 		if !g.In(s) {
 			continue
@@ -506,7 +392,7 @@ func (w *Workspace) boundedHeap(g grid.Grid, req Request, tb geom.Rect, minLen, 
 		i := g.Index(s)
 		w.touchBounded(i)
 		w.arena = append(w.arena, bnode{cell: int32(i), g: 0, parent: -1}) //pacor:allow hotalloc amortized arena growth, capacity reused across searches
-		pushBounded(&w.bopen, boundedItem{node: int32(len(w.arena) - 1), f: int32(prio(0, targetH(tb, s)))})
+		w.push(float64(boundedPrio(minLen, 0, targetH(tb, s))), int32(len(w.arena)-1))
 		if w.maxSeen[i] < 0 {
 			w.maxSeen[i] = 0
 		}
@@ -524,17 +410,19 @@ func (w *Workspace) boundedHeap(g grid.Grid, req Request, tb geom.Rect, minLen, 
 	if budget < 65536 {
 		budget = 65536
 	}
-	for len(w.bopen) > 0 && budget > 0 {
-		budget--
-		it := popBounded(&w.bopen)
-		nd := w.arena[it.node]
+	for ; budget > 0; budget-- {
+		it, ok := w.pop()
+		if !ok {
+			break
+		}
+		nd := w.arena[it]
 		p := g.Pt(int(nd.cell))
 		if w.isTarget(int(nd.cell)) && int(nd.g) >= minLen && int(nd.g) <= maxLen {
 			// Cycles are possible in principle (the monotone-G rule only
 			// requires strictly longer revisits), so validate at
 			// reconstruction instead of paying an ancestor-chain walk on
 			// every expansion.
-			if path := reconstructArena(g, w.arena, int(it.node)); path.Valid() {
+			if path := reconstructArena(g, w.arena, int(it)); path.Valid() {
 				return path, true
 			}
 			continue
@@ -567,121 +455,110 @@ func (w *Workspace) boundedHeap(g grid.Grid, req Request, tb geom.Rect, minLen, 
 			if ng > w.maxSeen[j] {
 				w.maxSeen[j] = ng
 			}
-			w.arena = append(w.arena, bnode{cell: int32(j), g: ng, parent: it.node}) //pacor:allow hotalloc amortized arena growth, capacity reused across searches
-			pushBounded(&w.bopen, boundedItem{node: int32(len(w.arena) - 1), f: int32(prio(int(ng), targetH(tb, q)))})
+			w.arena = append(w.arena, bnode{cell: int32(j), g: ng, parent: it}) //pacor:allow hotalloc amortized arena growth, capacity reused across searches
+			w.push(float64(boundedPrio(minLen, int(ng), targetH(tb, q))), int32(len(w.arena)-1))
 		}
 	}
 	return nil, false
 }
 
-// boundedBucket is the Dial bucket-queue bounded search loop. Unlike A*'s
-// sliding window, the under-length penalty makes keys non-monotone (a push
-// can land below the cursor, which rolls back), so the ring covers the whole
-// key universe: penalized keys lie in (minLen, 2·minLen], conforming keys in
-// [minLen, maxLen + maxH] with maxH the heuristic's grid-corner maximum.
-// done=false means that universe exceeds the ring cap; no cell has been
-// stamped and the caller falls back to the heap.
-func (w *Workspace) boundedBucket(g grid.Grid, req Request, tb geom.Rect, minLen, maxLen int) (path grid.Path, found, done bool) {
+// boundedPrio is the bounded search's key: under-length states are ordered
+// by decreasing G+H, so the search stretches paths before settling;
+// conforming states use plain A* ordering.
+func boundedPrio(minLen, gv, hv int) int {
+	f := gv + hv
+	if f < minLen {
+		return 2*minLen - f
+	}
+	return f
+}
+
+// boundedRing prepares the ring for a bounded search and reports whether its
+// keys fit. The search ignores Hist (unit steps), so its keys are integral
+// without a certificate. Unlike A*'s sliding window, the under-length
+// penalty makes keys non-monotone (a push can land below the cursor, which
+// rolls back), so the ring covers the whole key universe: penalized keys lie
+// in (minLen, 2·minLen], conforming keys in [minLen, maxLen + maxH] with
+// maxH the heuristic's grid-corner maximum.
+func (w *Workspace) boundedRing(g grid.Grid, tb geom.Rect, minLen, maxLen int) bool {
 	gb := g.Bounds()
 	maxH := 0
 	for _, c := range [4]geom.Pt{
 		{X: gb.MinX, Y: gb.MinY}, {X: gb.MaxX, Y: gb.MinY},
 		{X: gb.MinX, Y: gb.MaxY}, {X: gb.MaxX, Y: gb.MaxY},
 	} {
-		if h := targetH(tb, c); h > maxH {
-			maxH = h
-		}
+		maxH = max(maxH, targetH(tb, c))
 	}
-	hi := int64(maxLen + maxH)
-	if m := int64(2 * minLen); m > hi {
-		hi = m
+	if !w.bq.prep(int64(max(maxLen+maxH, 2*minLen) - minLen)) {
+		return false
 	}
-	if !w.bq.prep(hi - int64(minLen)) {
-		return nil, false, false
-	}
-	w.lastBucket = true
-
-	for _, s := range req.Sources {
-		if !g.In(s) {
-			continue
-		}
-		i := g.Index(s)
-		w.touchBounded(i)
-		w.arena = append(w.arena, bnode{cell: int32(i), g: 0, parent: -1}) //pacor:allow hotalloc amortized arena growth, capacity reused across searches
-		w.bq.push(int64(boundedPrio(minLen, 0, targetH(tb, s))), int32(len(w.arena)-1))
-		if w.maxSeen[i] < 0 {
-			w.maxSeen[i] = 0
-		}
-	}
-
-	cells := g.Cells()
-	if req.Bounds != nil {
-		if a := req.Bounds.Intersect(g.Bounds()).Area(); a < cells {
-			cells = a
-		}
-	}
-	budget := 16 * cells
-	if budget < 65536 {
-		budget = 65536
-	}
-	for budget > 0 {
-		it, ok := w.bq.pop()
-		if !ok {
-			break
-		}
-		budget--
-		nd := w.arena[it]
-		p := g.Pt(int(nd.cell))
-		if w.isTarget(int(nd.cell)) && int(nd.g) >= minLen && int(nd.g) <= maxLen {
-			// Same reconstruction-time cycle check as boundedHeap.
-			if path := reconstructArena(g, w.arena, int(it)); path.Valid() {
-				return path, true, true
-			}
-			continue
-		}
-		w.nbuf = g.Neighbors(p, w.nbuf)
-		for _, q := range w.nbuf {
-			j := g.Index(q)
-			ng := nd.g + 1
-			if int(ng) > maxLen {
-				continue
-			}
-			if w.track {
-				w.touchBounded(j)
-			}
-			if !req.inBounds(q) && !w.isTarget(j) {
-				continue
-			}
-			if req.Obs != nil && req.Obs.Blocked(q) && !w.isTarget(j) {
-				continue
-			}
-			if !w.track {
-				w.touchBounded(j)
-			}
-			if ng <= w.maxSeen[j] && !(w.isTarget(j) && int(ng) >= minLen) {
-				continue
-			}
-			if ng > w.maxSeen[j] {
-				w.maxSeen[j] = ng
-			}
-			w.arena = append(w.arena, bnode{cell: int32(j), g: ng, parent: it}) //pacor:allow hotalloc amortized arena growth, capacity reused across searches
-			w.bq.push(int64(boundedPrio(minLen, int(ng), targetH(tb, q))), int32(len(w.arena)-1))
-		}
-	}
-	return nil, false, true
+	w.bscale = 1
+	return true
 }
 
-// --- frontier heaps --------------------------------------------------------
+// --- open lists ------------------------------------------------------------
 //
-// Manual binary heaps over the reusable slices (no interface boxing). Both
-// heaps order by an explicit total order: smaller f first, and among equal f
-// the earlier push first (openLess: lower seq; boundedLess: lower arena
-// node). FIFO is load-bearing for the bounded search — its monotone-G
+// Both searches push and pop through the two methods below, which hide the
+// open list the search picked: the Dial ring (queue.go) or a manual binary
+// heap over a reusable slice (no interface boxing). Both order by the same
+// total order: smaller key first, and among equal keys the earlier push
+// first. FIFO is load-bearing for the bounded search — its monotone-G
 // pruning needs breadth-first settling among equal keys or parity-feasible
-// windows become unreachable — and it is exactly the order the Dial bucket
-// queue's chains produce, so every routed path is byte-identical across
-// the two open lists.
+// windows become unreachable — and it is exactly the order the ring's
+// bucket chains produce, so every routed path is byte-identical across the
+// two open lists.
 
+// push adds val to the current search's open list under key f. On the ring
+// the key is f·bscale, an exact integer for a certified request.
+func (w *Workspace) push(f float64, val int32) {
+	if w.lastBucket {
+		w.bq.push(int64(f*w.bscale), val)
+		return
+	}
+	s := append(w.open, openItem{idx: val, seq: w.seq, f: f}) //pacor:allow hotalloc amortized heap growth, capacity reused across searches
+	w.seq++
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !openLess(s[j], s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+	w.open = s
+}
+
+// pop removes and returns the value with the smallest key (earliest push
+// among equals); ok=false when the open list is empty.
+func (w *Workspace) pop() (val int32, ok bool) {
+	if w.lastBucket {
+		return w.bq.pop()
+	}
+	s := w.open
+	n := len(s) - 1
+	if n < 0 {
+		return -1, false
+	}
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && openLess(s[j2], s[j]) {
+			j = j2
+		}
+		if !openLess(s[j], s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	w.open = s[:n]
+	return s[n].idx, true
+}
+
+// openItem is one heap entry: the pushed value, its push sequence and key.
 type openItem struct {
 	idx int32
 	seq uint32
@@ -693,94 +570,4 @@ func openLess(a, b openItem) bool {
 		return a.f < b.f
 	}
 	return a.seq < b.seq
-}
-
-func pushOpen(h *[]openItem, it openItem) {
-	s := append(*h, it) //pacor:allow hotalloc amortized heap growth, capacity reused across searches
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !openLess(s[j], s[i]) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-	*h = s
-}
-
-func popOpen(h *[]openItem) openItem {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && openLess(s[j2], s[j1]) {
-			j = j2
-		}
-		if !openLess(s[j], s[i]) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-	it := s[n]
-	*h = s[:n]
-	return it
-}
-
-type boundedItem struct {
-	node int32
-	f    int32
-}
-
-func boundedLess(a, b boundedItem) bool {
-	if a.f != b.f {
-		return a.f < b.f
-	}
-	return a.node < b.node
-}
-
-func pushBounded(h *[]boundedItem, it boundedItem) {
-	s := append(*h, it) //pacor:allow hotalloc amortized heap growth, capacity reused across searches
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !boundedLess(s[j], s[i]) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-	*h = s
-}
-
-func popBounded(h *[]boundedItem) boundedItem {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && boundedLess(s[j2], s[j1]) {
-			j = j2
-		}
-		if !boundedLess(s[j], s[i]) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-	it := s[n]
-	*h = s[:n]
-	return it
 }

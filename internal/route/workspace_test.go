@@ -292,16 +292,16 @@ func TestWorkspaceResize(t *testing.T) {
 	}
 }
 
-// TestRunScheduledVisitsMatchesSequentialTracked pins the stamp-before-read
-// property that cross-run seeding relies on: a tracked search's visit set
-// covers every cell whose obstacle state it read. Flipping every cell
+// TestVisitConeCoversReads pins the stamp-before-read property that
+// cross-run seeding relies on: a tracked search's visit set covers every
+// cell whose obstacle state it read. Flipping every cell
 // outside the visit set and off the found path therefore cannot change the
-// result of searching again. Six variants cover all four search loops, and
-// each asserts the open list it ran on: A* with an uncertified history
-// (heap), A* with no history and with a certified one (bucket), the
+// result of searching again. Six variants run both searches on both open
+// lists, and each asserts the open list it ran on: A* with an uncertified
+// history (heap), A* with no history and with a certified one (bucket), the
 // bounded search (bucket), and A* and the bounded search on a heap-only
 // workspace.
-func TestRunScheduledVisitsMatchesSequentialTracked(t *testing.T) {
+func TestVisitConeCoversReads(t *testing.T) {
 	variants := []struct {
 		name             string
 		bounded          bool // BoundedAStar instead of AStar
@@ -330,8 +330,8 @@ func TestRunScheduledVisitsMatchesSequentialTracked(t *testing.T) {
 		for vi, v := range variants {
 			// search runs the variant on a fresh workspace. The bounded
 			// window starts at the shortest length: on these corner to
-			// corner pairs neither bounded loop finds a path of length d+4
-			// or more.
+			// corner pairs the bounded search finds no path of length d+4
+			// or more on either open list.
 			search := func(r Request, track bool) (*Workspace, grid.Path, bool) {
 				ws := NewWorkspace(g)
 				ws.heapOnly = v.heapOnly
