@@ -435,9 +435,9 @@ func BenchmarkStressScale(b *testing.B) {
 	}
 }
 
-// BenchmarkDetourPolicy times Algorithm 2's restore-on-failure policy on a
-// partially sealed net that cannot match.
-func BenchmarkDetourPolicy(b *testing.B) {
+// BenchmarkDetourRestore times Algorithm 2's restore-on-failure (steps
+// 22-24) on a partially sealed net that cannot match.
+func BenchmarkDetourRestore(b *testing.B) {
 	build := func() (*grid.ObsMap, *detour.Net) {
 		g := grid.New(30, 9)
 		obs := grid.NewObsMap(g)
@@ -709,7 +709,7 @@ func BenchmarkFlowChipXL(b *testing.B) {
 	})
 	b.Run(member.Name+"/flat", func(b *testing.B) {
 		params := pacor.DefaultParams()
-		params.Hier.Mode = route.HierOff
+		params.Hier = route.HierOff
 		flow(b, params)
 	})
 	// One op takes minutes: run with -timeout 0 (or any bound past ~20 min).

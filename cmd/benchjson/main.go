@@ -336,7 +336,7 @@ func main() {
 		flow := func(hier route.HierMode) func(b *testing.B) {
 			return func(b *testing.B) {
 				params := pacor.DefaultParams()
-				params.Hier.Mode = hier
+				params.Hier = hier
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := pacor.Route(dx, params); err != nil {

@@ -125,7 +125,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	params.Hier.Mode = hier
+	params.Hier = hier
 	var res *pacor.Result
 	var cacheStats *designcache.Stats
 	if *cacheDir != "" {

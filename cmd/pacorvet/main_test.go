@@ -25,8 +25,6 @@ func TestFixturesFail(t *testing.T) {
 		"internal/lint/testdata/src/liberrs",
 		"internal/lint/testdata/src/nostdout",
 		"internal/lint/testdata/src/nondeterm",
-		"internal/lint/testdata/src/interproc",
-		"internal/lint/testdata/src/journalpair",
 		"internal/lint/testdata/src/parseerror",
 	}, &stdout, &stderr)
 	if code != 1 {
@@ -35,7 +33,7 @@ func TestFixturesFail(t *testing.T) {
 	out := stdout.String()
 	for _, an := range []string{
 		"[maporder]", "[hotalloc]", "[floateq]", "[liberrs]", "[nostdout]",
-		"[nondeterm]", "[journalpair]", "[parse]",
+		"[nondeterm]", "[parse]",
 	} {
 		if !strings.Contains(out, an) {
 			t.Errorf("output missing findings from %s:\n%s", an, out)
@@ -70,7 +68,7 @@ func TestListFlag(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := "maporder hotalloc floateq liberrs nostdout journalpair nondeterm"
+	want := "maporder hotalloc floateq liberrs nostdout nondeterm"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("-list names = %q, want %q\n%s", got, want, stdout.String())
 	}

@@ -172,7 +172,7 @@ func runJob(j job, verify bool, hier route.HierMode) (report.Row, error) {
 	}
 	params := pacor.DefaultParams()
 	params.Mode = j.mode
-	params.Hier.Mode = hier
+	params.Hier = hier
 	res, err := pacor.Route(d, params)
 	if err != nil {
 		return report.Row{}, fmt.Errorf("%s/%s: %w", j.design, j.mode, err)

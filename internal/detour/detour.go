@@ -83,14 +83,24 @@ func Match(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int) bool {
 	// The all-or-nothing restore (Algorithm 2 steps 22-24) rewinds a change
 	// journal on obs instead of keeping an O(cells) clone: detours touch a
 	// handful of cells per round, so undoing them is proportional to the work
-	// actually done. A caller may already be journaling obs; nested scopes
-	// share that journal via a mark.
-	if !obs.Journaling() {
-		obs.StartJournal(nil)
-		defer obs.StopJournal()
+	// actually done.
+	matched := false
+	obs.Journal(nil, func() {
+		if matched = detourRounds(ws, obs, net, delta); !matched {
+			obs.RewindJournal(0)
+		}
+	})
+	if !matched {
+		*net = *backupNet
 	}
-	mark := obs.JournalLen()
+	return matched
+}
 
+// detourRounds runs Algorithm 2's rounds (steps 3-21) on net and obs and
+// reports whether the net ended matched within delta. It stops early when a
+// short full path cannot be lengthened (steps 22-24 are the caller's) or a
+// round makes no progress.
+func detourRounds(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int) bool {
 	for r := 0; r < maxRounds; r++ { // Steps 3-6
 		if net.Matched(delta) {
 			return true
@@ -126,31 +136,23 @@ func Match(ws *route.Workspace, obs *grid.ObsMap, net *Net, delta int) bool {
 				}
 			}
 			if !success {
-				// Steps 22-24: restore and give up.
-				*net = *backupNet
-				obs.RewindJournal(mark)
-				return false
+				return false // Steps 22-24: restore and give up.
 			}
 		}
 		if !progress && !net.Matched(delta) {
 			break
 		}
 	}
-	if net.Matched(delta) {
-		return true
-	}
-	*net = *backupNet
-	obs.RewindJournal(mark)
-	return false
+	return net.Matched(delta)
 }
 
 // rerouteSegment searches for a replacement of segment si with length in
 // [ltMin, ltMax], keeping its endpoints. The segment's own interior cells
 // are freed for the search; everything else in obs blocks.
 //
-// The segment is freed on obs itself under a journal mark (Match always has
-// a journal active) and the mark is rewound before returning, so obs is
-// left exactly as it came in — the caller commits the swap.
+// The segment is freed on obs itself under a journal mark (it runs inside
+// Match's journal) and the mark is rewound before returning, so obs is left
+// exactly as it came in — the caller commits the swap.
 func rerouteSegment(ws *route.Workspace, obs *grid.ObsMap, net *Net, si, ltMin, ltMax int) (grid.Path, bool) {
 	seg := net.Segments[si]
 	if len(seg) < 2 || ltMin > ltMax {

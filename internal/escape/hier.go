@@ -96,8 +96,15 @@ const (
 // member), steering corridors toward cheap take-off regions, but the
 // detailed search then lands on whichever take-off cell it reaches first —
 // the flat network's exact penalty-vs-length trade-off is not replayed.
-// Every detailed search runs on ws, the caller's workspace.
-func RouteHier(ws *route.Workspace, obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, hp route.HierParams) (*Result, route.HierStats) {
+// Every detailed search runs on ws, the caller's workspace, and the tiles
+// are route.DefaultTileSize cells on a side.
+func RouteHier(ws *route.Workspace, obs *grid.ObsMap, terms []Terminal, pins []geom.Pt) (*Result, route.HierStats) {
+	return routeHier(ws, obs, terms, pins, route.DefaultTileSize)
+}
+
+// routeHier is RouteHier with tiles ts cells on a side, rounded up to a
+// power of two.
+func routeHier(ws *route.Workspace, obs *grid.ObsMap, terms []Terminal, pins []geom.Pt, ts int) (*Result, route.HierStats) {
 	var st route.HierStats
 	g := obs.Grid()
 
@@ -138,11 +145,6 @@ func RouteHier(ws *route.Workspace, obs *grid.ObsMap, terms []Terminal, pins []g
 		if g.In(p) {
 			work.Set(p, true)
 		}
-	}
-
-	ts := hp.TileSize
-	if ts <= 0 {
-		ts = route.DefaultTileSize
 	}
 
 	type unit struct {

@@ -77,7 +77,6 @@ func hierCheckValid(t *testing.T, trial int, g grid.Grid, obs *grid.ObsMap, res 
 // the fallback ladder is broken.
 func TestRouteHierValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
-	hp := route.HierParams{Mode: route.HierOn, TileSize: 8}
 	sawFallback := false
 	hierRouted, flatRouted := 0, 0
 	for trial := 0; trial < 40; trial++ {
@@ -98,7 +97,7 @@ func TestRouteHierValidity(t *testing.T) {
 		for x := 1; x < w-1; x += 3 {
 			pins = append(pins, geom.Pt{X: x, Y: 0})
 		}
-		res, st := RouteHier(route.NewWorkspace(g), obs, terms, pins, hp)
+		res, st := routeHier(route.NewWorkspace(g), obs, terms, pins, 8)
 		hierCheckValid(t, trial, g, obs, res, nTerms, pins)
 		if st.FlatFallbacks > 0 || st.NoCorridor > 0 {
 			sawFallback = true
@@ -121,7 +120,6 @@ func TestRouteHierValidity(t *testing.T) {
 // an earlier RouteHier run give DeepEqual results and stats.
 func TestRouteHierDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	hp := route.HierParams{Mode: route.HierOn, TileSize: 8}
 	for trial := 0; trial < 10; trial++ {
 		w, h := 40+rng.Intn(24), 40+rng.Intn(24)
 		g := grid.New(w, h)
@@ -139,7 +137,7 @@ func TestRouteHierDeterministicAcrossWorkers(t *testing.T) {
 		for x := 1; x < w-1; x += 2 {
 			pins = append(pins, geom.Pt{X: x, Y: 0})
 		}
-		base, baseStats := RouteHier(route.NewWorkspace(g), obs, terms, pins, hp)
+		base, baseStats := routeHier(route.NewWorkspace(g), obs, terms, pins, 8)
 
 		ws := route.NewWorkspace(g)
 		var edges []route.Edge
@@ -152,7 +150,7 @@ func TestRouteHierDeterministicAcrossWorkers(t *testing.T) {
 			ws.BoundedAStar(g, req, h+4, h+8)
 		}
 		for run := 0; run < 2; run++ {
-			res, st := RouteHier(ws, obs, terms, pins, hp)
+			res, st := routeHier(ws, obs, terms, pins, 8)
 			if !reflect.DeepEqual(res, base) {
 				t.Fatalf("trial %d run %d: reused-workspace result differs from a fresh workspace's", trial, run)
 			}

@@ -79,7 +79,7 @@ func (g Grid) Bounds() geom.Rect {
 type ObsMap struct {
 	g     Grid
 	block []bool
-	// journal, while journaling is on, records every cell whose value
+	// journal, while Journal's fn runs, records every cell whose value
 	// actually changed (index plus the overwritten value), so callers can
 	// rewind the map to an earlier state in O(changes) instead of re-copying
 	// all O(W·H) cells. The negotiation router uses this to
@@ -100,38 +100,36 @@ func journalEntry(i int, old bool) int32 {
 	return v
 }
 
-// StartJournal begins recording value changes into buf (reused, truncated).
-// Every Set/SetPath/SetRect/CopyFrom that flips a cell appends the cell and
-// its previous value; RewindJournal undoes suffixes of the record. Journaling
-// stays on until StopJournal. Starting a second journal on a map whose first
-// is still active would silently drop undo information, so it panics; nested
-// scopes share one journal via JournalLen marks instead.
-func (m *ObsMap) StartJournal(buf []int32) {
+// Journal records every value change of the map into buf (reused,
+// truncated) while fn runs, and returns the record so the caller can keep
+// its buffer for the next call. Inside fn, every Set/SetPath/SetRect/
+// CopyFrom that flips a cell appends the cell and its previous value;
+// JournalLen marks a position and RewindJournal undoes the changes after a
+// mark. The journal closes when fn returns or panics, so it cannot leak
+// into later edits. Opening a second journal on a map whose first is still
+// open would drop undo information, so it panics; nested scopes share the
+// one journal through JournalLen marks instead.
+func (m *ObsMap) Journal(buf []int32, fn func()) []int32 {
 	if m.journaling {
-		panic("grid: StartJournal on a map that is already journaling")
+		panic("grid: Journal on a map that already has one open")
 	}
 	m.journal = buf[:0]
 	m.journaling = true
-}
-
-// Journaling reports whether a journal is active on the map.
-func (m *ObsMap) Journaling() bool { return m.journaling }
-
-// StopJournal stops recording and returns the journal buffer so the caller
-// can keep it for reuse. The map's contents are left as they are.
-func (m *ObsMap) StopJournal() []int32 {
-	m.journaling = false
-	j := m.journal
-	m.journal = nil
-	return j
+	defer func() {
+		m.journaling = false
+		m.journal = nil
+	}()
+	fn()
+	return m.journal
 }
 
 // JournalLen returns the current journal length — a mark for RewindJournal.
+// Marks are meaningful only inside Journal's fn.
 func (m *ObsMap) JournalLen() int { return len(m.journal) }
 
 // RewindJournal undoes every journaled change at position >= mark (newest
 // first, so repeated flips of one cell restore correctly) and truncates the
-// journal to mark. It panics when journaling is off; rewinding against a
+// journal to mark. It panics outside Journal's fn; rewinding against a
 // dropped record would silently corrupt the map.
 func (m *ObsMap) RewindJournal(mark int) {
 	if !m.journaling {
@@ -147,7 +145,7 @@ func (m *ObsMap) RewindJournal(mark int) {
 // record journals a value change of cell i when journaling is on.
 func (m *ObsMap) record(i int, old bool) {
 	if m.journaling {
-		m.journal = append(m.journal, journalEntry(i, old)) //pacor:allow hotalloc amortized journal growth, buffer reused across rounds via StartJournal
+		m.journal = append(m.journal, journalEntry(i, old)) //pacor:allow hotalloc amortized journal growth, buffer reused across rounds via Journal
 	}
 }
 

@@ -1,9 +1,9 @@
 package lint
 
 // Analyzers returns the default registry, in stable order. The first five
-// are the syntax-level checks from the original gate; the last two are the
-// dataflow-aware protocol/determinism checks built on internal/lint/cfg,
-// each of which reads one function body at a time.
+// are the syntax-level checks from the original gate; the last one,
+// nondeterm, also follows wall-clock values through the assignments of one
+// function body at a time.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerMapOrder,
@@ -11,7 +11,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerFloatEq,
 		AnalyzerLibErrs,
 		AnalyzerNoStdout,
-		AnalyzerJournalPair,
 		AnalyzerNonDeterm,
 	}
 }

@@ -28,7 +28,7 @@ func writeModule(t *testing.T, files map[string]string) string {
 }
 
 // writeTestModule lays out a tiny two-package module: leaf (no deps) and
-// top (imports leaf), each holding one deliberate journalpair violation so
+// top (imports leaf), each holding one deliberate nostdout violation so
 // every run has findings to compare. Returns the module root.
 func writeTestModule(t *testing.T) string {
 	t.Helper()
@@ -37,19 +37,13 @@ func writeTestModule(t *testing.T) string {
 		"leaf/leaf.go": `// Package leaf is the dependency.
 package leaf
 
-// ObsMap stands in for the journaled obstacle map.
-type ObsMap struct{ journal []int }
+// Quiet returns its argument and prints nothing.
+func Quiet(n int) int { return n }
 
-// StartJournal stands in for the recording switch.
-func (o *ObsMap) StartJournal() { o.journal = o.journal[:0] }
-
-// StopJournal stands in for the recording stop.
-func (o *ObsMap) StopJournal() { o.journal = nil }
-
-// Open starts a journal and never stops it: one stable finding.
-func Open(o *ObsMap) int {
-	o.StartJournal()
-	return len(o.journal)
+// Noisy prints from a library package: one stable finding.
+func Noisy(n int) int {
+	println("leaf", n)
+	return n
 }
 `,
 		"top/top.go": `// Package top depends on leaf.
@@ -57,16 +51,14 @@ package top
 
 import "cachemod/leaf"
 
-// Clean stops its journal on every path.
-func Clean(o *leaf.ObsMap) int {
-	o.StartJournal()
-	defer o.StopJournal()
-	return leaf.Open(o)
+// Clean prints nothing itself.
+func Clean(n int) int {
+	return leaf.Noisy(n) + leaf.Quiet(n)
 }
 
-// Leaky never stops: one stable finding.
-func Leaky(o *leaf.ObsMap) {
-	o.StartJournal()
+// Chatty prints from a library package: one stable finding.
+func Chatty(n int) {
+	println("top", n)
 }
 `,
 	})
@@ -126,7 +118,7 @@ func TestCommentEditKeepsFindings(t *testing.T) {
 }
 
 // TestRunReadsEditedSource pins that every run reads the tree
-// afresh: once leaf.Open defers its stop, the next run drops the leaf's
+// afresh: once leaf.Noisy stops printing, the next run drops the leaf's
 // finding and keeps top's.
 func TestRunReadsEditedSource(t *testing.T) {
 	root := writeTestModule(t)
@@ -135,9 +127,9 @@ func TestRunReadsEditedSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	editFile(t, filepath.Join(root, "leaf", "leaf.go"), func(s string) string {
-		patched := strings.Replace(s, "\to.StartJournal()\n", "\to.StartJournal()\n\tdefer o.StopJournal()\n", 1)
+		patched := strings.Replace(s, "\tprintln(\"leaf\", n)\n", "", 1)
 		if patched == s {
-			t.Fatal("StartJournal line not found in test module source")
+			t.Fatal("println line not found in test module source")
 		}
 		return patched
 	})
@@ -160,7 +152,7 @@ func TestRunReadsEditedSource(t *testing.T) {
 }
 
 // TestPatternLintsOnlyTarget pins that linting only the importer
-// type-checks its dependency without linting it: leaf's open journal is not
+// type-checks its dependency without linting it: leaf's print is not
 // reported, top's is.
 func TestPatternLintsOnlyTarget(t *testing.T) {
 	root := writeTestModule(t)
@@ -168,8 +160,8 @@ func TestPatternLintsOnlyTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 1 || findings[0].Pos.Filename != filepath.Join("top", "top.go") || findings[0].Pos.Line != 15 {
-		t.Errorf("linting cachemod/top gave %v, want the one open journal in Leaky (top/top.go:15)", findings)
+	if len(findings) != 1 || findings[0].Pos.Filename != filepath.Join("top", "top.go") || findings[0].Pos.Line != 13 {
+		t.Errorf("linting cachemod/top gave %v, want the one print in Chatty (top/top.go:13)", findings)
 	}
 }
 
@@ -183,8 +175,8 @@ func TestPackageDirPatterns(t *testing.T) {
 
 import "cachemod/leaf"
 
-func leakInTest(o *leaf.ObsMap) {
-	o.StartJournal()
+func printInTest() {
+	println(leaf.Quiet(1))
 }
 `), 0o644); err != nil {
 		t.Fatal(err)
@@ -199,35 +191,29 @@ func leakInTest(o *leaf.ObsMap) {
 
 // writeParallelModule lays out a diamond-shaped seven-package module —
 // four leaves, two mids that each import two leaves, and a top importing
-// both mids. Every package carries one deliberate journalpair violation,
+// both mids. Every package carries one deliberate nostdout violation,
 // which makes the processing order observable.
 func writeParallelModule(t *testing.T) string {
 	t.Helper()
-	leaky := func(pkg, imports string) string {
+	chatty := func(pkg, imports string) string {
 		return fmt.Sprintf(`// Package %[1]s is part of the diamond.
 package %[1]s
 %[2]s
-// ObsMap stands in for the journaled obstacle map.
-type ObsMap struct{ journal []int }
-
-// StartJournal stands in for the recording switch.
-func (o *ObsMap) StartJournal() { o.journal = o.journal[:0] }
-
-// Leaky never stops its journal: one stable finding per package.
-func Leaky(o *ObsMap) {
-	o.StartJournal()
+// Chatty prints from a library package: one stable finding per package.
+func Chatty() {
+	println(%[1]q)
 }
 `, pkg, imports)
 	}
 	return writeModule(t, map[string]string{
 		"go.mod":         "module parmod\n\ngo 1.22\n",
-		"leafa/leafa.go": leaky("leafa", ""),
-		"leafb/leafb.go": leaky("leafb", ""),
-		"leafc/leafc.go": leaky("leafc", ""),
-		"leafd/leafd.go": leaky("leafd", ""),
-		"midab/midab.go": leaky("midab", "\nimport (\n\t_ \"parmod/leafa\"\n\t_ \"parmod/leafb\"\n)\n"),
-		"midcd/midcd.go": leaky("midcd", "\nimport (\n\t_ \"parmod/leafc\"\n\t_ \"parmod/leafd\"\n)\n"),
-		"top/top.go":     leaky("top", "\nimport (\n\t_ \"parmod/midab\"\n\t_ \"parmod/midcd\"\n)\n"),
+		"leafa/leafa.go": chatty("leafa", ""),
+		"leafb/leafb.go": chatty("leafb", ""),
+		"leafc/leafc.go": chatty("leafc", ""),
+		"leafd/leafd.go": chatty("leafd", ""),
+		"midab/midab.go": chatty("midab", "\nimport (\n\t_ \"parmod/leafa\"\n\t_ \"parmod/leafb\"\n)\n"),
+		"midcd/midcd.go": chatty("midcd", "\nimport (\n\t_ \"parmod/leafc\"\n\t_ \"parmod/leafd\"\n)\n"),
+		"top/top.go":     chatty("top", "\nimport (\n\t_ \"parmod/midab\"\n\t_ \"parmod/midcd\"\n)\n"),
 	})
 }
 

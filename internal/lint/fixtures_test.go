@@ -170,7 +170,7 @@ func TestAnalyzersRegistry(t *testing.T) {
 		}
 		names = append(names, a.Name)
 	}
-	want := "maporder hotalloc floateq liberrs nostdout journalpair nondeterm"
+	want := "maporder hotalloc floateq liberrs nostdout nondeterm"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("registry = %q, want %q", got, want)
 	}
@@ -193,13 +193,30 @@ func TestFixtureSuiteFails(t *testing.T) {
 	}
 }
 
-// TestGoHandoffFixture pins journalpair's rule for `go` statements: a
-// spawned call's arguments and a spawned closure's captures move to the
-// goroutine, so the spawner is not charged with a leak. The fixture's
-// synchronous controls, the same calls made without `go`, only use the
-// map and leak.
-func TestGoHandoffFixture(t *testing.T) {
-	runFixture(t, AnalyzerJournalPair, "testdata/src/gohandoff")
+// TestParseErrorFixture pins the parse-failure contract: a broken file
+// yields positioned findings under the "parse" analyzer, suppresses every
+// other analyzer for the package, and does not abort the run.
+func TestParseErrorFixture(t *testing.T) {
+	findings, err := Run(Options{
+		Patterns: []string{"testdata/src/parseerror"},
+	})
+	if err != nil {
+		t.Fatalf("lint run: %v", err)
+	}
+	if len(findings) == 0 {
+		t.Fatal("broken fixture produced no findings")
+	}
+	for _, f := range findings {
+		if f.Analyzer != "parse" {
+			t.Errorf("want only parse findings on a broken package, got %s", f)
+		}
+		if f.Pos.Line == 0 || !strings.HasSuffix(f.Pos.Filename, "parseerror.go") {
+			t.Errorf("parse finding lacks a usable position: %s", f)
+		}
+		if !strings.Contains(f.Message, "syntax error") {
+			t.Errorf("parse finding message = %q, want a syntax error", f.Message)
+		}
+	}
 }
 
 // TestRoutingDirectivesKnown pins that the routing packages' sources carry

@@ -3,8 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"repro/internal/lint/cfg"
 )
 
 // AnalyzerNonDeterm hunts sources of run-to-run divergence in library
@@ -18,7 +16,7 @@ import (
 //   - wall-clock values (time.Now/time.Since) that flow into a branch or
 //     loop condition make control flow depend on machine load. Storing or
 //     returning durations is fine — only conditions are flagged, tracked
-//     by a taint analysis over the control-flow graph.
+//     by a flow-insensitive taint analysis over each function body.
 //
 // Library code starts no goroutines (TestGoStatementInventory), so racing
 // selects and channel sends have nothing to guard here.
@@ -68,121 +66,92 @@ func checkGlobalRand(p *Pass, call *ast.CallExpr) {
 // clockFact is the set of variables holding wall-clock-derived values.
 type clockFact map[types.Object]bool
 
-// checkClockTaint runs the wall-clock taint analysis over one body:
-// time.Now/time.Since results propagate through assignments, and a
-// tainted value appearing in a control condition is flagged.
+// clockFlow is one assignment in a body: dst becomes tainted when any of
+// src touches the clock.
+type clockFlow struct {
+	dst types.Object
+	src []ast.Expr
+}
+
+// checkClockTaint runs the wall-clock taint analysis over one body. It is
+// flow-insensitive: a variable assigned or declared from a time.Now or
+// time.Since call, or from a tainted variable, is tainted everywhere in the
+// body, and the tainted set grows to a fixpoint. A tainted value in an if
+// or for condition, a range operand, a switch tag or a case expression is
+// flagged. A closure is its own body: it starts with nothing tainted.
 func checkClockTaint(p *Pass, body *ast.BlockStmt) {
-	g := cfg.New(body)
-	facts := cfg.Solve(g, cfg.Problem[clockFact]{
-		Entry: clockFact{},
-		Transfer: func(b *cfg.Block, in clockFact) clockFact {
-			out := make(clockFact, len(in))
-			for k := range in {
-				out[k] = true
+	var flows []clockFlow
+	var conds []ast.Expr
+	inspectShallow(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			flows = appendFlows(p, flows, n.Lhs, n.Rhs)
+		case *ast.ValueSpec:
+			lhs := make([]ast.Expr, len(n.Names))
+			for i, name := range n.Names {
+				lhs[i] = name
 			}
-			for _, n := range b.Nodes {
-				clockTransferNode(p, n, out)
+			flows = appendFlows(p, flows, lhs, n.Values)
+		case *ast.IfStmt:
+			conds = append(conds, n.Cond)
+		case *ast.ForStmt:
+			if n.Cond != nil {
+				conds = append(conds, n.Cond)
 			}
-			return out
-		},
-		Join: func(a, b clockFact) clockFact {
-			u := make(clockFact, len(a)+len(b))
-			for k := range a {
-				u[k] = true
+		case *ast.RangeStmt:
+			conds = append(conds, n.X)
+		case *ast.SwitchStmt:
+			if n.Tag != nil {
+				conds = append(conds, n.Tag)
 			}
-			for k := range b {
-				u[k] = true
-			}
-			return u
-		},
-		Equal: func(a, b clockFact) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for k := range a {
-				if !b[k] {
-					return false
-				}
-			}
-			return true
-		},
-	})
-	for _, b := range g.RPO() {
-		fact := make(clockFact, len(facts[b.Index]))
-		for k := range facts[b.Index] {
-			fact[k] = true
+		case *ast.CaseClause:
+			conds = append(conds, n.List...)
 		}
-		for _, n := range b.Nodes {
-			if cond, ok := n.(ast.Expr); ok {
-				if clockTouched(p, cond, fact) {
-					p.Reportf(cond.Pos(), "wall-clock time steers control flow here; a load-dependent branch makes routing output differ run to run")
-				}
+		return true
+	})
+	fact := clockFact{}
+	for changed := true; changed; {
+		changed = false
+		for _, f := range flows {
+			if fact[f.dst] {
 				continue
 			}
-			clockTransferNode(p, n, fact)
+			for _, e := range f.src {
+				if clockTouched(p, e, fact) {
+					fact[f.dst] = true
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	for _, cond := range conds {
+		if clockTouched(p, cond, fact) {
+			p.Reportf(cond.Pos(), "wall-clock time steers control flow here; a load-dependent branch makes routing output differ run to run")
 		}
 	}
 }
 
-// clockTransferNode propagates taint through one straight-line node:
-// assignments and declarations whose right-hand side touches the clock
-// taint their left-hand identifiers; plain reassignment clears them.
-func clockTransferNode(p *Pass, n ast.Node, fact clockFact) {
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		paired := len(n.Lhs) == len(n.Rhs)
-		for i, lhs := range n.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := p.ObjectOf(id)
-			if obj == nil {
-				continue
-			}
-			var tainted bool
-			if paired {
-				tainted = clockTouched(p, n.Rhs[i], fact)
-			} else {
-				for _, rhs := range n.Rhs {
-					tainted = tainted || clockTouched(p, rhs, fact)
-				}
-			}
-			if tainted {
-				fact[obj] = true
-			} else if paired {
-				delete(fact, obj)
-			}
-		}
-	case *ast.DeclStmt:
-		gd, ok := n.Decl.(*ast.GenDecl)
+// appendFlows appends one clockFlow per identifier on the left: from its
+// own right-hand value when the sides pair up, from every right-hand value
+// otherwise (a multi-value call or comma-ok form).
+func appendFlows(p *Pass, flows []clockFlow, lhs, rhs []ast.Expr) []clockFlow {
+	for i, l := range lhs {
+		id, ok := l.(*ast.Ident)
 		if !ok {
-			return
+			continue
 		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, name := range vs.Names {
-				obj := p.ObjectOf(name)
-				if obj == nil {
-					continue
-				}
-				tainted := false
-				if len(vs.Values) == len(vs.Names) {
-					tainted = clockTouched(p, vs.Values[i], fact)
-				} else {
-					for _, v := range vs.Values {
-						tainted = tainted || clockTouched(p, v, fact)
-					}
-				}
-				if tainted {
-					fact[obj] = true
-				}
-			}
+		obj := p.ObjectOf(id)
+		if obj == nil {
+			continue
 		}
+		src := rhs
+		if len(lhs) == len(rhs) {
+			src = rhs[i : i+1]
+		}
+		flows = append(flows, clockFlow{dst: obj, src: src})
 	}
+	return flows
 }
 
 // clockTouched reports whether e mentions a wall-clock source call or a
@@ -216,4 +185,41 @@ func isClockCall(p *Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	return sel.Sel.Name == "Now" || sel.Sel.Name == "Since"
+}
+
+// funcBodies enumerates every function body in file, outermost first: each
+// declared function, then the closures nested inside it, which are analyzed
+// as bodies of their own.
+func funcBodies(file *ast.File) []*ast.BlockStmt {
+	var out []*ast.BlockStmt
+	for _, d := range file.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		out = append(out, fn.Body)
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if l, ok := n.(*ast.FuncLit); ok {
+				out = append(out, l.Body)
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// inspectShallow walks n in preorder like ast.Inspect but does not descend
+// into function literals: f still sees the *ast.FuncLit node itself (so a
+// caller can treat the closure as a value), never its body.
+func inspectShallow(n ast.Node, f func(ast.Node) bool) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		if m == nil {
+			return false
+		}
+		if _, ok := m.(*ast.FuncLit); ok && m != n {
+			f(m)
+			return false
+		}
+		return f(m)
+	})
 }

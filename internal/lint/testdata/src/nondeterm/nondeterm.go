@@ -56,13 +56,15 @@ func taintedVar(budget time.Duration, work func()) int {
 	return n
 }
 
-// clearedTaint overwrites the clock-derived value before branching: the
-// strong update clears the taint.
-func clearedTaint() int {
+// overwrittenTaint overwrites the clock-derived value before branching.
+// The taint is flow-insensitive, so a variable once assigned from the clock
+// stays tainted in the whole body: hold the clock value in a variable of
+// its own instead of reusing one.
+func overwrittenTaint() int {
 	x := time.Now().Nanosecond()
 	x = 42
 	n := 0
-	for i := 0; i < x; i++ {
+	for i := 0; i < x; i++ { // want `wall-clock time steers control flow`
 		n++
 	}
 	return n

@@ -531,15 +531,15 @@ func routeOrdinary(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs [
 // routeMST routes one cluster's MST channels (mstroute.RouteCluster)
 // directly on obs. On success obs carries exactly the returned paths. A
 // cluster that cannot attach every valve commits nothing: its partial paths
-// are rewound through obs's change journal, leaving obs as it was. obs must
-// not be journaling already.
+// are rewound through obs's change journal, leaving obs as it was.
 func routeMST(ws *route.Workspace, obs *grid.ObsMap, pos []geom.Pt) ([]grid.Path, bool) {
-	obs.StartJournal(nil)
-	res, ok := mstroute.RouteCluster(ws, obs, pos)
-	if !ok {
-		obs.RewindJournal(0)
-	}
-	obs.StopJournal()
+	var res *mstroute.Result
+	ok := false
+	obs.Journal(nil, func() {
+		if res, ok = mstroute.RouteCluster(ws, obs, pos); !ok {
+			obs.RewindJournal(0)
+		}
+	})
 	if !ok {
 		return nil, false
 	}
@@ -582,7 +582,7 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 		}
 		if params.Hier.On(obs.Grid().Cells()) {
 			var hs route.HierStats
-			res, hs = escape.RouteHier(ws, obs, terms, pins, params.Hier)
+			res, hs = escape.RouteHier(ws, obs, terms, pins)
 			escHier.Add(hs)
 		} else {
 			res = escape.Route(obs, terms, pins)

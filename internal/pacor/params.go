@@ -56,13 +56,13 @@ type Params struct {
 	// gate), and a capture receives the main call's transcript for a later
 	// run's Seed.
 	Negotiate route.NegotiateParams
-	// Hier configures the hierarchical two-stage escape router
-	// (route.HierParams, escape.RouteHier). It is approximate: pin
-	// assignment and total length may differ from the flat flow network;
-	// Result.EscapeHier reports the stage's work. The zero value is auto:
-	// hierarchical only above the cell threshold, so every design at or
-	// below 256x256 routes exactly as before.
-	Hier route.HierParams
+	// Hier selects the hierarchical two-stage escape router
+	// (escape.RouteHier). It is approximate: pin assignment and total
+	// length may differ from the flat flow network; Result.EscapeHier
+	// reports the stage's work. The zero value is auto: hierarchical only
+	// above route.DefaultHierAutoCells, so every Table 1 design routes
+	// flat.
+	Hier route.HierMode
 	// Solver picks the MWCP selection solver. The default is the exact
 	// branch and bound (mwcp.SolveExact). The paper adopted an ILP;
 	// seltree.SolverILP runs it as the paper-fidelity ablation, and it

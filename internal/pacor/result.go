@@ -76,8 +76,8 @@ type Result struct {
 	// LMReuse is always zero; see LMReuseStats.
 	LMReuse LMReuseStats
 	// EscapeHier aggregates the hierarchical escape router's per-stage work
-	// across the escape retries (zero when the hierarchy is off or the grid
-	// is below its auto threshold; see Params.Hier).
+	// across the escape retries. It is zero when Params.Hier routes the grid
+	// flat: HierOff, or HierAuto at or below route.DefaultHierAutoCells.
 	EscapeHier route.HierStats
 }
 

@@ -21,7 +21,7 @@ func TestValidateHierFlow(t *testing.T) {
 	}
 	for _, mode := range []route.HierMode{route.HierOff, route.HierOn} {
 		params := pacor.DefaultParams()
-		params.Hier.Mode = mode
+		params.Hier = mode
 		res, err := pacor.Route(d, params)
 		if err != nil {
 			t.Fatalf("hier=%v: %v", mode, err)

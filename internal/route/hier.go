@@ -60,19 +60,10 @@ const (
 	DefaultHierAutoCells = 80000
 )
 
-// HierParams configures the hierarchical escape router. The zero value is
-// HierAuto with default tile size and threshold, so callers opt in by grid
-// size alone.
-type HierParams struct {
-	Mode HierMode
-	// TileSize is the tile side length, rounded up to a power of two.
-	// 0 means DefaultTileSize.
-	TileSize int
-}
-
-// On reports whether the hierarchy runs on a grid with the given cell count.
-func (p HierParams) On(cells int) bool {
-	switch p.Mode {
+// On reports whether the hierarchy runs on a grid with the given cell
+// count. The zero value, HierAuto, opts in by grid size alone.
+func (m HierMode) On(cells int) bool {
+	switch m {
 	case HierOff:
 		return false
 	case HierOn:

@@ -110,74 +110,75 @@ func (w *Workspace) Negotiate(obs *grid.ObsMap, edges []Edge, params NegotiatePa
 	// connect at their shared merging nodes.
 	work := w.negWorkFor(g)
 	work.CopyFrom(obs)
-	work.StartJournal(w.negJournal)
-	for _, e := range edges {
-		for _, c := range e.Sources {
-			work.Set(c, true)
-		}
-		for _, c := range e.Targets {
-			work.Set(c, true)
-		}
-	}
-	mark := work.JournalLen()
-	w.negFailed = w.negFailed[:0]
-
-	// Cross-run seeding and capture (seed.go) initialize against the
-	// round-start state just journaled above: the seed's start bitmap must
-	// diff against the same blocked set (base map plus terminals) a capture
-	// of this run would record.
-	w.negParentLive = false
-	w.negSeedOn = w.negSeedStart(g, work, edges, params, stats)
-	w.negCapOn = w.negCaptureStart(g, work, edges, params)
-
-	// The open list follows from the round's history alone: round r's values
-	// are the Eq.-5 iterates h_0..h_r, and while HistQuant certifies them the
-	// round's searches run on the bucket queue; once an iterate stops being
-	// dyadic the run stays on the heap. The certificate rides on every
-	// request (negReq), so a replay check searches on the same open list.
-	quantOK := !w.heapOnly
-
 	routed := false
-	for r := 0; r < params.Gamma; r++ { // Steps 5-16
-		if r > 0 {
-			work.RewindJournal(mark)
+	w.negJournal = work.Journal(w.negJournal, func() {
+		for _, e := range edges {
+			for _, c := range e.Sources {
+				work.Set(c, true)
+			}
+			for _, c := range e.Targets {
+				work.Set(c, true)
+			}
 		}
-		w.negScale, w.negMaxStep = 0, 0
-		if quantOK {
-			w.negScale, w.negMaxStep, quantOK = HistQuant(params.BaseHist, params.Alpha, r)
-		}
-		for k := range paths {
-			delete(paths, k)
-		}
+		mark := work.JournalLen()
 		w.negFailed = w.negFailed[:0]
-		if stats != nil {
-			stats.Rounds++
-		}
-		if w.negSeedOn {
-			w.negParentLive = r < len(w.negSeed.Rounds)
-			if w.negParentLive {
-				w.negParentApply(r)
+
+		// Cross-run seeding and capture (seed.go) initialize against the
+		// round-start state just journaled above: the seed's start bitmap
+		// must diff against the same blocked set (base map plus terminals) a
+		// capture of this run would record.
+		w.negParentLive = false
+		w.negSeedOn = w.negSeedStart(g, work, edges, params, stats)
+		w.negCapOn = w.negCaptureStart(g, work, edges, params)
+
+		// The open list follows from the round's history alone: round r's
+		// values are the Eq.-5 iterates h_0..h_r, and while HistQuant
+		// certifies them the round's searches run on the bucket queue; once
+		// an iterate stops being dyadic the run stays on the heap. The
+		// certificate rides on every request (negReq), so a replay check
+		// searches on the same open list.
+		quantOK := !w.heapOnly
+
+		for r := 0; r < params.Gamma; r++ { // Steps 5-16
+			if r > 0 {
+				work.RewindJournal(mark)
+			}
+			w.negScale, w.negMaxStep = 0, 0
+			if quantOK {
+				w.negScale, w.negMaxStep, quantOK = HistQuant(params.BaseHist, params.Alpha, r)
+			}
+			for k := range paths {
+				delete(paths, k)
+			}
+			w.negFailed = w.negFailed[:0]
+			if stats != nil {
+				stats.Rounds++
+			}
+			if w.negSeedOn {
+				w.negParentLive = r < len(w.negSeed.Rounds)
+				if w.negParentLive {
+					w.negParentApply(r)
+				}
+			}
+			if w.negCapOn {
+				w.negCaptureRound()
+			}
+			if w.negRound(g, work, edges, hist, paths, params, stats) {
+				routed = true
+				break
+			}
+			// Steps 17-19: bump history along routed paths, then rip them
+			// up. (Map iteration order varies, but the bump composes the same
+			// affine update per visit regardless of visit order, so hist is
+			// order-independent.)
+			for _, p := range paths {
+				for _, c := range p {
+					i := g.Index(c)
+					hist[i] = params.BaseHist + params.Alpha*hist[i]
+				}
 			}
 		}
-		if w.negCapOn {
-			w.negCaptureRound()
-		}
-		if w.negRound(g, work, edges, hist, paths, params, stats) {
-			routed = true
-			break
-		}
-		// Steps 17-19: bump history along routed paths, then rip them up.
-		// (Map iteration order varies, but the bump composes the same affine
-		// update per visit regardless of visit order, so hist is
-		// order-independent.)
-		for _, p := range paths {
-			for _, c := range p {
-				i := g.Index(c)
-				hist[i] = params.BaseHist + params.Alpha*hist[i]
-			}
-		}
-	}
-	w.negJournal = work.StopJournal()
+	})
 	if w.negSeedOn || w.negCapOn {
 		w.negSeedFinish()
 	}
