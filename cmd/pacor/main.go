@@ -153,7 +153,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *statsFlag {
 		ns := res.Negotiate
-		fmt.Fprintf(stdout, "  negotiation: %d rounds, %d searches\n", ns.Rounds, ns.Searches)
+		fmt.Fprintf(stdout, "  negotiation: %d rounds, %d searches, %d sealed\n", ns.Rounds, ns.Searches, ns.Sealed)
 		if ns.SeededEdges > 0 || ns.SeededHits > 0 {
 			fmt.Fprintf(stdout, "  negotiation cross-run: %d seeded edges, %d replays\n", ns.SeededEdges, ns.SeededHits)
 		}

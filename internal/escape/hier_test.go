@@ -114,11 +114,11 @@ func TestRouteHierValidity(t *testing.T) {
 	}
 }
 
-// TestRouteHierDeterministicAcrossWorkers pins that hierarchical escape
+// TestRouteHierIndependentOfWorkspaceHistory pins that hierarchical escape
 // does not depend on what its workspace searched before: RouteHier on a
 // fresh workspace and on one dirtied by a negotiation, bounded searches and
 // an earlier RouteHier run give DeepEqual results and stats.
-func TestRouteHierDeterministicAcrossWorkers(t *testing.T) {
+func TestRouteHierIndependentOfWorkspaceHistory(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 10; trial++ {
 		w, h := 40+rng.Intn(24), 40+rng.Intn(24)

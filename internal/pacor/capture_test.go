@@ -11,13 +11,13 @@ import (
 	"repro/internal/valve"
 )
 
-// TestWorkerCountByteIdentical routes the synthetic Table 1 benchmarks in
+// TestCaptureByteIdentical routes the synthetic Table 1 benchmarks in
 // every mode with the cross-run negotiation capture (Negotiate.Capture)
 // unset and set, and requires the serialized results to be byte-for-byte
 // identical: recording a transcript for a later warm start must never
 // change the run it records. Runtime fields are zeroed before comparison —
 // wall time is the one thing allowed to differ.
-func TestWorkerCountByteIdentical(t *testing.T) {
+func TestCaptureByteIdentical(t *testing.T) {
 	names := []string{"S1", "S2", "S3", "S4", "S5"}
 	if testing.Short() {
 		names = names[:3]

@@ -169,8 +169,9 @@ func TestAStarOptimalityVsBFS(t *testing.T) {
 	if obs.Blocked(src) || obs.Blocked(dst) {
 		t.Fatal("bad test setup")
 	}
-	want := bfsLen(g, obs, src, dst)
-	p, ok := NewWorkspace(g).AStar(g, Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs})
+	req := Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs}
+	want := reachable(g, req)
+	p, ok := NewWorkspace(g).AStar(g, req)
 	if want == -1 {
 		if ok {
 			t.Fatal("A* found path where BFS did not")
@@ -183,29 +184,39 @@ func TestAStarOptimalityVsBFS(t *testing.T) {
 	}
 }
 
-func bfsLen(g grid.Grid, obs *grid.ObsMap, src, dst geom.Pt) int {
+// reachable is the A* oracle: a plain BFS from the request's sources over
+// the cells a search may enter (a target, or a cell in the request's window
+// that Obs leaves free). It returns the fewest steps to a target, or -1.
+func reachable(g grid.Grid, req Request) int {
+	target := map[geom.Pt]bool{}
+	for _, c := range req.Targets {
+		target[c] = true
+	}
 	dist := make([]int, g.Cells())
 	for i := range dist {
 		dist[i] = -1
 	}
-	dist[g.Index(src)] = 0
-	queue := []geom.Pt{src}
+	var queue []geom.Pt
+	for _, c := range req.Sources {
+		if g.In(c) && dist[g.Index(c)] < 0 {
+			dist[g.Index(c)] = 0
+			queue = append(queue, c)
+		}
+	}
 	var nbuf []geom.Pt
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		if p == dst {
+	for k := 0; k < len(queue); k++ {
+		p := queue[k]
+		if target[p] {
 			return dist[g.Index(p)]
 		}
 		nbuf = g.Neighbors(p, nbuf)
 		for _, q := range nbuf {
-			if obs.Blocked(q) && q != dst {
+			j := g.Index(q)
+			if dist[j] >= 0 || !target[q] && (!req.inBounds(q) || req.Obs.Blocked(q)) {
 				continue
 			}
-			if dist[g.Index(q)] == -1 {
-				dist[g.Index(q)] = dist[g.Index(p)] + 1
-				queue = append(queue, q.Add(geom.Pt{}))
-			}
+			dist[j] = dist[g.Index(p)] + 1
+			queue = append(queue, q)
 		}
 	}
 	return -1

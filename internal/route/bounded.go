@@ -15,15 +15,33 @@ type bnode struct {
 	parent int32
 }
 
-// reconstructArena walks the arena's parent chain, allocating the result
-// path exactly once.
-//
-//pacor:allow hotalloc single exact-size allocation for the result path returned to the caller
-func reconstructArena(g grid.Grid, arena []bnode, idx int) grid.Path {
-	n := 1
-	for i := idx; arena[i].parent >= 0; i = int(arena[i].parent) {
+// simpleChain reports whether the arena chain ending at state idx visits no
+// cell twice, and its length in cells. Each state extends its parent by one
+// grid step, so a chain without a repeated cell is exactly a path that
+// grid.Path.Valid accepts. The cells are marked in closed, which the bounded
+// search never reads: one walk clears the chain's marks, and a second sets
+// them and stops at the first cell already set.
+func (w *Workspace) simpleChain(idx int) (int, bool) {
+	n := 0
+	for i := idx; i >= 0; i = int(w.arena[i].parent) {
+		w.closed[w.arena[i].cell] = false
 		n++
 	}
+	for i := idx; i >= 0; i = int(w.arena[i].parent) {
+		c := w.arena[i].cell
+		if w.closed[c] {
+			return n, false
+		}
+		w.closed[c] = true
+	}
+	return n, true
+}
+
+// reconstructArena returns the n-cell chain ending at state idx as a path,
+// allocating it exactly once.
+//
+//pacor:allow hotalloc single exact-size allocation for the result path returned to the caller
+func reconstructArena(g grid.Grid, arena []bnode, idx, n int) grid.Path {
 	path := make(grid.Path, n)
 	i := idx
 	for k := n - 1; k >= 0; k-- {

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -166,5 +167,55 @@ func TestExtendPathLargeStretchStacksDetours(t *testing.T) {
 	}
 	if !ext.ValidOn(g) {
 		t.Fatal("extended path invalid")
+	}
+}
+
+// TestSimpleChainMatchesValid: the bounded search's chain check accepts
+// exactly the chains grid.Path.Valid accepts. Random walks on a small grid
+// (so many revisit a cell) share one arena, as the states of one search do,
+// and the closed marks start as garbage, as an earlier A* leaves them.
+func TestSimpleChainMatchesValid(t *testing.T) {
+	g := grid.New(6, 6)
+	ws := NewWorkspace(g)
+	rng := rand.New(rand.NewSource(5))
+	for i := range ws.closed {
+		ws.closed[i] = rng.Intn(2) == 0
+	}
+	step := func(c geom.Pt) geom.Pt {
+		for {
+			if q := c.Add(grid.Dirs[rng.Intn(len(grid.Dirs))]); g.In(q) {
+				return q
+			}
+		}
+	}
+	simple, repeated := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		// A walk either starts a new chain or extends a random earlier state.
+		parent := int32(-1)
+		cell := geom.Pt{X: rng.Intn(g.W), Y: rng.Intn(g.H)}
+		if len(ws.arena) > 0 && rng.Intn(4) != 0 {
+			parent = int32(rng.Intn(len(ws.arena)))
+			cell = step(g.Pt(int(ws.arena[parent].cell)))
+		}
+		for steps := rng.Intn(12); steps >= 0; steps-- {
+			ws.arena = append(ws.arena, bnode{cell: int32(g.Index(cell)), parent: parent})
+			parent = int32(len(ws.arena) - 1)
+			cell = step(cell)
+		}
+		idx := int(parent)
+		n, ok := ws.simpleChain(idx)
+		// reconstructArena needs only the count, which holds either way.
+		path := reconstructArena(g, ws.arena, idx, n)
+		if ok != path.Valid() {
+			t.Fatalf("trial %d: simpleChain %v, Valid %v on %v", trial, ok, path.Valid(), path)
+		}
+		if ok {
+			simple++
+		} else {
+			repeated++
+		}
+	}
+	if simple == 0 || repeated == 0 {
+		t.Fatalf("%d simple and %d repeating chains; the trials must cover both", simple, repeated)
 	}
 }

@@ -59,6 +59,11 @@ type NegotiateStats struct {
 	// compiling.
 	CacheHits   int
 	CacheMisses int
+	// Sealed counts the searches that ended on a sealed-pocket verdict
+	// (Workspace.AStar): the edge's targets were walled into a small pocket,
+	// so the search failed without flooding the grid. Replayed outcomes are
+	// not searches and never count.
+	Sealed int
 	// SeededEdges counts child edges aligned to a cross-run seed's transcript
 	// (seed.go) — the edges *eligible* for cross-run replay this run.
 	SeededEdges int
@@ -76,6 +81,7 @@ type NegotiateStats struct {
 func (s *NegotiateStats) Add(o NegotiateStats) {
 	s.Rounds += o.Rounds
 	s.Searches += o.Searches
+	s.Sealed += o.Sealed
 	s.SeededEdges += o.SeededEdges
 	s.SeededHits += o.SeededHits
 	s.FailedIDs = append(s.FailedIDs, o.FailedIDs...) //pacor:allow hotalloc stats aggregation runs once per flow stage, not per search
@@ -228,6 +234,7 @@ func (w *Workspace) negRound(g grid.Grid, work *grid.ObsMap, edges []Edge, hist 
 			if capOn {
 				w.StartVisitTracking()
 			}
+			sealed := w.sealed
 			p, ok = w.AStar(g, w.negReq(e, work, hist))
 			if capOn {
 				w.StopVisitTracking()
@@ -236,6 +243,7 @@ func (w *Workspace) negRound(g grid.Grid, work *grid.ObsMap, edges []Edge, hist 
 			}
 			if stats != nil {
 				stats.Searches++
+				stats.Sealed += w.sealed - sealed
 			}
 			if seedLive {
 				w.negCrossCompare(g, ei, p, ok)

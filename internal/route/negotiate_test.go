@@ -254,7 +254,7 @@ func TestNegotiateQueueByteIdentical(t *testing.T) {
 }
 
 func statsEqual(a, b NegotiateStats) bool {
-	if a.Rounds != b.Rounds || a.Searches != b.Searches ||
+	if a.Rounds != b.Rounds || a.Searches != b.Searches || a.Sealed != b.Sealed ||
 		a.SeededEdges != b.SeededEdges || a.SeededHits != b.SeededHits ||
 		len(a.FailedIDs) != len(b.FailedIDs) {
 		return false
@@ -432,11 +432,11 @@ func TestNegotiateFailureCommitsNothing(t *testing.T) {
 	pathsIdentical(t, "reachable edge after failure", got, want)
 }
 
-// TestNegotiateWorkersByteIdentical: Negotiate with nil stats returns the
+// TestNegotiateNilStatsAndReuseIdentical: Negotiate with nil stats returns the
 // paths and capture of a tracked run, and one workspace reused across runs
 // (each capture mode negotiates on the workspace the previous run left)
 // reproduces a fresh workspace's paths, counters and capture.
-func TestNegotiateWorkersByteIdentical(t *testing.T) {
+func TestNegotiateNilStatsAndReuseIdentical(t *testing.T) {
 	g, obs, edges := laneScenario(10)
 	reused := NewWorkspace(g)
 	for _, capture := range []bool{false, true} {

@@ -26,8 +26,9 @@ func TestAStarMatchesBFSRandomMazes(t *testing.T) {
 		dst := geom.Pt{X: rng.Intn(w), Y: rng.Intn(h)}
 		obs.Set(src, false)
 		obs.Set(dst, false)
-		want := bfsLen(g, obs, src, dst)
-		p, ok := NewWorkspace(g).AStar(g, Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs})
+		req := Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs}
+		want := reachable(g, req)
+		p, ok := NewWorkspace(g).AStar(g, req)
 		if (want == -1) != !ok {
 			t.Fatalf("trial %d: BFS=%d ok=%v disagree", trial, want, ok)
 		}
@@ -44,6 +45,122 @@ func TestAStarMatchesBFSRandomMazes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// walledPocket grows a random connected pocket of size cells from dst
+// (fewer if the grid runs out), frees it and blocks every cell bordering it.
+// It returns the pocket and its walls.
+func walledPocket(rng *rand.Rand, obs *grid.ObsMap, dst geom.Pt, size int) (pocket, walls []geom.Pt) {
+	g := obs.Grid()
+	in := map[geom.Pt]bool{dst: true}
+	pocket = []geom.Pt{dst}
+	for tries := 0; len(pocket) < size && tries < 100*size; tries++ {
+		q := pocket[rng.Intn(len(pocket))].Add(grid.Dirs[rng.Intn(len(grid.Dirs))])
+		if g.In(q) && !in[q] {
+			in[q] = true
+			pocket = append(pocket, q)
+		}
+	}
+	wall := map[geom.Pt]bool{}
+	var nbuf []geom.Pt
+	for _, c := range pocket {
+		obs.Set(c, false)
+		nbuf = g.Neighbors(c, nbuf)
+		for _, q := range nbuf {
+			if !in[q] && !wall[q] {
+				wall[q] = true
+				walls = append(walls, q)
+				obs.Set(q, true)
+			}
+		}
+	}
+	return pocket, walls
+}
+
+// TestSealedPocketVerdictsMatchBFS: on random grids whose target is walled
+// into a pocket of 1–80 cells (sealed, leaky through one reopened wall cell,
+// or larger than pocketCap), every search agrees with a plain BFS from its
+// sources on success (and, without history, on length), a search that ends
+// on a sealed-pocket verdict has no path by that BFS and a pocket of at most
+// pocketCap cells, and the heap and the ring reach the same verdicts. Some
+// requests list a target twice or add a second pocket cell, some carry a
+// Bounds window, and some add a blocked source on the pocket's wall.
+func TestSealedPocketVerdictsMatchBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	verdicts, sealedOverCap, leaky := 0, 0, 0
+	for trial := 0; trial < 400; trial++ {
+		w, h := 16+rng.Intn(24), 16+rng.Intn(24)
+		g := grid.New(w, h)
+		obs := grid.NewObsMap(g)
+		for i := 0; i < g.Cells()/12; i++ {
+			obs.Set(geom.Pt{X: rng.Intn(w), Y: rng.Intn(h)}, true)
+		}
+		dst := geom.Pt{X: rng.Intn(w), Y: rng.Intn(h)}
+		pocket, walls := walledPocket(rng, obs, dst, 1+rng.Intn(80))
+		if rng.Intn(3) == 0 {
+			obs.Set(walls[rng.Intn(len(walls))], false)
+			leaky++
+		}
+		in := map[geom.Pt]bool{}
+		for _, c := range append(pocket, walls...) {
+			in[c] = true
+		}
+		src := geom.Pt{X: rng.Intn(w), Y: rng.Intn(h)}
+		for in[src] {
+			src = geom.Pt{X: rng.Intn(w), Y: rng.Intn(h)}
+		}
+		obs.Set(src, false)
+		req := Request{Sources: []geom.Pt{src}, Targets: []geom.Pt{dst}, Obs: obs}
+		if rng.Intn(4) == 0 {
+			req.Targets = append(req.Targets, dst, pocket[rng.Intn(len(pocket))])
+		}
+		if rng.Intn(3) == 0 {
+			// A second source on the pocket's wall, blocked as negotiation
+			// blocks its terminals, and costly pocket cells: the search
+			// floods the outside before it enters the pocket, so the
+			// certificate runs while a source borders the pocket.
+			rim := walls[rng.Intn(len(walls))]
+			obs.Set(rim, true)
+			req.Sources = append(req.Sources, rim)
+			hist := make([]float64, g.Cells())
+			for _, c := range pocket {
+				hist[g.Index(c)] = 8
+			}
+			req.Hist, req.HistScale, req.HistMax = hist, 1, 9
+		}
+		if rng.Intn(4) == 0 {
+			b := geom.Rect{MinX: rng.Intn(src.X + 1), MinY: rng.Intn(src.Y + 1),
+				MaxX: src.X + rng.Intn(w-src.X), MaxY: src.Y + rng.Intn(h-src.Y)}
+			req.Bounds = &b
+		}
+		want := reachable(g, req)
+		if want < 0 && req.Bounds == nil && len(pocket) > pocketCap {
+			sealedOverCap++
+		}
+		var verdict [2]bool
+		for k, heapOnly := range []bool{false, true} {
+			ws := NewWorkspace(g)
+			ws.heapOnly = heapOnly
+			p, ok := ws.AStar(g, req)
+			verdict[k] = ws.sealed > 0
+			if ok != (want >= 0) || ok && req.Hist == nil && p.Len() != want {
+				t.Fatalf("trial %d heapOnly=%v: A* ok=%v len %d, BFS %d (verdict %v)", trial, heapOnly, ok, p.Len(), want, verdict[k])
+			}
+			if verdict[k] && req.Bounds == nil && len(pocket) > pocketCap {
+				t.Fatalf("trial %d heapOnly=%v: sealed verdict on a %d-cell pocket, above pocketCap %d", trial, heapOnly, len(pocket), pocketCap)
+			}
+		}
+		if verdict[0] != verdict[1] {
+			t.Fatalf("trial %d: the ring's verdict %v differs from the heap's %v", trial, verdict[0], verdict[1])
+		}
+		if verdict[0] {
+			verdicts++
+		}
+	}
+	if verdicts == 0 || sealedOverCap == 0 || leaky == 0 {
+		t.Fatalf("the trials produced %d verdicts, %d sealed pockets above pocketCap and %d leaky pockets; each must be nonzero",
+			verdicts, sealedOverCap, leaky)
 	}
 }
 

@@ -90,55 +90,154 @@ func TestSeedExactReplayIdentity(t *testing.T) {
 	}
 }
 
-// TestSeedNearReplayIdentity: after perturbing the instance (an obstacle
-// toggled, an edge terminal moved), a run seeded from the unperturbed capture
-// is byte-identical to a cold run of the perturbed instance, satisfies the
-// counters invariant Searches_cold = Searches_seeded + SeededHits, and
-// actually skips searches. Every replay is re-searched and compared.
-func TestSeedNearReplayIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	sawSaving := false
-	for trial := 0; trial < 40; trial++ {
-		g, obs, edges := randomNegotiateInstance(rng)
-		var cap NegotiationSeed
-		negRun(g, obs, edges, nil, &cap, false)
-
-		// Perturb: toggle one non-terminal cell's obstacle state.
-		pert := obs.Clone()
-		for {
-			c := geom.Pt{X: rng.Intn(g.W), Y: rng.Intn(g.H)}
-			terminal := false
-			for _, e := range edges {
-				for _, q := range append(append([]geom.Pt{}, e.Sources...), e.Targets...) {
-					if q == c {
-						terminal = true
-					}
-				}
-			}
-			if !terminal {
-				pert.Set(c, !pert.Blocked(c))
-				break
-			}
-		}
-
-		wantPaths, wantOK, cold := negRun(g, pert, edges, nil, nil, false)
-		paths, ok, warm := negRun(g, pert, edges, &cap, nil, true)
-		if ok != wantOK {
-			t.Fatalf("trial %d: seeded ok=%v, want %v", trial, ok, wantOK)
-		}
-		pathsIdentical(t, "near-seeded run", paths, wantPaths)
-		if cold.Searches != warm.Searches+warm.SeededHits {
-			t.Fatalf("trial %d: counters invariant broken:\ncold %+v\nwarm %+v", trial, cold, warm)
-		}
-		if cold.Rounds != warm.Rounds {
-			t.Fatalf("trial %d: rounds diverged:\ncold %+v\nwarm %+v", trial, cold, warm)
-		}
-		if warm.SeededHits > 0 && warm.Searches < cold.Searches {
-			sawSaving = true
+// sealingNegotiateInstance builds a negotiation instance in which an
+// earlier edge seals a later edge's target. Edge 0 runs straight along an
+// obstacle-free lane row. Edge 1's target sits in a walled pocket below the
+// lane whose one opening is a lane cell, and its source lies below the lane
+// too, so once edge 0 commits the lane, edge 1's search ends on a
+// sealed-pocket verdict; history then moves edge 0 off the lane in a later
+// round. Up to two random edges and scattered obstacles off the lane add
+// congestion. It also returns the pocket's walls and opening, the cells
+// where a perturbation decides whether the sealed search's outcome changes.
+func sealingNegotiateInstance(rng *rand.Rand) (grid.Grid, *grid.ObsMap, []Edge, []geom.Pt) {
+	w, h := 18+rng.Intn(10), 16+rng.Intn(8)
+	g := grid.New(w, h)
+	obs := grid.NewObsMap(g)
+	lane := 2 + rng.Intn(3)
+	for i := 0; i < g.Cells()/16; i++ {
+		if c := (geom.Pt{X: rng.Intn(w), Y: rng.Intn(h)}); c.Y < lane-1 || c.Y > lane {
+			obs.Set(c, true)
 		}
 	}
-	if !sawSaving {
-		t.Error("no trial skipped any search via seeding; the near-hit path is dead")
+	// The pocket is a pw×ph box two rows below the lane, joined to the lane
+	// cell above it by a one-cell neck at column mx.
+	pw, ph := 1+rng.Intn(4), 1+rng.Intn(4)
+	px := 3 + rng.Intn(w-pw-6)
+	mx := px + rng.Intn(pw)
+	in := map[geom.Pt]bool{{X: mx, Y: lane + 1}: true}
+	for x := px; x < px+pw; x++ {
+		for y := lane + 2; y < lane+2+ph; y++ {
+			in[geom.Pt{X: x, Y: y}] = true
+		}
+	}
+	mouth := geom.Pt{X: mx, Y: lane}
+	hot := []geom.Pt{mouth}
+	used := map[geom.Pt]bool{mouth: true} // cells the random edges must not take
+	var nbuf []geom.Pt
+	for x := px; x < px+pw; x++ { // deterministic order over the box and neck
+		for y := lane + 1; y < lane+2+ph; y++ {
+			c := geom.Pt{X: x, Y: y}
+			if !in[c] {
+				continue
+			}
+			obs.Set(c, false)
+			used[c] = true
+			nbuf = g.Neighbors(c, nbuf)
+			for _, q := range nbuf {
+				if !in[q] && !used[q] {
+					obs.Set(q, true)
+					used[q] = true
+					hot = append(hot, q)
+				}
+			}
+		}
+	}
+	edges := []Edge{
+		{ID: 0, Sources: []geom.Pt{{X: 0, Y: lane}}, Targets: []geom.Pt{{X: w - 1, Y: lane}}},
+		{ID: 1, Sources: []geom.Pt{{X: 0, Y: h - 1}}, Targets: []geom.Pt{{X: px + rng.Intn(pw), Y: lane + 2 + rng.Intn(ph)}}},
+	}
+	for _, e := range edges {
+		used[e.Sources[0]] = true
+		obs.Set(e.Sources[0], false)
+	}
+	pick := func() geom.Pt {
+		for {
+			p := geom.Pt{X: rng.Intn(w), Y: rng.Intn(h)}
+			if !used[p] && p.Y != lane {
+				used[p] = true
+				obs.Set(p, false)
+				return p
+			}
+		}
+	}
+	for n := rng.Intn(3); n > 0; n-- {
+		edges = append(edges, Edge{ID: len(edges), Sources: []geom.Pt{pick()}, Targets: []geom.Pt{pick()}})
+	}
+	return g, obs, edges, hot
+}
+
+// TestSeedNearReplayIdentity: after perturbing the instance (an obstacle
+// toggled), a run seeded from the unperturbed capture is byte-identical to a
+// cold run of the perturbed instance, satisfies the counters invariant
+// Searches_cold = Searches_seeded + SeededHits, and actually skips
+// searches. Every replay is re-searched and compared. Two instance
+// families run: random congested instances, and sealing instances
+// (sealingNegotiateInstance) whose cold runs must end searches on
+// sealed-pocket verdicts; half of their perturbations toggle a pocket wall
+// or its opening, which a verdict's cone must cover.
+func TestSeedNearReplayIdentity(t *testing.T) {
+	families := []struct {
+		name  string
+		seed  int64
+		build func(*rand.Rand) (grid.Grid, *grid.ObsMap, []Edge, []geom.Pt)
+	}{
+		{"random", 79, func(rng *rand.Rand) (grid.Grid, *grid.ObsMap, []Edge, []geom.Pt) {
+			g, obs, edges := randomNegotiateInstance(rng)
+			return g, obs, edges, nil
+		}},
+		{"sealing", 97, sealingNegotiateInstance},
+	}
+	for _, f := range families {
+		rng := rand.New(rand.NewSource(f.seed))
+		sawSaving := false
+		coldSealed := 0
+		for trial := 0; trial < 40; trial++ {
+			g, obs, edges, hot := f.build(rng)
+			var cap NegotiationSeed
+			negRun(g, obs, edges, nil, &cap, false)
+
+			// Perturb: toggle one non-terminal cell's obstacle state.
+			terminal := map[geom.Pt]bool{}
+			for _, e := range edges {
+				for _, q := range append(append([]geom.Pt{}, e.Sources...), e.Targets...) {
+					terminal[q] = true
+				}
+			}
+			pert := obs.Clone()
+			for {
+				c := geom.Pt{X: rng.Intn(g.W), Y: rng.Intn(g.H)}
+				if len(hot) > 0 && rng.Intn(2) == 0 {
+					c = hot[rng.Intn(len(hot))]
+				}
+				if !terminal[c] {
+					pert.Set(c, !pert.Blocked(c))
+					break
+				}
+			}
+
+			wantPaths, wantOK, cold := negRun(g, pert, edges, nil, nil, false)
+			paths, ok, warm := negRun(g, pert, edges, &cap, nil, true)
+			if ok != wantOK {
+				t.Fatalf("%s trial %d: seeded ok=%v, want %v", f.name, trial, ok, wantOK)
+			}
+			pathsIdentical(t, f.name+" near-seeded run", paths, wantPaths)
+			if cold.Searches != warm.Searches+warm.SeededHits {
+				t.Fatalf("%s trial %d: counters invariant broken:\ncold %+v\nwarm %+v", f.name, trial, cold, warm)
+			}
+			if cold.Rounds != warm.Rounds {
+				t.Fatalf("%s trial %d: rounds diverged:\ncold %+v\nwarm %+v", f.name, trial, cold, warm)
+			}
+			if warm.SeededHits > 0 && warm.Searches < cold.Searches {
+				sawSaving = true
+			}
+			coldSealed += cold.Sealed
+		}
+		if !sawSaving {
+			t.Errorf("%s: no trial skipped any search via seeding; the near-hit path is dead", f.name)
+		}
+		if f.name == "sealing" && coldSealed == 0 {
+			t.Errorf("%s: no cold run ended a search on a sealed-pocket verdict", f.name)
+		}
 	}
 }
 

@@ -25,11 +25,12 @@ type Workspace struct {
 	// earlier generations unless stamp[i] == gen.
 	stamp []int32
 	// tstamp marks target cells: cell i is a target iff tstamp[i] == gen.
+	// The sealed-pocket BFS marks its cells -gen (sealedPocket).
 	tstamp []int32
 
 	gCost  []float64 // A*: best path cost so far (valid under stamp)
 	parent []int32   // A*: predecessor cell index, -1 at sources
-	closed []bool    // A*: settled cells
+	closed []bool    // A*: settled cells; the bounded search's chain marks (simpleChain)
 
 	maxSeen []int32 // bounded search: longest path length seen per cell
 	arena   []bnode // bounded search: state arena
@@ -51,6 +52,11 @@ type Workspace struct {
 	lastBucket bool
 
 	nbuf []geom.Pt // neighbor scratch
+
+	// Sealed-pocket certificate (sealedPocket): the BFS queue, and the
+	// number of searches a sealed verdict has ended on this workspace.
+	pocket [pocketCap]int32
+	sealed int
 
 	// Visit tracking (a negotiation capture's cone, seed.go): while track is
 	// set, every cell brought into a search generation also sets its bit in
@@ -193,6 +199,11 @@ func (w *Workspace) touchBounded(i int) {
 	}
 }
 
+// pocketCap is the largest target pocket the sealed-pocket certificate
+// explores, and the number of cells beyond its Manhattan span a search
+// settles before the certificate runs.
+const pocketCap = 64
+
 // markTargets stamps the in-grid targets and returns their bounding box and
 // count.
 func (w *Workspace) markTargets(g grid.Grid, targets []geom.Pt) (geom.Rect, int) {
@@ -240,6 +251,12 @@ func targetH(tb geom.Rect, p geom.Pt) int {
 // request's keys and fits them in the ring, the binary heap otherwise. Both
 // implement the same (f, push order) total order, so the choice never
 // changes the routed path, only the wall clock.
+//
+// Once the search has settled pocketCap cells more than the smallest
+// source heuristic, it runs the sealed-pocket certificate once; a sealed
+// verdict proves no path exists and ends the search, so a search whose
+// targets are walled in fails in O(pocket) instead of flooding the source
+// side. Any other search returns what it would without the check.
 func (w *Workspace) AStar(g grid.Grid, req Request) (grid.Path, bool) {
 	if len(req.Sources) == 0 || len(req.Targets) == 0 {
 		return nil, false
@@ -250,17 +267,22 @@ func (w *Workspace) AStar(g grid.Grid, req Request) (grid.Path, bool) {
 		return nil, false
 	}
 	w.lastBucket = !w.heapOnly && w.astarRing(g, req, tb)
+	hmin := g.W + g.H // above every in-grid source's heuristic
 	for _, s := range req.Sources {
 		if !g.In(s) {
 			continue
 		}
 		i := g.Index(s)
+		h := targetH(tb, s)
+		hmin = min(hmin, h)
 		if w.touch(i) && w.gCost[i] == 0 {
 			continue
 		}
 		w.gCost[i] = 0
-		w.push(float64(targetH(tb, s)), int32(i))
+		w.push(float64(h), int32(i))
 	}
+	// settle counts down the cells left to settle before the certificate.
+	settle := hmin + pocketCap
 	for {
 		it, ok := w.pop()
 		if !ok {
@@ -274,6 +296,10 @@ func (w *Workspace) AStar(g grid.Grid, req Request) (grid.Path, bool) {
 		p := g.Pt(i)
 		if w.isTarget(i) {
 			return w.reconstruct(g, i), true
+		}
+		if settle--; settle == 0 && w.sealedPocket(g, &req) {
+			w.sealed++
+			return nil, false
 		}
 		w.nbuf = g.Neighbors(p, w.nbuf)
 		for _, q := range w.nbuf {
@@ -314,6 +340,83 @@ func (w *Workspace) AStar(g grid.Grid, req Request) (grid.Path, bool) {
 		}
 	}
 }
+
+// sealedPocket is the sealed-pocket certificate. It reports whether the
+// request's targets lie in a pocket of at most pocketCap enterable cells
+// that no source borders, which proves the search cannot succeed. A BFS from
+// the in-grid targets walks the cells the search could enter, by A*'s own
+// rule (a target, or a cell in the request's window that Obs leaves free),
+// and answers "not sealed" as soon as it meets a source or would grow past
+// pocketCap cells. A source is a cell stamped in this generation with
+// gCost 0, so the check needs seeded sources and no array of its own: the
+// BFS marks its cells tstamp == -gen, a value isTarget never matches and the
+// next generation leaves stale. Targets carry that mark only while the BFS
+// runs and get their target stamp back before it returns.
+//
+// Under visit tracking a sealed verdict adds the pocket and every neighbour
+// the BFS read to the cone. "Not sealed" adds nothing: the search then goes
+// on to return what it would have returned without the check, so its cone
+// already proves its outcome (docs/ALGORITHMS.md, "Negotiation rounds").
+func (w *Workspace) sealedPocket(g grid.Grid, req *Request) bool {
+	mark := -w.gen
+	nt, sealed := 0, true
+	for _, t := range req.Targets {
+		if !g.In(t) {
+			continue
+		}
+		i := g.Index(t)
+		if w.tstamp[i] == mark {
+			continue // listed twice
+		}
+		if nt == pocketCap || w.isSource(i) {
+			sealed = false
+			break
+		}
+		w.tstamp[i] = mark
+		w.pocket[nt] = int32(i)
+		nt++
+	}
+	n := nt
+	for k := 0; sealed && k < n; k++ {
+		w.nbuf = g.Neighbors(g.Pt(int(w.pocket[k])), w.nbuf)
+		for _, q := range w.nbuf {
+			j := g.Index(q)
+			if w.tstamp[j] == mark {
+				continue
+			}
+			if w.isSource(j) {
+				sealed = false
+				break
+			}
+			if !req.inBounds(q) || req.Obs != nil && req.Obs.Blocked(q) {
+				continue
+			}
+			if n == pocketCap {
+				sealed = false
+				break
+			}
+			w.tstamp[j] = mark
+			w.pocket[n] = int32(j)
+			n++
+		}
+	}
+	for _, i := range w.pocket[:nt] {
+		w.tstamp[i] = w.gen
+	}
+	if sealed && w.track {
+		for _, i := range w.pocket[:n] {
+			w.visit(int(i))
+			w.nbuf = g.Neighbors(g.Pt(int(i)), w.nbuf)
+			for _, q := range w.nbuf {
+				w.visit(g.Index(q))
+			}
+		}
+	}
+	return sealed
+}
+
+// isSource reports whether cell i is a source of the current A* search.
+func (w *Workspace) isSource(i int) bool { return w.stamp[i] == w.gen && w.gCost[i] == 0 }
 
 // astarRing prepares the ring for an A* request and reports whether the
 // search can run on it. The request's cost domain must be certified
@@ -419,11 +522,11 @@ func (w *Workspace) BoundedAStar(g grid.Grid, req Request, minLen, maxLen int) (
 		p := g.Pt(int(nd.cell))
 		if w.isTarget(int(nd.cell)) && int(nd.g) >= minLen && int(nd.g) <= maxLen {
 			// Cycles are possible in principle (the monotone-G rule only
-			// requires strictly longer revisits), so validate at
-			// reconstruction instead of paying an ancestor-chain walk on
-			// every expansion.
-			if path := reconstructArena(g, w.arena, int(it)); path.Valid() {
-				return path, true
+			// requires strictly longer revisits), so check the chain once
+			// it conforms instead of paying an ancestor-chain walk on every
+			// expansion.
+			if n, simple := w.simpleChain(int(it)); simple {
+				return reconstructArena(g, w.arena, int(it), n), true
 			}
 			continue
 		}

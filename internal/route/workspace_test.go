@@ -25,10 +25,10 @@ func scatterObs(w, h, blocks int, seed int64) (grid.Grid, *grid.ObsMap) {
 	return g, obs
 }
 
-// TestWorkspaceMatchesWrapper pins workspace reuse: one workspace reused
+// TestWorkspaceReuseMatchesFresh pins workspace reuse: one workspace reused
 // across 200 searches returns, path for path, what a fresh workspace per
 // search returns.
-func TestWorkspaceMatchesWrapper(t *testing.T) {
+func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	g, obs := scatterObs(48, 48, 400, 3)
 	ws := NewWorkspace(g)
 	rng := rand.New(rand.NewSource(7))
@@ -97,9 +97,9 @@ func checkAlternation(t *testing.T, ws *Workspace, rounds int) {
 	}
 }
 
-// TestReleaseWorkspaceNil pins that a zero Workspace needs no constructor:
+// TestZeroWorkspaceSearches pins that a zero Workspace needs no constructor:
 // it grows on its first search and then answers like a fresh NewWorkspace.
-func TestReleaseWorkspaceNil(t *testing.T) {
+func TestZeroWorkspaceSearches(t *testing.T) {
 	var ws Workspace
 	checkAlternation(t, &ws, 1)
 	if ws.cells == 0 {
@@ -107,9 +107,9 @@ func TestReleaseWorkspaceNil(t *testing.T) {
 	}
 }
 
-// TestReleaseWorkspaceDouble: a zero Workspace also negotiates on first
+// TestZeroWorkspaceNegotiates: a zero Workspace also negotiates on first
 // use, with the paths and counters of a fresh NewWorkspace.
-func TestReleaseWorkspaceDouble(t *testing.T) {
+func TestZeroWorkspaceNegotiates(t *testing.T) {
 	g, obs, edges := laneScenario(6)
 	var wantStats, gotStats NegotiateStats
 	want, wantOK := NewWorkspace(g).Negotiate(obs, edges, DefaultNegotiateParams(), &wantStats)
@@ -121,9 +121,9 @@ func TestReleaseWorkspaceDouble(t *testing.T) {
 	pathsIdentical(t, "zero workspace", got, want)
 }
 
-// TestAcquireWorkspaceReacquire: one workspace alternating between the
+// TestWorkspaceAlternatesGrids: one workspace alternating between the
 // three grids for several rounds matches a fresh workspace on every search.
-func TestAcquireWorkspaceReacquire(t *testing.T) {
+func TestWorkspaceAlternatesGrids(t *testing.T) {
 	checkAlternation(t, NewWorkspace(grid.New(16, 16)), 4)
 }
 
@@ -137,10 +137,10 @@ func TestWorkspaceCrossGridReuse(t *testing.T) {
 	}
 }
 
-// TestWorkspacePoolRoundTrip: a workspace sized for 16×16 serves the 32×8
-// grid of the same cell count without resizing, and the corner-to-corner
-// search on the empty 32×8 grid is the Manhattan distance.
-func TestWorkspacePoolRoundTrip(t *testing.T) {
+// TestWorkspaceSameCellCountNoResize: a workspace sized for 16×16 serves
+// the 32×8 grid of the same cell count without resizing, and the
+// corner-to-corner search on the empty 32×8 grid is the Manhattan distance.
+func TestWorkspaceSameCellCountNoResize(t *testing.T) {
 	ws := NewWorkspace(grid.New(16, 16))
 	stamp := &ws.stamp[0]
 	g := grid.New(32, 8)
@@ -300,7 +300,12 @@ func TestWorkspaceResize(t *testing.T) {
 // lists, and each asserts the open list it ran on: A* with an uncertified
 // history (heap), A* with no history and with a certified one (bucket), the
 // bounded search (bucket), and A* and the bounded search on a heap-only
-// workspace.
+// workspace. Ten more trials wall the target into a pocket of at most
+// pocketCap cells, so the A* variants end on a sealed-pocket verdict (as
+// they do on a few scattered maps): its cone (the cells read up to the
+// check, the pocket and its walls) must survive the same flip and also
+// freeing every cell outside it, and the search on either map must end on
+// the verdict too.
 func TestVisitConeCoversReads(t *testing.T) {
 	variants := []struct {
 		name             string
@@ -316,9 +321,10 @@ func TestVisitConeCoversReads(t *testing.T) {
 		{"BoundedAStar heapOnly", true, true, false, true, false},
 	}
 	found := make([]int, len(variants))
+	verdicts := make([]int, len(variants))
 	flippedAny := false
 	rng := rand.New(rand.NewSource(91))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		g, obs := scatterObs(20+rng.Intn(20), 20+rng.Intn(20), 150, int64(100+trial))
 		src := geom.Pt{X: 0, Y: 0}
 		dst := geom.Pt{X: g.W - 1, Y: g.H - 1}
@@ -326,8 +332,15 @@ func TestVisitConeCoversReads(t *testing.T) {
 		for i := range hist {
 			hist[i] = float64(rng.Intn(3))
 		}
+		pocket := trial >= 30
+		if pocket {
+			walledPocket(rng, obs, dst, 1+rng.Intn(pocketCap))
+		}
 		d := geom.Dist(src, dst)
 		for vi, v := range variants {
+			if pocket && v.bounded {
+				continue
+			}
 			// search runs the variant on a fresh workspace. The bounded
 			// window starts at the shortest length: on these corner to
 			// corner pairs the bounded search finds no path of length d+4
@@ -360,32 +373,54 @@ func TestVisitConeCoversReads(t *testing.T) {
 			if wantOK {
 				found[vi]++
 			}
+			if ws.sealed > 0 {
+				verdicts[vi]++
+			}
 			visits := ws.CopyVisits(nil)
 
 			onPath := map[geom.Pt]bool{}
 			for _, c := range want {
 				onPath[c] = true
 			}
-			flipped := obs.Clone()
-			for i := 0; i < g.Cells(); i++ {
-				c := g.Pt(i)
-				if visits[i>>6]&(1<<(uint(i)&63)) != 0 || onPath[c] || c == src || c == dst {
-					continue
+			// outside rewrites every cell outside the cone and off the path:
+			// inverted, and after a verdict also freed, which opens any
+			// pocket wall the cone missed.
+			outside := func(set func(blocked bool) bool) *grid.ObsMap {
+				m := obs.Clone()
+				for i := 0; i < g.Cells(); i++ {
+					c := g.Pt(i)
+					if visits[i>>6]&(1<<(uint(i)&63)) != 0 || onPath[c] || c == src || c == dst {
+						continue
+					}
+					m.Set(c, set(m.Blocked(c)))
+					flippedAny = true
 				}
-				flipped.Set(c, !flipped.Blocked(c))
-				flippedAny = true
+				return m
 			}
-			r := req
-			r.Obs = flipped
-			if _, got, gotOK := search(r, false); gotOK != wantOK || !pathsEqual(got, want) {
-				t.Fatalf("trial %d %s: flipping unvisited cells changed the result (ok %v -> %v, len %d -> %d)",
-					trial, v.name, wantOK, gotOK, want.Len(), got.Len())
+			maps := []*grid.ObsMap{outside(func(b bool) bool { return !b })}
+			if ws.sealed > 0 {
+				maps = append(maps, outside(func(bool) bool { return false }))
+			}
+			for mi, m := range maps {
+				r := req
+				r.Obs = m
+				ws2, got, gotOK := search(r, false)
+				if gotOK != wantOK || !pathsEqual(got, want) {
+					t.Fatalf("trial %d %s map %d: rewriting unvisited cells changed the result (ok %v -> %v, len %d -> %d)",
+						trial, v.name, mi, wantOK, gotOK, want.Len(), got.Len())
+				}
+				if ws.sealed > 0 && ws2.sealed == 0 {
+					t.Fatalf("trial %d %s map %d: rewriting cells outside a sealed verdict's cone lost the verdict", trial, v.name, mi)
+				}
 			}
 		}
 	}
 	for vi, v := range variants {
 		if found[vi] == 0 {
 			t.Errorf("%s found no path in any trial; its flip check compared only failures", v.name)
+		}
+		if !v.bounded && verdicts[vi] == 0 {
+			t.Errorf("%s ended no trial on a sealed verdict; its flip check never covered one", v.name)
 		}
 	}
 	if !flippedAny {
