@@ -160,12 +160,12 @@ func TestFixFlag(t *testing.T) {
 	}
 }
 
-// TestFixRelativeDir lints a scratch copy of a fixture under a relative
+// TestRelativeDirFindings lints a scratch copy of a fixture under a relative
 // -dir, as `pacorvet -dir ../.. <dir>` run from a subdirectory does: the
 // copy sits at testdata/liberrs below a scratch root, and the tool runs
 // from root/work with -dir "..". The findings must name files relative to
 // -dir.
-func TestFixRelativeDir(t *testing.T) {
+func TestRelativeDirFindings(t *testing.T) {
 	root := t.TempDir()
 	fixDir := filepath.Join(root, "testdata", "liberrs")
 	workDir := filepath.Join(root, "work")

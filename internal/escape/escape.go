@@ -7,7 +7,7 @@
 //     capacity-1 arc, enforcing Constraint (12) (inflow+outflow <= 2, i.e. at
 //     most one path through a cell);
 //   - obstacle cells and non-pin boundary cells get no in/out arc
-//     (Constraint 8);
+//     (Constraint 8, fabric.usable);
 //   - a cluster node with capacity 1 fans out to that cluster's permitted
 //     take-off cells (Constraints 6, 10: root for LM clusters of >= 3 valves,
 //     path middle for 2-valve LM clusters, any path cell otherwise); take-off
@@ -17,6 +17,9 @@
 // Successive shortest paths maximize the number of routed clusters first and
 // total channel length second — the LP's beta-weighted objective — and the
 // network matrix integrality gives Theorem 1's optimality.
+//
+// Isolated decides, with one flood over the same cells, which terminals no
+// flow of that network can route.
 package escape
 
 import (
@@ -67,29 +70,12 @@ func Route(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt) *Result {
 	}
 	net := mcf.NewGraph(base+len(terms), arcs)
 
-	pinSet := make(map[geom.Pt]bool, len(pins))
-	for _, p := range pins {
-		if g.In(p) {
-			pinSet[p] = true
-		}
-	}
+	f := newFabric(obs, pins)
 	takeoff := make(map[geom.Pt]bool)
 	for _, tm := range terms {
 		for _, c := range tm.Cells {
 			takeoff[c] = true
 		}
-	}
-
-	usable := func(p geom.Pt) bool {
-		if !g.In(p) || obs.Blocked(p) {
-			return false
-		}
-		// Constraint (8): boundary cells that are not control pins carry no
-		// flow.
-		if g.OnBoundary(p) && !pinSet[p] {
-			return false
-		}
-		return true
 	}
 
 	// Grid fabric: in->out per usable cell, out->neighbor-in per adjacency.
@@ -99,16 +85,16 @@ func Route(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt) *Result {
 	var nbuf []geom.Pt
 	for i := 0; i < cells; i++ {
 		p := g.Pt(i)
-		if !usable(p) && !takeoff[p] {
+		if !f.usable(i, p.X, p.Y) && !takeoff[p] {
 			continue
 		}
-		if usable(p) {
+		if f.usable(i, p.X, p.Y) {
 			net.AddArc(2*i, 2*i+1, 1, 0)
 		}
 		nbuf = g.Neighbors(p, nbuf)
 		for _, q := range nbuf {
-			if usable(q) {
-				net.AddArc(2*i+1, 2*g.Index(q), 1, 1)
+			if j := g.Index(q); f.usable(j, q.X, q.Y) {
+				net.AddArc(2*i+1, 2*j, 1, 1)
 			}
 		}
 	}
@@ -176,4 +162,116 @@ func Route(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt) *Result {
 	}
 	sort.Ints(res.Unrouted)
 	return res
+}
+
+// cellBits is a set of dense grid cell indices.
+type cellBits []uint64
+
+func newCellBits(cells int) cellBits { return make(cellBits, (cells+63)/64) }
+
+func (b cellBits) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+func (b cellBits) add(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
+
+// fabric is the cell view Route's flow network and Isolated's flood share:
+// the obstacle map and the in-grid candidate pins.
+type fabric struct {
+	g    grid.Grid
+	obs  *grid.ObsMap
+	pins cellBits
+}
+
+func newFabric(obs *grid.ObsMap, pins []geom.Pt) fabric {
+	g := obs.Grid()
+	f := fabric{g: g, obs: obs, pins: newCellBits(g.Cells())}
+	for _, p := range pins {
+		if g.In(p) {
+			f.pins.add(g.Index(p))
+		}
+	}
+	return f
+}
+
+// usable reports whether the in-grid cell (x, y), dense index i, may carry
+// escape flow: it is not blocked and — Constraint (8) — it is on the chip
+// boundary only when it is a control pin.
+func (f *fabric) usable(i, x, y int) bool {
+	return !f.obs.BlockedAt(i) && (x > 0 && y > 0 && x < f.g.W-1 && y < f.g.H-1 || f.pins.has(i))
+}
+
+// Isolated returns, ascending, the cluster IDs of the terminals that no
+// escape path can connect to a pin: none of the terminal's take-offs is a
+// pin, and none has a usable neighbour that usable cells join to a usable
+// pin. Those are exactly the terminals Route's network has no
+// source-to-sink path through, so a Route of one such terminal alone
+// leaves it unrouted, no Route routes it whatever the other terminals are,
+// and a Route of one terminal that Isolated does not name routes it.
+//
+// One flood from the usable pins over usable cells decides every
+// terminal. It keeps cell bitmaps and, as its frontier, one distance layer
+// of cells at a time.
+func Isolated(obs *grid.ObsMap, terms []Terminal, pins []geom.Pt) []int {
+	f := newFabric(obs, pins)
+	g := f.g
+	reach := newCellBits(g.Cells()) // the flood: usable cells joined to a usable pin
+	// A layer entry packs a cell as y<<16 | x (grids stay far below 2^16
+	// cells a side in this domain).
+	var layer, next []uint32
+	visit := func(x, y int) {
+		if i := y*g.W + x; !reach.has(i) && f.usable(i, x, y) {
+			reach.add(i)
+			next = append(next, uint32(y)<<16|uint32(x))
+		}
+	}
+	for _, p := range pins {
+		if g.In(p) {
+			visit(p.X, p.Y)
+		}
+	}
+	for len(next) > 0 {
+		layer, next = next, layer[:0]
+		for _, c := range layer {
+			x, y := int(c&0xffff), int(c>>16)
+			if x+1 < g.W {
+				visit(x+1, y)
+			}
+			if x > 0 {
+				visit(x-1, y)
+			}
+			if y+1 < g.H {
+				visit(x, y+1)
+			}
+			if y > 0 {
+				visit(x, y-1)
+			}
+		}
+	}
+
+	var ids []int
+	for _, tm := range terms {
+		if !f.escapes(reach, tm) {
+			ids = append(ids, tm.ClusterID)
+		}
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// escapes reports whether some take-off of tm is a pin or touches the flood
+// reach.
+func (f *fabric) escapes(reach cellBits, tm Terminal) bool {
+	for _, c := range tm.Cells {
+		if !f.g.In(c) {
+			continue
+		}
+		if f.pins.has(f.g.Index(c)) {
+			return true
+		}
+		for _, d := range grid.Dirs {
+			if q := c.Add(d); f.g.In(q) && reach.has(f.g.Index(q)) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -165,6 +165,10 @@ func (m *ObsMap) Blocked(p geom.Pt) bool {
 	return m.block[m.g.Index(p)]
 }
 
+// BlockedAt reports whether the cell with dense index i is blocked; i must
+// be in [0, Cells()).
+func (m *ObsMap) BlockedAt(i int) bool { return m.block[i] }
+
 // Set marks p blocked (true) or clear (false). Off-grid points are ignored.
 // Only actual value changes reach the journal.
 func (m *ObsMap) Set(p geom.Pt, blocked bool) {

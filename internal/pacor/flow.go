@@ -552,7 +552,8 @@ func routeMST(ws *route.Workspace, obs *grid.ObsMap, pos []geom.Pt) ([]grid.Path
 // cheap rip-up), an unrouted multi-valve cluster is split into bare-valve
 // singletons, and a trapped singleton triggers rip-up of the blocking
 // clusters' channels: the trapped valve's escape is committed first and the
-// blockers' internal channels re-route around it.
+// blockers' internal channels re-route around it. A flat round that can
+// fail only on walled-in LM taps skips its solve (relaxIsolated).
 func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*flowCluster, params Params, escHier *route.HierStats) []*flowCluster {
 	byID := func() map[int]*flowCluster {
 		m := make(map[int]*flowCluster, len(fcs))
@@ -570,6 +571,10 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 	// Escapes committed early by rip-up (already marked in obs).
 	committed := map[int]grid.Path{}
 	usedPins := map[geom.Pt]bool{}
+	probe := params.isoProbe
+	if probe == nil {
+		probe = &isoProbe{}
+	}
 
 	var res *escape.Result
 	for round := 0; round < escapeRetries; round++ {
@@ -585,6 +590,11 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 			res, hs = escape.RouteHier(ws, obs, terms, pins)
 			escHier.Add(hs)
 		} else {
+			if round < escapeRetries-1 && !probe.off {
+				if res = relaxIsolated(d, obs, fcs, committed, terms, pins, probe); res != nil {
+					break
+				}
+			}
 			res = escape.Route(obs, terms, pins)
 		}
 		if len(res.Unrouted) == 0 {
@@ -601,7 +611,7 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 			if fc == nil {
 				continue
 			}
-			if (fc.kind == kindTree || fc.kind == kindPair) && !fc.demoted && !fc.relaxTap {
+			if fc.relaxable() {
 				// Cheap relaxation: free take-off anywhere on the channels;
 				// the net re-roots at the chosen cell, so matching survives.
 				fc.relaxTap = true
@@ -684,6 +694,67 @@ func escapeRoute(ws *route.Workspace, d *valve.Design, obs *grid.ObsMap, fcs []*
 		fc.paths = rerooted.Segments
 	}
 	return fcs
+}
+
+// relaxable reports whether the escape retry loop relaxes the cluster's tap
+// when it stays unrouted: an intact LM cluster still restricted to its
+// preferred tap.
+func (fc *flowCluster) relaxable() bool {
+	return (fc.kind == kindTree || fc.kind == kindPair) && !fc.demoted && !fc.relaxTap
+}
+
+// isoProbe is a test-only hook, set through the unexported
+// Params.isoProbe: off turns relaxIsolated off, and fired and fellBack
+// count the rounds it decided and the relaxed solves that left a cluster
+// unrouted.
+type isoProbe struct {
+	off             bool
+	fired, fellBack int
+}
+
+// relaxIsolated decides a flat escape round whose failures are all
+// walled-in LM taps with one solve instead of two. Let I be the clusters
+// whose terminals escape.Isolated names for this round's network N0: no
+// flow of N0 routes them. When every member of I is relaxable and none stays
+// isolated relaxed, relaxIsolated relaxes I's taps and solves the resulting
+// network N1. If N1 routes every terminal, its paths less I's form a flow
+// of N0 that routes every other terminal, so every maximum flow of N0 —
+// the one N0's solve returns included — leaves exactly I unrouted. The
+// retry loop would then relax exactly I and solve N1 in the next round, and
+// N1 routes everything, so N1's result is that round's and the loop's.
+// relaxIsolated returns it. Otherwise it restores I's taps and returns nil,
+// and the round solves N0 as before: a fallback costs one extra solve.
+func relaxIsolated(d *valve.Design, obs *grid.ObsMap, fcs []*flowCluster, committed map[int]grid.Path,
+	terms []escape.Terminal, pins []geom.Pt, probe *isoProbe) *escape.Result {
+	iso := escape.Isolated(obs, terms, pins)
+	if len(iso) == 0 {
+		return nil
+	}
+	var relax []*flowCluster
+	for _, fc := range fcs {
+		if k := sort.SearchInts(iso, fc.id); k < len(iso) && iso[k] == fc.id {
+			if !fc.relaxable() {
+				return nil
+			}
+			relax = append(relax, fc)
+		}
+	}
+	setRelax := func(on bool) {
+		for _, fc := range relax {
+			fc.relaxTap = on
+		}
+	}
+	setRelax(true)
+	relaxed := buildTerminals(d, fcs, committed)
+	if len(escape.Isolated(obs, relaxed, pins)) == 0 {
+		if res := escape.Route(obs, relaxed, pins); len(res.Unrouted) == 0 {
+			probe.fired++
+			return res
+		}
+		probe.fellBack++
+	}
+	setRelax(false)
+	return nil
 }
 
 // ripAndCommit frees trapped clusters by ripping the channels that seal

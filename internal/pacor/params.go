@@ -68,6 +68,10 @@ type Params struct {
 	// seltree.SolverILP runs it as the paper-fidelity ablation, and it
 	// returns the same picks, only slower.
 	Solver seltree.Solver
+
+	// isoProbe is relaxIsolated's test-only hook; nil in every caller
+	// outside the package's tests.
+	isoProbe *isoProbe
 }
 
 // escapeRetries bounds the de-clustering/rip-up escape rounds.

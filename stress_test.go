@@ -10,9 +10,10 @@ import (
 // TestStressScale runs the flow on a workload larger than any Table 1
 // design (96 valves, 24 LM clusters on a 256x256 grid) and demands full
 // completion with verified design rules — scalability headroom beyond the
-// paper's benchmark suite. Its escape stage de-clusters and re-solves the
-// min-cost flow once (two solves on a grid no Table 1 design reaches), so
-// the pinned matched count and lengths also pin that retry path.
+// paper's benchmark suite. Its first escape round fails only on LM taps
+// walled into pin-less pockets, so the flow relaxes them and decides the
+// round with one min-cost flow solve where the retry loop took two; the
+// pinned matched count and lengths also pin that path.
 func TestStressScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress workload skipped in -short mode")
